@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .core import Graph, Orientation, orientations_with_max_outdegree
+from .core import Graph, Orientation, orientation_to_json, orientations_with_max_outdegree
 from .errors import SizeLimitExceededError
 
 DEFAULT_ARC_CAP = 30
@@ -75,31 +75,6 @@ def count_eulerian(orientation: Orientation, arc_cap: int = DEFAULT_ARC_CAP) -> 
     return EulerianCount(even=total[0], odd=total[1])
 
 
-def count_eulerian_brute(orientation: Orientation, arc_cap: int = 20) -> EulerianCount:
-    """Definitional oracle: enumerate every arc subset."""
-    arcs = orientation.arcs
-    m = len(arcs)
-    if m > arc_cap:
-        raise SizeLimitExceededError(f"{m} arcs exceeds brute-force cap {arc_cap}")
-    n = orientation.base.n
-    even = odd = 0
-    for mask in range(1 << m):
-        bal = [0] * n
-        size = 0
-        for i in range(m):
-            if mask >> i & 1:
-                t, h = arcs[i]
-                bal[t] += 1
-                bal[h] -= 1
-                size += 1
-        if all(b == 0 for b in bal):
-            if size % 2 == 0:
-                even += 1
-            else:
-                odd += 1
-    return EulerianCount(even=even, odd=odd)
-
-
 @dataclass(frozen=True)
 class AtCertificate:
     """An orientation witnessing colorability from lists of size outdeg+1."""
@@ -112,8 +87,6 @@ class AtCertificate:
         return [d + 1 for d in self.orientation.outdegrees()]
 
     def to_json(self) -> dict:
-        from .core import orientation_to_json
-
         return {
             "orientation": orientation_to_json(self.orientation),
             "even": self.counts.even,

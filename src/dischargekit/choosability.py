@@ -13,7 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .core import Graph
+from .alon_tarsi import DEFAULT_ARC_CAP, find_certificate
+from .core import Graph, build_graph
 from .errors import SizeLimitExceededError
 
 Lists = Tuple[Tuple[int, ...], ...]
@@ -86,14 +87,6 @@ def l_color(graph: Graph, lists: Sequence[Sequence[int]]) -> Optional[List[int]]
 
     if rec(0):
         return [coloring[v] for v in range(graph.n)]
-    return None
-
-
-def l_color_brute(graph: Graph, lists: Sequence[Sequence[int]]) -> Optional[List[int]]:
-    """Oracle: try every member of the cartesian product of the lists."""
-    for combo in itertools.product(*lists):
-        if all(combo[u] != combo[v] for u, v in graph.edges):
-            return list(combo)
     return None
 
 
@@ -171,7 +164,7 @@ def is_k_choosable(
     k: int,
     limit_n: int = DEFAULT_N_LIMIT,
     method: str = "auto",
-    arc_cap: int = 30,
+    arc_cap: int = DEFAULT_ARC_CAP,
 ) -> ChoosabilityVerdict:
     """Decide whether every k-assignment admits a list coloring.
 
@@ -192,8 +185,6 @@ def is_k_choosable(
         if degeneracy(graph) <= k - 1:
             return ChoosabilityVerdict(choosable=True, method="degeneracy")
         if len(graph.edges) <= arc_cap:
-            from .alon_tarsi import find_certificate
-
             cert = find_certificate(graph, [k] * graph.n, arc_cap=arc_cap)
             if cert is not None:
                 return ChoosabilityVerdict(choosable=True, method="alon-tarsi")
@@ -203,16 +194,6 @@ def is_k_choosable(
                 choosable=False, witness=ListAssignment(lists=lists), method="exhaustive"
             )
     return ChoosabilityVerdict(choosable=True, method="exhaustive")
-
-
-def is_k_choosable_raw(graph: Graph, k: int) -> ChoosabilityVerdict:
-    """Oracle: enumerate every k-assignment over universe {0..k*n-1} without
-    canonicalization.  Only viable for very small graphs."""
-    universe = range(k * graph.n)
-    for combo in itertools.product(itertools.combinations(universe, k), repeat=graph.n):
-        if l_color(graph, combo) is None:
-            return ChoosabilityVerdict(choosable=False, witness=ListAssignment(lists=combo))
-    return ChoosabilityVerdict(choosable=True)
 
 
 def check_extension(config: ReducibleConfig) -> bool:
@@ -235,8 +216,6 @@ def check_extension_with_rechoice(config: ReducibleConfig) -> bool:
     choice = list(config.choice_set)
     rest = [v for v in range(g.n) if v not in config.choice_set]
     rest_index = {v: i for i, v in enumerate(rest)}
-    from .core import build_graph
-
     rest_graph = build_graph(
         [(rest_index[u], rest_index[v]) for u, v in g.edges if u in rest_index and v in rest_index],
         n=len(rest),

@@ -10,14 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from typing import List
 
 from . import fixtures
-from .alon_tarsi import count_eulerian, find_certificate
+from .alon_tarsi import DEFAULT_ARC_CAP, count_eulerian, find_certificate
 from .choosability import (
+    DEFAULT_N_LIMIT,
     ReducibleConfig,
     check_extension,
     check_extension_with_rechoice,
@@ -37,17 +37,6 @@ from .structures import CONDITIONS, check_condition, classify_role, find_trios
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_INPUT = 2
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("DISCHARGEKIT_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise DischargeKitError(f"DISCHARGEKIT_THREADS must be an integer, got {raw!r}")
-    if cap < 1:
-        raise DischargeKitError("DISCHARGEKIT_THREADS must be at least 1")
-    return cap
 
 
 def _read_input(path: str) -> str:
@@ -70,9 +59,7 @@ def _load_graphs(args) -> List[Graph]:
     text = _read_input(args.input)
     if args.format == "graph6":
         return [parse_graph6(ln) for ln in text.splitlines() if ln.strip()]
-    if args.format == "embedding-json":
-        return [embedding_from_json(text).graph]
-    raise DischargeKitError(f"command does not accept format {args.format!r}")
+    return [embedding_from_json(text).graph]
 
 
 def cmd_detect(args) -> int:
@@ -128,9 +115,8 @@ def cmd_choosable(args) -> int:
 
 
 def cmd_alon_tarsi(args) -> int:
-    text = _read_input(args.input)
     if args.format == "orientation-json":
-        orientation = orientation_from_json(text)
+        orientation = orientation_from_json(_read_input(args.input))
         counts = count_eulerian(orientation, arc_cap=args.limit_arcs)
         report = {
             "command": "alon-tarsi",
@@ -196,8 +182,6 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_discharge(args) -> int:
-    if args.format != "embedding-json":
-        raise DischargeKitError("discharge requires --format embedding-json")
     embedding = embedding_from_json(_read_input(args.input))
     ruleset = RuleSet()
     if args.rules:
@@ -275,30 +259,30 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="dischargekit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input=True):
-        p.add_argument("--input", required=needs_input, help="input file, or - for stdin")
-        p.add_argument(
-            "--format",
-            choices=("graph6", "embedding-json", "orientation-json"),
-            default="graph6",
-        )
-        p.add_argument("--rules", help="RuleSet override JSON file")
-        p.add_argument("--limit-arcs", type=int, default=30)
-        p.add_argument("--limit-n", type=int, default=10)
+    def command(name, formats=()):
+        """A subcommand with --output and --summary, plus a required --input
+        and its --format when ``formats`` is given (the first is the default)."""
+        p = sub.add_parser(name)
+        if formats:
+            p.add_argument("--input", required=True, help="input file, or - for stdin")
+            p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--output", help="write the JSON report here instead of stdout")
         p.add_argument("--summary", action="store_true", help="print a human-readable table")
-        p.add_argument("--k", type=int, default=4, help="list size for choosability commands")
+        return p
 
-    common(sub.add_parser("detect"))
-    common(sub.add_parser("choosable"))
-    common(sub.add_parser("alon-tarsi"))
-    p_reduce = sub.add_parser("reduce")
-    common(p_reduce, needs_input=False)
-    p_discharge = sub.add_parser("discharge")
-    common(p_discharge)
-    p_discharge.set_defaults(format="embedding-json")
-    p_repro = sub.add_parser("repro-paper")
-    common(p_repro, needs_input=False)
+    graph_formats = ("graph6", "embedding-json")
+    command("detect", graph_formats)
+    p = command("choosable", graph_formats)
+    p.add_argument("--k", type=int, default=4, help="list size")
+    p.add_argument("--limit-n", type=int, default=DEFAULT_N_LIMIT, help="largest vertex count accepted")
+    p = command("alon-tarsi", graph_formats + ("orientation-json",))
+    p.add_argument("--k", type=int, default=4, help="list size for the certificate search")
+    p.add_argument("--limit-arcs", type=int, default=DEFAULT_ARC_CAP, help="largest arc count accepted")
+    p = command("reduce")
+    p.add_argument("--input", help="configuration JSON file, or - for stdin; default: the built-in checks")
+    p = command("discharge", ("embedding-json",))
+    p.add_argument("--rules", help="RuleSet override JSON file")
+    command("repro-paper")
     return parser
 
 
@@ -315,7 +299,6 @@ COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _threads_cap()  # modules run serially; the env var is validated here
         return COMMANDS[args.command](args)
     except (DischargeKitError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

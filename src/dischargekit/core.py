@@ -226,23 +226,27 @@ def orientations_with_max_outdegree(graph: Graph, bound: int) -> Iterator[Orient
 # ---------------------------------------------------------------------------
 
 def parse_graph6(text: str) -> Graph:
-    """Decode a graph6 line (optional '>>graph6<<' header tolerated)."""
+    """Decode a graph6 line (optional '>>graph6<<' header tolerated).
+
+    The line must hold exactly as many data bytes as its vertex count needs.
+    """
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
     data = [ord(c) - 63 for c in s]
     if any(b < 0 or b > 63 for b in data):
         raise ValueError("invalid graph6 character")
-    if data[0] == 63:
-        if data[1] == 63:
-            n = (data[2] << 30) | (data[3] << 24) | (data[4] << 18) | (data[5] << 12) | (data[6] << 6) | data[7]
-            data = data[8:]
-        else:
-            n = (data[1] << 12) | (data[2] << 6) | data[3]
-            data = data[4:]
-    else:
-        n = data[0]
-        data = data[1:]
+    # n is one byte, or '~' and three bytes, or '~~' and six bytes.
+    skip, width = (2, 6) if data[:2] == [63, 63] else (1, 3) if data[:1] == [63] else (0, 1)
+    head, data = data[skip:skip + width], data[skip + width:]
+    if len(head) < width:
+        raise ValueError("graph6 line ends inside its vertex count")
+    n = 0
+    for b in head:
+        n = (n << 6) | b
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(data) != need:
+        raise ValueError(f"graph6 line has {len(data)} data bytes, {need} expected for n = {n}")
     bits = []
     for b in data:
         bits.extend((b >> k) & 1 for k in range(5, -1, -1))
@@ -300,6 +304,8 @@ def embedding_from_json(obj: dict | str) -> PlaneGraph:
         if len(set(nbrs)) != len(nbrs):
             raise InvalidRotationError(f"repeated neighbor in rotation at vertex {v}")
         for u in nbrs:
+            if not 0 <= u < n:
+                raise DanglingVertexIndexError(f"rotation at vertex {v} names vertex {u}, outside 0..{n - 1}")
             edges.add(canonical_edge(u, v))
     for u, v in edges:
         if u not in rotation[v] or v not in rotation[u]:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 from .core import Face, PlaneGraph, faces_of
 from .errors import DisconnectedEmbeddingError, OverlappingTriosError
-from .structures import TrioOccurrence, VertexRole, classify_role, find_trios
+from .structures import VertexRole, classify_role, find_trios
 
 Element = Tuple[str, int]  # ("v", index) or ("f", index)
 
@@ -59,6 +59,13 @@ class ChargeLedger:
     face_charge: Dict[int, Fraction]
     faces: Tuple[Face, ...]
     trace: List[TransferRecord] = field(default_factory=list)
+    # The charges the ledger was built with, before any transfer.
+    _initial_vertex: Dict[int, Fraction] = field(init=False, repr=False)
+    _initial_face: Dict[int, Fraction] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._initial_vertex = dict(self.vertex_charge)
+        self._initial_face = dict(self.face_charge)
 
     def total(self) -> Fraction:
         return sum(self.vertex_charge.values(), Fraction(0)) + sum(
@@ -81,20 +88,13 @@ class ChargeLedger:
     def replay(self) -> "ChargeLedger":
         """Re-derive the final ledger from initial charges plus the trace."""
         fresh = ChargeLedger(
-            vertex_charge={v: Fraction(0) for v in self.vertex_charge},
-            face_charge={f: Fraction(0) for f in self.face_charge},
+            vertex_charge=dict(self._initial_vertex),
+            face_charge=dict(self._initial_face),
             faces=self.faces,
         )
-        # start from the formula charges, then apply recorded transfers
-        for v in fresh.vertex_charge:
-            fresh.vertex_charge[v] = self._initial_vertex[v]
-        for f in fresh.face_charge:
-            fresh.face_charge[f] = self._initial_face[f]
         for rec in self.trace:
             fresh._apply(rec)
             fresh.trace.append(rec)
-        fresh._initial_vertex = dict(self._initial_vertex)
-        fresh._initial_face = dict(self._initial_face)
         return fresh
 
     def to_json(self) -> dict:
@@ -157,29 +157,11 @@ def initial_charges(embedding: PlaneGraph) -> ChargeLedger:
     if not embedding.graph.is_connected():
         raise DisconnectedEmbeddingError("initial charges require a connected embedding")
     faces = tuple(faces_of(embedding))
-    ledger = ChargeLedger(
+    return ChargeLedger(
         vertex_charge={v: Fraction(2 * embedding.graph.degree(v) - 6) for v in range(embedding.graph.n)},
         face_charge={i: Fraction(f.degree - 6) for i, f in enumerate(faces)},
         faces=faces,
     )
-    ledger._initial_vertex = dict(ledger.vertex_charge)
-    ledger._initial_face = dict(ledger.face_charge)
-    return ledger
-
-
-def _facial_trios(embedding: PlaneGraph, faces: Sequence[Face]) -> Tuple[List[TrioOccurrence], List[TrioOccurrence]]:
-    """Split trios into those whose three triangles are all faces, and the rest."""
-    face_sets = {}
-    for i, f in enumerate(faces):
-        if f.degree == 3 and len(f.vertex_set()) == 3:
-            face_sets.setdefault(f.vertex_set(), []).append(i)
-    facial, abstract_only = [], []
-    for occ in find_trios(embedding.graph):
-        if all(len(face_sets.get(t, [])) == 1 for t in occ.triangles):
-            facial.append(occ)
-        else:
-            abstract_only.append(occ)
-    return facial, abstract_only
 
 
 def apply_rules(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()) -> ChargeLedger:
@@ -191,17 +173,30 @@ def apply_rules(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()) -> ChargeLe
     ledger = initial_charges(embedding)
     graph = embedding.graph
     faces = ledger.faces
-    facial, _ = _facial_trios(embedding, faces)
-    facial_triangles = {t for occ in facial for t in occ.triangles}
     deg = graph.degrees()
 
-    face_degrees_sorted = [tuple(sorted(deg[v] for v in f.boundary)) for f in faces]
-
-    def role_payment(v: int, fi: int) -> Fraction:
-        f = faces[fi]
+    # Each triangle's one 3-face; None when two faces share the triangle.
+    face_of: Dict[FrozenSet[int], int | None] = {}
+    for fi, f in enumerate(faces):
         vs = f.vertex_set()
-        if vs in facial_triangles:
-            role = classify_role(graph, v, vs, trios=facial)
+        if f.degree == 3 and len(vs) == 3:
+            face_of[vs] = None if vs in face_of else fi
+    facial = [
+        occ for occ in find_trios(graph) if all(face_of.get(t) is not None for t in occ.triangles)
+    ]
+    trio_faces = [sorted(face_of[t] for t in occ.triangles) for occ in facial]
+    in_trio = {fi for indices in trio_faces for fi in indices}
+
+    def payment(v: int, fi: int) -> Fraction:
+        f = faces[fi]
+        if f.degree == 4:
+            if deg[v] == 4:
+                return ruleset.deg4_four_face
+            if sorted(deg[u] for u in f.boundary) == [4, 4, 4, 5]:
+                return ruleset.hi_4445_face
+            return ruleset.hi_four_face
+        if fi in in_trio:
+            role = classify_role(graph, v, f.vertex_set(), trios=facial)
         else:
             role = VertexRole.GOOD
         if deg[v] == 4:
@@ -219,38 +214,20 @@ def apply_rules(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()) -> ChargeLe
             for v in f.boundary:
                 ledger.transfer("R1", ("v", v), ("f", fi), ruleset.five_face)
 
-    # R2-R4: per vertex degree class, payments to incident 3- and 4-faces.
+    # R2-R4: vertices of degree 4, 5 and at least 6 pay into each incident
+    # 3-face on three distinct vertices and each incident 4-face.
     for fi, f in enumerate(faces):
-        if f.degree == 3 and len(f.vertex_set()) == 3:
+        if f.degree == 4 or (f.degree == 3 and len(f.vertex_set()) == 3):
             for v in f.boundary:
-                if deg[v] == 4:
-                    ledger.transfer("R2", ("v", v), ("f", fi), role_payment(v, fi))
-                elif deg[v] == 5:
-                    ledger.transfer("R3", ("v", v), ("f", fi), role_payment(v, fi))
-                elif deg[v] >= 6:
-                    ledger.transfer("R4", ("v", v), ("f", fi), role_payment(v, fi))
-        elif f.degree == 4:
-            is_4445 = face_degrees_sorted[fi] == (4, 4, 4, 5)
-            for v in f.boundary:
-                if deg[v] == 4:
-                    ledger.transfer("R2", ("v", v), ("f", fi), ruleset.deg4_four_face)
-                elif deg[v] == 5:
-                    amount = ruleset.hi_4445_face if is_4445 else ruleset.hi_four_face
-                    ledger.transfer("R3", ("v", v), ("f", fi), amount)
-                elif deg[v] >= 6:
-                    amount = ruleset.hi_4445_face if is_4445 else ruleset.hi_four_face
-                    ledger.transfer("R4", ("v", v), ("f", fi), amount)
+                if deg[v] >= 4:
+                    rule = "R2" if deg[v] == 4 else "R3" if deg[v] == 5 else "R4"
+                    ledger.transfer(rule, ("v", v), ("f", fi), payment(v, fi))
 
     # R5: equalize the charges of each trio's three 3-faces.  When trios
     # share a 3-face the per-trio order would be ambiguous; the default
     # policy merges overlapping trios and equalizes the whole group, which
     # is order independent.  Policy "error" refuses overlaps instead.
     if ruleset.equalize_trios and facial:
-        face_by_set = {}
-        for i, f in enumerate(faces):
-            if f.degree == 3 and len(f.vertex_set()) == 3:
-                face_by_set[f.vertex_set()] = i
-        trio_faces = [sorted(face_by_set[t] for t in occ.triangles) for occ in facial]
         counts: Dict[int, int] = {}
         for indices in trio_faces:
             for fi in indices:
@@ -261,7 +238,7 @@ def apply_rules(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()) -> ChargeLe
                 f"3-face {sorted(faces[fi].vertex_set())} belongs to two trios; "
                 "equalization order is ambiguous"
             )
-        parent = {fi: fi for indices in trio_faces for fi in indices}
+        parent = {fi: fi for fi in in_trio}
 
         def find(a: int) -> int:
             while parent[a] != a:

@@ -13,7 +13,7 @@ from importlib import resources
 from typing import Dict, List
 
 from .choosability import ReducibleConfig
-from .core import Graph, Orientation, PlaneGraph, embedding_from_json, orientation_from_json, parse_graph6
+from .core import Graph, Orientation, PlaneGraph, build_graph, embedding_from_json, orientation_from_json, parse_graph6
 from .structures import trio_graph
 
 SOLIDS = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")
@@ -69,8 +69,6 @@ def h_config() -> ReducibleConfig:
 
 def square_config() -> ReducibleConfig:
     """A 4-face whose residual lists all have size 2."""
-    from .core import build_graph
-
     return ReducibleConfig(
         inner=build_graph([(0, 1), (1, 2), (2, 3), (3, 0)], n=4),
         residual_sizes=(2, 2, 2, 2),
@@ -79,8 +77,6 @@ def square_config() -> ReducibleConfig:
 
 def triangle_config() -> ReducibleConfig:
     """A 3-face with residual size 2 everywhere; not reducible."""
-    from .core import build_graph
-
     return ReducibleConfig(
         inner=build_graph([(0, 1), (1, 2), (2, 0)], n=3),
         residual_sizes=(2, 2, 2),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .core import Graph, canonical_edge
+from .core import Graph, build_graph, canonical_edge
 from .errors import UnsupportedLengthError, VertexNotOnCycleError
 
 Cycle = Tuple[int, ...]
@@ -25,13 +25,7 @@ TRIO_EDGES = (("x", "y"), ("x", "u"), ("x", "v"), ("y", "v"), ("y", "w"), ("u", 
 def trio_graph() -> Graph:
     """The bare trio graph with vertices x=0, y=1, u=2, v=3, w=4."""
     idx = {lab: i for i, lab in enumerate(TRIO_LABELS)}
-    return build_trio_edges(idx)
-
-
-def build_trio_edges(idx: Dict[str, int]) -> Graph:
-    from .core import build_graph
-
-    return build_graph([(idx[a], idx[b]) for a, b in TRIO_EDGES], n=max(idx.values()) + 1)
+    return build_graph([(idx[a], idx[b]) for a, b in TRIO_EDGES], n=len(TRIO_LABELS))
 
 
 def enumerate_cycles(graph: Graph, length: int) -> List[Cycle]:
@@ -238,8 +232,6 @@ class FixedConfig:
 
 
 def _cfg(name: str, n: int, edges, exact, maxima=None) -> FixedConfig:
-    from .core import build_graph
-
     return FixedConfig(
         name=name,
         pattern=build_graph(edges, n=n),
@@ -252,7 +244,7 @@ def _cfg(name: str, n: int, edges, exact, maxima=None) -> FixedConfig:
 CONFIG_H = _cfg(
     "H",
     5,
-    [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4), (2, 3), (3, 4)],
+    trio_graph().edges,
     exact=[None, 4, 4, 4, 4],
     maxima=[5, None, None, None, None],
 )
@@ -261,7 +253,7 @@ CONFIG_H = _cfg(
 CONFIG_1 = _cfg(
     "config1",
     5,
-    [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4), (2, 3), (3, 4)],
+    trio_graph().edges,
     exact=[4, 4, 5, 4, 4],
 )
 

@@ -11,14 +11,13 @@ from dischargekit.choosability import (
     check_extension_with_rechoice,
     degeneracy,
     is_k_choosable,
-    is_k_choosable_raw,
     iter_canonical_assignments,
     l_color,
-    l_color_brute,
     verify_min_degree,
 )
 from dischargekit.core import build_graph
 from dischargekit.errors import SizeLimitExceededError
+from oracles import is_k_choosable_raw, l_color_brute
 
 C3 = build_graph([(0, 1), (1, 2), (0, 2)])
 C4 = build_graph([(0, 1), (1, 2), (2, 3), (3, 0)])

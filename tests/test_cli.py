@@ -1,4 +1,7 @@
+import io
 import json
+
+import pytest
 
 from dischargekit import fixtures
 from dischargekit.cli import main
@@ -94,6 +97,12 @@ class TestAlonTarsi:
         assert code == 0
         assert json.loads(out)["results"][0]["certificate"] is not None
 
+    def test_graphs_from_stdin(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO("Cl\nBw\n"))
+        code, out = run(capsys, ["alon-tarsi", "--input", "-", "--k", "2"])
+        assert code == 1
+        assert [r["certificate"] is not None for r in json.loads(out)["results"]] == [True, False]
+
     def test_triangle_has_no_k2_certificate(self, tmp_path, capsys):
         path = tmp_path / "c3.g6"
         path.write_text("Bw\n")
@@ -177,10 +186,22 @@ class TestErrors:
         assert code == 2
 
     def test_malformed_graph6(self, tmp_path, capsys):
+        # a bad character, a truncated header or body, trailing bytes
         path = tmp_path / "bad.g6"
-        path.write_text("\x01\x02notgraph6\n")
-        code, _ = run(capsys, ["detect", "--input", str(path)])
+        for line in ("\x01\x02notgraph6", "D", "A", "~", ">>graph6<<", "C~~~~"):
+            path.write_text(line + "\n")
+            code = main(["detect", "--input", str(path)])
+            err = capsys.readouterr().err
+            assert code == 2, line
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_rotation_outside_vertex_range(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 2, "rotation": [[1, 5], [0]]}))
+        code = main(["discharge", "--input", str(path)])
+        err = capsys.readouterr().err
         assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_bad_rules_json(self, tmp_path, capsys):
         emb_path = write_embedding(tmp_path, "cube")
@@ -189,12 +210,19 @@ class TestErrors:
         code, _ = run(capsys, ["discharge", "--input", emb_path, "--rules", str(rules)])
         assert code == 2
 
-    def test_bad_threads_env(self, monkeypatch, capsys):
-        monkeypatch.setenv("DISCHARGEKIT_THREADS", "zero")
-        code, _ = run(capsys, ["reduce"])
-        assert code == 2
-
-    def test_threads_env_accepted(self, monkeypatch, capsys):
-        monkeypatch.setenv("DISCHARGEKIT_THREADS", "4")
-        code, _ = run(capsys, ["reduce"])
-        assert code == 0
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["discharge", "--input", "x.json", "--k", "5"],
+            ["detect", "--input", "x.g6", "--rules", "r.json"],
+            ["choosable", "--input", "x.g6", "--limit-arcs", "1"],
+            ["repro-paper", "--input", "x"],
+            ["reduce", "--format", "graph6"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_flag_the_command_does_not_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

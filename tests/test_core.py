@@ -157,6 +157,11 @@ class TestGraph6:
             back = parse_graph6(write_graph6(g))
             assert back.n == g.n and back.edges == g.edges
 
+    @pytest.mark.parametrize("line", ["", ">>graph6<<", "~", "~~?", "A", "D", "Dh", "C~~~~", "Dhcc"])
+    def test_data_length_must_match_header(self, line):
+        with pytest.raises(ValueError):
+            parse_graph6(line)
+
     def test_roundtrip_large_n(self):
         g = build_graph([(0, 99)], n=100)
         assert parse_graph6(write_graph6(g)).edges == ((0, 99),)
@@ -171,6 +176,10 @@ class TestWireFormats:
     def test_asymmetric_adjacency_rejected(self):
         with pytest.raises(InvalidRotationError):
             embedding_from_json({"n": 2, "rotation": [[1], []]})
+
+    def test_rotation_vertex_out_of_range_rejected(self):
+        with pytest.raises(DanglingVertexIndexError):
+            embedding_from_json({"n": 2, "rotation": [[1, 5], [0]]})
 
     def test_orientation_roundtrip(self):
         o = fixtures.fig_orientations()["g1"]

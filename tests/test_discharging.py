@@ -6,6 +6,7 @@ import pytest
 from dischargekit import fixtures
 from dischargekit.core import PlaneGraph, build_graph
 from dischargekit.discharging import (
+    ChargeLedger,
     RuleSet,
     TransferRecord,
     apply_rules,
@@ -149,6 +150,18 @@ class TestLedger:
             assert replayed.vertex_charge == ledger.vertex_charge
             assert replayed.face_charge == ledger.face_charge
             assert replayed.trace == ledger.trace
+
+    def test_replay_of_hand_built_ledger(self):
+        ledger = ChargeLedger(
+            vertex_charge={0: Fraction(2), 1: Fraction(-1)},
+            face_charge={0: Fraction(-3)},
+            faces=(),
+        )
+        ledger.transfer("R1", ("v", 0), ("f", 0), Fraction(1, 2))
+        replayed = ledger.replay()
+        assert replayed.vertex_charge == {0: Fraction(3, 2), 1: Fraction(-1)}
+        assert replayed.face_charge == {0: Fraction(-5, 2)}
+        assert replayed.trace == ledger.trace
 
     def test_transfer_updates_both_books(self):
         emb = fixtures.load_embedding("tetrahedron")
