@@ -27,16 +27,20 @@ from .core import (
     Graph,
     build_graph,
     embedding_from_json,
+    expect_int_list,
+    expect_json,
     orientation_from_json,
     parse_graph6,
 )
 from .discharging import RuleSet, apply_rules, final_report
 from .errors import DischargeKitError
-from .structures import CONDITIONS, check_condition, classify_role, find_trios
+from .structures import CONDITIONS, check_condition, classify_role, find_trios, trios_by_triangle
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_INPUT = 2
+
+DEFAULT_K = 4
 
 
 def _read_input(path: str) -> str:
@@ -68,6 +72,7 @@ def cmd_detect(args) -> int:
     for gi, graph in enumerate(_load_graphs(args)):
         conds = [check_condition(graph, which) for which in CONDITIONS]
         trios = find_trios(graph)
+        trios_on = trios_by_triangle(trios)
         roles = []
         for occ in trios:
             for t in occ.triangles:
@@ -76,7 +81,7 @@ def cmd_detect(args) -> int:
                         {
                             "vertex": s,
                             "triangle": sorted(t),
-                            "role": classify_role(graph, s, t, trios=trios).value,
+                            "role": classify_role(graph, s, t, trios=trios_on[t]).value,
                         }
                     )
         entry = {
@@ -129,11 +134,12 @@ def cmd_alon_tarsi(args) -> int:
         if args.summary:
             print(f"even={counts.even} odd={counts.odd} applicable={report['applicable']}")
         return EXIT_OK if report["applicable"] else EXIT_VIOLATIONS
+    k = DEFAULT_K if args.k is None else args.k
     graphs = _load_graphs(args)
     results = []
     status = EXIT_OK
     for gi, graph in enumerate(graphs):
-        cert = find_certificate(graph, [args.k] * graph.n, arc_cap=args.limit_arcs)
+        cert = find_certificate(graph, [k] * graph.n, arc_cap=args.limit_arcs)
         results.append({"graph": gi, "certificate": cert.to_json() if cert else None})
         if cert is None:
             status = EXIT_VIOLATIONS
@@ -156,11 +162,16 @@ def cmd_reduce(args) -> int:
     rows = []
     status = EXIT_OK
     if args.input:
-        obj = json.loads(_read_input(args.input))
+        obj = expect_json(json.loads(_read_input(args.input)), dict, "configuration")
+        edges = expect_json(obj["edges"], list, "edges")
+        n = obj.get("n")
         config = ReducibleConfig(
-            inner=build_graph(obj["edges"], n=obj.get("n")),
-            residual_sizes=tuple(obj["sizes"]),
-            choice_set=tuple(obj.get("choice", ())),
+            inner=build_graph(
+                [expect_int_list(e, f"edges[{i}]", 2) for i, e in enumerate(edges)],
+                n=None if n is None else expect_json(n, int, "n"),
+            ),
+            residual_sizes=tuple(expect_int_list(obj["sizes"], "sizes")),
+            choice_set=tuple(expect_int_list(obj.get("choice", []), "choice")),
         )
         fn = check_extension_with_rechoice if config.choice_set else check_extension
         got = fn(config)
@@ -273,10 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     graph_formats = ("graph6", "embedding-json")
     command("detect", graph_formats)
     p = command("choosable", graph_formats)
-    p.add_argument("--k", type=int, default=4, help="list size")
+    p.add_argument("--k", type=int, default=DEFAULT_K, help="list size")
     p.add_argument("--limit-n", type=int, default=DEFAULT_N_LIMIT, help="largest vertex count accepted")
     p = command("alon-tarsi", graph_formats + ("orientation-json",))
-    p.add_argument("--k", type=int, default=4, help="list size for the certificate search")
+    p.add_argument(
+        "--k", type=int, help=f"list size for the certificate search (default {DEFAULT_K}); graph formats only"
+    )
     p.add_argument("--limit-arcs", type=int, default=DEFAULT_ARC_CAP, help="largest arc count accepted")
     p = command("reduce")
     p.add_argument("--input", help="configuration JSON file, or - for stdin; default: the built-in checks")
@@ -297,7 +310,11 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "alon-tarsi" and args.format == "orientation-json" and args.k is not None:
+        # The Eulerian counts of a given orientation do not depend on a list size.
+        parser.error("unrecognized arguments: --k (not read with --format orientation-json)")
     try:
         return COMMANDS[args.command](args)
     except (DischargeKitError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:

@@ -18,6 +18,7 @@ from .errors import (
     DuplicateEdgeError,
     InvalidRotationError,
     LoopEdgeError,
+    MalformedInputError,
 )
 
 Edge = Tuple[int, int]
@@ -228,7 +229,8 @@ def orientations_with_max_outdegree(graph: Graph, bound: int) -> Iterator[Orient
 def parse_graph6(text: str) -> Graph:
     """Decode a graph6 line (optional '>>graph6<<' header tolerated).
 
-    The line must hold exactly as many data bytes as its vertex count needs.
+    The line must hold exactly as many data bytes as its vertex count needs,
+    and the bits that pad the last byte to six must be zero.
     """
     s = text.strip()
     if s.startswith(">>graph6<<"):
@@ -247,6 +249,9 @@ def parse_graph6(text: str) -> Graph:
     need = (n * (n - 1) // 2 + 5) // 6
     if len(data) != need:
         raise ValueError(f"graph6 line has {len(data)} data bytes, {need} expected for n = {n}")
+    padding = 6 * need - n * (n - 1) // 2
+    if data and data[-1] & ((1 << padding) - 1):
+        raise ValueError("graph6 line sets padding bits after its last edge bit")
     bits = []
     for b in data:
         bits.extend((b >> k) & 1 for k in range(5, -1, -1))
@@ -288,6 +293,24 @@ def write_graph6(graph: Graph) -> str:
 # JSON wire formats
 # ---------------------------------------------------------------------------
 
+def expect_json(value, kind: type, what: str):
+    """``value`` if its type is exactly ``kind``, so that a boolean is not
+    taken for an int, else MalformedInputError."""
+    if type(value) is not kind:
+        raise MalformedInputError(f"{what} must be {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
+def expect_int_list(value, what: str, length: int | None = None) -> List[int]:
+    """``value`` if it is a list of ints, of ``length`` items when given,
+    else MalformedInputError."""
+    if type(value) is not list or not all(type(x) is int for x in value):
+        raise MalformedInputError(f"{what} must be a list of integers")
+    if length is not None and len(value) != length:
+        raise MalformedInputError(f"{what} must hold {length} integers, not {len(value)}")
+    return value
+
+
 def embedding_from_json(obj: dict | str) -> PlaneGraph:
     """Load {"n": int, "rotation": [[neighbor, ...] per vertex]}.
 
@@ -295,8 +318,10 @@ def embedding_from_json(obj: dict | str) -> PlaneGraph:
     """
     if isinstance(obj, str):
         obj = json.loads(obj)
-    n = int(obj["n"])
-    rotation = [list(map(int, r)) for r in obj["rotation"]]
+    obj = expect_json(obj, dict, "embedding")
+    n = expect_json(obj["n"], int, "n")
+    rotation = expect_json(obj["rotation"], list, "rotation")
+    rotation = [expect_int_list(r, f"rotation[{v}]") for v, r in enumerate(rotation)]
     if len(rotation) != n:
         raise InvalidRotationError("rotation length differs from n")
     edges = set()
@@ -322,8 +347,10 @@ def orientation_from_json(obj: dict | str) -> Orientation:
     """Load {"n": int, "arcs": [[tail, head], ...]}."""
     if isinstance(obj, str):
         obj = json.loads(obj)
-    n = int(obj["n"])
-    arcs = tuple((int(a[0]), int(a[1])) for a in obj["arcs"])
+    obj = expect_json(obj, dict, "orientation")
+    n = expect_json(obj["n"], int, "n")
+    arcs = expect_json(obj["arcs"], list, "arcs")
+    arcs = tuple(tuple(expect_int_list(a, f"arcs[{i}]", 2)) for i, a in enumerate(arcs))
     base = build_graph([canonical_edge(t, h) for t, h in arcs], n=n)
     return Orientation(base, arcs)
 

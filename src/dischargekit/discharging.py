@@ -14,9 +14,9 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Tuple
 
-from .core import Face, PlaneGraph, faces_of
-from .errors import DisconnectedEmbeddingError, OverlappingTriosError
-from .structures import VertexRole, classify_role, find_trios
+from .core import Face, PlaneGraph, expect_json, faces_of
+from .errors import DisconnectedEmbeddingError, MalformedInputError, OverlappingTriosError
+from .structures import VertexRole, classify_role, find_trios, trios_by_triangle
 
 Element = Tuple[str, int]  # ("v", index) or ("f", index)
 
@@ -25,10 +25,17 @@ def _frac_json(q: Fraction) -> dict:
     return {"num": q.numerator, "den": q.denominator}
 
 
-def _frac_from_json(obj) -> Fraction:
+def _frac_from_json(obj, what: str) -> Fraction:
     if isinstance(obj, dict):
-        return Fraction(obj["num"], obj["den"])
-    return Fraction(obj)
+        args = (expect_json(obj["num"], int, f"{what} num"), expect_json(obj["den"], int, f"{what} den"))
+    elif type(obj) in (int, str):
+        args = (obj,)
+    else:
+        raise MalformedInputError(f"{what} must be a {{num, den}} object, an integer or a string")
+    try:
+        return Fraction(*args)
+    except ZeroDivisionError:
+        raise ValueError(f"{what} has denominator 0") from None
 
 
 @dataclass(frozen=True)
@@ -130,17 +137,17 @@ class RuleSet:
     def from_json(obj: dict) -> "RuleSet":
         base = RuleSet()
         kwargs = {}
-        for name in obj:
+        for name in expect_json(obj, dict, "rules"):
             if not hasattr(base, name):
                 raise ValueError(f"unknown rule parameter {name!r}")
             if name == "equalize_trios":
-                kwargs[name] = bool(obj[name])
+                kwargs[name] = expect_json(obj[name], bool, name)
             elif name == "trio_overlap":
                 if obj[name] not in ("merge", "error"):
                     raise ValueError("trio_overlap must be 'merge' or 'error'")
                 kwargs[name] = obj[name]
             else:
-                kwargs[name] = _frac_from_json(obj[name])
+                kwargs[name] = _frac_from_json(obj[name], name)
                 if kwargs[name] < 0:
                     raise ValueError(f"rule parameter {name!r} must be nonnegative")
         return replace(base, **kwargs)
@@ -186,6 +193,7 @@ def apply_rules(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()) -> ChargeLe
     ]
     trio_faces = [sorted(face_of[t] for t in occ.triangles) for occ in facial]
     in_trio = {fi for indices in trio_faces for fi in indices}
+    trios_on = trios_by_triangle(facial)
 
     def payment(v: int, fi: int) -> Fraction:
         f = faces[fi]
@@ -195,10 +203,8 @@ def apply_rules(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()) -> ChargeLe
             if sorted(deg[u] for u in f.boundary) == [4, 4, 4, 5]:
                 return ruleset.hi_4445_face
             return ruleset.hi_four_face
-        if fi in in_trio:
-            role = classify_role(graph, v, f.vertex_set(), trios=facial)
-        else:
-            role = VertexRole.GOOD
+        t = f.vertex_set()
+        role = classify_role(graph, v, t, trios=trios_on[t]) if t in trios_on else VertexRole.GOOD
         if deg[v] == 4:
             return ruleset.deg4_worst if role is VertexRole.WORST else ruleset.deg4_plain
         if role in (VertexRole.GOOD, VertexRole.WORST):
@@ -258,16 +264,19 @@ def apply_rules(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()) -> ChargeLe
             target = sum(ledger.face_charge[i] for i in indices) / len(indices)
             givers = [(i, ledger.face_charge[i] - target) for i in indices if ledger.face_charge[i] > target]
             takers = [[i, target - ledger.face_charge[i]] for i in indices if ledger.face_charge[i] < target]
+            # Each giver fills the takers in order, starting at the first one
+            # still in need.  The surpluses and the needs have the same exact
+            # sum, so the cursor never runs past the last taker.
+            k = 0
             for gi, gd in givers:
-                for taker in takers:
-                    if gd == 0:
-                        break
-                    ti, need = taker
+                while gd > 0:
+                    ti, need = takers[k]
                     move = min(gd, need)
-                    if move > 0:
-                        ledger.transfer("R5", ("f", gi), ("f", ti), move)
-                        taker[1] -= move
-                        gd -= move
+                    ledger.transfer("R5", ("f", gi), ("f", ti), move)
+                    gd -= move
+                    takers[k][1] = need - move
+                    if move == need:
+                        k += 1
     return ledger
 
 
@@ -292,6 +301,11 @@ class FinalReport:
 def final_report(ledger: ChargeLedger, graph=None) -> FinalReport:
     """Every vertex/face with negative final charge, with the rule trace
     entries touching it."""
+    touching: Dict[Element, List[TransferRecord]] = {}
+    for rec in ledger.trace:
+        touching.setdefault(rec.source, []).append(rec)
+        if rec.sink != rec.source:
+            touching.setdefault(rec.sink, []).append(rec)
     negatives: List[Tuple[Element, Fraction]] = []
     detail: List[dict] = []
     for v in sorted(ledger.vertex_charge):
@@ -299,20 +313,19 @@ def final_report(ledger: ChargeLedger, graph=None) -> FinalReport:
         if q < 0:
             el: Element = ("v", v)
             negatives.append((el, q))
-            detail.append(_element_detail(ledger, el, graph))
+            detail.append(_element_detail(ledger, el, touching.get(el, []), graph))
     for fi in sorted(ledger.face_charge):
         q = ledger.face_charge[fi]
         if q < 0:
             el = ("f", fi)
             negatives.append((el, q))
-            detail.append(_element_detail(ledger, el, graph))
+            detail.append(_element_detail(ledger, el, touching.get(el, []), graph))
     return FinalReport(total=ledger.total(), negatives=tuple(negatives), detail=tuple(detail))
 
 
-def _element_detail(ledger: ChargeLedger, element: Element, graph) -> dict:
+def _element_detail(ledger: ChargeLedger, element: Element, touching: List[TransferRecord], graph) -> dict:
     kind, i = element
-    touching = [r.to_json() for r in ledger.trace if r.source == element or r.sink == element]
-    out = {"element": list(element), "trace": touching}
+    out = {"element": list(element), "trace": [r.to_json() for r in touching]}
     if kind == "f":
         out["boundary"] = list(ledger.faces[i].boundary)
     elif graph is not None:

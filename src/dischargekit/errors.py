@@ -13,6 +13,10 @@ class DuplicateEdgeError(DischargeKitError):
     """The same unordered vertex pair appears more than once."""
 
 
+class MalformedInputError(DischargeKitError):
+    """Input JSON does not have the shape its format requires."""
+
+
 class DanglingVertexIndexError(DischargeKitError):
     """An edge endpoint is not a valid vertex index."""
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .core import Graph, build_graph, canonical_edge
@@ -78,7 +79,7 @@ class TrioOccurrence:
     def vertices(self) -> FrozenSet[int]:
         return frozenset(v for _, v in self.vertex_map)
 
-    @property
+    @cached_property
     def triangles(self) -> Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]:
         m = dict(self.vertex_map)
         return (
@@ -108,6 +109,16 @@ def find_trios(graph: Graph) -> List[TrioOccurrence]:
     return sorted(found.values(), key=lambda o: o.vertex_map)
 
 
+def trios_by_triangle(trios: Sequence[TrioOccurrence]) -> Dict[FrozenSet[int], List[TrioOccurrence]]:
+    """Map each triangle to the trios that contain it, in the order of
+    ``trios``."""
+    index: Dict[FrozenSet[int], List[TrioOccurrence]] = {}
+    for occ in trios:
+        for t in occ.triangles:
+            index.setdefault(t, []).append(occ)
+    return index
+
+
 class VertexRole(Enum):
     GOOD = "good"
     BAD = "bad"
@@ -127,7 +138,9 @@ def classify_role(
     triangle list contains it: worst if ``s`` lies on all three triangles of
     some such trio; bad if in every such trio ``s`` lies only on this
     triangle; worse otherwise.  ``trios`` may be precomputed to avoid
-    repeated pattern search.
+    repeated pattern search; any list that holds every trio containing the
+    triangle gives the same role, such as its entry in
+    ``trios_by_triangle``.
     """
     t = frozenset(triangle)
     if s not in t:

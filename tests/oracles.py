@@ -1,14 +1,18 @@
-"""Brute-force reference implementations that the tests compare the
-package's fast paths against.  Each follows its definition directly and
-is only viable on very small inputs."""
+"""Reference implementations that the tests compare the package's fast
+paths against.  Each follows its definition directly, or keeps the plain
+loop that a fast path replaced; the brute-force ones are only viable on
+very small inputs."""
 
 import itertools
+from fractions import Fraction
 from typing import List, Optional, Sequence
 
 from dischargekit.alon_tarsi import EulerianCount
 from dischargekit.choosability import ChoosabilityVerdict, ListAssignment, l_color
-from dischargekit.core import Graph, Orientation
+from dischargekit.core import Graph, Orientation, PlaneGraph
+from dischargekit.discharging import ChargeLedger, RuleSet, initial_charges
 from dischargekit.errors import SizeLimitExceededError
+from dischargekit.structures import VertexRole, classify_role, find_trios
 
 
 def count_eulerian_brute(orientation: Orientation, arc_cap: int = 20) -> EulerianCount:
@@ -52,3 +56,96 @@ def is_k_choosable_raw(graph: Graph, k: int) -> ChoosabilityVerdict:
         if l_color(graph, combo) is None:
             return ChoosabilityVerdict(choosable=False, witness=ListAssignment(lists=combo))
     return ChoosabilityVerdict(choosable=True)
+
+
+def apply_rules_unindexed(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()):
+    """Oracle for ``apply_rules``: every role is looked up by a scan of all
+    facial trios, and R5 equalizes each merged trio group by the nested walk
+    in which every giver scans the whole taker list.  Returns the ledger and
+    the (givers, takers) count of each R5 group."""
+    ledger = initial_charges(embedding)
+    graph = embedding.graph
+    faces = ledger.faces
+    deg = graph.degrees()
+    face_of = {}
+    for fi, f in enumerate(faces):
+        vs = f.vertex_set()
+        if f.degree == 3 and len(vs) == 3:
+            face_of[vs] = None if vs in face_of else fi
+    facial = [occ for occ in find_trios(graph) if all(face_of.get(t) is not None for t in occ.triangles)]
+    trio_faces = [sorted(face_of[t] for t in occ.triangles) for occ in facial]
+    in_trio = {fi for indices in trio_faces for fi in indices}
+
+    def payment(v: int, fi: int) -> Fraction:
+        f = faces[fi]
+        if f.degree == 4:
+            if deg[v] == 4:
+                return ruleset.deg4_four_face
+            if sorted(deg[u] for u in f.boundary) == [4, 4, 4, 5]:
+                return ruleset.hi_4445_face
+            return ruleset.hi_four_face
+        role = classify_role(graph, v, f.vertex_set(), trios=facial) if fi in in_trio else VertexRole.GOOD
+        if deg[v] == 4:
+            return ruleset.deg4_worst if role is VertexRole.WORST else ruleset.deg4_plain
+        if role in (VertexRole.GOOD, VertexRole.WORST):
+            return ruleset.hi_good_or_worst
+        return ruleset.hi_bad if role is VertexRole.BAD else ruleset.hi_worse
+
+    for fi, f in enumerate(faces):
+        if f.degree == 5:
+            for v in f.boundary:
+                ledger.transfer("R1", ("v", v), ("f", fi), ruleset.five_face)
+    for fi, f in enumerate(faces):
+        if f.degree == 4 or (f.degree == 3 and len(f.vertex_set()) == 3):
+            for v in f.boundary:
+                if deg[v] >= 4:
+                    rule = "R2" if deg[v] == 4 else "R3" if deg[v] == 5 else "R4"
+                    ledger.transfer(rule, ("v", v), ("f", fi), payment(v, fi))
+    shapes = []
+    if not ruleset.equalize_trios:
+        return ledger, shapes
+    parent = {fi: fi for fi in in_trio}
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for indices in trio_faces:
+        root = find(indices[0])
+        for fi in indices[1:]:
+            parent[find(fi)] = root
+    groups = {}
+    for fi in parent:
+        groups.setdefault(find(fi), []).append(fi)
+    for root in sorted(groups):
+        indices = sorted(groups[root])
+        target = sum(ledger.face_charge[i] for i in indices) / len(indices)
+        givers = [(i, ledger.face_charge[i] - target) for i in indices if ledger.face_charge[i] > target]
+        takers = [[i, target - ledger.face_charge[i]] for i in indices if ledger.face_charge[i] < target]
+        shapes.append((len(givers), len(takers)))
+        for gi, gd in givers:
+            for taker in takers:
+                if gd == 0:
+                    break
+                ti, need = taker
+                move = min(gd, need)
+                if move > 0:
+                    ledger.transfer("R5", ("f", gi), ("f", ti), move)
+                    taker[1] -= move
+                    gd -= move
+    return ledger, shapes
+
+
+def element_detail_scan(ledger: ChargeLedger, element, graph) -> dict:
+    """Oracle for one ``final_report`` detail entry: scan the whole trace
+    for the records touching ``element``."""
+    kind, i = element
+    touching = [r.to_json() for r in ledger.trace if r.source == element or r.sink == element]
+    out = {"element": list(element), "trace": touching}
+    if kind == "f":
+        out["boundary"] = list(ledger.faces[i].boundary)
+    elif graph is not None:
+        out["neighbors"] = sorted(graph.adjacency[i])
+    return out

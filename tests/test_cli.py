@@ -2,10 +2,12 @@ import io
 import json
 
 import pytest
+from grids import triangulated_grid
 
 from dischargekit import fixtures
 from dischargekit.cli import main
-from dischargekit.core import embedding_to_json, orientation_to_json
+from dischargekit.core import embedding_to_json, orientation_to_json, write_graph6
+from dischargekit.structures import classify_role
 
 C5_G6 = "Dhc"
 WHEEL5_G6 = ">>graph6<<Ehfw"  # 5-wheel: rim 0..4 plus hub 5
@@ -41,8 +43,6 @@ class TestDetect:
         assert "VIOLATED" in out
 
     def test_trio_roles_reported(self, tmp_path, capsys):
-        from dischargekit.core import write_graph6
-
         path = tmp_path / "trio.g6"
         path.write_text(write_graph6(fixtures.trio_graph()) + "\n")
         code, out = run(capsys, ["detect", "--input", str(path)])
@@ -51,6 +51,16 @@ class TestDetect:
         assert len(entry["trios"]) == 1
         assert entry["trios"][0]["center"] == 3
         assert {r["role"] for r in entry["roles"]} == {"worst", "worse", "bad"}
+
+    def test_roles_match_full_scan(self, tmp_path, capsys):
+        graph = triangulated_grid(6, 0.9, 1).graph
+        path = tmp_path / "grid.g6"
+        path.write_text(write_graph6(graph) + "\n")
+        _, out = run(capsys, ["detect", "--input", str(path)])
+        roles = json.loads(out)["graphs"][0]["roles"]
+        assert {r["role"] for r in roles} == {"worst", "worse", "bad"}
+        for r in roles:
+            assert r["role"] == classify_role(graph, r["vertex"], r["triangle"]).value
 
 
 class TestChoosable:
@@ -102,6 +112,15 @@ class TestAlonTarsi:
         code, out = run(capsys, ["alon-tarsi", "--input", "-", "--k", "2"])
         assert code == 1
         assert [r["certificate"] is not None for r in json.loads(out)["results"]] == [True, False]
+
+    def test_graph_list_size_defaults_to_4(self, tmp_path, capsys):
+        path = tmp_path / "k4.g6"
+        path.write_text("C~\n")
+        code, out = run(capsys, ["alon-tarsi", "--input", str(path)])
+        assert code == 0
+        assert json.loads(out)["results"][0]["certificate"] is not None
+        code, _ = run(capsys, ["alon-tarsi", "--input", str(path), "--k", "3"])
+        assert code == 1
 
     def test_triangle_has_no_k2_certificate(self, tmp_path, capsys):
         path = tmp_path / "c3.g6"
@@ -203,6 +222,47 @@ class TestErrors:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
+    @pytest.mark.parametrize(
+        "argv, payload",
+        [
+            (["discharge"], "[]"),
+            (["discharge"], '{"n": 2, "rotation": 5}'),
+            (["discharge"], '{"n": 2, "rotation": [1, [0]]}'),
+            (["discharge"], '{"n": 2.5, "rotation": [[1], [0]]}'),
+            (["alon-tarsi", "--format", "orientation-json"], '{"n": 2, "arcs": [1]}'),
+            (["alon-tarsi", "--format", "orientation-json"], '{"n": 2, "arcs": [[0]]}'),
+            (["reduce"], "[]"),
+            (["reduce"], '{"edges": 5, "sizes": [1]}'),
+            (["reduce"], '{"edges": [[0]], "sizes": [1, 1]}'),
+            (["reduce"], '{"edges": [[0, 1]], "sizes": 2}'),
+        ],
+    )
+    def test_wrong_shape_json(self, argv, payload, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code = main(argv + ["--input", "-"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "rules",
+        [
+            "[1]",
+            '{"five_face": [1]}',
+            '{"five_face": {"num": 1, "den": 0}}',
+            '{"five_face": "1/0"}',
+            '{"equalize_trios": "false"}',
+        ],
+    )
+    def test_wrong_shape_rules(self, rules, tmp_path, capsys):
+        emb_path = write_embedding(tmp_path, "cube")
+        path = tmp_path / "rules.json"
+        path.write_text(rules)
+        code = main(["discharge", "--input", emb_path, "--rules", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
     def test_bad_rules_json(self, tmp_path, capsys):
         emb_path = write_embedding(tmp_path, "cube")
         rules = tmp_path / "rules.json"
@@ -218,6 +278,7 @@ class TestErrors:
             ["choosable", "--input", "x.g6", "--limit-arcs", "1"],
             ["repro-paper", "--input", "x"],
             ["reduce", "--format", "graph6"],
+            ["alon-tarsi", "--input", "x.json", "--format", "orientation-json", "--k", "2"],
         ],
         ids=lambda argv: argv[0],
     )

@@ -162,6 +162,17 @@ class TestGraph6:
         with pytest.raises(ValueError):
             parse_graph6(line)
 
+    @pytest.mark.parametrize("line", ["Dhd", "Bx"])
+    def test_padding_bits_must_be_zero(self, line):
+        with pytest.raises(ValueError):
+            parse_graph6(line)
+
+    def test_roundtrip_bundled_graphs(self):
+        embeddings = list(fixtures.solid_embeddings().values()) + fixtures.random_embeddings()
+        graphs = [emb.graph for emb in embeddings] + [fixtures.trio_graph()] + fixtures.demo_graphs()
+        for g in graphs:
+            assert parse_graph6(write_graph6(g)) == g
+
     def test_roundtrip_large_n(self):
         g = build_graph([(0, 99)], n=100)
         assert parse_graph6(write_graph6(g)).edges == ((0, 99),)

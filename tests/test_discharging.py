@@ -2,6 +2,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from grids import triangulated_grid
+from oracles import apply_rules_unindexed, element_detail_scan
 
 from dischargekit import fixtures
 from dischargekit.core import PlaneGraph, build_graph
@@ -140,6 +142,36 @@ class TestTrioEqualization:
             apply_rules(
                 fixtures.load_embedding("octahedron"), RuleSet(trio_overlap="error")
             )
+
+
+def oracle_embeddings():
+    embs = list(fixtures.solid_embeddings().values()) + fixtures.random_embeddings()
+    embs += [fixtures.trio_embedding(), trio_with_pendant()]
+    return embs + [triangulated_grid(8, 0.9, seed) for seed in (1, 2)]
+
+
+class TestOracleCrossChecks:
+    def test_trace_matches_unindexed_rules(self):
+        shapes = []
+        for emb in oracle_embeddings():
+            for ruleset in (RuleSet(), CUSTOM):
+                ledger = apply_rules(emb, ruleset)
+                want, group_shapes = apply_rules_unindexed(emb, ruleset)
+                assert ledger.trace == want.trace
+                assert (ledger.vertex_charge, ledger.face_charge) == (want.vertex_charge, want.face_charge)
+                shapes += group_shapes
+        # groups with several givers and several takers move the cursor
+        # past a partly filled taker
+        assert any(givers >= 2 and takers >= 2 for givers, takers in shapes)
+
+    def test_final_report_detail_matches_trace_scan(self):
+        for emb in oracle_embeddings():
+            ledger = apply_rules(emb)
+            for graph in (emb.graph, None):
+                report = final_report(ledger, graph)
+                assert len(report.detail) == len(report.negatives)
+                for (element, _), entry in zip(report.negatives, report.detail):
+                    assert entry == element_detail_scan(ledger, element, graph)
 
 
 class TestLedger:

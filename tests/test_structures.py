@@ -3,7 +3,9 @@ import random
 from collections import Counter
 
 import pytest
+from grids import triangulated_grid
 
+from dischargekit import fixtures
 from dischargekit.core import build_graph
 from dischargekit.errors import UnsupportedLengthError, VertexNotOnCycleError
 from dischargekit.structures import (
@@ -17,6 +19,7 @@ from dischargekit.structures import (
     find_fixed_configs,
     find_trios,
     trio_graph,
+    trios_by_triangle,
 )
 
 TRIO_EDGES = [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4), (2, 3), (3, 4)]  # x y u v w = 0 1 2 3 4
@@ -126,6 +129,20 @@ class TestRoles:
             for s in t:
                 role = classify_role(g, s, t)
                 assert role is classify_role(relabeled, perm[s], frozenset(perm[v] for v in t))
+
+
+class TestTrioIndex:
+    def test_indexed_roles_match_full_scan(self):
+        graphs = [emb.graph for emb in fixtures.random_embeddings()]
+        graphs += [trio_graph()] + [triangulated_grid(6, 0.9, seed).graph for seed in (1, 2)]
+        for g in graphs:
+            trios = find_trios(g)
+            index = trios_by_triangle(trios)
+            triangles = {t for occ in trios for t in occ.triangles}
+            assert index == {t: [occ for occ in trios if t in occ.triangles] for t in triangles}
+            for t, containing in index.items():
+                for s in sorted(t):
+                    assert classify_role(g, s, t, trios=containing) is classify_role(g, s, t)
 
 
 class TestConditions:
