@@ -110,19 +110,17 @@ def iter_canonical_assignments(sizes: Sequence[int]) -> Iterator[Lists]:
         if not any(remaining):
             yield tuple(tuple(lst) for lst in lists)
             return
-        if i == len(types):
-            return
-        mem = members[i]
-        cap = min(remaining[v] for v in mem)
-        for mult in range(cap, -1, -1):
-            if mult:
+        # Recurse only into types given a nonzero multiplicity, so the depth
+        # is at most sum(sizes), not the number of types.
+        for j in range(i, len(types)):
+            mem = members[j]
+            for mult in range(min(remaining[v] for v in mem), 0, -1):
                 base = next_color[0]
                 for v in mem:
                     remaining[v] -= mult
                     lists[v].extend(range(base, base + mult))
                 next_color[0] += mult
-            yield from rec(i + 1, remaining)
-            if mult:
+                yield from rec(j + 1, remaining)
                 for v in mem:
                     remaining[v] += mult
                     del lists[v][-mult:]
@@ -159,35 +157,23 @@ def degeneracy(graph: Graph) -> int:
     return best
 
 
-def is_k_choosable(
-    graph: Graph,
-    k: int,
-    limit_n: int = DEFAULT_N_LIMIT,
-    method: str = "auto",
-    arc_cap: int = DEFAULT_ARC_CAP,
-) -> ChoosabilityVerdict:
+def is_k_choosable(graph: Graph, k: int, limit_n: int = DEFAULT_N_LIMIT) -> ChoosabilityVerdict:
     """Decide whether every k-assignment admits a list coloring.
 
-    ``method="auto"`` first tries two exact sufficient checks for a quick
-    "yes" (degeneracy below k, then an even/odd orientation certificate)
-    and falls back to exhaustive canonical enumeration, which also produces
-    a witness assignment on "no".  ``method="exhaustive"`` skips the
-    shortcuts.  Inputs beyond ``limit_n`` vertices are rejected, not
-    approximated.
+    First tries two exact sufficient checks for a quick "yes" (degeneracy
+    below k, then an even/odd orientation certificate on at most
+    ``DEFAULT_ARC_CAP`` edges) and falls back to exhaustive canonical
+    enumeration, which also produces a witness assignment on "no".  Inputs
+    beyond ``limit_n`` vertices are rejected, not approximated.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if graph.n > limit_n:
         raise SizeLimitExceededError(f"n = {graph.n} exceeds guard {limit_n}")
-    if method not in ("auto", "exhaustive"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        if degeneracy(graph) <= k - 1:
-            return ChoosabilityVerdict(choosable=True, method="degeneracy")
-        if len(graph.edges) <= arc_cap:
-            cert = find_certificate(graph, [k] * graph.n, arc_cap=arc_cap)
-            if cert is not None:
-                return ChoosabilityVerdict(choosable=True, method="alon-tarsi")
+    if degeneracy(graph) <= k - 1:
+        return ChoosabilityVerdict(choosable=True, method="degeneracy")
+    if len(graph.edges) <= DEFAULT_ARC_CAP and find_certificate(graph, [k] * graph.n) is not None:
+        return ChoosabilityVerdict(choosable=True, method="alon-tarsi")
     for lists in iter_canonical_assignments([k] * graph.n):
         if l_color(graph, lists) is None:
             return ChoosabilityVerdict(

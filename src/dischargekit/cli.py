@@ -29,6 +29,7 @@ from .core import (
     embedding_from_json,
     expect_int_list,
     expect_json,
+    load_json,
     orientation_from_json,
     parse_graph6,
 )
@@ -162,7 +163,7 @@ def cmd_reduce(args) -> int:
     rows = []
     status = EXIT_OK
     if args.input:
-        obj = expect_json(json.loads(_read_input(args.input)), dict, "configuration")
+        obj = expect_json(load_json(_read_input(args.input), "configuration"), dict, "configuration")
         edges = expect_json(obj["edges"], list, "edges")
         n = obj.get("n")
         config = ReducibleConfig(
@@ -196,7 +197,7 @@ def cmd_discharge(args) -> int:
     embedding = embedding_from_json(_read_input(args.input))
     ruleset = RuleSet()
     if args.rules:
-        ruleset = RuleSet.from_json(json.loads(_read_input(args.rules)))
+        ruleset = RuleSet.from_json(load_json(_read_input(args.rules), "rules"))
     ledger = apply_rules(embedding, ruleset)
     report = final_report(ledger, graph=embedding.graph)
     _emit(

@@ -311,13 +311,22 @@ def expect_int_list(value, what: str, length: int | None = None) -> List[int]:
     return value
 
 
+def load_json(text: str, what: str):
+    """Decode JSON ``text`` read from outside the program; nesting too deep
+    for the decoder raises MalformedInputError, as a wrong shape does."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise MalformedInputError(f"{what} is nested too deeply") from None
+
+
 def embedding_from_json(obj: dict | str) -> PlaneGraph:
     """Load {"n": int, "rotation": [[neighbor, ...] per vertex]}.
 
     Rejects asymmetric adjacency: u may list v only if v lists u.
     """
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        obj = load_json(obj, "embedding")
     obj = expect_json(obj, dict, "embedding")
     n = expect_json(obj["n"], int, "n")
     rotation = expect_json(obj["rotation"], list, "rotation")
@@ -346,7 +355,7 @@ def embedding_to_json(embedding: PlaneGraph) -> dict:
 def orientation_from_json(obj: dict | str) -> Orientation:
     """Load {"n": int, "arcs": [[tail, head], ...]}."""
     if isinstance(obj, str):
-        obj = json.loads(obj)
+        obj = load_json(obj, "orientation")
     obj = expect_json(obj, dict, "orientation")
     n = expect_json(obj["n"], int, "n")
     arcs = expect_json(obj["arcs"], list, "arcs")

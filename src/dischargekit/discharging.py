@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Tuple
 
 from .core import Face, PlaneGraph, expect_json, faces_of
-from .errors import DisconnectedEmbeddingError, MalformedInputError, OverlappingTriosError
+from .errors import DisconnectedEmbeddingError, MalformedInputError
 from .structures import VertexRole, classify_role, find_trios, trios_by_triangle
 
 Element = Tuple[str, int]  # ("v", index) or ("f", index)
@@ -128,10 +128,6 @@ class RuleSet:
     hi_4445_face: Fraction = Fraction(1)  # R3/R4: (4,4,4,5)-face
     hi_four_face: Fraction = Fraction(2, 3)  # R3/R4: other 4-face
     equalize_trios: bool = True  # R5
-    # When a 3-face lies in two trios the equalization order is ambiguous.
-    # "merge" equalizes the union of the overlapping trios' faces as one
-    # group (order independent); "error" refuses instead.
-    trio_overlap: str = "merge"
 
     @staticmethod
     def from_json(obj: dict) -> "RuleSet":
@@ -142,10 +138,6 @@ class RuleSet:
                 raise ValueError(f"unknown rule parameter {name!r}")
             if name == "equalize_trios":
                 kwargs[name] = expect_json(obj[name], bool, name)
-            elif name == "trio_overlap":
-                if obj[name] not in ("merge", "error"):
-                    raise ValueError("trio_overlap must be 'merge' or 'error'")
-                kwargs[name] = obj[name]
             else:
                 kwargs[name] = _frac_from_json(obj[name], name)
                 if kwargs[name] < 0:
@@ -155,7 +147,7 @@ class RuleSet:
     def to_json(self) -> dict:
         out = {}
         for name, value in self.__dict__.items():
-            out[name] = value if isinstance(value, (bool, str)) else _frac_json(value)
+            out[name] = value if isinstance(value, bool) else _frac_json(value)
         return out
 
 
@@ -230,20 +222,10 @@ def apply_rules(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()) -> ChargeLe
                     ledger.transfer(rule, ("v", v), ("f", fi), payment(v, fi))
 
     # R5: equalize the charges of each trio's three 3-faces.  When trios
-    # share a 3-face the per-trio order would be ambiguous; the default
-    # policy merges overlapping trios and equalizes the whole group, which
-    # is order independent.  Policy "error" refuses overlaps instead.
+    # share a 3-face the per-trio order would be ambiguous, so overlapping
+    # trios are merged and the whole group is equalized, which is order
+    # independent.
     if ruleset.equalize_trios and facial:
-        counts: Dict[int, int] = {}
-        for indices in trio_faces:
-            for fi in indices:
-                counts[fi] = counts.get(fi, 0) + 1
-        if ruleset.trio_overlap == "error" and any(c > 1 for c in counts.values()):
-            fi = min(i for i, c in counts.items() if c > 1)
-            raise OverlappingTriosError(
-                f"3-face {sorted(faces[fi].vertex_set())} belongs to two trios; "
-                "equalization order is ambiguous"
-            )
         parent = {fi: fi for fi in in_trio}
 
         def find(a: int) -> int:

@@ -39,7 +39,3 @@ class VertexNotOnCycleError(DischargeKitError):
 
 class SizeLimitExceededError(DischargeKitError):
     """Input exceeds a configured exhaustive-enumeration cap."""
-
-
-class OverlappingTriosError(DischargeKitError):
-    """A 3-face belongs to two trios; charge equalization order is ambiguous."""

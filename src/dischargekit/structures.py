@@ -8,12 +8,13 @@ sought in the abstract graph, not only among faces of an embedding.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from .core import Graph, build_graph, canonical_edge
+from .core import Edge, Graph, build_graph, canonical_edge
 from .errors import UnsupportedLengthError, VertexNotOnCycleError
 
 Cycle = Tuple[int, ...]
@@ -180,15 +181,6 @@ class ConditionReport:
 CONDITIONS = ("Thm1", "Thm2", "Corollary")
 
 
-def _chorded_4cycles(graph: Graph) -> List[Cycle]:
-    out = []
-    for c in enumerate_cycles(graph, 4):
-        a, b, cc, d = c
-        if graph.has_edge(a, cc) or graph.has_edge(b, d):
-            out.append(c)
-    return out
-
-
 def check_condition(graph: Graph, which: str) -> ConditionReport:
     """Check one of the three 5-cycle conditions; witnesses are the violating
     5-cycles.
@@ -202,25 +194,28 @@ def check_condition(graph: Graph, which: str) -> ConditionReport:
     if which not in CONDITIONS:
         raise ValueError(f"unknown condition {which!r}")
     five = enumerate_cycles(graph, 5)
-    three = enumerate_cycles(graph, 3)
+    triangles_on: Dict[Edge, List[Cycle]] = {}
+    for t in enumerate_cycles(graph, 3):
+        for e in cycle_edges(t):
+            triangles_on.setdefault(e, []).append(t)
+    chorded_edges = set()
+    if which == "Thm2":
+        for q in enumerate_cycles(graph, 4):
+            if graph.has_edge(q[0], q[2]) or graph.has_edge(q[1], q[3]):
+                chorded_edges |= cycle_edges(q)
     witnesses: List[Cycle] = []
-    chorded = _chorded_4cycles(graph) if which == "Thm2" else []
     for c in five:
         ce = cycle_edges(c)
-        bad = False
+        # Edges of c on each 3-cycle that shares one with c.
+        shared = Counter(t for e in ce for t in triangles_on.get(e, ()))
         if which == "Thm1":
-            cs = set(c)
-            for h in range(graph.n):
-                if h not in cs and cs <= graph.adjacency[h]:
-                    bad = True
-                    break
-            if not bad:
-                bad = any(len(ce & cycle_edges(t)) == 1 for t in three)
+            # A hub h of c closes the 3-cycle (c[0], c[1], h), which shares
+            # exactly one edge with c, so this test also finds every hub.
+            bad = 1 in shared.values()
         elif which == "Thm2":
-            adjacent3 = sum(1 for t in three if ce & cycle_edges(t))
-            bad = adjacent3 >= 2 or any(ce & cycle_edges(q) for q in chorded)
+            bad = len(shared) >= 2 or not chorded_edges.isdisjoint(ce)
         else:
-            bad = any(ce & cycle_edges(t) for t in three)
+            bad = bool(shared)
         if bad:
             witnesses.append(c)
     return ConditionReport(condition=which, witnesses=tuple(witnesses))

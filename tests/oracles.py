@@ -12,7 +12,15 @@ from dischargekit.choosability import ChoosabilityVerdict, ListAssignment, l_col
 from dischargekit.core import Graph, Orientation, PlaneGraph
 from dischargekit.discharging import ChargeLedger, RuleSet, initial_charges
 from dischargekit.errors import SizeLimitExceededError
-from dischargekit.structures import VertexRole, classify_role, find_trios
+from dischargekit.structures import (
+    CONDITIONS,
+    ConditionReport,
+    VertexRole,
+    classify_role,
+    cycle_edges,
+    enumerate_cycles,
+    find_trios,
+)
 
 
 def count_eulerian_brute(orientation: Orientation, arc_cap: int = 20) -> EulerianCount:
@@ -149,3 +157,39 @@ def element_detail_scan(ledger: ChargeLedger, element, graph) -> dict:
     elif graph is not None:
         out["neighbors"] = sorted(graph.adjacency[i])
     return out
+
+
+def check_condition_scan(graph: Graph, which: str) -> ConditionReport:
+    """Oracle for ``check_condition``: each 5-cycle is compared with every
+    3-cycle and every chorded 4-cycle, and the Thm1 hub is sought among all
+    vertices."""
+    if which not in CONDITIONS:
+        raise ValueError(f"unknown condition {which!r}")
+    five = enumerate_cycles(graph, 5)
+    three = enumerate_cycles(graph, 3)
+    witnesses = []
+    chorded = []
+    if which == "Thm2":
+        for c in enumerate_cycles(graph, 4):
+            a, b, cc, d = c
+            if graph.has_edge(a, cc) or graph.has_edge(b, d):
+                chorded.append(c)
+    for c in five:
+        ce = cycle_edges(c)
+        bad = False
+        if which == "Thm1":
+            cs = set(c)
+            for h in range(graph.n):
+                if h not in cs and cs <= graph.adjacency[h]:
+                    bad = True
+                    break
+            if not bad:
+                bad = any(len(ce & cycle_edges(t)) == 1 for t in three)
+        elif which == "Thm2":
+            adjacent3 = sum(1 for t in three if ce & cycle_edges(t))
+            bad = adjacent3 >= 2 or any(ce & cycle_edges(q) for q in chorded)
+        else:
+            bad = any(ce & cycle_edges(t) for t in three)
+        if bad:
+            witnesses.append(c)
+    return ConditionReport(condition=which, witnesses=tuple(witnesses))

@@ -99,6 +99,12 @@ class TestCanonicalAssignments:
             assert (sig, tuple(map(len, lists))) not in seen
             seen.add((sig, tuple(map(len, lists))))
 
+    def test_ten_vertices_do_not_exhaust_the_stack(self):
+        # the vertex count that the default --limit-n admits; 1,023 colour types
+        first, second = itertools.islice(iter_canonical_assignments([1] * 10), 2)
+        assert first == ((0,),) * 10
+        assert second == ((0,),) * 9 + ((1,),)
+
 
 class TestKChoosable:
     @pytest.mark.parametrize(
@@ -115,7 +121,7 @@ class TestKChoosable:
     def test_exhaustive_agrees_with_auto(self):
         for graph, k in [(C4, 2), (K4, 4), (C5, 2)]:
             assert (
-                is_k_choosable(graph, k, method="exhaustive").choosable
+                check_extension(ReducibleConfig(graph, (k,) * graph.n))
                 == is_k_choosable(graph, k).choosable
             )
 
@@ -133,13 +139,12 @@ class TestKChoosable:
         for graph in (C3, P3):
             for k in (1, 2):
                 raw = is_k_choosable_raw(graph, k)
-                canon = is_k_choosable(graph, k, method="exhaustive")
-                assert raw.choosable == canon.choosable
+                assert raw.choosable == check_extension(ReducibleConfig(graph, (k,) * graph.n))
 
     def test_canonicalization_agrees_with_raw_n4(self):
         P4 = build_graph([(0, 1), (1, 2), (2, 3)])
         assert is_k_choosable_raw(P4, 2).choosable is True
-        assert is_k_choosable(P4, 2, method="exhaustive").choosable is True
+        assert check_extension(ReducibleConfig(P4, (2, 2, 2, 2))) is True
 
     def test_guard_rejects_large_inputs(self):
         big = build_graph([(i, i + 1) for i in range(11)])

@@ -151,6 +151,13 @@ class TestReduce:
         assert code == 0
         assert json.loads(out)["checks"][0]["reducible"] is True
 
+    def test_user_config_on_ten_vertices(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"edges": [[1, 2]], "n": 10, "sizes": [2] + [1] * 9}))
+        code, out = run(capsys, ["reduce", "--input", str(path)])
+        assert code == 1
+        assert json.loads(out)["checks"][0]["reducible"] is False
+
 
 class TestDischarge:
     def test_cube_reports_negatives(self, tmp_path, capsys):
@@ -252,6 +259,7 @@ class TestErrors:
             '{"five_face": {"num": 1, "den": 0}}',
             '{"five_face": "1/0"}',
             '{"equalize_trios": "false"}',
+            '{"trio_overlap": "merge"}',
         ],
     )
     def test_wrong_shape_rules(self, rules, tmp_path, capsys):
@@ -259,6 +267,27 @@ class TestErrors:
         path = tmp_path / "rules.json"
         path.write_text(rules)
         code = main(["discharge", "--input", emb_path, "--rules", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["discharge", "--input", "-"],
+            ["alon-tarsi", "--format", "orientation-json", "--input", "-"],
+            ["reduce", "--input", "-"],
+            ["discharge", "--input", "CUBE", "--rules", "-"],
+        ],
+        ids=["embedding", "orientation", "reduce-config", "rules"],
+    )
+    @pytest.mark.parametrize(
+        "nested", ["[" * 100000 + "]" * 100000, '{"a": ' * 100000 + "1" + "}" * 100000], ids=["list", "object"]
+    )
+    def test_deeply_nested_json(self, argv, nested, tmp_path, monkeypatch, capsys):
+        argv = [write_embedding(tmp_path, "cube") if a == "CUBE" else a for a in argv]
+        monkeypatch.setattr("sys.stdin", io.StringIO(nested))
+        code = main(argv)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -15,7 +15,7 @@ from dischargekit.discharging import (
     final_report,
     initial_charges,
 )
-from dischargekit.errors import DisconnectedEmbeddingError, OverlappingTriosError
+from dischargekit.errors import DisconnectedEmbeddingError
 
 CUSTOM = RuleSet(
     five_face=Fraction(1, 7),
@@ -137,12 +137,6 @@ class TestTrioEqualization:
             Fraction(0): 1,
         }
 
-    def test_octahedron_overlap_strict_mode_refuses(self):
-        with pytest.raises(OverlappingTriosError):
-            apply_rules(
-                fixtures.load_embedding("octahedron"), RuleSet(trio_overlap="error")
-            )
-
 
 def oracle_embeddings():
     embs = list(fixtures.solid_embeddings().values()) + fixtures.random_embeddings()
@@ -221,7 +215,7 @@ class TestLedger:
 
 class TestRuleSet:
     def test_json_roundtrip(self):
-        for rs in (RuleSet(), CUSTOM, RuleSet(equalize_trios=False, trio_overlap="error")):
+        for rs in (RuleSet(), CUSTOM, RuleSet(equalize_trios=False)):
             assert RuleSet.from_json(rs.to_json()) == rs
 
     def test_partial_json_keeps_defaults(self):

@@ -4,11 +4,13 @@ from collections import Counter
 
 import pytest
 from grids import triangulated_grid
+from oracles import check_condition_scan
 
 from dischargekit import fixtures
 from dischargekit.core import build_graph
 from dischargekit.errors import UnsupportedLengthError, VertexNotOnCycleError
 from dischargekit.structures import (
+    CONDITIONS,
     CONFIG_2,
     CONFIG_3,
     VertexRole,
@@ -193,6 +195,24 @@ class TestConditions:
     def test_unknown_condition(self):
         with pytest.raises(ValueError):
             check_condition(trio_graph(), "Thm3")
+
+    def test_matches_scan_oracle(self):
+        graphs = [emb.graph for emb in fixtures.random_embeddings()] + fixtures.demo_graphs()
+        for rim in range(4, 10):  # wheels W4-W9, hub = rim
+            spokes = [(i, rim) for i in range(rim)]
+            graphs.append(build_graph([(i, (i + 1) % rim) for i in range(rim)] + spokes))
+        rng = random.Random(5)
+        graphs += [random_graph(rng, rng.randint(5, 9), 0.4) for _ in range(40)]
+        graphs += [triangulated_grid(6, share, seed).graph for share, seed in ((0.5, 1), (0.9, 2))]
+        for which in CONDITIONS:
+            witnesses = others = 0
+            for g in graphs:
+                report = check_condition(g, which)
+                assert report == check_condition_scan(g, which)
+                witnesses += len(report.witnesses)
+                others += len(enumerate_cycles(g, 5)) - len(report.witnesses)
+            # both outcomes occur, so a check that always or never fires fails
+            assert witnesses and others, which
 
 
 def with_pendants(edges, leaf_counts):
