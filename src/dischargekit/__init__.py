@@ -29,7 +29,6 @@ from .alon_tarsi import (
     EulerianCount,
     count_eulerian,
     find_certificate,
-    verify_at_applicable,
 )
 from .choosability import (
     ListAssignment,
@@ -38,7 +37,6 @@ from .choosability import (
     check_extension_with_rechoice,
     is_k_choosable,
     l_color,
-    verify_min_degree,
 )
 from .discharging import (
     ChargeLedger,

@@ -96,20 +96,6 @@ class AtCertificate:
         }
 
 
-def verify_at_applicable(
-    orientation: Orientation,
-    list_sizes: Sequence[int],
-    arc_cap: int = DEFAULT_ARC_CAP,
-) -> bool:
-    """True iff list_sizes[v] >= outdeg(v)+1 everywhere and even != odd."""
-    if len(list_sizes) != orientation.base.n:
-        raise ValueError("list_sizes must cover every vertex")
-    if any(list_sizes[v] < d + 1 for v, d in enumerate(orientation.outdegrees())):
-        return False
-    counts = count_eulerian(orientation, arc_cap=arc_cap)
-    return counts.even != counts.odd
-
-
 def find_certificate(
     graph: Graph,
     list_sizes: Sequence[int],

@@ -34,15 +34,8 @@ class ListAssignment:
         if any(c < 0 for lst in self.lists for c in lst):
             raise ValueError("colors are nonnegative integers")
 
-    def sizes(self) -> List[int]:
-        return [len(lst) for lst in self.lists]
-
     def to_json(self) -> dict:
         return {"lists": [list(lst) for lst in self.lists]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "ListAssignment":
-        return ListAssignment(lists=tuple(tuple(int(c) for c in lst) for lst in obj["lists"]))
 
 
 @dataclass(frozen=True)
@@ -60,6 +53,8 @@ class ReducibleConfig:
             raise ValueError("residual sizes are positive")
         if any(v < 0 or v >= self.inner.n for v in self.choice_set):
             raise ValueError("choice_set must be inner vertices")
+        if len(set(self.choice_set)) != len(self.choice_set):
+            raise ValueError("choice_set names a vertex more than once")
 
 
 def l_color(graph: Graph, lists: Sequence[Sequence[int]]) -> Optional[List[int]]:
@@ -226,7 +221,3 @@ def check_extension_with_rechoice(config: ReducibleConfig) -> bool:
             return False
     return True
 
-
-def verify_min_degree(graph: Graph) -> List[int]:
-    """Vertices of degree at most 3; empty means the degree test passes."""
-    return [v for v in range(graph.n) if graph.degree(v) <= 3]

@@ -151,11 +151,18 @@ def cmd_alon_tarsi(args) -> int:
     return status
 
 
-def _builtin_reduce_checks():
+def _reducible(config: ReducibleConfig) -> bool:
+    """The extension check with re-choice when the configuration names
+    re-choice vertices, else the plain one."""
+    fn = check_extension_with_rechoice if config.choice_set else check_extension
+    return fn(config)
+
+
+def _builtin_reduce_results():
+    """(name, verdict, expected) for each of ``fixtures.REDUCE_CHECKS``."""
     return [
-        ("H-with-rechoice", fixtures.h_config(), True, check_extension_with_rechoice),
-        ("square-2222", fixtures.square_config(), True, check_extension),
-        ("triangle-222", fixtures.triangle_config(), False, check_extension),
+        (name, _reducible(fixtures.reducible_config(config, choice)), expected)
+        for name, config, choice, expected in fixtures.REDUCE_CHECKS
     ]
 
 
@@ -174,14 +181,12 @@ def cmd_reduce(args) -> int:
             residual_sizes=tuple(expect_int_list(obj["sizes"], "sizes")),
             choice_set=tuple(expect_int_list(obj.get("choice", []), "choice")),
         )
-        fn = check_extension_with_rechoice if config.choice_set else check_extension
-        got = fn(config)
+        got = _reducible(config)
         rows.append({"name": "user-config", "reducible": got, "expected": None, "ok": got})
         if not got:
             status = EXIT_VIOLATIONS
     else:
-        for name, config, expected, fn in _builtin_reduce_checks():
-            got = fn(config)
+        for name, got, expected in _builtin_reduce_results():
             ok = got == expected
             rows.append({"name": name, "reducible": got, "expected": expected, "ok": ok})
             if not ok:
@@ -236,8 +241,7 @@ def repro_rows() -> List[dict]:
             {"check": f"conservation-{name}", "expected": [-12], "got": [str(ledger.total())], "ok": ok}
         )
 
-    for name, config, expected, fn in _builtin_reduce_checks():
-        got = fn(config)
+    for name, got, expected in _builtin_reduce_results():
         rows.append({"check": f"reduce-{name}", "expected": [expected], "got": [got], "ok": got == expected})
 
     trio = fixtures.trio_graph()

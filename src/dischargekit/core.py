@@ -184,15 +184,6 @@ class Orientation:
             out[t] += 1
         return out
 
-    def indegrees(self) -> List[int]:
-        ind = [0] * self.base.n
-        for _, h in self.arcs:
-            ind[h] += 1
-        return ind
-
-    def reversed(self) -> "Orientation":
-        return Orientation(self.base, tuple((h, t) for t, h in self.arcs))
-
 
 def orientations_with_max_outdegree(graph: Graph, bound: int) -> Iterator[Orientation]:
     """Yield every orientation whose maximum outdegree is at most ``bound``.

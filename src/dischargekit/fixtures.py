@@ -1,8 +1,9 @@
-"""Bundled fixtures: the trio graph and its plane embedding, the reducible
-configurations with their residual list sizes, the three certified
-orientations of those configurations, platonic-solid embeddings, random
-plane graphs, and a demo set of sparse planar graphs whose 5-cycles avoid
-3-cycles.
+"""Bundled fixtures: the trio graph and its plane embedding, the built-in
+reduce checks over configurations of the ``structures`` fixed-configuration
+table (residual list sizes derived from the drawn degrees), the three
+certified orientations of those configurations, platonic-solid embeddings,
+random plane graphs, and a demo set of sparse planar graphs whose 5-cycles
+avoid 3-cycles.
 
 Everything is shipped as package data so checks run offline.
 """
@@ -10,11 +11,11 @@ Everything is shipped as package data so checks run offline.
 from __future__ import annotations
 
 from importlib import resources
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from .choosability import ReducibleConfig
-from .core import Graph, Orientation, PlaneGraph, build_graph, embedding_from_json, orientation_from_json, parse_graph6
-from .structures import trio_graph
+from .core import Graph, Orientation, PlaneGraph, embedding_from_json, orientation_from_json, parse_graph6
+from .structures import CONFIG_H, CONFIG_SQUARE, CONFIG_TRIANGLE, FixedConfig, trio_graph
 
 SOLIDS = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")
 RANDOM_EMBEDDING_COUNT = 20
@@ -57,30 +58,23 @@ def fig_orientations() -> Dict[str, Orientation]:
     return {k: orientation_from_json(_data_text(f"orientation_{k}.json")) for k in ("g1", "g2", "g3")}
 
 
-def h_config() -> ReducibleConfig:
-    """The trio-shaped subgraph H with residual sizes (x:2, y:3, u:2, v:4,
-    w:2) and re-choice vertices {x, u}."""
-    return ReducibleConfig(
-        inner=trio_graph(),
-        residual_sizes=(2, 3, 2, 4, 2),  # x, y, u, v, w
-        choice_set=(0, 2),  # x and u
-    )
+def reducible_config(config: FixedConfig, choice_set: Tuple[int, ...] = ()) -> ReducibleConfig:
+    """The extension problem of a fixed configuration: each vertex's residual
+    list size is 4 minus its drawn neighbours outside the pattern, a degree
+    bound counting as the drawn degree."""
+    pat = config.pattern
+    drawn = [m if e is None else e for e, m in zip(config.exact_degrees, config.max_degrees)]
+    sizes = tuple(4 - (d - pat.degree(v)) for v, d in enumerate(drawn))
+    return ReducibleConfig(inner=pat, residual_sizes=sizes, choice_set=choice_set)
 
 
-def square_config() -> ReducibleConfig:
-    """A 4-face whose residual lists all have size 2."""
-    return ReducibleConfig(
-        inner=build_graph([(0, 1), (1, 2), (2, 3), (3, 0)], n=4),
-        residual_sizes=(2, 2, 2, 2),
-    )
-
-
-def triangle_config() -> ReducibleConfig:
-    """A 3-face with residual size 2 everywhere; not reducible."""
-    return ReducibleConfig(
-        inner=build_graph([(0, 1), (1, 2), (2, 0)], n=3),
-        residual_sizes=(2, 2, 2),
-    )
+# The built-in reduce checks: (name, configuration, re-choice vertices,
+# expected verdict).  H re-chooses x and u.
+REDUCE_CHECKS = (
+    ("H-with-rechoice", CONFIG_H, (0, 2), True),
+    ("square-2222", CONFIG_SQUARE, (), True),
+    ("triangle-222", CONFIG_TRIANGLE, (), False),
+)
 
 
 def demo_graphs() -> List[Graph]:

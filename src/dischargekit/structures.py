@@ -282,6 +282,11 @@ CONFIG_3 = _cfg(
     exact=[4, 4, 5, 4, 4],
 )
 
+# A 4-face and a 3-face with every vertex of drawn degree 4: the plain
+# reduce checks.  Not in ALL_CONFIGS, so find_fixed_configs does not seek them.
+CONFIG_SQUARE = _cfg("square", 4, [(0, 1), (1, 2), (2, 3), (0, 3)], exact=[4, 4, 4, 4])
+CONFIG_TRIANGLE = _cfg("triangle", 3, [(0, 1), (1, 2), (0, 2)], exact=[4, 4, 4])
+
 ALL_CONFIGS = (CONFIG_H, CONFIG_1, CONFIG_2, CONFIG_3)
 
 
@@ -330,7 +335,10 @@ def _match_pattern(host: Graph, config: FixedConfig) -> List[Tuple[int, ...]]:
             results.append(tuple(mapping[v] for v in range(n)))
             return
         pv = order[i]
-        for hv in range(host.n):
+        # feasible() needs an edge to each mapped pattern neighbour, so the
+        # sorted host neighbours of one hold every candidate, in scan order.
+        anchor = next((mapping[u] for u in pat.adjacency[pv] if u in mapping), None)
+        for hv in range(host.n) if anchor is None else sorted(host.adjacency[anchor]):
             if hv not in used and feasible(pv, hv):
                 mapping[pv] = hv
                 used.add(hv)

@@ -5,7 +5,7 @@ very small inputs."""
 
 import itertools
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from dischargekit.alon_tarsi import EulerianCount
 from dischargekit.choosability import ChoosabilityVerdict, ListAssignment, l_color
@@ -13,8 +13,11 @@ from dischargekit.core import Graph, Orientation, PlaneGraph
 from dischargekit.discharging import ChargeLedger, RuleSet, initial_charges
 from dischargekit.errors import SizeLimitExceededError
 from dischargekit.structures import (
+    ALL_CONFIGS,
     CONDITIONS,
     ConditionReport,
+    ConfigMatch,
+    FixedConfig,
     VertexRole,
     classify_role,
     cycle_edges,
@@ -193,3 +196,56 @@ def check_condition_scan(graph: Graph, which: str) -> ConditionReport:
         if bad:
             witnesses.append(c)
     return ConditionReport(condition=which, witnesses=tuple(witnesses))
+
+
+def pattern_automorphisms(pattern: Graph) -> List[Tuple[int, ...]]:
+    """Every vertex permutation that maps the pattern's edges onto edges."""
+    return [
+        perm
+        for perm in itertools.permutations(range(pattern.n))
+        if all(pattern.has_edge(perm[u], perm[v]) for u, v in pattern.edges)
+    ]
+
+
+def find_fixed_configs_scan(graph: Graph, configs: Sequence[FixedConfig] = ALL_CONFIGS) -> List[ConfigMatch]:
+    """Oracle for ``find_fixed_configs``: the same backtracking match, but
+    every pattern vertex is tried against all host vertices, not only the
+    neighbours of an already mapped pattern neighbour."""
+    out: List[ConfigMatch] = []
+    for cfg in configs:
+        pat = cfg.pattern
+        n = pat.n
+        order = sorted(range(n), key=lambda v: -pat.degree(v))
+        mapping: Dict[int, int] = {}
+        used = set()
+        matches: List[Tuple[int, ...]] = []
+
+        def feasible(pv: int, hv: int) -> bool:
+            d = graph.degree(hv)
+            exact, mx = cfg.exact_degrees[pv], cfg.max_degrees[pv]
+            if d < pat.degree(pv) or (exact is not None and d != exact) or (mx is not None and d > mx):
+                return False
+            return all(graph.has_edge(mapping[u], hv) for u in pat.adjacency[pv] if u in mapping)
+
+        def rec(i: int) -> None:
+            if i == n:
+                matches.append(tuple(mapping[v] for v in range(n)))
+                return
+            pv = order[i]
+            for hv in range(graph.n):
+                if hv not in used and feasible(pv, hv):
+                    mapping[pv] = hv
+                    used.add(hv)
+                    rec(i + 1)
+                    used.discard(hv)
+                    del mapping[pv]
+
+        rec(0)
+        autos = pattern_automorphisms(pat)
+        seen = set()
+        for m in matches:
+            canon = min(tuple(m[a[i]] for i in range(n)) for a in autos)
+            if canon not in seen:
+                seen.add(canon)
+                out.append(ConfigMatch(config=cfg.name, mapping=canon))
+    return out

@@ -112,15 +112,11 @@ def test_choosability_ground_truths():
 
 
 def test_reducibility_of_builtin_configurations():
-    cases = [
-        (fixtures.square_config(), check_extension, True),
-        (fixtures.triangle_config(), check_extension, False),
-        (fixtures.h_config(), check_extension_with_rechoice, True),
-    ]
     ok = True
-    for config, fn, want in cases:
+    for _, config, choice, want in fixtures.REDUCE_CHECKS:
+        fn = check_extension_with_rechoice if choice else check_extension
         start = time.perf_counter()
-        ok = ok and fn(config) == want and time.perf_counter() - start < 60.0
+        ok = ok and fn(fixtures.reducible_config(config, choice)) == want and time.perf_counter() - start < 60.0
     report("reducibility", ok)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 
 import pytest
@@ -13,10 +14,10 @@ from dischargekit.choosability import (
     is_k_choosable,
     iter_canonical_assignments,
     l_color,
-    verify_min_degree,
 )
 from dischargekit.core import build_graph
 from dischargekit.errors import SizeLimitExceededError
+from dischargekit.structures import CONFIG_H, CONFIG_SQUARE, CONFIG_TRIANGLE
 from oracles import is_k_choosable_raw, l_color_brute
 
 C3 = build_graph([(0, 1), (1, 2), (0, 2)])
@@ -24,6 +25,8 @@ C4 = build_graph([(0, 1), (1, 2), (2, 3), (3, 0)])
 C5 = build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 K4 = build_graph(list(itertools.combinations(range(4), 2)))
 K5 = build_graph(list(itertools.combinations(range(5), 2)))
+SQUARE = fixtures.reducible_config(CONFIG_SQUARE)
+TRIANGLE = fixtures.reducible_config(CONFIG_TRIANGLE)
 
 
 def random_instance(rng, n_max=8, list_max=4):
@@ -159,17 +162,17 @@ class TestKChoosable:
 
 class TestExtension:
     def test_square_all_twos(self):
-        assert check_extension(fixtures.square_config())
+        assert check_extension(SQUARE)
 
     def test_triangle_all_twos_fails(self):
-        assert not check_extension(fixtures.triangle_config())
+        assert not check_extension(TRIANGLE)
 
     def test_single_vertex_size_one(self):
         cfg = ReducibleConfig(inner=build_graph([], n=1), residual_sizes=(1,))
         assert check_extension(cfg)
 
     def test_h_with_rechoice(self):
-        assert check_extension_with_rechoice(fixtures.h_config())
+        assert check_extension_with_rechoice(fixtures.reducible_config(CONFIG_H, (0, 2)))
 
     def test_rechoice_cannot_fix_triangle(self):
         # pendant vertex with free re-choice does not help the inner triangle
@@ -178,7 +181,7 @@ class TestExtension:
         assert not check_extension_with_rechoice(cfg)
 
     def test_choice_set_of_all_vertices_collapses(self):
-        for base in (fixtures.square_config(), fixtures.triangle_config()):
+        for base in (SQUARE, TRIANGLE):
             full = ReducibleConfig(
                 inner=base.inner,
                 residual_sizes=base.residual_sizes,
@@ -197,21 +200,21 @@ class TestExtension:
             if check_extension(cfg):
                 assert check_extension_with_rechoice(cfg)
 
+    def test_builtin_residual_sizes(self):
+        # 4 minus each vertex's drawn neighbours outside the configuration
+        derived = {
+            name: (fixtures.reducible_config(config, choice).residual_sizes, choice)
+            for name, config, choice, _ in fixtures.REDUCE_CHECKS
+        }
+        assert derived == {
+            "H-with-rechoice": ((2, 3, 2, 4, 2), (0, 2)),
+            "square-2222": ((2, 2, 2, 2), ()),
+            "triangle-222": ((2, 2, 2), ()),
+        }
+
     def test_rechoice_requires_choice_set(self):
         with pytest.raises(ValueError):
-            check_extension_with_rechoice(fixtures.square_config())
-
-
-class TestMinDegree:
-    def test_k5_passes(self):
-        assert verify_min_degree(K5) == []
-
-    def test_c5_all_fail(self):
-        assert verify_min_degree(C5) == [0, 1, 2, 3, 4]
-
-    def test_star_leaves(self):
-        star = build_graph([(0, i) for i in range(1, 5)])
-        assert verify_min_degree(star) == [1, 2, 3, 4]
+            check_extension_with_rechoice(SQUARE)
 
 
 class TestListAssignment:
@@ -221,4 +224,6 @@ class TestListAssignment:
 
     def test_json_roundtrip(self):
         la = ListAssignment(lists=((0, 1), (2,)))
-        assert ListAssignment.from_json(la.to_json()) == la
+        obj = la.to_json()
+        assert obj == {"lists": [[0, 1], [2]]}
+        assert json.loads(json.dumps(obj)) == obj

@@ -1,9 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from grids import triangulated_grid
 
+import dischargekit
 from dischargekit import fixtures
 from dischargekit.cli import main
 from dischargekit.core import embedding_to_json, orientation_to_json, write_graph6
@@ -242,6 +247,7 @@ class TestErrors:
             (["reduce"], '{"edges": 5, "sizes": [1]}'),
             (["reduce"], '{"edges": [[0]], "sizes": [1, 1]}'),
             (["reduce"], '{"edges": [[0, 1]], "sizes": 2}'),
+            (["reduce"], '{"edges": [[0, 1], [1, 2], [2, 3]], "sizes": [2, 2, 2, 2], "choice": [3, 3, 3]}'),
         ],
     )
     def test_wrong_shape_json(self, argv, payload, monkeypatch, capsys):
@@ -316,3 +322,36 @@ class TestErrors:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# Runs the commands given as a JSON list of argument lists and prints their
+# exit codes and the top-level names of every module then imported.
+STDLIB_PROBE = """
+import json, os, sys
+from dischargekit.cli import main
+codes = [main(argv + ["--output", os.devnull]) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "modules": sorted({m.partition(".")[0] for m in sys.modules})}))
+"""
+
+
+def test_runs_on_the_standard_library_alone(tmp_path):
+    demo = tmp_path / "demo.g6"
+    demo.write_text("".join(write_graph6(g) + "\n" for g in fixtures.demo_graphs()))
+    argvs = [
+        ["reduce"],
+        ["repro-paper"],
+        ["detect", "--input", str(demo)],
+        ["discharge", "--input", write_embedding(tmp_path, "cube")],
+    ]
+    # -S skips the site module, so nothing outside the standard library
+    # and the package is importable
+    env = dict(os.environ, PYTHONPATH=str(Path(dischargekit.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", STDLIB_PROBE, json.dumps(argvs)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 1, 0, 1]
+    allowed = set(sys.stdlib_module_names) | {"dischargekit", "__main__"}
+    assert [m for m in result["modules"] if m not in allowed] == []

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -134,7 +135,9 @@ class TestOrientations:
     def test_arcs_cover_edges(self):
         g = k4()
         o = next(orientations_with_max_outdegree(g, 4))
-        assert sum(o.outdegrees()) == sum(o.indegrees()) == len(g.edges)
+        out, ind = o.outdegrees(), Counter(h for _, h in o.arcs)
+        assert sum(out) == len(g.edges)
+        assert all(out[v] + ind[v] == g.degree(v) for v in range(g.n))
         with pytest.raises(DanglingVertexIndexError):
             Orientation(g, o.arcs[:-1])
 

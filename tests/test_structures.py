@@ -4,12 +4,13 @@ from collections import Counter
 
 import pytest
 from grids import triangulated_grid
-from oracles import check_condition_scan
+from oracles import check_condition_scan, find_fixed_configs_scan, pattern_automorphisms
 
 from dischargekit import fixtures
 from dischargekit.core import build_graph
 from dischargekit.errors import UnsupportedLengthError, VertexNotOnCycleError
 from dischargekit.structures import (
+    ALL_CONFIGS,
     CONDITIONS,
     CONFIG_2,
     CONFIG_3,
@@ -225,11 +226,19 @@ def with_pendants(edges, leaf_counts):
     return build_graph(host)
 
 
+# Pendant leaves raise each pattern vertex to the degree its configuration
+# draws; H's host has x=4, y=4, u=4, v=4, w=4.
+PENDANT_HOSTS = {
+    "H": with_pendants(TRIO_EDGES, [(0, 1), (1, 1), (2, 2), (3, 0), (4, 2)]),
+    "config1": with_pendants(TRIO_EDGES, [(0, 1), (1, 1), (2, 3), (3, 0), (4, 2)]),
+    "config2": with_pendants(list(CONFIG_2.pattern.edges), [(0, 2), (1, 2), (2, 1), (3, 2), (4, 2), (5, 1)]),
+    "config3": with_pendants(list(CONFIG_3.pattern.edges), [(0, 2), (1, 2), (2, 2), (3, 1), (4, 2)]),
+}
+
+
 class TestFixedConfigs:
     def test_h_host_matches_once(self):
-        # pendants raise the trio to degrees x=4, y=4, u=4, v=4, w=4
-        host = with_pendants(TRIO_EDGES, [(0, 1), (1, 1), (2, 2), (3, 0), (4, 2)])
-        counts = Counter(m.config for m in find_fixed_configs(host))
+        counts = Counter(m.config for m in find_fixed_configs(PENDANT_HOSTS["H"]))
         assert counts == {"H": 1}
 
     def test_c5_has_no_configs(self):
@@ -237,20 +246,56 @@ class TestFixedConfigs:
         assert find_fixed_configs(g) == []
 
     def test_config1_needs_degree5_u(self):
-        host = with_pendants(TRIO_EDGES, [(0, 1), (1, 1), (2, 3), (3, 0), (4, 2)])
-        counts = Counter(m.config for m in find_fixed_configs(host))
+        counts = Counter(m.config for m in find_fixed_configs(PENDANT_HOSTS["config1"]))
         assert counts["config1"] == 1
 
     def test_config2_grid_host(self):
-        host = with_pendants(
-            list(CONFIG_2.pattern.edges), [(0, 2), (1, 2), (2, 1), (3, 2), (4, 2), (5, 1)]
-        )
-        counts = Counter(m.config for m in find_fixed_configs(host))
+        counts = Counter(m.config for m in find_fixed_configs(PENDANT_HOSTS["config2"]))
         assert counts == {"config2": 1}
 
     def test_config3_host(self):
-        host = with_pendants(
-            list(CONFIG_3.pattern.edges), [(0, 2), (1, 2), (2, 2), (3, 1), (4, 2)]
-        )
-        counts = Counter(m.config for m in find_fixed_configs(host))
+        counts = Counter(m.config for m in find_fixed_configs(PENDANT_HOSTS["config3"]))
         assert counts == {"config3": 1}
+
+
+GRIDS = [triangulated_grid(16, 0.15, seed).graph for seed in (1, 2, 3)]
+
+
+def matcher_hosts():
+    """The pendant hosts, seeded grids, and seeded random graphs."""
+    rng = random.Random(17)
+    randoms = [random_graph(rng, rng.randint(6, 11), 0.45) for _ in range(30)]
+    return list(PENDANT_HOSTS.values()) + GRIDS + randoms
+
+
+class TestMatcherCrossCheck:
+    def test_equals_scan_oracle_in_order(self):
+        for host in matcher_hosts():
+            assert find_fixed_configs(host) == find_fixed_configs_scan(host)
+        # a matcher that finds nothing would pass the comparison above
+        assert all(find_fixed_configs(g) for g in GRIDS)
+
+    def test_equals_networkx_monomorphisms(self):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.isomorphism import GraphMatcher
+
+        def drawn_degree_ok(host_attrs, pattern_attrs):
+            d, exact, mx = host_attrs["degree"], pattern_attrs["exact"], pattern_attrs["max"]
+            return (exact is None or d == exact) and (mx is None or d <= mx)
+
+        for host in matcher_hosts():
+            host_nx = nx.Graph(list(host.edges))
+            host_nx.add_nodes_from((v, {"degree": host.degree(v)}) for v in range(host.n))
+            want = set()
+            for cfg in ALL_CONFIGS:
+                pat = cfg.pattern
+                pat_nx = nx.Graph(list(pat.edges))
+                pat_nx.add_nodes_from(
+                    (v, {"exact": cfg.exact_degrees[v], "max": cfg.max_degrees[v]}) for v in range(pat.n)
+                )
+                autos = pattern_automorphisms(pat)
+                matcher = GraphMatcher(host_nx, pat_nx, node_match=drawn_degree_ok)
+                for found in matcher.subgraph_monomorphisms_iter():
+                    m = {pv: hv for hv, pv in found.items()}
+                    want.add((cfg.name, min(tuple(m[a[i]] for i in range(pat.n)) for a in autos)))
+            assert {(c.config, c.mapping) for c in find_fixed_configs(host)} == want
