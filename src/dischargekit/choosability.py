@@ -13,13 +13,23 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .alon_tarsi import DEFAULT_ARC_CAP, find_certificate
+from .alon_tarsi import find_certificate
 from .core import Graph, build_graph
 from .errors import SizeLimitExceededError
 
 Lists = Tuple[Tuple[int, ...], ...]
 
 DEFAULT_N_LIMIT = 10
+
+# The most (assignment, pick) pairs one exhaustive check may try: one pair
+# per list assignment, or per choice of colours for the re-choice vertices.
+MAX_ASSIGNMENT_CHECKS = 100_000
+
+# Graphs up to this many edges get an orientation certificate search before
+# the exhaustive one.  This picks a method; it is not a guard: on a denser
+# graph such as K10 at k = 6 the search would spend its whole DP-state
+# budget and fail where the exhaustive check answers "no" at once.
+_AT_MAX_EDGES = 30
 
 
 @dataclass(frozen=True)
@@ -85,6 +95,15 @@ def l_color(graph: Graph, lists: Sequence[Sequence[int]]) -> Optional[List[int]]
     return None
 
 
+def _count_check(checked: int) -> int:
+    """``checked + 1``, or ``SizeLimitExceededError`` past the budget."""
+    if checked >= MAX_ASSIGNMENT_CHECKS:
+        raise SizeLimitExceededError(
+            f"exhaustive check needs more than {MAX_ASSIGNMENT_CHECKS} (assignment, pick) pairs"
+        )
+    return checked + 1
+
+
 def iter_canonical_assignments(sizes: Sequence[int]) -> Iterator[Lists]:
     """Canonical list assignments with the given sizes, one per intersection
     pattern (orbit under color permutation).
@@ -96,8 +115,11 @@ def iter_canonical_assignments(sizes: Sequence[int]) -> Iterator[Lists]:
     order.
     """
     n = len(sizes)
-    types = sorted(range(1, 1 << n), key=lambda mask: (-bin(mask).count("1"), mask))
-    members = [[v for v in range(n) if t >> v & 1] for t in types]
+    # Singleton types would come last, in vertex order, and each could only
+    # take all its vertex's remaining colours; so they are not enumerated,
+    # and what the shared types leave becomes private colours at the end.
+    shared = sorted((t for t in range(1, 1 << n) if t & (t - 1)), key=lambda t: (-bin(t).count("1"), t))
+    members = [[v for v in range(n) if t >> v & 1] for t in shared]
     lists: List[List[int]] = [[] for _ in range(n)]
     next_color = [0]
 
@@ -107,7 +129,7 @@ def iter_canonical_assignments(sizes: Sequence[int]) -> Iterator[Lists]:
             return
         # Recurse only into types given a nonzero multiplicity, so the depth
         # is at most sum(sizes), not the number of types.
-        for j in range(i, len(types)):
+        for j in range(i, len(shared)):
             mem = members[j]
             for mult in range(min(remaining[v] for v in mem), 0, -1):
                 base = next_color[0]
@@ -120,6 +142,12 @@ def iter_canonical_assignments(sizes: Sequence[int]) -> Iterator[Lists]:
                     remaining[v] += mult
                     del lists[v][-mult:]
                 next_color[0] -= mult
+        base = next_color[0]
+        private = []
+        for v in range(n):
+            private.append(tuple(lists[v]) + tuple(range(base, base + remaining[v])))
+            base += remaining[v]
+        yield tuple(private)
 
     return rec(0, list(sizes))
 
@@ -156,10 +184,13 @@ def is_k_choosable(graph: Graph, k: int, limit_n: int = DEFAULT_N_LIMIT) -> Choo
     """Decide whether every k-assignment admits a list coloring.
 
     First tries two exact sufficient checks for a quick "yes" (degeneracy
-    below k, then an even/odd orientation certificate on at most
-    ``DEFAULT_ARC_CAP`` edges) and falls back to exhaustive canonical
-    enumeration, which also produces a witness assignment on "no".  Inputs
-    beyond ``limit_n`` vertices are rejected, not approximated.
+    below k, then, on graphs of at most ``_AT_MAX_EDGES`` edges, an
+    even/odd orientation certificate) and falls back to exhaustive
+    canonical enumeration, which also produces a witness assignment on
+    "no".  Inputs beyond ``limit_n`` vertices are rejected, not
+    approximated.  The certificate search raises
+    ``SizeLimitExceededError`` past ``alon_tarsi.MAX_DP_STATES`` DP states,
+    the enumeration past ``MAX_ASSIGNMENT_CHECKS`` assignments.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -167,9 +198,11 @@ def is_k_choosable(graph: Graph, k: int, limit_n: int = DEFAULT_N_LIMIT) -> Choo
         raise SizeLimitExceededError(f"n = {graph.n} exceeds guard {limit_n}")
     if degeneracy(graph) <= k - 1:
         return ChoosabilityVerdict(choosable=True, method="degeneracy")
-    if len(graph.edges) <= DEFAULT_ARC_CAP and find_certificate(graph, [k] * graph.n) is not None:
+    if len(graph.edges) <= _AT_MAX_EDGES and find_certificate(graph, [k] * graph.n) is not None:
         return ChoosabilityVerdict(choosable=True, method="alon-tarsi")
+    checked = 0
     for lists in iter_canonical_assignments([k] * graph.n):
+        checked = _count_check(checked)
         if l_color(graph, lists) is None:
             return ChoosabilityVerdict(
                 choosable=False, witness=ListAssignment(lists=lists), method="exhaustive"
@@ -179,8 +212,11 @@ def is_k_choosable(graph: Graph, k: int, limit_n: int = DEFAULT_N_LIMIT) -> Choo
 
 def check_extension(config: ReducibleConfig) -> bool:
     """True iff the inner graph is colorable from every assignment with the
-    configured residual sizes; the choice set is ignored."""
+    configured residual sizes; the choice set is ignored.  Raises
+    ``SizeLimitExceededError`` past ``MAX_ASSIGNMENT_CHECKS`` assignments."""
+    checked = 0
     for lists in iter_canonical_assignments(config.residual_sizes):
+        checked = _count_check(checked)
         if l_color(config.inner, lists) is None:
             return False
     return True
@@ -190,7 +226,8 @@ def check_extension_with_rechoice(config: ReducibleConfig) -> bool:
     """True iff for every assignment of the residual sizes there exist color
     selections for the choice vertices (proper among adjacent choice
     vertices) whose removal from neighboring lists leaves the remaining
-    vertices colorable."""
+    vertices colorable.  Raises ``SizeLimitExceededError`` past
+    ``MAX_ASSIGNMENT_CHECKS`` (assignment, selection) pairs."""
     if not config.choice_set:
         raise ValueError("choice_set must be nonempty")
     g = config.inner
@@ -204,9 +241,11 @@ def check_extension_with_rechoice(config: ReducibleConfig) -> bool:
     choice_edges = [
         (a, b) for a, b in itertools.combinations(choice, 2) if g.has_edge(a, b)
     ]
+    checked = 0
     for lists in iter_canonical_assignments(config.residual_sizes):
         extendable = False
         for picks in itertools.product(*[lists[v] for v in choice]):
+            checked = _count_check(checked)
             sel = dict(zip(choice, picks))
             if any(sel[a] == sel[b] for a, b in choice_edges):
                 continue

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import List
 
 from . import fixtures
-from .alon_tarsi import DEFAULT_ARC_CAP, count_eulerian, find_certificate
+from .alon_tarsi import count_eulerian, find_certificate
 from .choosability import (
     DEFAULT_N_LIMIT,
     ReducibleConfig,
@@ -34,7 +34,7 @@ from .core import (
     parse_graph6,
 )
 from .discharging import RuleSet, apply_rules, final_report
-from .errors import DischargeKitError
+from .errors import DischargeKitError, SizeLimitExceededError
 from .structures import CONDITIONS, check_condition, classify_role, find_trios, trios_by_triangle
 
 EXIT_OK = 0
@@ -123,7 +123,7 @@ def cmd_choosable(args) -> int:
 def cmd_alon_tarsi(args) -> int:
     if args.format == "orientation-json":
         orientation = orientation_from_json(_read_input(args.input))
-        counts = count_eulerian(orientation, arc_cap=args.limit_arcs)
+        counts = count_eulerian(orientation)
         report = {
             "command": "alon-tarsi",
             "even": counts.even,
@@ -140,7 +140,7 @@ def cmd_alon_tarsi(args) -> int:
     results = []
     status = EXIT_OK
     for gi, graph in enumerate(graphs):
-        cert = find_certificate(graph, [k] * graph.n, arc_cap=args.limit_arcs)
+        cert = find_certificate(graph, [k] * graph.n)
         results.append({"graph": gi, "certificate": cert.to_json() if cert else None})
         if cert is None:
             status = EXIT_VIOLATIONS
@@ -172,13 +172,18 @@ def cmd_reduce(args) -> int:
     if args.input:
         obj = expect_json(load_json(_read_input(args.input), "configuration"), dict, "configuration")
         edges = expect_json(obj["edges"], list, "edges")
+        edges = [expect_int_list(e, f"edges[{i}]", 2) for i, e in enumerate(edges)]
         n = obj.get("n")
+        n = None if n is None else expect_json(n, int, "n")
+        sizes = tuple(expect_int_list(obj["sizes"], "sizes"))
+        # bound the vertex count before the graph is built or its colour
+        # types are listed
+        vertices = max([len(sizes), n or 0] + [max(e) + 1 for e in edges])
+        if vertices > DEFAULT_N_LIMIT:
+            raise SizeLimitExceededError(f"n = {vertices} exceeds guard {DEFAULT_N_LIMIT}")
         config = ReducibleConfig(
-            inner=build_graph(
-                [expect_int_list(e, f"edges[{i}]", 2) for i, e in enumerate(edges)],
-                n=None if n is None else expect_json(n, int, "n"),
-            ),
-            residual_sizes=tuple(expect_int_list(obj["sizes"], "sizes")),
+            inner=build_graph(edges, n=n),
+            residual_sizes=sizes,
             choice_set=tuple(expect_int_list(obj.get("choice", []), "choice")),
         )
         got = _reducible(config)
@@ -295,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--k", type=int, help=f"list size for the certificate search (default {DEFAULT_K}); graph formats only"
     )
-    p.add_argument("--limit-arcs", type=int, default=DEFAULT_ARC_CAP, help="largest arc count accepted")
     p = command("reduce")
     p.add_argument("--input", help="configuration JSON file, or - for stdin; default: the built-in checks")
     p = command("discharge", ("embedding-json",))

@@ -51,6 +51,48 @@ def count_eulerian_brute(orientation: Orientation, arc_cap: int = 20) -> Euleria
     return EulerianCount(even=even, odd=odd)
 
 
+def count_eulerian_frontier(orientation: Orientation) -> EulerianCount:
+    """Oracle for ``count_eulerian``: the unpruned frontier DP over arcs
+    ordered by their larger endpoint index, whose state maps each vertex
+    with a nonzero balance to that balance.  A vertex must be balanced when
+    its last arc is done."""
+    arcs = orientation.arcs
+    m = len(arcs)
+    if m == 0:
+        return EulerianCount(even=1, odd=0)
+    order = sorted(range(m), key=lambda i: (max(arcs[i]), min(arcs[i]), i))
+    last_touch: Dict[int, int] = {}
+    for pos, i in enumerate(order):
+        t, h = arcs[i]
+        last_touch[t] = pos
+        last_touch[h] = pos
+    states: Dict[Tuple[Tuple[int, int], ...], List[int]] = {(): [1, 0]}
+    for pos, i in enumerate(order):
+        t, h = arcs[i]
+        closing = [v for v in (t, h) if last_touch[v] == pos]
+        new: Dict[Tuple[Tuple[int, int], ...], List[int]] = {}
+        for state, (ev, od) in states.items():
+            bal = dict(state)
+            for take in (0, 1):
+                b = dict(bal)
+                if take:
+                    b[t] = b.get(t, 0) + 1
+                    b[h] = b.get(h, 0) - 1
+                if any(b.get(v, 0) != 0 for v in closing):
+                    continue
+                key = tuple(sorted((v, x) for v, x in b.items() if x != 0))
+                cell = new.setdefault(key, [0, 0])
+                if take:
+                    cell[0] += od
+                    cell[1] += ev
+                else:
+                    cell[0] += ev
+                    cell[1] += od
+        states = new
+    total = states.get((), [0, 0])
+    return EulerianCount(even=total[0], odd=total[1])
+
+
 def l_color_brute(graph: Graph, lists: Sequence[Sequence[int]]) -> Optional[List[int]]:
     """Oracle: try every member of the cartesian product of the lists."""
     for combo in itertools.product(*lists):
@@ -249,3 +291,34 @@ def find_fixed_configs_scan(graph: Graph, configs: Sequence[FixedConfig] = ALL_C
                 seen.add(canon)
                 out.append(ConfigMatch(config=cfg.name, mapping=canon))
     return out
+
+
+def iter_canonical_assignments_all_types(sizes: Sequence[int]):
+    """Oracle for ``iter_canonical_assignments``: the same enumeration, but
+    the singleton colour types are enumerated like the shared ones, every
+    multiplicity included."""
+    n = len(sizes)
+    types = sorted(range(1, 1 << n), key=lambda mask: (-bin(mask).count("1"), mask))
+    members = [[v for v in range(n) if t >> v & 1] for t in types]
+    lists: List[List[int]] = [[] for _ in range(n)]
+    next_color = [0]
+
+    def rec(i: int, remaining: List[int]):
+        if not any(remaining):
+            yield tuple(tuple(lst) for lst in lists)
+            return
+        for j in range(i, len(types)):
+            mem = members[j]
+            for mult in range(min(remaining[v] for v in mem), 0, -1):
+                base = next_color[0]
+                for v in mem:
+                    remaining[v] -= mult
+                    lists[v].extend(range(base, base + mult))
+                next_color[0] += mult
+                yield from rec(j + 1, remaining)
+                for v in mem:
+                    remaining[v] += mult
+                    del lists[v][-mult:]
+                next_color[0] -= mult
+
+    return rec(0, list(sizes))

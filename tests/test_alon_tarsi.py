@@ -1,14 +1,17 @@
 import itertools
 import random
+import time
 
 import pytest
 
-from dischargekit import fixtures
+from grids import triangulated_grid
+
+from dischargekit import alon_tarsi, fixtures
 from dischargekit.alon_tarsi import count_eulerian, find_certificate
 from dischargekit.choosability import iter_canonical_assignments, l_color
-from dischargekit.core import Orientation, build_graph
+from dischargekit.core import Orientation, build_graph, orientations_with_max_outdegree
 from dischargekit.errors import SizeLimitExceededError
-from oracles import count_eulerian_brute
+from oracles import count_eulerian_brute, count_eulerian_frontier
 
 
 def directed_triangle():
@@ -31,6 +34,14 @@ def random_orientation(rng, n, p):
             arcs.append((u, v) if rng.random() < 0.5 else (v, u))
     g = build_graph([(min(a), max(a)) for a in arcs], n=n)
     return Orientation(g, tuple(arcs))
+
+
+def random_orientation_of(graph, rng):
+    return Orientation(graph, tuple((u, v) if rng.random() < 0.5 else (v, u) for u, v in graph.edges))
+
+
+def wheel(rim):
+    return build_graph([(i, (i + 1) % rim) for i in range(rim)] + [(i, rim) for i in range(rim)])
 
 
 class TestCountEulerian:
@@ -69,11 +80,73 @@ class TestCountEulerian:
             o = random_orientation(rng, rng.randint(2, 6), 0.5)
             assert count_eulerian(o) == count_eulerian(Orientation(o.base, tuple((h, t) for t, h in o.arcs)))
 
-    def test_arc_cap(self):
-        rng = random.Random(0)
-        o = random_orientation(rng, 8, 0.9)
+    def test_state_budget_raises(self, monkeypatch):
+        o = random_orientation(random.Random(0), 8, 0.9)
+        assert count_eulerian(o).states > 50
+        monkeypatch.setattr(alon_tarsi, "MAX_DP_STATES", 50)
         with pytest.raises(SizeLimitExceededError):
-            count_eulerian(o, arc_cap=5)
+            count_eulerian(o)
+
+    def test_more_than_thirty_arcs(self):
+        # a 7 x 7 grid: 116 arcs, which the old arc cap of 30 refused
+        o = random_orientation_of(triangulated_grid(7, 0.9, 1).graph, random.Random(2))
+        counts = count_eulerian(o)
+        assert len(o.arcs) > 100 and 0 < counts.states < alon_tarsi.MAX_DP_STATES
+        assert counts.even >= 1
+
+
+class TestPrunedDpAgainstOracles:
+    """The pruned DP against the unpruned frontier DP it replaced and the
+    definitional subset enumeration."""
+
+    def test_random_orientations(self):
+        rng = random.Random(11)
+        for _ in range(150):
+            o = random_orientation(rng, rng.randint(1, 9), 0.7 * rng.random())
+            got = count_eulerian(o).as_tuple()
+            assert got == count_eulerian_frontier(o).as_tuple()
+            if len(o.arcs) <= 14:
+                assert got == count_eulerian_brute(o).as_tuple()
+
+    def test_first_orientations_of_each_solid(self):
+        # at the least outdegree bound that admits an orientation, so the
+        # orientations have directed cycles (a looser bound starts with the
+        # acyclic one, whose counts are (1, 0))
+        for name, emb in fixtures.solid_embeddings().items():
+            g = emb.graph
+            for o in itertools.islice(orientations_with_max_outdegree(g, -(-len(g.edges) // g.n)), 2):
+                got = count_eulerian(o).as_tuple()
+                assert got == count_eulerian_frontier(o).as_tuple(), name
+                if len(o.arcs) <= 12:
+                    assert got == count_eulerian_brute(o).as_tuple(), name
+
+    @pytest.mark.parametrize("side,share", [(4, 0.9), (5, 0.5), (5, 0.9), (6, 0.9)])
+    def test_grids(self, side, share):
+        graph = triangulated_grid(side, share, 3).graph
+        assert 32 <= len(graph.edges) <= 82
+        rng = random.Random(side)
+        for _ in range(2):
+            o = random_orientation_of(graph, rng)
+            assert count_eulerian(o).as_tuple() == count_eulerian_frontier(o).as_tuple()
+
+    def test_property_against_frontier_oracle(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def orientations(draw):
+            n = draw(st.integers(1, 8))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+            arcs = tuple((u, v) if draw(st.booleans()) else (v, u) for u, v in chosen)
+            return Orientation(build_graph(chosen, n=n), arcs)
+
+        @hypothesis.settings(max_examples=150, deadline=None, database=None)
+        @hypothesis.given(orientations())
+        def check(o):
+            assert count_eulerian(o).as_tuple() == count_eulerian_frontier(o).as_tuple()
+
+        check()
 
 
 class TestVerifyApplicable:
@@ -129,3 +202,28 @@ class TestFindCertificate:
                 continue
             for lists in iter_canonical_assignments(sizes):
                 assert l_color(g, lists) is not None
+
+    def test_too_few_colours_for_the_edges_is_none_at_once(self):
+        # 6 x 6 grid, 82 edges, lists of 3: outdegrees at most 2 cover only
+        # 72 edges, so no orientation fits and no DP runs
+        graph = triangulated_grid(6, 0.9, 0).graph
+        assert len(graph.edges) > 2 * graph.n
+        start = time.perf_counter()
+        assert find_certificate(graph, [3] * graph.n) is None
+        assert time.perf_counter() - start < 1.0
+
+    def test_search_budget_adds_up_the_dps(self, monkeypatch):
+        # W5 at k = 3 tries 142 orientations; no one DP reaches 300 states,
+        # but together they do
+        g = wheel(5)
+        biggest = max(count_eulerian(o).states for o in orientations_with_max_outdegree(g, 2))
+        assert biggest < 300
+        monkeypatch.setattr(alon_tarsi, "MAX_DP_STATES", 300)
+        with pytest.raises(SizeLimitExceededError, match="certificate search"):
+            find_certificate(g, [3] * g.n)
+
+    def test_icosahedron_k5(self):
+        # planar graphs have Alon-Tarsi number at most 5 (Zhu, JCTB 2019)
+        g = fixtures.solid_embeddings()["icosahedron"].graph
+        cert = find_certificate(g, [5] * g.n)
+        assert cert is not None and cert.counts.even != cert.counts.odd

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dischargekit import fixtures
+from dischargekit import choosability, fixtures
 from dischargekit.choosability import (
     ListAssignment,
     ReducibleConfig,
@@ -18,7 +18,7 @@ from dischargekit.choosability import (
 from dischargekit.core import build_graph
 from dischargekit.errors import SizeLimitExceededError
 from dischargekit.structures import CONFIG_H, CONFIG_SQUARE, CONFIG_TRIANGLE
-from oracles import is_k_choosable_raw, l_color_brute
+from oracles import is_k_choosable_raw, iter_canonical_assignments_all_types, l_color_brute
 
 C3 = build_graph([(0, 1), (1, 2), (0, 2)])
 C4 = build_graph([(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -102,6 +102,11 @@ class TestCanonicalAssignments:
             assert (sig, tuple(map(len, lists))) not in seen
             seen.add((sig, tuple(map(len, lists))))
 
+    def test_same_stream_as_enumerating_singleton_types(self):
+        cases = [s for n in range(5) for s in itertools.product(range(4), repeat=n)] + [(2, 3, 2, 4, 2)]
+        for sizes in cases:
+            assert list(iter_canonical_assignments(sizes)) == list(iter_canonical_assignments_all_types(sizes))
+
     def test_ten_vertices_do_not_exhaust_the_stack(self):
         # the vertex count that the default --limit-n admits; 1,023 colour types
         first, second = itertools.islice(iter_canonical_assignments([1] * 10), 2)
@@ -153,6 +158,16 @@ class TestKChoosable:
         big = build_graph([(i, i + 1) for i in range(11)])
         with pytest.raises(SizeLimitExceededError):
             is_k_choosable(big, 4)
+
+    def test_assignment_budget(self, monkeypatch):
+        # K2,3 is 2-choosable, but only the exhaustive loop shows it:
+        # 6 edges need more outdegree than lists of 2 allow
+        k23 = build_graph([(a, b) for a in range(2) for b in range(2, 5)])
+        assert is_k_choosable(k23, 2).method == "exhaustive"
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 10)
+        assert is_k_choosable(C5, 3).method == "degeneracy"
+        with pytest.raises(SizeLimitExceededError):
+            is_k_choosable(k23, 2)
 
     def test_degeneracy(self):
         assert degeneracy(K4) == 3
@@ -211,6 +226,23 @@ class TestExtension:
             "square-2222": ((2, 2, 2, 2), ()),
             "triangle-222": ((2, 2, 2), ()),
         }
+
+    def test_assignment_budget(self, monkeypatch):
+        assert sum(1 for _ in iter_canonical_assignments(SQUARE.residual_sizes)) == 139
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 139)
+        assert check_extension(SQUARE)
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 138)
+        with pytest.raises(SizeLimitExceededError):
+            check_extension(SQUARE)
+
+    def test_rechoice_budget_counts_every_pick(self, monkeypatch):
+        # H has 6,319 assignments but 8,639 (assignment, pick) pairs
+        h = fixtures.reducible_config(CONFIG_H, (0, 2))
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 8_639)
+        assert check_extension_with_rechoice(h)
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 6_400)
+        with pytest.raises(SizeLimitExceededError):
+            check_extension_with_rechoice(h)
 
     def test_rechoice_requires_choice_set(self):
         with pytest.raises(ValueError):

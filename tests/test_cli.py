@@ -127,6 +127,24 @@ class TestAlonTarsi:
         code, _ = run(capsys, ["alon-tarsi", "--input", str(path), "--k", "3"])
         assert code == 1
 
+    def test_state_budget_overrun_exits_2(self, tmp_path, capsys):
+        # a tournament on 14 vertices: the DP passes its state budget
+        arcs = [[u, v] if (u + v) % 2 else [v, u] for u in range(14) for v in range(u + 1, 14)]
+        path = tmp_path / "k14.json"
+        path.write_text(json.dumps({"n": 14, "arcs": arcs}))
+        code = main(["alon-tarsi", "--input", str(path), "--format", "orientation-json"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "DP states" in err, err
+
+    def test_more_than_thirty_edges_get_an_answer(self, tmp_path, capsys):
+        # a 6 x 6 grid: 82 edges, which the old arc cap of 30 refused
+        path = tmp_path / "grid.g6"
+        path.write_text(write_graph6(triangulated_grid(6, 0.9, 0).graph) + "\n")
+        code, out = run(capsys, ["alon-tarsi", "--input", str(path), "--k", "3"])
+        assert code == 1
+        assert json.loads(out)["results"][0]["certificate"] is None
+
     def test_triangle_has_no_k2_certificate(self, tmp_path, capsys):
         path = tmp_path / "c3.g6"
         path.write_text("Bw\n")
@@ -162,6 +180,43 @@ class TestReduce:
         code, out = run(capsys, ["reduce", "--input", str(path)])
         assert code == 1
         assert json.loads(out)["checks"][0]["reducible"] is False
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"edges": [], "sizes": [1] * 11},
+            {"edges": [[0, 1]], "n": 11, "sizes": [1, 1]},
+            {"edges": [[0, 10]], "sizes": [1, 1]},
+        ],
+        ids=["sizes", "n", "edges"],
+    )
+    def test_vertex_guard(self, config, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(config)))
+        code = main(["reduce", "--input", "-"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: n = 11 exceeds guard 10\n"
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"edges": [[0, 1], [1, 2], [0, 2]], "sizes": [40, 40, 40]},
+            {"edges": [[i, i + 1] for i in range(11)], "sizes": [2] * 12},
+        ],
+        ids=["triangle-40", "path-12"],
+    )
+    def test_exits_2_within_seconds(self, config, tmp_path):
+        # in a fresh process, so that a run without a guard fails by its
+        # timeout instead of holding up the suite
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        env = dict(os.environ, PYTHONPATH=str(Path(dischargekit.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dischargekit.cli", "reduce", "--input", str(path)],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
 
 
 class TestDischarge:
@@ -311,11 +366,14 @@ class TestErrors:
             ["discharge", "--input", "x.json", "--k", "5"],
             ["detect", "--input", "x.g6", "--rules", "r.json"],
             ["choosable", "--input", "x.g6", "--limit-arcs", "1"],
+            ["alon-tarsi", "--input", "x.g6", "--limit-arcs", "30"],
             ["repro-paper", "--input", "x"],
             ["reduce", "--format", "graph6"],
             ["alon-tarsi", "--input", "x.json", "--format", "orientation-json", "--k", "2"],
         ],
-        ids=lambda argv: argv[0],
+        ids=[
+            "discharge", "detect", "choosable", "alon-tarsi-limit-arcs", "repro-paper", "reduce", "alon-tarsi"
+        ],
     )
     def test_flag_the_command_does_not_read(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
