@@ -34,7 +34,6 @@ from .choosability import (
     ListAssignment,
     ReducibleConfig,
     check_extension,
-    check_extension_with_rechoice,
     is_k_choosable,
     l_color,
 )

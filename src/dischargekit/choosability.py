@@ -9,20 +9,18 @@ per-vertex multiplicities equal the required list sizes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .alon_tarsi import find_certificate
-from .core import Graph, build_graph
+from .core import Graph
 from .errors import SizeLimitExceededError
 
 Lists = Tuple[Tuple[int, ...], ...]
 
 DEFAULT_N_LIMIT = 10
 
-# The most (assignment, pick) pairs one exhaustive check may try: one pair
-# per list assignment, or per choice of colours for the re-choice vertices.
+# The most list assignments one exhaustive check may try.
 MAX_ASSIGNMENT_CHECKS = 100_000
 
 # Graphs up to this many edges get an orientation certificate search before
@@ -50,21 +48,16 @@ class ListAssignment:
 
 @dataclass(frozen=True)
 class ReducibleConfig:
-    """An inner graph, residual list sizes, and the vertices allowed re-choice."""
+    """An inner graph and the residual list sizes of its vertices."""
 
     inner: Graph
     residual_sizes: Tuple[int, ...]
-    choice_set: Tuple[int, ...] = ()
 
     def __post_init__(self):
         if len(self.residual_sizes) != self.inner.n:
             raise ValueError("residual_sizes must cover every inner vertex")
         if any(s < 1 for s in self.residual_sizes):
             raise ValueError("residual sizes are positive")
-        if any(v < 0 or v >= self.inner.n for v in self.choice_set):
-            raise ValueError("choice_set must be inner vertices")
-        if len(set(self.choice_set)) != len(self.choice_set):
-            raise ValueError("choice_set names a vertex more than once")
 
 
 def l_color(graph: Graph, lists: Sequence[Sequence[int]]) -> Optional[List[int]]:
@@ -95,15 +88,6 @@ def l_color(graph: Graph, lists: Sequence[Sequence[int]]) -> Optional[List[int]]
     return None
 
 
-def _count_check(checked: int) -> int:
-    """``checked + 1``, or ``SizeLimitExceededError`` past the budget."""
-    if checked >= MAX_ASSIGNMENT_CHECKS:
-        raise SizeLimitExceededError(
-            f"exhaustive check needs more than {MAX_ASSIGNMENT_CHECKS} (assignment, pick) pairs"
-        )
-    return checked + 1
-
-
 def iter_canonical_assignments(sizes: Sequence[int]) -> Iterator[Lists]:
     """Canonical list assignments with the given sizes, one per intersection
     pattern (orbit under color permutation).
@@ -120,24 +104,32 @@ def iter_canonical_assignments(sizes: Sequence[int]) -> Iterator[Lists]:
     # and what the shared types leave becomes private colours at the end.
     shared = sorted((t for t in range(1, 1 << n) if t & (t - 1)), key=lambda t: (-bin(t).count("1"), t))
     members = [[v for v in range(n) if t >> v & 1] for t in shared]
+    all_full = (1 << n) - 1
     lists: List[List[int]] = [[] for _ in range(n)]
     next_color = [0]
 
-    def rec(i: int, remaining: List[int]) -> Iterator[Lists]:
-        if not any(remaining):
+    # ``full`` has a bit set for each vertex whose list is full; a type
+    # containing one of them can take no colour.
+    def rec(i: int, remaining: List[int], full: int) -> Iterator[Lists]:
+        if full == all_full:
             yield tuple(tuple(lst) for lst in lists)
             return
         # Recurse only into types given a nonzero multiplicity, so the depth
         # is at most sum(sizes), not the number of types.
         for j in range(i, len(shared)):
+            if shared[j] & full:
+                continue
             mem = members[j]
             for mult in range(min(remaining[v] for v in mem), 0, -1):
                 base = next_color[0]
+                filled = full
                 for v in mem:
                     remaining[v] -= mult
                     lists[v].extend(range(base, base + mult))
+                    if not remaining[v]:
+                        filled |= 1 << v
                 next_color[0] += mult
-                yield from rec(j + 1, remaining)
+                yield from rec(j + 1, remaining, filled)
                 for v in mem:
                     remaining[v] += mult
                     del lists[v][-mult:]
@@ -149,7 +141,7 @@ def iter_canonical_assignments(sizes: Sequence[int]) -> Iterator[Lists]:
             base += remaining[v]
         yield tuple(private)
 
-    return rec(0, list(sizes))
+    return rec(0, list(sizes), sum(1 << v for v in range(n) if not sizes[v]))
 
 
 @dataclass(frozen=True)
@@ -180,83 +172,48 @@ def degeneracy(graph: Graph) -> int:
     return best
 
 
-def is_k_choosable(graph: Graph, k: int, limit_n: int = DEFAULT_N_LIMIT) -> ChoosabilityVerdict:
+def is_k_choosable(graph: Graph, k: int) -> ChoosabilityVerdict:
     """Decide whether every k-assignment admits a list coloring.
 
     First tries two exact sufficient checks for a quick "yes" (degeneracy
     below k, then, on graphs of at most ``_AT_MAX_EDGES`` edges, an
     even/odd orientation certificate) and falls back to exhaustive
     canonical enumeration, which also produces a witness assignment on
-    "no".  Inputs beyond ``limit_n`` vertices are rejected, not
+    "no".  Inputs beyond ``DEFAULT_N_LIMIT`` vertices are rejected, not
     approximated.  The certificate search raises
     ``SizeLimitExceededError`` past ``alon_tarsi.MAX_DP_STATES`` DP states,
     the enumeration past ``MAX_ASSIGNMENT_CHECKS`` assignments.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if graph.n > limit_n:
-        raise SizeLimitExceededError(f"n = {graph.n} exceeds guard {limit_n}")
+    if graph.n > DEFAULT_N_LIMIT:
+        raise SizeLimitExceededError(f"n = {graph.n} exceeds guard {DEFAULT_N_LIMIT}")
     if degeneracy(graph) <= k - 1:
         return ChoosabilityVerdict(choosable=True, method="degeneracy")
     if len(graph.edges) <= _AT_MAX_EDGES and find_certificate(graph, [k] * graph.n) is not None:
         return ChoosabilityVerdict(choosable=True, method="alon-tarsi")
-    checked = 0
-    for lists in iter_canonical_assignments([k] * graph.n):
-        checked = _count_check(checked)
-        if l_color(graph, lists) is None:
-            return ChoosabilityVerdict(
-                choosable=False, witness=ListAssignment(lists=lists), method="exhaustive"
+    witness = _first_uncolourable(graph, [k] * graph.n)
+    if witness is None:
+        return ChoosabilityVerdict(choosable=True, method="exhaustive")
+    return ChoosabilityVerdict(choosable=False, witness=ListAssignment(lists=witness), method="exhaustive")
+
+
+def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
+    """The first canonical assignment with these sizes that ``l_color``
+    cannot colour, or None.  Raises ``SizeLimitExceededError`` past
+    ``MAX_ASSIGNMENT_CHECKS`` assignments."""
+    for checked, lists in enumerate(iter_canonical_assignments(sizes)):
+        if checked >= MAX_ASSIGNMENT_CHECKS:
+            raise SizeLimitExceededError(
+                f"exhaustive check needs more than {MAX_ASSIGNMENT_CHECKS} assignments"
             )
-    return ChoosabilityVerdict(choosable=True, method="exhaustive")
+        if l_color(graph, lists) is None:
+            return lists
+    return None
 
 
 def check_extension(config: ReducibleConfig) -> bool:
     """True iff the inner graph is colorable from every assignment with the
-    configured residual sizes; the choice set is ignored.  Raises
-    ``SizeLimitExceededError`` past ``MAX_ASSIGNMENT_CHECKS`` assignments."""
-    checked = 0
-    for lists in iter_canonical_assignments(config.residual_sizes):
-        checked = _count_check(checked)
-        if l_color(config.inner, lists) is None:
-            return False
-    return True
-
-
-def check_extension_with_rechoice(config: ReducibleConfig) -> bool:
-    """True iff for every assignment of the residual sizes there exist color
-    selections for the choice vertices (proper among adjacent choice
-    vertices) whose removal from neighboring lists leaves the remaining
-    vertices colorable.  Raises ``SizeLimitExceededError`` past
-    ``MAX_ASSIGNMENT_CHECKS`` (assignment, selection) pairs."""
-    if not config.choice_set:
-        raise ValueError("choice_set must be nonempty")
-    g = config.inner
-    choice = list(config.choice_set)
-    rest = [v for v in range(g.n) if v not in config.choice_set]
-    rest_index = {v: i for i, v in enumerate(rest)}
-    rest_graph = build_graph(
-        [(rest_index[u], rest_index[v]) for u, v in g.edges if u in rest_index and v in rest_index],
-        n=len(rest),
-    )
-    choice_edges = [
-        (a, b) for a, b in itertools.combinations(choice, 2) if g.has_edge(a, b)
-    ]
-    checked = 0
-    for lists in iter_canonical_assignments(config.residual_sizes):
-        extendable = False
-        for picks in itertools.product(*[lists[v] for v in choice]):
-            checked = _count_check(checked)
-            sel = dict(zip(choice, picks))
-            if any(sel[a] == sel[b] for a, b in choice_edges):
-                continue
-            reduced = []
-            for v in rest:
-                lv = [c for c in lists[v] if not any(u in g.adjacency[v] and sel[u] == c for u in choice)]
-                reduced.append(lv)
-            if all(reduced) and l_color(rest_graph, reduced) is not None:
-                extendable = True
-                break
-        if not extendable:
-            return False
-    return True
-
+    configured residual sizes.  Raises ``SizeLimitExceededError`` past
+    ``MAX_ASSIGNMENT_CHECKS`` assignments."""
+    return _first_uncolourable(config.inner, config.residual_sizes) is None

@@ -20,7 +20,6 @@ from .choosability import (
     DEFAULT_N_LIMIT,
     ReducibleConfig,
     check_extension,
-    check_extension_with_rechoice,
     is_k_choosable,
 )
 from .core import (
@@ -109,7 +108,7 @@ def cmd_choosable(args) -> int:
     verdicts = []
     status = EXIT_OK
     for gi, graph in enumerate(_load_graphs(args)):
-        verdict = is_k_choosable(graph, args.k, limit_n=args.limit_n)
+        verdict = is_k_choosable(graph, args.k)
         verdicts.append({"graph": gi, "k": args.k, **verdict.to_json()})
         if not verdict.choosable:
             status = EXIT_VIOLATIONS
@@ -151,18 +150,11 @@ def cmd_alon_tarsi(args) -> int:
     return status
 
 
-def _reducible(config: ReducibleConfig) -> bool:
-    """The extension check with re-choice when the configuration names
-    re-choice vertices, else the plain one."""
-    fn = check_extension_with_rechoice if config.choice_set else check_extension
-    return fn(config)
-
-
 def _builtin_reduce_results():
     """(name, verdict, expected) for each of ``fixtures.REDUCE_CHECKS``."""
     return [
-        (name, _reducible(fixtures.reducible_config(config, choice)), expected)
-        for name, config, choice, expected in fixtures.REDUCE_CHECKS
+        (name, check_extension(fixtures.reducible_config(config)), expected)
+        for name, config, expected in fixtures.REDUCE_CHECKS
     ]
 
 
@@ -181,12 +173,7 @@ def cmd_reduce(args) -> int:
         vertices = max([len(sizes), n or 0] + [max(e) + 1 for e in edges])
         if vertices > DEFAULT_N_LIMIT:
             raise SizeLimitExceededError(f"n = {vertices} exceeds guard {DEFAULT_N_LIMIT}")
-        config = ReducibleConfig(
-            inner=build_graph(edges, n=n),
-            residual_sizes=sizes,
-            choice_set=tuple(expect_int_list(obj.get("choice", []), "choice")),
-        )
-        got = _reducible(config)
+        got = check_extension(ReducibleConfig(inner=build_graph(edges, n=n), residual_sizes=sizes))
         rows.append({"name": "user-config", "reducible": got, "expected": None, "ok": got})
         if not got:
             status = EXIT_VIOLATIONS
@@ -295,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     command("detect", graph_formats)
     p = command("choosable", graph_formats)
     p.add_argument("--k", type=int, default=DEFAULT_K, help="list size")
-    p.add_argument("--limit-n", type=int, default=DEFAULT_N_LIMIT, help="largest vertex count accepted")
     p = command("alon-tarsi", graph_formats + ("orientation-json",))
     p.add_argument(
         "--k", type=int, help=f"list size for the certificate search (default {DEFAULT_K}); graph formats only"

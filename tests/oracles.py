@@ -7,9 +7,16 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from dischargekit import choosability
 from dischargekit.alon_tarsi import EulerianCount
-from dischargekit.choosability import ChoosabilityVerdict, ListAssignment, l_color
-from dischargekit.core import Graph, Orientation, PlaneGraph
+from dischargekit.choosability import (
+    ChoosabilityVerdict,
+    ListAssignment,
+    ReducibleConfig,
+    iter_canonical_assignments,
+    l_color,
+)
+from dischargekit.core import Graph, Orientation, PlaneGraph, build_graph
 from dischargekit.discharging import ChargeLedger, RuleSet, initial_charges
 from dischargekit.errors import SizeLimitExceededError
 from dischargekit.structures import (
@@ -322,3 +329,70 @@ def iter_canonical_assignments_all_types(sizes: Sequence[int]):
                 next_color[0] -= mult
 
     return rec(0, list(sizes))
+
+
+def _count_check(checked: int) -> int:
+    """``checked + 1``, or ``SizeLimitExceededError`` past the package's
+    assignment budget, read at call time."""
+    if checked >= choosability.MAX_ASSIGNMENT_CHECKS:
+        raise SizeLimitExceededError(
+            f"exhaustive check needs more than {choosability.MAX_ASSIGNMENT_CHECKS} (assignment, pick) pairs"
+        )
+    return checked + 1
+
+
+def check_extension_loop(config: ReducibleConfig) -> bool:
+    """The plain extension check as its own loop: True iff the inner graph is
+    colourable from every canonical assignment of the residual sizes."""
+    checked = 0
+    for lists in iter_canonical_assignments(config.residual_sizes):
+        checked = _count_check(checked)
+        if l_color(config.inner, lists) is None:
+            return False
+    return True
+
+
+def check_extension_with_rechoice(config: ReducibleConfig, choice_set: Sequence[int]) -> bool:
+    """Oracle for ``check_extension``: True iff for every assignment of the
+    residual sizes there exist colour selections for the choice vertices
+    (proper among adjacent choice vertices) whose removal from neighbouring
+    lists leaves the remaining vertices colourable.  Raises
+    ``SizeLimitExceededError`` past ``MAX_ASSIGNMENT_CHECKS``
+    (assignment, selection) pairs."""
+    if not choice_set:
+        raise ValueError("choice_set must be nonempty")
+    g = config.inner
+    choice = list(choice_set)
+    rest = [v for v in range(g.n) if v not in choice_set]
+    rest_index = {v: i for i, v in enumerate(rest)}
+    rest_graph = build_graph(
+        [(rest_index[u], rest_index[v]) for u, v in g.edges if u in rest_index and v in rest_index],
+        n=len(rest),
+    )
+    choice_edges = [(a, b) for a, b in itertools.combinations(choice, 2) if g.has_edge(a, b)]
+    checked = 0
+    for lists in iter_canonical_assignments(config.residual_sizes):
+        extendable = False
+        for picks in itertools.product(*[lists[v] for v in choice]):
+            checked = _count_check(checked)
+            sel = dict(zip(choice, picks))
+            if any(sel[a] == sel[b] for a, b in choice_edges):
+                continue
+            reduced = []
+            for v in rest:
+                lv = [c for c in lists[v] if not any(u in g.adjacency[v] and sel[u] == c for u in choice)]
+                reduced.append(lv)
+            if all(reduced) and l_color(rest_graph, reduced) is not None:
+                extendable = True
+                break
+        if not extendable:
+            return False
+    return True
+
+
+def reducible_with_rechoice(config: ReducibleConfig, choice_set: Sequence[int] = ()) -> bool:
+    """The former dispatch of ``reduce``: the re-choice check when there are
+    choice vertices, else the plain loop."""
+    if choice_set:
+        return check_extension_with_rechoice(config, choice_set)
+    return check_extension_loop(config)

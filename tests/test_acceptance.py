@@ -11,12 +11,7 @@ import time
 
 from dischargekit import fixtures
 from dischargekit.alon_tarsi import count_eulerian
-from dischargekit.choosability import (
-    check_extension,
-    check_extension_with_rechoice,
-    is_k_choosable,
-    l_color,
-)
+from dischargekit.choosability import check_extension, is_k_choosable, l_color
 from dischargekit.core import Orientation, build_graph
 from dischargekit.discharging import RuleSet, apply_rules, initial_charges
 from dischargekit.structures import VertexRole, check_condition, classify_role, find_trios
@@ -113,10 +108,9 @@ def test_choosability_ground_truths():
 
 def test_reducibility_of_builtin_configurations():
     ok = True
-    for _, config, choice, want in fixtures.REDUCE_CHECKS:
-        fn = check_extension_with_rechoice if choice else check_extension
+    for _, config, want in fixtures.REDUCE_CHECKS:
         start = time.perf_counter()
-        ok = ok and fn(fixtures.reducible_config(config, choice)) == want and time.perf_counter() - start < 60.0
+        ok = ok and check_extension(fixtures.reducible_config(config)) == want and time.perf_counter() - start < 60.0
     report("reducibility", ok)
 
 

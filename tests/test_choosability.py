@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -9,7 +10,6 @@ from dischargekit.choosability import (
     ListAssignment,
     ReducibleConfig,
     check_extension,
-    check_extension_with_rechoice,
     degeneracy,
     is_k_choosable,
     iter_canonical_assignments,
@@ -18,7 +18,13 @@ from dischargekit.choosability import (
 from dischargekit.core import build_graph
 from dischargekit.errors import SizeLimitExceededError
 from dischargekit.structures import CONFIG_H, CONFIG_SQUARE, CONFIG_TRIANGLE
-from oracles import is_k_choosable_raw, iter_canonical_assignments_all_types, l_color_brute
+from oracles import (
+    check_extension_with_rechoice,
+    is_k_choosable_raw,
+    iter_canonical_assignments_all_types,
+    l_color_brute,
+    reducible_with_rechoice,
+)
 
 C3 = build_graph([(0, 1), (1, 2), (0, 2)])
 C4 = build_graph([(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -27,6 +33,9 @@ K4 = build_graph(list(itertools.combinations(range(4), 2)))
 K5 = build_graph(list(itertools.combinations(range(5), 2)))
 SQUARE = fixtures.reducible_config(CONFIG_SQUARE)
 TRIANGLE = fixtures.reducible_config(CONFIG_TRIANGLE)
+H = fixtures.reducible_config(CONFIG_H)
+# The vertices on which the paper re-chooses colours in H: x and u.
+H_CHOICE = (0, 2)
 
 
 def random_instance(rng, n_max=8, list_max=4):
@@ -108,7 +117,7 @@ class TestCanonicalAssignments:
             assert list(iter_canonical_assignments(sizes)) == list(iter_canonical_assignments_all_types(sizes))
 
     def test_ten_vertices_do_not_exhaust_the_stack(self):
-        # the vertex count that the default --limit-n admits; 1,023 colour types
+        # the vertex count that DEFAULT_N_LIMIT admits; 1,023 colour types
         first, second = itertools.islice(iter_canonical_assignments([1] * 10), 2)
         assert first == ((0,),) * 10
         assert second == ((0,),) * 9 + ((1,),)
@@ -186,45 +195,67 @@ class TestExtension:
         cfg = ReducibleConfig(inner=build_graph([], n=1), residual_sizes=(1,))
         assert check_extension(cfg)
 
+    # Re-choice is the cross-check of check_extension: a private colour on a
+    # choice vertex removes nothing from its neighbours' lists, so a pick
+    # extends exactly when the whole inner graph is colourable.
+
     def test_h_with_rechoice(self):
-        assert check_extension_with_rechoice(fixtures.reducible_config(CONFIG_H, (0, 2)))
+        assert check_extension_with_rechoice(H, H_CHOICE) is check_extension(H) is True
 
     def test_rechoice_cannot_fix_triangle(self):
         # pendant vertex with free re-choice does not help the inner triangle
         g = build_graph([(0, 1), (1, 2), (0, 2), (2, 3)])
-        cfg = ReducibleConfig(inner=g, residual_sizes=(2, 2, 2, 2), choice_set=(3,))
-        assert not check_extension_with_rechoice(cfg)
+        cfg = ReducibleConfig(inner=g, residual_sizes=(2, 2, 2, 2))
+        assert check_extension_with_rechoice(cfg, (3,)) is check_extension(cfg) is False
 
     def test_choice_set_of_all_vertices_collapses(self):
         for base in (SQUARE, TRIANGLE):
-            full = ReducibleConfig(
-                inner=base.inner,
-                residual_sizes=base.residual_sizes,
-                choice_set=tuple(range(base.inner.n)),
-            )
-            assert check_extension_with_rechoice(full) == check_extension(base)
+            assert check_extension_with_rechoice(base, tuple(range(base.inner.n))) == check_extension(base)
 
     def test_plain_extension_implies_rechoice(self):
         rng = random.Random(31)
         for _ in range(20):
             n = rng.randint(2, 4)
             edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
-            g = build_graph(edges, n=n)
-            sizes = tuple(rng.randint(1, 3) for _ in range(n))
-            cfg = ReducibleConfig(inner=g, residual_sizes=sizes, choice_set=(0,))
-            if check_extension(cfg):
-                assert check_extension_with_rechoice(cfg)
+            cfg = ReducibleConfig(build_graph(edges, n=n), tuple(rng.randint(1, 3) for _ in range(n)))
+            assert check_extension_with_rechoice(cfg, (0,)) == check_extension(cfg)
+
+    def test_rechoice_oracle_agrees_on_random_configs(self, monkeypatch):
+        # every nonempty choice set of each configuration; a smaller budget
+        # keeps the oracle's (assignment, pick) pairs to a second or two
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 600)
+        rng = random.Random(2)
+        agreed = Counter()
+        skipped = 0
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            g = build_graph([e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5], n=n)
+            cfg = ReducibleConfig(g, tuple(rng.randint(1, 3) for _ in range(n)))
+            for r in range(1, n + 1):
+                for choice in itertools.combinations(range(n), r):
+                    try:
+                        got = check_extension_with_rechoice(cfg, choice)
+                    except SizeLimitExceededError:
+                        skipped += 1
+                        continue
+                    assert got == check_extension(cfg), (g.edges, cfg.residual_sizes, choice)
+                    agreed[got] += 1
+        assert agreed[True] >= 100 and agreed[False] >= 100
+        assert skipped < sum(agreed.values()) / 5
+
+    def test_builtin_checks_agree_with_rechoice(self):
+        choices = {"H-with-rechoice": H_CHOICE}
+        for name, config, expected in fixtures.REDUCE_CHECKS:
+            cfg = fixtures.reducible_config(config)
+            assert reducible_with_rechoice(cfg, choices.get(name, ())) is check_extension(cfg) is expected
 
     def test_builtin_residual_sizes(self):
         # 4 minus each vertex's drawn neighbours outside the configuration
-        derived = {
-            name: (fixtures.reducible_config(config, choice).residual_sizes, choice)
-            for name, config, choice, _ in fixtures.REDUCE_CHECKS
-        }
+        derived = {name: fixtures.reducible_config(config).residual_sizes for name, config, _ in fixtures.REDUCE_CHECKS}
         assert derived == {
-            "H-with-rechoice": ((2, 3, 2, 4, 2), (0, 2)),
-            "square-2222": ((2, 2, 2, 2), ()),
-            "triangle-222": ((2, 2, 2), ()),
+            "H-with-rechoice": (2, 3, 2, 4, 2),
+            "square-2222": (2, 2, 2, 2),
+            "triangle-222": (2, 2, 2),
         }
 
     def test_assignment_budget(self, monkeypatch):
@@ -235,18 +266,13 @@ class TestExtension:
         with pytest.raises(SizeLimitExceededError):
             check_extension(SQUARE)
 
-    def test_rechoice_budget_counts_every_pick(self, monkeypatch):
-        # H has 6,319 assignments but 8,639 (assignment, pick) pairs
-        h = fixtures.reducible_config(CONFIG_H, (0, 2))
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 8_639)
-        assert check_extension_with_rechoice(h)
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 6_400)
+    def test_h_budget_boundary(self, monkeypatch):
+        # one check per assignment: H has 6,319
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 6_319)
+        assert check_extension(H)
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 6_318)
         with pytest.raises(SizeLimitExceededError):
-            check_extension_with_rechoice(h)
-
-    def test_rechoice_requires_choice_set(self):
-        with pytest.raises(ValueError):
-            check_extension_with_rechoice(SQUARE)
+            check_extension(H)
 
 
 class TestListAssignment:

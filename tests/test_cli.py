@@ -11,7 +11,7 @@ from grids import triangulated_grid
 import dischargekit
 from dischargekit import fixtures
 from dischargekit.cli import main
-from dischargekit.core import embedding_to_json, orientation_to_json, write_graph6
+from dischargekit.core import build_graph, embedding_to_json, orientation_to_json, write_graph6
 from dischargekit.structures import classify_role
 
 C5_G6 = "Dhc"
@@ -86,10 +86,12 @@ class TestChoosable:
         assert verdict["witness"] is not None
 
     def test_limit_n_enforced(self, tmp_path, capsys):
-        path = tmp_path / "c5.g6"
-        path.write_text(C5_G6 + "\n")
-        code, _ = run(capsys, ["choosable", "--input", str(path), "--limit-n", "3"])
-        assert code == 2
+        path = tmp_path / "p11.g6"
+        path.write_text(write_graph6(build_graph([(i, i + 1) for i in range(10)])) + "\n")
+        code = main(["choosable", "--input", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: n = 11 exceeds guard 10\n"
 
 
 class TestAlonTarsi:
@@ -173,6 +175,15 @@ class TestReduce:
         code, out = run(capsys, ["reduce", "--input", str(path)])
         assert code == 0
         assert json.loads(out)["checks"][0]["reducible"] is True
+
+    def test_choice_key_is_ignored(self, monkeypatch, capsys):
+        config = {"edges": [[0, 1], [1, 2], [2, 0], [2, 3]], "sizes": [2, 2, 2, 2]}
+        reports = []
+        for obj in (config, dict(config, choice=[0])):
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(obj)))
+            reports.append((main(["reduce", "--input", "-"]), capsys.readouterr()))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 1 and json.loads(reports[0][1].out)["checks"][0]["reducible"] is False
 
     def test_user_config_on_ten_vertices(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -302,7 +313,6 @@ class TestErrors:
             (["reduce"], '{"edges": 5, "sizes": [1]}'),
             (["reduce"], '{"edges": [[0]], "sizes": [1, 1]}'),
             (["reduce"], '{"edges": [[0, 1]], "sizes": 2}'),
-            (["reduce"], '{"edges": [[0, 1], [1, 2], [2, 3]], "sizes": [2, 2, 2, 2], "choice": [3, 3, 3]}'),
         ],
     )
     def test_wrong_shape_json(self, argv, payload, monkeypatch, capsys):
@@ -366,13 +376,15 @@ class TestErrors:
             ["discharge", "--input", "x.json", "--k", "5"],
             ["detect", "--input", "x.g6", "--rules", "r.json"],
             ["choosable", "--input", "x.g6", "--limit-arcs", "1"],
+            ["choosable", "--input", "x.g6", "--limit-n", "3"],
             ["alon-tarsi", "--input", "x.g6", "--limit-arcs", "30"],
             ["repro-paper", "--input", "x"],
             ["reduce", "--format", "graph6"],
             ["alon-tarsi", "--input", "x.json", "--format", "orientation-json", "--k", "2"],
         ],
         ids=[
-            "discharge", "detect", "choosable", "alon-tarsi-limit-arcs", "repro-paper", "reduce", "alon-tarsi"
+            "discharge", "detect", "choosable", "choosable-limit-n", "alon-tarsi-limit-arcs", "repro-paper",
+            "reduce", "alon-tarsi",
         ],
     )
     def test_flag_the_command_does_not_read(self, argv, capsys):
