@@ -18,7 +18,7 @@ from .structures import (
     ConditionReport,
     TrioOccurrence,
     VertexRole,
-    check_condition,
+    check_conditions,
     classify_role,
     enumerate_cycles,
     find_fixed_configs,

@@ -34,7 +34,7 @@ from .core import (
 )
 from .discharging import RuleSet, apply_rules, final_report
 from .errors import DischargeKitError, SizeLimitExceededError
-from .structures import CONDITIONS, check_condition, classify_role, find_trios, trios_by_triangle
+from .structures import check_conditions, classify_role, find_trios, trios_by_triangle
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -70,7 +70,7 @@ def cmd_detect(args) -> int:
     reports = []
     status = EXIT_OK
     for gi, graph in enumerate(_load_graphs(args)):
-        conds = [check_condition(graph, which) for which in CONDITIONS]
+        conds = check_conditions(graph)
         trios = find_trios(graph)
         trios_on = trios_by_triangle(trios)
         roles = []
@@ -81,7 +81,7 @@ def cmd_detect(args) -> int:
                         {
                             "vertex": s,
                             "triangle": sorted(t),
-                            "role": classify_role(graph, s, t, trios=trios_on[t]).value,
+                            "role": classify_role(s, t, trios_on[t]).value,
                         }
                     )
         entry = {
@@ -243,7 +243,8 @@ def repro_rows() -> List[dict]:
 
     demo_ok = True
     for graph in fixtures.demo_graphs():
-        if not check_condition(graph, "Corollary").holds:
+        _, _, corollary = check_conditions(graph)
+        if not corollary.holds:
             demo_ok = False
             break
         if not is_k_choosable(graph, 4).choosable:

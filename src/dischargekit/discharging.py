@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, List, Tuple
 
 from .core import Face, PlaneGraph, expect_json, faces_of
-from .errors import DisconnectedEmbeddingError, MalformedInputError
+from .errors import MalformedInputError
 from .structures import VertexRole, classify_role, find_trios, trios_by_triangle
 
 Element = Tuple[str, int]  # ("v", index) or ("f", index)
@@ -152,9 +152,8 @@ class RuleSet:
 
 
 def initial_charges(embedding: PlaneGraph) -> ChargeLedger:
-    """Formula charges; total is exactly -12 on a connected plane graph."""
-    if not embedding.graph.is_connected():
-        raise DisconnectedEmbeddingError("initial charges require a connected embedding")
+    """Formula charges; total is exactly -12 on a connected plane graph.
+    ``faces_of`` rejects a disconnected one."""
     faces = tuple(faces_of(embedding))
     return ChargeLedger(
         vertex_charge={v: Fraction(2 * embedding.graph.degree(v) - 6) for v in range(embedding.graph.n)},
@@ -196,7 +195,7 @@ def apply_rules(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()) -> ChargeLe
                 return ruleset.hi_4445_face
             return ruleset.hi_four_face
         t = f.vertex_set()
-        role = classify_role(graph, v, t, trios=trios_on[t]) if t in trios_on else VertexRole.GOOD
+        role = classify_role(v, t, trios_on[t]) if t in trios_on else VertexRole.GOOD
         if deg[v] == 4:
             return ruleset.deg4_worst if role is VertexRole.WORST else ruleset.deg4_plain
         if role in (VertexRole.GOOD, VertexRole.WORST):

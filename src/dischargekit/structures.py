@@ -127,34 +127,23 @@ class VertexRole(Enum):
     WORST = "worst"
 
 
-def classify_role(
-    graph: Graph,
-    s: int,
-    triangle: Sequence[int],
-    trios: List[TrioOccurrence] | None = None,
-) -> VertexRole:
-    """Role of vertex ``s`` on 3-cycle ``triangle``.
+def classify_role(s: int, triangle: Sequence[int], trios: Sequence[TrioOccurrence]) -> VertexRole:
+    """Role of vertex ``s`` on 3-cycle ``triangle``, given the trios that
+    contain the triangle (its entry in ``trios_by_triangle``).
 
-    Good if the triangle lies in no trio.  Otherwise, over all trios whose
-    triangle list contains it: worst if ``s`` lies on all three triangles of
-    some such trio; bad if in every such trio ``s`` lies only on this
-    triangle; worse otherwise.  ``trios`` may be precomputed to avoid
-    repeated pattern search; any list that holds every trio containing the
-    triangle gives the same role, such as its entry in
-    ``trios_by_triangle``.
+    Good if the triangle lies in no trio.  Otherwise, over those trios:
+    worst if ``s`` lies on all three triangles of some trio; bad if in every
+    trio ``s`` lies only on this triangle; worse otherwise.
     """
     t = frozenset(triangle)
     if s not in t:
         raise VertexNotOnCycleError(f"vertex {s} is not on triangle {sorted(t)}")
-    if trios is None:
-        trios = find_trios(graph)
-    containing = [occ for occ in trios if t in occ.triangles]
-    if not containing:
+    if not trios:
         return VertexRole.GOOD
-    for occ in containing:
+    for occ in trios:
         if all(s in tri for tri in occ.triangles):
             return VertexRole.WORST
-    if all(sum(s in tri for tri in occ.triangles) == 1 for occ in containing):
+    if all(sum(s in tri for tri in occ.triangles) == 1 for occ in trios):
         return VertexRole.BAD
     return VertexRole.WORSE
 
@@ -181,9 +170,10 @@ class ConditionReport:
 CONDITIONS = ("Thm1", "Thm2", "Corollary")
 
 
-def check_condition(graph: Graph, which: str) -> ConditionReport:
-    """Check one of the three 5-cycle conditions; witnesses are the violating
-    5-cycles.
+def check_conditions(graph: Graph) -> Tuple[ConditionReport, ...]:
+    """Check the three 5-cycle conditions in one pass over the 3- and
+    5-cycles; one report per condition, in ``CONDITIONS`` order, whose
+    witnesses are the violating 5-cycles.
 
     Thm1: no 5-cycle has a hub vertex adjacent to all five of its vertices,
     and no 5-cycle shares exactly one edge with a 3-cycle.
@@ -191,34 +181,32 @@ def check_condition(graph: Graph, which: str) -> ConditionReport:
     shares an edge with a 4-cycle that has a chord.
     Corollary: no 5-cycle shares any edge with a 3-cycle.
     """
-    if which not in CONDITIONS:
-        raise ValueError(f"unknown condition {which!r}")
-    five = enumerate_cycles(graph, 5)
     triangles_on: Dict[Edge, List[Cycle]] = {}
     for t in enumerate_cycles(graph, 3):
         for e in cycle_edges(t):
             triangles_on.setdefault(e, []).append(t)
+    # A 4-cycle a-b-c-d with chord ac is the two triangles abc and acd on
+    # ac, and its edges are theirs other than ac.
     chorded_edges = set()
-    if which == "Thm2":
-        for q in enumerate_cycles(graph, 4):
-            if graph.has_edge(q[0], q[2]) or graph.has_edge(q[1], q[3]):
-                chorded_edges |= cycle_edges(q)
-    witnesses: List[Cycle] = []
-    for c in five:
+    for chord, triangles in triangles_on.items():
+        if len(triangles) >= 2:
+            chorded_edges.update(e for t in triangles for e in cycle_edges(t) if e != chord)
+    witnesses: Tuple[List[Cycle], ...] = ([], [], [])
+    for c in enumerate_cycles(graph, 5):
         ce = cycle_edges(c)
         # Edges of c on each 3-cycle that shares one with c.
         shared = Counter(t for e in ce for t in triangles_on.get(e, ()))
-        if which == "Thm1":
+        violated = (  # in CONDITIONS order
             # A hub h of c closes the 3-cycle (c[0], c[1], h), which shares
             # exactly one edge with c, so this test also finds every hub.
-            bad = 1 in shared.values()
-        elif which == "Thm2":
-            bad = len(shared) >= 2 or not chorded_edges.isdisjoint(ce)
-        else:
-            bad = bool(shared)
-        if bad:
-            witnesses.append(c)
-    return ConditionReport(condition=which, witnesses=tuple(witnesses))
+            1 in shared.values(),
+            len(shared) >= 2 or not chorded_edges.isdisjoint(ce),
+            bool(shared),
+        )
+        for found, bad in zip(witnesses, violated):
+            if bad:
+                found.append(c)
+    return tuple(ConditionReport(condition=name, witnesses=tuple(w)) for name, w in zip(CONDITIONS, witnesses))
 
 
 # ---------------------------------------------------------------------------

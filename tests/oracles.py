@@ -30,6 +30,7 @@ from dischargekit.structures import (
     cycle_edges,
     enumerate_cycles,
     find_trios,
+    trios_by_triangle,
 )
 
 
@@ -144,7 +145,9 @@ def apply_rules_unindexed(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()):
             if sorted(deg[u] for u in f.boundary) == [4, 4, 4, 5]:
                 return ruleset.hi_4445_face
             return ruleset.hi_four_face
-        role = classify_role(graph, v, f.vertex_set(), trios=facial) if fi in in_trio else VertexRole.GOOD
+        vs = f.vertex_set()
+        containing = [occ for occ in facial if vs in occ.triangles]
+        role = classify_role(v, vs, containing) if fi in in_trio else VertexRole.GOOD
         if deg[v] == 4:
             return ruleset.deg4_worst if role is VertexRole.WORST else ruleset.deg4_plain
         if role in (VertexRole.GOOD, VertexRole.WORST):
@@ -211,9 +214,16 @@ def element_detail_scan(ledger: ChargeLedger, element, graph) -> dict:
     return out
 
 
+def role_in(graph: Graph, s: int, triangle) -> VertexRole:
+    """Role of ``s`` on ``triangle``, looked up in the trio index of a fresh
+    ``find_trios`` scan of the whole graph."""
+    return classify_role(s, triangle, trios_by_triangle(find_trios(graph)).get(frozenset(triangle), []))
+
+
 def check_condition_scan(graph: Graph, which: str) -> ConditionReport:
-    """Oracle for ``check_condition``: each 5-cycle is compared with every
-    3-cycle and every chorded 4-cycle, and the Thm1 hub is sought among all
+    """Oracle for one report of ``check_conditions``: each 5-cycle is
+    compared with every 3-cycle and every chorded 4-cycle, which are
+    enumerated as 4-cycles, and the Thm1 hub is sought among all
     vertices."""
     if which not in CONDITIONS:
         raise ValueError(f"unknown condition {which!r}")

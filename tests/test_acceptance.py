@@ -14,8 +14,8 @@ from dischargekit.alon_tarsi import count_eulerian
 from dischargekit.choosability import check_extension, is_k_choosable, l_color
 from dischargekit.core import Orientation, build_graph
 from dischargekit.discharging import RuleSet, apply_rules, initial_charges
-from dischargekit.structures import VertexRole, check_condition, classify_role, find_trios
-from oracles import count_eulerian_brute, l_color_brute
+from dischargekit.structures import VertexRole, check_conditions, find_trios
+from oracles import count_eulerian_brute, l_color_brute, role_in
 
 
 def report(name, ok, detail=""):
@@ -157,19 +157,19 @@ def test_structure_detection():
     }
     for v, want in expected_roles.items():
         triangles = [t for t in occs[0].triangles if v in t]
-        ok = ok and all(classify_role(trio, v, t) is want for t in triangles)
+        ok = ok and all(role_in(trio, v, t) is want for t in triangles)
 
     rim = [(i, (i + 1) % 5) for i in range(5)]
     wheel = build_graph(rim + [(i, 5) for i in range(5)])
-    ok = ok and not check_condition(wheel, "Thm1").holds
+    thm1, _, _ = check_conditions(wheel)
+    ok = ok and not thm1.holds
 
     glued = build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 5)])
-    ok = ok and not check_condition(glued, "Corollary").holds
+    _, _, corollary = check_conditions(glued)
+    ok = ok and not corollary.holds
 
     c5 = build_graph(rim)
-    ok = ok and all(
-        check_condition(c5, which).holds for which in ("Thm1", "Thm2", "Corollary")
-    )
+    ok = ok and all(c.holds for c in check_conditions(c5))
     report("structure-detection", ok)
 
 
@@ -178,6 +178,7 @@ def test_demo_corpus_is_4_choosable():
     ok = len(graphs) == 50
     for g in graphs:
         ok = ok and g.n <= 10
-        ok = ok and check_condition(g, "Corollary").holds
+        _, _, corollary = check_conditions(g)
+        ok = ok and corollary.holds
         ok = ok and is_k_choosable(g, 4).choosable
     report("demo-4-choosable", ok, f"{len(graphs)} graphs")

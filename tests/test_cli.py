@@ -7,12 +7,12 @@ from pathlib import Path
 
 import pytest
 from grids import triangulated_grid
+from oracles import role_in
 
 import dischargekit
 from dischargekit import fixtures
 from dischargekit.cli import main
 from dischargekit.core import build_graph, embedding_to_json, orientation_to_json, write_graph6
-from dischargekit.structures import classify_role
 
 C5_G6 = "Dhc"
 WHEEL5_G6 = ">>graph6<<Ehfw"  # 5-wheel: rim 0..4 plus hub 5
@@ -65,7 +65,7 @@ class TestDetect:
         roles = json.loads(out)["graphs"][0]["roles"]
         assert {r["role"] for r in roles} == {"worst", "worse", "bad"}
         for r in roles:
-            assert r["role"] == classify_role(graph, r["vertex"], r["triangle"]).value
+            assert r["role"] == role_in(graph, r["vertex"], r["triangle"]).value
 
 
 class TestChoosable:

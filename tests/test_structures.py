@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 from grids import triangulated_grid
-from oracles import check_condition_scan, find_fixed_configs_scan, pattern_automorphisms
+from oracles import check_condition_scan, find_fixed_configs_scan, pattern_automorphisms, role_in
 
 from dischargekit import fixtures
 from dischargekit.core import build_graph
@@ -15,7 +15,7 @@ from dischargekit.structures import (
     CONFIG_2,
     CONFIG_3,
     VertexRole,
-    check_condition,
+    check_conditions,
     classify_role,
     cycle_edges,
     enumerate_cycles,
@@ -75,6 +75,30 @@ class TestEnumerateCycles:
                 got = {frozenset(cycle_edges(c)) for c in enumerate_cycles(g, length)}
                 assert got == cycles_oracle(g, length)
 
+    def test_matches_networkx_simple_cycles(self):
+        nx = pytest.importorskip("networkx")
+
+        def canonical(cycle):
+            i = cycle.index(min(cycle))
+            forward = tuple(cycle[i:] + cycle[:i])
+            return min(forward, forward[:1] + forward[:0:-1])
+
+        rng = random.Random(21)
+        found = 0
+        for _ in range(60):
+            n = rng.randint(3, 10)
+            g = random_graph(rng, n, rng.uniform(0.2, 0.7))
+            g_nx = nx.Graph(list(g.edges))
+            g_nx.add_nodes_from(range(n))
+            for length in (3, 4, 5):
+                want = sorted(
+                    canonical(c) for c in nx.simple_cycles(g_nx, length_bound=length) if len(c) == length
+                )
+                assert enumerate_cycles(g, length) == want
+                found += len(want)
+        # the comparison above also passes on graphs without cycles
+        assert found > 1000
+
 
 class TestTrios:
     def test_trio_graph_single_occurrence(self):
@@ -103,24 +127,24 @@ class TestRoles:
         g = trio_graph()
         t_xuv, t_xyv, t_yvw = frozenset({0, 2, 3}), frozenset({0, 1, 3}), frozenset({1, 3, 4})
         for t in (t_xuv, t_xyv, t_yvw):
-            assert classify_role(g, 3, t) is VertexRole.WORST
-        assert classify_role(g, 0, t_xuv) is VertexRole.WORSE
-        assert classify_role(g, 0, t_xyv) is VertexRole.WORSE
-        assert classify_role(g, 1, t_xyv) is VertexRole.WORSE
-        assert classify_role(g, 1, t_yvw) is VertexRole.WORSE
-        assert classify_role(g, 2, t_xuv) is VertexRole.BAD
-        assert classify_role(g, 4, t_yvw) is VertexRole.BAD
+            assert role_in(g, 3, t) is VertexRole.WORST
+        assert role_in(g, 0, t_xuv) is VertexRole.WORSE
+        assert role_in(g, 0, t_xyv) is VertexRole.WORSE
+        assert role_in(g, 1, t_xyv) is VertexRole.WORSE
+        assert role_in(g, 1, t_yvw) is VertexRole.WORSE
+        assert role_in(g, 2, t_xuv) is VertexRole.BAD
+        assert role_in(g, 4, t_yvw) is VertexRole.BAD
 
     def test_good_without_trio(self):
         g = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])  # K4 minus one edge
         assert find_trios(g) == []
         for t in enumerate_cycles(g, 3):
             for s in t:
-                assert classify_role(g, s, t) is VertexRole.GOOD
+                assert role_in(g, s, t) is VertexRole.GOOD
 
     def test_vertex_not_on_cycle(self):
         with pytest.raises(VertexNotOnCycleError):
-            classify_role(trio_graph(), 4, frozenset({0, 2, 3}))
+            classify_role(4, frozenset({0, 2, 3}), [])
 
     def test_exactly_one_role_and_automorphism_invariance(self):
         g = trio_graph()
@@ -130,8 +154,8 @@ class TestRoles:
         relabeled = build_graph([(perm[a], perm[b]) for a, b in g.edges], n=5)
         for t in enumerate_cycles(g, 3):
             for s in t:
-                role = classify_role(g, s, t)
-                assert role is classify_role(relabeled, perm[s], frozenset(perm[v] for v in t))
+                role = role_in(g, s, t)
+                assert role is role_in(relabeled, perm[s], frozenset(perm[v] for v in t))
 
 
 class TestTrioIndex:
@@ -143,39 +167,52 @@ class TestTrioIndex:
             index = trios_by_triangle(trios)
             triangles = {t for occ in trios for t in occ.triangles}
             assert index == {t: [occ for occ in trios if t in occ.triangles] for t in triangles}
-            for t, containing in index.items():
-                for s in sorted(t):
-                    assert classify_role(g, s, t, trios=containing) is classify_role(g, s, t)
 
 
 class TestConditions:
     def test_c5_all_hold(self):
         g = build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        for which in ("Thm1", "Thm2", "Corollary"):
-            assert check_condition(g, which).holds
+        reports = check_conditions(g)
+        assert [r.condition for r in reports] == list(CONDITIONS)
+        assert all(r.holds for r in reports)
 
     def test_5wheel_violates_thm1(self):
         rim = [(i, (i + 1) % 5) for i in range(5)]
         g = build_graph(rim + [(i, 5) for i in range(5)])
-        report = check_condition(g, "Thm1")
-        assert not report.holds
-        assert (0, 1, 2, 3, 4) in report.witnesses
+        thm1, _, _ = check_conditions(g)
+        assert not thm1.holds
+        assert (0, 1, 2, 3, 4) in thm1.witnesses
 
     def test_glued_triangle_pentagon(self):
         g = build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 5)])
-        assert not check_condition(g, "Corollary").holds
-        assert not check_condition(g, "Thm1").holds
-        assert check_condition(g, "Thm2").holds
+        thm1, thm2, corollary = check_conditions(g)
+        assert not corollary.holds
+        assert not thm1.holds
+        assert thm2.holds
 
     def test_two_triangles_violate_thm2(self):
         g = build_graph(
             [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 5), (2, 6), (3, 6)]
         )
-        assert not check_condition(g, "Thm2").holds
+        _, thm2, _ = check_conditions(g)
+        assert not thm2.holds
+
+    def test_chorded_4cycle_alone_violates_thm2(self):
+        # Diamond 0-1-2-3 with chord 02; the 5-cycle 0-1-4-5-6 shares the
+        # outer edge 01 with it and lies on no triangle but 012.
+        diamond = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]
+        g = build_graph(diamond + [(1, 4), (4, 5), (5, 6), (0, 6)])
+        five = enumerate_cycles(g, 5)
+        assert five == [(0, 1, 4, 5, 6)]
+        assert sum(bool(cycle_edges(five[0]) & cycle_edges(t)) for t in enumerate_cycles(g, 3)) == 1
+        _, thm2, _ = check_conditions(g)
+        assert thm2.witnesses == ((0, 1, 4, 5, 6),)
+        assert thm2 == check_condition_scan(g, "Thm2")
 
     def test_report_json_shape(self):
         g = build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 5)])
-        obj = check_condition(g, "Corollary").to_json()
+        _, _, corollary = check_conditions(g)
+        obj = corollary.to_json()
         assert obj["condition"] == "Corollary"
         assert obj["holds"] is False
         assert obj["witnesses"] == [[0, 1, 2, 3, 4]]
@@ -184,7 +221,8 @@ class TestConditions:
         rng = random.Random(99)
         for _ in range(30):
             g = random_graph(rng, rng.randint(5, 8), 0.35)
-            if check_condition(g, "Corollary").holds:
+            _, _, corollary = check_conditions(g)
+            if corollary.holds:
                 # no 5-cycle shares an edge with any 3-cycle, so in particular
                 # none is adjacent to two of them
                 five = enumerate_cycles(g, 5)
@@ -192,10 +230,6 @@ class TestConditions:
                 for c in five:
                     shared = sum(1 for t in three if cycle_edges(c) & cycle_edges(t))
                     assert shared == 0
-
-    def test_unknown_condition(self):
-        with pytest.raises(ValueError):
-            check_condition(trio_graph(), "Thm3")
 
     def test_matches_scan_oracle(self):
         graphs = [emb.graph for emb in fixtures.random_embeddings()] + fixtures.demo_graphs()
@@ -205,15 +239,17 @@ class TestConditions:
         rng = random.Random(5)
         graphs += [random_graph(rng, rng.randint(5, 9), 0.4) for _ in range(40)]
         graphs += [triangulated_grid(6, share, seed).graph for share, seed in ((0.5, 1), (0.9, 2))]
+        witnesses = Counter()
+        others = Counter()
+        for g in graphs:
+            reports = check_conditions(g)
+            assert reports == tuple(check_condition_scan(g, which) for which in CONDITIONS)
+            for report in reports:
+                witnesses[report.condition] += len(report.witnesses)
+                others[report.condition] += len(enumerate_cycles(g, 5)) - len(report.witnesses)
+        # both outcomes occur, so a check that always or never fires fails
         for which in CONDITIONS:
-            witnesses = others = 0
-            for g in graphs:
-                report = check_condition(g, which)
-                assert report == check_condition_scan(g, which)
-                witnesses += len(report.witnesses)
-                others += len(enumerate_cycles(g, 5)) - len(report.witnesses)
-            # both outcomes occur, so a check that always or never fires fails
-            assert witnesses and others, which
+            assert witnesses[which] and others[which], which
 
 
 def with_pendants(edges, leaf_counts):
