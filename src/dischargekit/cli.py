@@ -9,6 +9,7 @@ violations or witnesses, 2 input or limit error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -50,11 +51,66 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
+# The text of a scalar whose type is exactly one of these; any other
+# scalar (a float, a subclass) is written by json.dumps itself.
+_SCALAR = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _key(k) -> str:
+    if type(k) is str:
+        return json.encoder.encode_basestring_ascii(k)
+    if type(k) is int:
+        return '"' + int.__repr__(k) + '"'
+    return json.dumps({k: 0})[1:-4]  # the key as the stdlib writes it, or its TypeError
+
+
+def _dumps(obj) -> str:
+    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``.
+
+    With an indent the stdlib encodes in pure Python; this writes the same
+    text around its C string escaper.  Each separator, indent and key goes
+    into the chunk of the value that follows it, so the list of chunks is
+    shorter than the stdlib's."""
+    chunks = []
+    append = chunks.append
+
+    def enc(o, head, nl):
+        # head: the text before o; nl: a newline and o's own indent
+        write = _SCALAR.get(type(o))
+        if write is not None:
+            append(head + write(o))
+        elif isinstance(o, dict) and o:
+            inner = nl + "  "
+            sep = head + "{" + inner
+            for k, v in sorted(o.items()):
+                enc(v, sep + _key(k) + ": ", inner)
+                sep = "," + inner
+            append(nl + "}")
+        elif isinstance(o, (list, tuple)) and o:
+            inner = nl + "  "
+            sep = head + "[" + inner
+            for v in o:
+                enc(v, sep, inner)
+                sep = "," + inner
+            append(nl + "]")
+        else:  # a float, a subclass, an empty list or dict, or what json rejects
+            append(head + json.dumps(o))
+
+    enc(obj, "", "\n")
+    return "".join(chunks)
+
+
 def _emit(report: dict, args) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = _dumps(report)
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
     else:
         print(text)
 
@@ -264,7 +320,10 @@ def cmd_repro_paper(args) -> int:
     return status
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each ``parse_args``
+    call returns a fresh namespace, so no flag carries over."""
     parser = argparse.ArgumentParser(prog="dischargekit")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .errors import (
@@ -243,16 +244,16 @@ def parse_graph6(text: str) -> Graph:
     padding = 6 * need - n * (n - 1) // 2
     if data and data[-1] & ((1 << padding) - 1):
         raise ValueError("graph6 line sets padding bits after its last edge bit")
-    bits = []
-    for b in data:
-        bits.extend((b >> k) & 1 for k in range(5, -1, -1))
+    # Bit k, high bit first, stands for the k-th pair i < j in the order
+    # (0,1), (0,2), (1,2), (0,3), ...: j is the largest with j(j-1)/2 <= k.
     edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
+    for at, b in enumerate(data):
+        if b:
+            for p in range(6):
+                if b & (32 >> p):
+                    k = 6 * at + p
+                    j = (1 + isqrt(1 + 8 * k)) // 2
+                    edges.append((k - j * (j - 1) // 2, j))
     return build_graph(edges, n=n)
 
 

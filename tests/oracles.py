@@ -406,3 +406,38 @@ def reducible_with_rechoice(config: ReducibleConfig, choice_set: Sequence[int] =
     if choice_set:
         return check_extension_with_rechoice(config, choice_set)
     return check_extension_loop(config)
+
+
+def parse_graph6_bitwalk(text: str) -> Graph:
+    """Oracle for ``parse_graph6``: the same checks, then a walk over all
+    n(n-1)/2 bits, pair by pair."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    data = [ord(c) - 63 for c in s]
+    if any(b < 0 or b > 63 for b in data):
+        raise ValueError("invalid graph6 character")
+    skip, width = (2, 6) if data[:2] == [63, 63] else (1, 3) if data[:1] == [63] else (0, 1)
+    head, data = data[skip:skip + width], data[skip + width:]
+    if len(head) < width:
+        raise ValueError("graph6 line ends inside its vertex count")
+    n = 0
+    for b in head:
+        n = (n << 6) | b
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(data) != need:
+        raise ValueError(f"graph6 line has {len(data)} data bytes, {need} expected for n = {n}")
+    padding = 6 * need - n * (n - 1) // 2
+    if data and data[-1] & ((1 << padding) - 1):
+        raise ValueError("graph6 line sets padding bits after its last edge bit")
+    bits = []
+    for b in data:
+        bits.extend((b >> k) & 1 for k in range(5, -1, -1))
+    edges = []
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[k]:
+                edges.append((i, j))
+            k += 1
+    return build_graph(edges, n=n)

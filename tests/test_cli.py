@@ -1,3 +1,4 @@
+import enum
 import io
 import json
 import os
@@ -10,8 +11,8 @@ from grids import triangulated_grid
 from oracles import role_in
 
 import dischargekit
-from dischargekit import fixtures
-from dischargekit.cli import main
+from dischargekit import cli, fixtures
+from dischargekit.cli import _dumps, build_parser, main
 from dischargekit.core import build_graph, embedding_to_json, orientation_to_json, write_graph6
 
 C5_G6 = "Dhc"
@@ -392,6 +393,168 @@ class TestErrors:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def stdlib_text(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+def write_inputs(tmp_path) -> dict:
+    """Input files for the fixture commands: the demo corpus (which has no
+    trio), two graphs with trios, C5, C4 and the orientation g1."""
+    with_trios = (fixtures.trio_graph(), triangulated_grid(6, 0.9, 1).graph)
+    files = {
+        "demo.g6": "".join(write_graph6(g) + "\n" for g in fixtures.demo_graphs()),
+        "trios.g6": "".join(write_graph6(g) + "\n" for g in with_trios),
+        "c5.g6": C5_G6 + "\n",
+        "c4.g6": "Cl\n",
+        "g1.json": json.dumps(orientation_to_json(fixtures.fig_orientations()["g1"])),
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    return {name: str(tmp_path / name) for name in files}
+
+
+def report_commands(tmp_path):
+    """One argument list per fixture report: discharge on every bundled
+    embedding, detect, a "no" choosable verdict, both alon-tarsi formats,
+    reduce and repro-paper."""
+    embeddings = list(fixtures.solid_embeddings().values()) + fixtures.random_embeddings()
+    argvs = []
+    for i, emb in enumerate(embeddings):
+        path = tmp_path / f"emb{i}.json"
+        path.write_text(json.dumps(embedding_to_json(emb)))
+        argvs.append(["discharge", "--input", str(path)])
+    inputs = write_inputs(tmp_path)
+    return argvs + [
+        ["detect", "--input", inputs["demo.g6"]],
+        ["detect", "--input", inputs["trios.g6"]],
+        ["choosable", "--input", inputs["c5.g6"], "--k", "2"],
+        ["alon-tarsi", "--input", inputs["g1.json"], "--format", "orientation-json"],
+        ["alon-tarsi", "--input", inputs["c4.g6"], "--k", "2"],
+        ["reduce"],
+        ["repro-paper"],
+    ]
+
+
+class Number(int):
+    pass
+
+
+class Text(str):
+    pass
+
+
+class Colour(enum.IntEnum):
+    RED = 7
+
+
+class TestReportText:
+    """Every report is the text of ``json.dumps(report, indent=2,
+    sort_keys=True)``, written by ``cli._dumps``."""
+
+    def test_fixture_reports(self, tmp_path, monkeypatch, capsys):
+        reports = []
+        monkeypatch.setattr(cli, "_dumps", lambda report: reports.append(report) or _dumps(report))
+        for argv in report_commands(tmp_path):
+            main(argv)
+            assert capsys.readouterr().out == stdlib_text(reports[-1]) + "\n", argv
+        assert len(reports) == 32
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {1.5: "a", -0.0: [float("nan")], float("inf"): -float("inf")},
+            {True: 0, False: None},
+            {None: []},
+            {Number(3): Number(4), Colour.RED: Colour.RED, 5: Text("\u00e9")},
+            {Text("b"): 1, "a": Text("c")},
+            {2: {}, 10: [[], {}], -1: (1, (2,))},
+            ["\x00\x1f\x7f\u2028\ud800\U0001f600", 10**40, -(2**70), 1e300, 0.1],
+            [],
+            {},
+            "text",
+            None,
+        ],
+    )
+    def test_keys_and_values_of_every_kind(self, value):
+        assert _dumps(value) == stdlib_text(value)
+
+    def test_hypothesis_values(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        scalars = (
+            st.text(st.characters(exclude_categories=()))
+            | st.integers()
+            | st.integers(-(2**200), 2**200)
+            | st.booleans()
+            | st.none()
+            | st.floats()
+        )
+
+        def values(depth):
+            if depth == 0:
+                return scalars
+            inner = values(depth - 1)
+            return (
+                scalars
+                | st.lists(inner, max_size=4)
+                | st.lists(inner, max_size=4).map(tuple)
+                | st.dictionaries(st.text(), inner, max_size=4)
+                | st.dictionaries(st.integers(), inner, max_size=4)
+            )
+
+        @hypothesis.settings(max_examples=300, deadline=None, database=None)
+        @hypothesis.given(values(4))
+        def check(value):
+            assert _dumps(value) == stdlib_text(value)
+
+        check()
+
+    @pytest.mark.parametrize("value", [{1, 2}, object(), {"a": [1, {2}]}, {(1, 2): 0}, {1: 0, "a": 1}])
+    def test_unserialisable_raises_type_error(self, value):
+        with pytest.raises(TypeError) as want:
+            stdlib_text(value)
+        with pytest.raises(TypeError) as got:
+            _dumps(value)
+        assert str(got.value) == str(want.value)
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    """A sequence of commands through the cached parser gives the exit
+    codes and output of a parser built afresh for each call."""
+    emb, inputs = write_embedding(tmp_path, "cube"), write_inputs(tmp_path)
+    argvs = [
+        ["discharge", "--input", emb],
+        ["detect", "--input", inputs["demo.g6"], "--summary"],
+        ["choosable", "--input", inputs["c5.g6"], "--k", "2"],
+        ["alon-tarsi", "--input", inputs["g1.json"], "--format", "orientation-json"],
+        ["alon-tarsi", "--input", inputs["g1.json"], "--format", "orientation-json", "--k", "2"],
+        ["discharge", "--input", emb],
+    ]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    build_parser.cache_clear()
+    reused = [outcome(argv) for argv in argvs]
+    assert build_parser.cache_info().misses == 1
+    fresh = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [1, 0, 1, 0, 2, 1]
+    assert reused[0] == reused[-1]
+    assert "holds" in reused[1][1] and "holds" not in reused[2][1]
+    parser = build_parser()
+    assert parser.parse_args(["detect", "--input", "-", "--summary"]).summary is True
+    assert parser.parse_args(["detect", "--input", "-"]).summary is False
 
 
 # Runs the commands given as a JSON list of argument lists and prints their

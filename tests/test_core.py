@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import pytest
+from oracles import parse_graph6_bitwalk
 
 from dischargekit import fixtures
 from dischargekit.core import (
@@ -179,6 +180,34 @@ class TestGraph6:
     def test_roundtrip_large_n(self):
         g = build_graph([(0, 99)], n=100)
         assert parse_graph6(write_graph6(g)).edges == ((0, 99),)
+
+    def test_set_bits_match_the_bit_walk(self):
+        # n = 63 and up take the four-byte vertex count
+        rng = random.Random(11)
+        for n in range(71):
+            pairs = list(itertools.combinations(range(n), 2))
+            for share in (0.0, 0.05, 0.5, 1.0):
+                g = build_graph([e for e in pairs if rng.random() < share], n=n)
+                line = write_graph6(g)
+                assert parse_graph6(line) == parse_graph6_bitwalk(line) == g, (n, share)
+
+    def test_random_lines_match_the_bit_walk(self):
+        # random data bytes, often of the wrong length or with padding bits
+        # set: both decoders give the same graph or the same error
+        def outcome(parse, line):
+            try:
+                return parse(line)
+            except ValueError as exc:
+                return str(exc)
+
+        rng = random.Random(5)
+        for _ in range(400):
+            n = rng.choice((rng.randint(0, 12), rng.randint(60, 90)))
+            need = (n * (n - 1) // 2 + 5) // 6
+            count = write_graph6(build_graph([], n=n))[: -need or None]
+            size = max(need + rng.choice((-1, 0, 0, 0, 1)), 0)
+            line = count + "".join(chr(63 + rng.choice((0, 0, 0, rng.randrange(64)))) for _ in range(size))
+            assert outcome(parse_graph6, line) == outcome(parse_graph6_bitwalk, line), line
 
 
 class TestWireFormats:
