@@ -12,7 +12,6 @@ from .core import (
     faces_of,
     orientations_with_max_outdegree,
     parse_graph6,
-    write_graph6,
 )
 from .structures import (
     ConditionReport,
@@ -21,7 +20,6 @@ from .structures import (
     check_conditions,
     classify_role,
     enumerate_cycles,
-    find_fixed_configs,
     find_trios,
 )
 from .alon_tarsi import (

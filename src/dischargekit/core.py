@@ -43,9 +43,6 @@ class Graph:
     def degrees(self) -> List[int]:
         return [len(a) for a in self.adjacency]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
@@ -257,30 +254,6 @@ def parse_graph6(text: str) -> Graph:
     return build_graph(edges, n=n)
 
 
-def write_graph6(graph: Graph) -> str:
-    """Encode a graph as a graph6 line (no header)."""
-    n = graph.n
-    if n <= 62:
-        prefix = [n]
-    elif n <= 258047:
-        prefix = [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
-    else:
-        prefix = [63, 63] + [(n >> s) & 63 for s in (30, 24, 18, 12, 6, 0)]
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append(1 if graph.has_edge(i, j) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for k in range(0, len(bits), 6):
-        byte = 0
-        for b in bits[k:k + 6]:
-            byte = (byte << 1) | b
-        body.append(byte)
-    return "".join(chr(63 + b) for b in prefix + body)
-
-
 # ---------------------------------------------------------------------------
 # JSON wire formats
 # ---------------------------------------------------------------------------
@@ -338,10 +311,6 @@ def embedding_from_json(obj: dict | str) -> PlaneGraph:
             raise InvalidRotationError(f"asymmetric adjacency between {u} and {v}")
     graph = build_graph(sorted(edges), n=n)
     return PlaneGraph(graph, rotation)
-
-
-def embedding_to_json(embedding: PlaneGraph) -> dict:
-    return {"n": embedding.graph.n, "rotation": [list(r) for r in embedding.rotation]}
 
 
 def orientation_from_json(obj: dict | str) -> Orientation:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Tuple
 
-from .core import Face, PlaneGraph, expect_json, faces_of
+from .core import Face, Graph, PlaneGraph, expect_json, faces_of
 from .errors import MalformedInputError
 from .structures import VertexRole, classify_role, find_trios, trios_by_triangle
 
@@ -66,13 +66,6 @@ class ChargeLedger:
     face_charge: Dict[int, Fraction]
     faces: Tuple[Face, ...]
     trace: List[TransferRecord] = field(default_factory=list)
-    # The charges the ledger was built with, before any transfer.
-    _initial_vertex: Dict[int, Fraction] = field(init=False, repr=False)
-    _initial_face: Dict[int, Fraction] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._initial_vertex = dict(self.vertex_charge)
-        self._initial_face = dict(self.face_charge)
 
     def total(self) -> Fraction:
         return sum(self.vertex_charge.values(), Fraction(0)) + sum(
@@ -83,26 +76,10 @@ class ChargeLedger:
         if amount == 0:
             return
         rec = TransferRecord(rule=rule, source=source, sink=sink, amount=amount)
-        self._apply(rec)
-        self.trace.append(rec)
-
-    def _apply(self, rec: TransferRecord) -> None:
-        for element, sign in ((rec.source, -1), (rec.sink, +1)):
-            kind, i = element
+        for (kind, i), sign in ((source, -1), (sink, +1)):
             book = self.vertex_charge if kind == "v" else self.face_charge
-            book[i] += sign * rec.amount
-
-    def replay(self) -> "ChargeLedger":
-        """Re-derive the final ledger from initial charges plus the trace."""
-        fresh = ChargeLedger(
-            vertex_charge=dict(self._initial_vertex),
-            face_charge=dict(self._initial_face),
-            faces=self.faces,
-        )
-        for rec in self.trace:
-            fresh._apply(rec)
-            fresh.trace.append(rec)
-        return fresh
+            book[i] += sign * amount
+        self.trace.append(rec)
 
     def to_json(self) -> dict:
         return {
@@ -143,12 +120,6 @@ class RuleSet:
                 if kwargs[name] < 0:
                     raise ValueError(f"rule parameter {name!r} must be nonnegative")
         return replace(base, **kwargs)
-
-    def to_json(self) -> dict:
-        out = {}
-        for name, value in self.__dict__.items():
-            out[name] = value if isinstance(value, bool) else _frac_json(value)
-        return out
 
 
 def initial_charges(embedding: PlaneGraph) -> ChargeLedger:
@@ -279,7 +250,7 @@ class FinalReport:
         }
 
 
-def final_report(ledger: ChargeLedger, graph=None) -> FinalReport:
+def final_report(ledger: ChargeLedger, graph: Graph) -> FinalReport:
     """Every vertex/face with negative final charge, with the rule trace
     entries touching it."""
     touching: Dict[Element, List[TransferRecord]] = {}
@@ -304,11 +275,11 @@ def final_report(ledger: ChargeLedger, graph=None) -> FinalReport:
     return FinalReport(total=ledger.total(), negatives=tuple(negatives), detail=tuple(detail))
 
 
-def _element_detail(ledger: ChargeLedger, element: Element, touching: List[TransferRecord], graph) -> dict:
+def _element_detail(ledger: ChargeLedger, element: Element, touching: List[TransferRecord], graph: Graph) -> dict:
     kind, i = element
     out = {"element": list(element), "trace": [r.to_json() for r in touching]}
     if kind == "f":
         out["boundary"] = list(ledger.faces[i].boundary)
-    elif graph is not None:
+    else:
         out["neighbors"] = sorted(graph.adjacency[i])
     return out

@@ -1,9 +1,8 @@
-"""Bundled fixtures: the trio graph and its plane embedding, the built-in
-reduce checks over configurations of the ``structures`` fixed-configuration
-table (residual list sizes derived from the drawn degrees), the three
-certified orientations of those configurations, platonic-solid embeddings,
-random plane graphs, and a demo set of sparse planar graphs whose 5-cycles
-avoid 3-cycles.
+"""Bundled fixtures: the paper's reduce configurations and the built-in
+reduce checks over them (residual list sizes derived from the drawn
+degrees), the three certified orientations of the paper's configurations,
+platonic-solid embeddings, random plane graphs, and a demo set of sparse
+planar graphs whose 5-cycles avoid 3-cycles.
 
 Everything is shipped as package data so checks run offline.
 """
@@ -11,18 +10,19 @@ Everything is shipped as package data so checks run offline.
 from __future__ import annotations
 
 from importlib import resources
-from typing import Dict, List
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from .choosability import ReducibleConfig
-from .core import Graph, Orientation, PlaneGraph, embedding_from_json, orientation_from_json, parse_graph6
-from .structures import CONFIG_H, CONFIG_SQUARE, CONFIG_TRIANGLE, FixedConfig, trio_graph
+from .core import Graph, Orientation, PlaneGraph, build_graph, embedding_from_json, orientation_from_json, parse_graph6
+from .structures import trio_graph
 
 SOLIDS = ("tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron")
 RANDOM_EMBEDDING_COUNT = 20
 
 # Expected (even, odd) Eulerian counts for the bundled orientations, as
 # published for the three configurations.  Note: the base graph of g2 is
-# the 2x1 grid ``structures.CONFIG_2``, which is bipartite, so every
+# the 2x1 grid of configuration 2, which is bipartite, so every
 # Eulerian arc subset has even size and no orientation of it can reach an
 # odd count of 1; the bundled orientation realizes (3, 0).  The published
 # pair is kept on purpose.  tests/test_alon_tarsi.py
@@ -48,14 +48,30 @@ def random_embeddings() -> List[PlaneGraph]:
     return [load_embedding(f"random_{i:02d}") for i in range(RANDOM_EMBEDDING_COUNT)]
 
 
-def trio_embedding() -> PlaneGraph:
-    """The trio graph embedded with its three triangles as faces."""
-    return load_embedding("trio")
-
-
 def fig_orientations() -> Dict[str, Orientation]:
     """The three certified configuration orientations, keyed g1/g2/g3."""
     return {k: orientation_from_json(_data_text(f"orientation_{k}.json")) for k in ("g1", "g2", "g3")}
+
+
+@dataclass(frozen=True)
+class FixedConfig:
+    """A small pattern graph plus per-vertex host-degree constraints.
+
+    ``exact_degrees[i]`` is the required host degree of pattern vertex i, or
+    None when only an upper bound applies (``max_degrees``).
+    """
+
+    name: str
+    pattern: Graph
+    exact_degrees: Tuple[int | None, ...]
+    max_degrees: Tuple[int | None, ...]
+
+
+# H: trio shape, x=0 y=1 u=2 v=3 w=4; d(x) <= 5, others exactly 4.
+CONFIG_H = FixedConfig("H", trio_graph(), (None, 4, 4, 4, 4), (5, None, None, None, None))
+# A 4-face and a 3-face with every vertex of drawn degree 4.
+CONFIG_SQUARE = FixedConfig("square", build_graph([(0, 1), (1, 2), (2, 3), (0, 3)]), (4,) * 4, (None,) * 4)
+CONFIG_TRIANGLE = FixedConfig("triangle", build_graph([(0, 1), (1, 2), (0, 2)]), (4,) * 3, (None,) * 3)
 
 
 def reducible_config(config: FixedConfig) -> ReducibleConfig:

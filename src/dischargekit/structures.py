@@ -7,7 +7,6 @@ sought in the abstract graph, not only among faces of an embedding.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -93,20 +92,31 @@ class TrioOccurrence:
 def find_trios(graph: Graph) -> List[TrioOccurrence]:
     """All trio occurrences, deduplicated by vertex set plus center.
 
-    Mirror symmetry (x<->y, u<->w) is quotiented out.
+    Mirror symmetry (x<->y, u<->w) is quotiented out.  A trio centred at v
+    is an edge xy of v's link (the subgraph on its neighbours) with a link
+    neighbour u of x and a link neighbour w of y, all four distinct, so
+    only those tuples are tried.
     """
     found: Dict[Tuple[FrozenSet[int], int], TrioOccurrence] = {}
     adj = graph.adjacency
     for v in range(graph.n):
-        if graph.degree(v) < 4:
+        link = adj[v]
+        if len(link) < 4:
             continue
-        nbrs = sorted(adj[v])
-        for x, y, u, w in itertools.permutations(nbrs, 4):
-            if y in adj[x] and u in adj[x] and w in adj[y]:
-                occ = TrioOccurrence(vertex_map=(("x", x), ("y", y), ("u", u), ("v", v), ("w", w)))
-                key = (occ.vertices, v)
-                if key not in found or occ.vertex_map < found[key].vertex_map:
-                    found[key] = occ
+        for x in link:
+            near_x = adj[x] & link
+            for y in near_x:
+                near_y = adj[y] & link
+                for u in near_x:
+                    if u == y:
+                        continue
+                    for w in near_y:
+                        if w == x or w == u:
+                            continue
+                        occ = TrioOccurrence(vertex_map=(("x", x), ("y", y), ("u", u), ("v", v), ("w", w)))
+                        key = (occ.vertices, v)
+                        if key not in found or occ.vertex_map < found[key].vertex_map:
+                            found[key] = occ
     return sorted(found.values(), key=lambda o: o.vertex_map)
 
 
@@ -207,147 +217,3 @@ def check_conditions(graph: Graph) -> Tuple[ConditionReport, ...]:
             if bad:
                 found.append(c)
     return tuple(ConditionReport(condition=name, witnesses=tuple(w)) for name, w in zip(CONDITIONS, witnesses))
-
-
-# ---------------------------------------------------------------------------
-# Fixed configurations with drawn-degree constraints
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FixedConfig:
-    """A small pattern graph plus per-vertex host-degree constraints.
-
-    ``exact_degrees[i]`` is the required host degree of pattern vertex i, or
-    None when only an upper bound applies (``max_degrees``).
-    """
-
-    name: str
-    pattern: Graph
-    exact_degrees: Tuple[int | None, ...]
-    max_degrees: Tuple[int | None, ...]
-
-
-def _cfg(name: str, n: int, edges, exact, maxima=None) -> FixedConfig:
-    return FixedConfig(
-        name=name,
-        pattern=build_graph(edges, n=n),
-        exact_degrees=tuple(exact),
-        max_degrees=tuple(maxima if maxima is not None else [None] * n),
-    )
-
-
-# H: trio shape, x=0 y=1 u=2 v=3 w=4; d(x) <= 5, others exactly 4.
-CONFIG_H = _cfg(
-    "H",
-    5,
-    trio_graph().edges,
-    exact=[None, 4, 4, 4, 4],
-    maxima=[5, None, None, None, None],
-)
-
-# Configuration 1: trio shape with drawn degrees x=4, y=4, u=5, v=4, w=4.
-CONFIG_1 = _cfg(
-    "config1",
-    5,
-    trio_graph().edges,
-    exact=[4, 4, 5, 4, 4],
-)
-
-# Configuration 2: the 2x1 grid, bl=0 tl=1 tm=2 tr=3 br=4 bm=5, all degree 4.
-CONFIG_2 = _cfg(
-    "config2",
-    6,
-    [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (2, 5)],
-    exact=[4, 4, 4, 4, 4, 4],
-)
-
-# Configuration 3: square plus hanging triangle, a=0 b=1 c=2 d=3 e=4,
-# degrees a=4, b=4, c=5, d=4, e=4.
-CONFIG_3 = _cfg(
-    "config3",
-    5,
-    [(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (2, 4)],
-    exact=[4, 4, 5, 4, 4],
-)
-
-# A 4-face and a 3-face with every vertex of drawn degree 4: the plain
-# reduce checks.  Not in ALL_CONFIGS, so find_fixed_configs does not seek them.
-CONFIG_SQUARE = _cfg("square", 4, [(0, 1), (1, 2), (2, 3), (0, 3)], exact=[4, 4, 4, 4])
-CONFIG_TRIANGLE = _cfg("triangle", 3, [(0, 1), (1, 2), (0, 2)], exact=[4, 4, 4])
-
-ALL_CONFIGS = (CONFIG_H, CONFIG_1, CONFIG_2, CONFIG_3)
-
-
-@dataclass(frozen=True)
-class ConfigMatch:
-    config: str
-    mapping: Tuple[int, ...]  # pattern vertex i -> host vertex mapping[i]
-
-
-def _pattern_automorphisms(pattern: Graph) -> List[Tuple[int, ...]]:
-    n = pattern.n
-    autos = []
-    degs = pattern.degrees()
-    for perm in itertools.permutations(range(n)):
-        if any(degs[i] != degs[perm[i]] for i in range(n)):
-            continue
-        if all(pattern.has_edge(perm[u], perm[v]) for u, v in pattern.edges):
-            autos.append(perm)
-    return autos
-
-
-def _match_pattern(host: Graph, config: FixedConfig) -> List[Tuple[int, ...]]:
-    pat = config.pattern
-    n = pat.n
-    order = sorted(range(n), key=lambda v: -pat.degree(v))
-    mapping: Dict[int, int] = {}
-    used = set()
-    results: List[Tuple[int, ...]] = []
-
-    def feasible(pv: int, hv: int) -> bool:
-        if host.degree(hv) < pat.degree(pv):
-            return False
-        exact = config.exact_degrees[pv]
-        if exact is not None and host.degree(hv) != exact:
-            return False
-        mx = config.max_degrees[pv]
-        if mx is not None and host.degree(hv) > mx:
-            return False
-        for u in pat.adjacency[pv]:
-            if u in mapping and not host.has_edge(mapping[u], hv):
-                return False
-        return True
-
-    def rec(i: int) -> None:
-        if i == n:
-            results.append(tuple(mapping[v] for v in range(n)))
-            return
-        pv = order[i]
-        # feasible() needs an edge to each mapped pattern neighbour, so the
-        # sorted host neighbours of one hold every candidate, in scan order.
-        anchor = next((mapping[u] for u in pat.adjacency[pv] if u in mapping), None)
-        for hv in range(host.n) if anchor is None else sorted(host.adjacency[anchor]):
-            if hv not in used and feasible(pv, hv):
-                mapping[pv] = hv
-                used.add(hv)
-                rec(i + 1)
-                used.discard(hv)
-                del mapping[pv]
-
-    rec(0)
-    return results
-
-
-def find_fixed_configs(graph: Graph, configs: Sequence[FixedConfig] = ALL_CONFIGS) -> List[ConfigMatch]:
-    """All embeddings of the fixed configurations, deduplicated up to pattern
-    automorphism."""
-    out: List[ConfigMatch] = []
-    for cfg in configs:
-        autos = _pattern_automorphisms(cfg.pattern)
-        seen = set()
-        for m in _match_pattern(graph, cfg):
-            canon = min(tuple(m[a[i]] for i in range(len(m))) for a in autos)
-            if canon not in seen:
-                seen.add(canon)
-                out.append(ConfigMatch(config=cfg.name, mapping=canon))
-    return out

@@ -1,0 +1,73 @@
+"""Test inputs built in code: seeded triangulated grids (plane embeddings
+large enough to hold many overlapping trios), wheels, the trio embedding,
+and the graph6 and embedding-JSON writers that put graphs into files for
+the CLI."""
+
+import math
+import random
+
+from dischargekit.core import Graph, PlaneGraph, build_graph, embedding_from_json
+
+
+def triangulated_grid(side: int, share: float, seed: int) -> PlaneGraph:
+    """A side x side lattice in which a seeded ``share`` of the unit squares
+    get the diagonal from top-left to bottom-right.
+
+    Vertex (r, c) is r * side + c.  Each rotation lists the neighbours by
+    the angle of the straight edge to them; straight lattice edges never
+    cross, so the embedding is plane.
+    """
+    squares = [r * side + c for r in range(side - 1) for c in range(side - 1)]
+    chosen = random.Random(seed).sample(squares, round(share * len(squares)))
+    edges = [(v, v + 1) for v in range(side * side) if (v + 1) % side]
+    edges += [(v, v + side) for v in range(side * (side - 1))]
+    edges += [(v, v + side + 1) for v in chosen]
+    graph = build_graph(edges, n=side * side)
+
+    def angle(v: int, w: int) -> float:
+        return math.atan2(w // side - v // side, w % side - v % side)
+
+    rotation = [sorted(graph.adjacency[v], key=lambda w, v=v: angle(v, w)) for v in range(graph.n)]
+    return PlaneGraph(graph, rotation)
+
+
+def wheel(spokes: int) -> PlaneGraph:
+    """The wheel with hub 0 and rim 1..spokes, embedded with every spoke
+    triangle as a face."""
+    rim = range(1, spokes + 1)
+    rotation = [list(rim)] + [[0, (i - 2) % spokes + 1, i % spokes + 1] for i in rim]
+    return embedding_from_json({"n": spokes + 1, "rotation": rotation})
+
+
+def trio_embedding() -> PlaneGraph:
+    """The trio graph (x=0, y=1, u=2, v=3, w=4) embedded with its three
+    triangles as faces."""
+    return embedding_from_json({"n": 5, "rotation": [[1, 2, 3], [0, 3, 4], [3, 0], [1, 0, 2, 4], [3, 1]]})
+
+
+def write_graph6(graph: Graph) -> str:
+    """Encode a graph as a graph6 line (no header)."""
+    n = graph.n
+    if n <= 62:
+        prefix = [n]
+    elif n <= 258047:
+        prefix = [63, (n >> 12) & 63, (n >> 6) & 63, n & 63]
+    else:
+        prefix = [63, 63] + [(n >> s) & 63 for s in (30, 24, 18, 12, 6, 0)]
+    bits = []
+    for j in range(1, n):
+        for i in range(j):
+            bits.append(1 if j in graph.adjacency[i] else 0)
+    while len(bits) % 6:
+        bits.append(0)
+    body = []
+    for k in range(0, len(bits), 6):
+        byte = 0
+        for b in bits[k:k + 6]:
+            byte = (byte << 1) | b
+        body.append(byte)
+    return "".join(chr(63 + b) for b in prefix + body)
+
+
+def embedding_to_json(embedding: PlaneGraph) -> dict:
+    return {"n": embedding.graph.n, "rotation": [list(r) for r in embedding.rotation]}

@@ -1,11 +1,13 @@
 """Reference implementations that the tests compare the package's fast
 paths against.  Each follows its definition directly, or keeps the plain
 loop that a fast path replaced; the brute-force ones are only viable on
-very small inputs."""
+very small inputs.  The matcher of the paper's fixed configurations lives
+here too: no command reads it, and networkx is its reference."""
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from dischargekit import choosability
 from dischargekit.alon_tarsi import EulerianCount
@@ -19,17 +21,17 @@ from dischargekit.choosability import (
 from dischargekit.core import Graph, Orientation, PlaneGraph, build_graph
 from dischargekit.discharging import ChargeLedger, RuleSet, initial_charges
 from dischargekit.errors import SizeLimitExceededError
+from dischargekit.fixtures import CONFIG_H, FixedConfig
 from dischargekit.structures import (
-    ALL_CONFIGS,
     CONDITIONS,
     ConditionReport,
-    ConfigMatch,
-    FixedConfig,
+    TrioOccurrence,
     VertexRole,
     classify_role,
     cycle_edges,
     enumerate_cycles,
     find_trios,
+    trio_graph,
     trios_by_triangle,
 )
 
@@ -201,7 +203,7 @@ def apply_rules_unindexed(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()):
     return ledger, shapes
 
 
-def element_detail_scan(ledger: ChargeLedger, element, graph) -> dict:
+def element_detail_scan(ledger: ChargeLedger, element, graph: Graph) -> dict:
     """Oracle for one ``final_report`` detail entry: scan the whole trace
     for the records touching ``element``."""
     kind, i = element
@@ -209,9 +211,35 @@ def element_detail_scan(ledger: ChargeLedger, element, graph) -> dict:
     out = {"element": list(element), "trace": touching}
     if kind == "f":
         out["boundary"] = list(ledger.faces[i].boundary)
-    elif graph is not None:
+    else:
         out["neighbors"] = sorted(graph.adjacency[i])
     return out
+
+
+def replay(ledger: ChargeLedger, start: ChargeLedger) -> ChargeLedger:
+    """Re-derive ``ledger``'s final charges from ``start``, a fresh
+    ``initial_charges`` ledger of the same embedding, by moving each traced
+    amount from its source to its sink."""
+    books = {"v": dict(start.vertex_charge), "f": dict(start.face_charge)}
+    for rec in ledger.trace:
+        books[rec.source[0]][rec.source[1]] -= rec.amount
+        books[rec.sink[0]][rec.sink[1]] += rec.amount
+    return ChargeLedger(vertex_charge=books["v"], face_charge=books["f"], faces=start.faces, trace=list(ledger.trace))
+
+
+def find_trios_scan(graph: Graph) -> List[TrioOccurrence]:
+    """Oracle for ``find_trios``: every ordered 4-tuple of distinct
+    neighbours of each vertex is tried as (x, y, u, w)."""
+    found: Dict[Tuple[FrozenSet[int], int], TrioOccurrence] = {}
+    adj = graph.adjacency
+    for v in range(graph.n):
+        for x, y, u, w in itertools.permutations(sorted(adj[v]), 4):
+            if y in adj[x] and u in adj[x] and w in adj[y]:
+                occ = TrioOccurrence(vertex_map=(("x", x), ("y", y), ("u", u), ("v", v), ("w", w)))
+                key = (occ.vertices, v)
+                if key not in found or occ.vertex_map < found[key].vertex_map:
+                    found[key] = occ
+    return sorted(found.values(), key=lambda o: o.vertex_map)
 
 
 def role_in(graph: Graph, s: int, triangle) -> VertexRole:
@@ -234,7 +262,7 @@ def check_condition_scan(graph: Graph, which: str) -> ConditionReport:
     if which == "Thm2":
         for c in enumerate_cycles(graph, 4):
             a, b, cc, d = c
-            if graph.has_edge(a, cc) or graph.has_edge(b, d):
+            if cc in graph.adjacency[a] or d in graph.adjacency[b]:
                 chorded.append(c)
     for c in five:
         ce = cycle_edges(c)
@@ -257,53 +285,81 @@ def check_condition_scan(graph: Graph, which: str) -> ConditionReport:
     return ConditionReport(condition=which, witnesses=tuple(witnesses))
 
 
+# The paper's fixed configurations that are sought in host graphs: H (from
+# ``fixtures``) and configurations 1-3.  Configuration 1 is the trio shape
+# with drawn degrees x=4, y=4, u=5, v=4, w=4.  Configuration 2 is the 2x1
+# grid, bl=0 tl=1 tm=2 tr=3 br=4 bm=5, all of degree 4.  Configuration 3 is
+# a square plus a hanging triangle, a=0 b=1 c=2 d=3 e=4, of degrees a=4,
+# b=4, c=5, d=4, e=4.
+CONFIG_1 = FixedConfig("config1", trio_graph(), (4, 4, 5, 4, 4), (None,) * 5)
+CONFIG_2 = FixedConfig(
+    "config2", build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (2, 5)]), (4,) * 6, (None,) * 6
+)
+CONFIG_3 = FixedConfig(
+    "config3", build_graph([(0, 1), (1, 2), (2, 3), (0, 3), (3, 4), (2, 4)]), (4, 4, 5, 4, 4), (None,) * 5
+)
+ALL_CONFIGS = (CONFIG_H, CONFIG_1, CONFIG_2, CONFIG_3)
+
+
+@dataclass(frozen=True)
+class ConfigMatch:
+    config: str
+    mapping: Tuple[int, ...]  # pattern vertex i -> host vertex mapping[i]
+
+
 def pattern_automorphisms(pattern: Graph) -> List[Tuple[int, ...]]:
     """Every vertex permutation that maps the pattern's edges onto edges."""
     return [
         perm
         for perm in itertools.permutations(range(pattern.n))
-        if all(pattern.has_edge(perm[u], perm[v]) for u, v in pattern.edges)
+        if all(perm[v] in pattern.adjacency[perm[u]] for u, v in pattern.edges)
     ]
 
 
-def find_fixed_configs_scan(graph: Graph, configs: Sequence[FixedConfig] = ALL_CONFIGS) -> List[ConfigMatch]:
-    """Oracle for ``find_fixed_configs``: the same backtracking match, but
-    every pattern vertex is tried against all host vertices, not only the
-    neighbours of an already mapped pattern neighbour."""
+def _match_pattern(host: Graph, config: FixedConfig) -> List[Tuple[int, ...]]:
+    pat = config.pattern
+    n = pat.n
+    order = sorted(range(n), key=lambda v: -pat.degree(v))
+    mapping: Dict[int, int] = {}
+    used = set()
+    results: List[Tuple[int, ...]] = []
+
+    def feasible(pv: int, hv: int) -> bool:
+        d = host.degree(hv)
+        exact, mx = config.exact_degrees[pv], config.max_degrees[pv]
+        if d < pat.degree(pv) or (exact is not None and d != exact) or (mx is not None and d > mx):
+            return False
+        return all(hv in host.adjacency[mapping[u]] for u in pat.adjacency[pv] if u in mapping)
+
+    def rec(i: int) -> None:
+        if i == n:
+            results.append(tuple(mapping[v] for v in range(n)))
+            return
+        pv = order[i]
+        # feasible() needs an edge to each mapped pattern neighbour, so the
+        # sorted host neighbours of one hold every candidate, in scan order.
+        anchor = next((mapping[u] for u in pat.adjacency[pv] if u in mapping), None)
+        for hv in range(host.n) if anchor is None else sorted(host.adjacency[anchor]):
+            if hv not in used and feasible(pv, hv):
+                mapping[pv] = hv
+                used.add(hv)
+                rec(i + 1)
+                used.discard(hv)
+                del mapping[pv]
+
+    rec(0)
+    return results
+
+
+def find_fixed_configs(graph: Graph) -> List[ConfigMatch]:
+    """All embeddings of ``ALL_CONFIGS``, deduplicated up to pattern
+    automorphism: each match is named by its least image under one."""
     out: List[ConfigMatch] = []
-    for cfg in configs:
-        pat = cfg.pattern
-        n = pat.n
-        order = sorted(range(n), key=lambda v: -pat.degree(v))
-        mapping: Dict[int, int] = {}
-        used = set()
-        matches: List[Tuple[int, ...]] = []
-
-        def feasible(pv: int, hv: int) -> bool:
-            d = graph.degree(hv)
-            exact, mx = cfg.exact_degrees[pv], cfg.max_degrees[pv]
-            if d < pat.degree(pv) or (exact is not None and d != exact) or (mx is not None and d > mx):
-                return False
-            return all(graph.has_edge(mapping[u], hv) for u in pat.adjacency[pv] if u in mapping)
-
-        def rec(i: int) -> None:
-            if i == n:
-                matches.append(tuple(mapping[v] for v in range(n)))
-                return
-            pv = order[i]
-            for hv in range(graph.n):
-                if hv not in used and feasible(pv, hv):
-                    mapping[pv] = hv
-                    used.add(hv)
-                    rec(i + 1)
-                    used.discard(hv)
-                    del mapping[pv]
-
-        rec(0)
-        autos = pattern_automorphisms(pat)
+    for cfg in ALL_CONFIGS:
+        autos = pattern_automorphisms(cfg.pattern)
         seen = set()
-        for m in matches:
-            canon = min(tuple(m[a[i]] for i in range(n)) for a in autos)
+        for m in _match_pattern(graph, cfg):
+            canon = min(tuple(m[a[i]] for i in range(len(m))) for a in autos)
             if canon not in seen:
                 seen.add(canon)
                 out.append(ConfigMatch(config=cfg.name, mapping=canon))
@@ -379,7 +435,7 @@ def check_extension_with_rechoice(config: ReducibleConfig, choice_set: Sequence[
         [(rest_index[u], rest_index[v]) for u, v in g.edges if u in rest_index and v in rest_index],
         n=len(rest),
     )
-    choice_edges = [(a, b) for a, b in itertools.combinations(choice, 2) if g.has_edge(a, b)]
+    choice_edges = [(a, b) for a, b in itertools.combinations(choice, 2) if b in g.adjacency[a]]
     checked = 0
     for lists in iter_canonical_assignments(config.residual_sizes):
         extendable = False

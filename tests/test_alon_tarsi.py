@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from grids import triangulated_grid
+from inputs import triangulated_grid
 
 from dischargekit import alon_tarsi, fixtures
 from dischargekit.alon_tarsi import count_eulerian, find_certificate

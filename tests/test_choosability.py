@@ -17,7 +17,6 @@ from dischargekit.choosability import (
 )
 from dischargekit.core import build_graph
 from dischargekit.errors import SizeLimitExceededError
-from dischargekit.structures import CONFIG_H, CONFIG_SQUARE, CONFIG_TRIANGLE
 from oracles import (
     check_extension_with_rechoice,
     is_k_choosable_raw,
@@ -31,9 +30,9 @@ C4 = build_graph([(0, 1), (1, 2), (2, 3), (3, 0)])
 C5 = build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 K4 = build_graph(list(itertools.combinations(range(4), 2)))
 K5 = build_graph(list(itertools.combinations(range(5), 2)))
-SQUARE = fixtures.reducible_config(CONFIG_SQUARE)
-TRIANGLE = fixtures.reducible_config(CONFIG_TRIANGLE)
-H = fixtures.reducible_config(CONFIG_H)
+SQUARE = fixtures.reducible_config(fixtures.CONFIG_SQUARE)
+TRIANGLE = fixtures.reducible_config(fixtures.CONFIG_TRIANGLE)
+H = fixtures.reducible_config(fixtures.CONFIG_H)
 # The vertices on which the paper re-chooses colours in H: x and u.
 H_CHOICE = (0, 2)
 
@@ -83,7 +82,7 @@ class TestLColor:
                 assert l_color(g, bigger) is not None
             else:
                 missing = [
-                    e for e in itertools.combinations(range(g.n), 2) if not g.has_edge(*e)
+                    e for e in itertools.combinations(range(g.n), 2) if e[1] not in g.adjacency[e[0]]
                 ]
                 if missing:
                     denser = build_graph(list(g.edges) + [missing[0]], n=g.n)

@@ -7,13 +7,13 @@ import sys
 from pathlib import Path
 
 import pytest
-from grids import triangulated_grid
+from inputs import embedding_to_json, triangulated_grid, wheel, write_graph6
 from oracles import role_in
 
 import dischargekit
 from dischargekit import cli, fixtures
 from dischargekit.cli import _dumps, build_parser, main
-from dischargekit.core import build_graph, embedding_to_json, orientation_to_json, write_graph6
+from dischargekit.core import build_graph, orientation_to_json
 
 C5_G6 = "Dhc"
 WHEEL5_G6 = ">>graph6<<Ehfw"  # 5-wheel: rim 0..4 plus hub 5
@@ -263,6 +263,20 @@ class TestDischarge:
         capsys.readouterr()
         with open(out1, "rb") as f1, open(out2, "rb") as f2:
             assert f1.read() == f2.read()
+
+    def test_thousand_spoke_wheel_answers(self, tmp_path):
+        # in a fresh process, so that a trio search whose work grows with a
+        # power of the hub degree fails by its timeout instead of holding up
+        # the suite; the timeout is no speed bound
+        path = tmp_path / "w1000.json"
+        path.write_text(json.dumps(embedding_to_json(wheel(1000))))
+        env = dict(os.environ, PYTHONPATH=str(Path(dischargekit.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dischargekit.cli", "discharge", "--input", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert json.loads(proc.stdout)["ledger"]["total"] == {"num": -12, "den": 1}
 
 
 class TestReproPaper:

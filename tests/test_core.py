@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import pytest
+from inputs import embedding_to_json, write_graph6
 from oracles import parse_graph6_bitwalk
 
 from dischargekit import fixtures
@@ -12,13 +13,11 @@ from dischargekit.core import (
     PlaneGraph,
     build_graph,
     embedding_from_json,
-    embedding_to_json,
     faces_of,
     orientation_from_json,
     orientation_to_json,
     orientations_with_max_outdegree,
     parse_graph6,
-    write_graph6,
 )
 from dischargekit.errors import (
     DanglingVertexIndexError,

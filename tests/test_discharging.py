@@ -2,8 +2,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from grids import triangulated_grid
-from oracles import apply_rules_unindexed, element_detail_scan
+from inputs import triangulated_grid, trio_embedding
+from oracles import apply_rules_unindexed, element_detail_scan, replay
 
 from dischargekit import fixtures
 from dischargekit.core import PlaneGraph, build_graph
@@ -80,7 +80,7 @@ class TestApplyRules:
 
     def test_conservation_default_rules(self):
         embs = list(fixtures.solid_embeddings().values()) + fixtures.random_embeddings()
-        embs.append(fixtures.trio_embedding())
+        embs.append(trio_embedding())
         for emb in embs:
             assert apply_rules(emb).total() == -12
 
@@ -89,7 +89,7 @@ class TestApplyRules:
             assert apply_rules(emb, CUSTOM).total() == -12
 
     def test_trio_three_faces_settle_equal(self):
-        ledger = apply_rules(fixtures.trio_embedding())
+        ledger = apply_rules(trio_embedding())
         triangle_charges = [
             ledger.face_charge[i]
             for i, f in enumerate(ledger.faces)
@@ -140,7 +140,7 @@ class TestTrioEqualization:
 
 def oracle_embeddings():
     embs = list(fixtures.solid_embeddings().values()) + fixtures.random_embeddings()
-    embs += [fixtures.trio_embedding(), trio_with_pendant()]
+    embs += [trio_embedding(), trio_with_pendant()]
     return embs + [triangulated_grid(8, 0.9, seed) for seed in (1, 2)]
 
 
@@ -161,30 +161,32 @@ class TestOracleCrossChecks:
     def test_final_report_detail_matches_trace_scan(self):
         for emb in oracle_embeddings():
             ledger = apply_rules(emb)
-            for graph in (emb.graph, None):
-                report = final_report(ledger, graph)
-                assert len(report.detail) == len(report.negatives)
-                for (element, _), entry in zip(report.negatives, report.detail):
-                    assert entry == element_detail_scan(ledger, element, graph)
+            report = final_report(ledger, emb.graph)
+            assert len(report.detail) == len(report.negatives)
+            for (element, _), entry in zip(report.negatives, report.detail):
+                assert entry == element_detail_scan(ledger, element, emb.graph)
 
 
 class TestLedger:
     def test_replay_reproduces_final_state(self):
         for emb in (fixtures.load_embedding("icosahedron"), trio_with_pendant()):
             ledger = apply_rules(emb)
-            replayed = ledger.replay()
+            replayed = replay(ledger, initial_charges(emb))
             assert replayed.vertex_charge == ledger.vertex_charge
             assert replayed.face_charge == ledger.face_charge
             assert replayed.trace == ledger.trace
 
     def test_replay_of_hand_built_ledger(self):
-        ledger = ChargeLedger(
-            vertex_charge={0: Fraction(2), 1: Fraction(-1)},
-            face_charge={0: Fraction(-3)},
-            faces=(),
-        )
+        def hand_built():
+            return ChargeLedger(
+                vertex_charge={0: Fraction(2), 1: Fraction(-1)},
+                face_charge={0: Fraction(-3)},
+                faces=(),
+            )
+
+        ledger = hand_built()
         ledger.transfer("R1", ("v", 0), ("f", 0), Fraction(1, 2))
-        replayed = ledger.replay()
+        replayed = replay(ledger, hand_built())
         assert replayed.vertex_charge == {0: Fraction(3, 2), 1: Fraction(-1)}
         assert replayed.face_charge == {0: Fraction(-5, 2)}
         assert replayed.trace == ledger.trace
@@ -215,8 +217,14 @@ class TestLedger:
 
 class TestRuleSet:
     def test_json_roundtrip(self):
+        def to_json(rs):
+            return {
+                k: v if isinstance(v, bool) else {"num": v.numerator, "den": v.denominator}
+                for k, v in vars(rs).items()
+            }
+
         for rs in (RuleSet(), CUSTOM, RuleSet(equalize_trios=False)):
-            assert RuleSet.from_json(rs.to_json()) == rs
+            assert RuleSet.from_json(to_json(rs)) == rs
 
     def test_partial_json_keeps_defaults(self):
         rs = RuleSet.from_json({"five_face": {"num": 1, "den": 7}})
@@ -253,8 +261,8 @@ class TestFinalReport:
         assert len(first["neighbors"]) == 3
 
     def test_face_negatives_carry_boundary(self):
-        ledger = apply_rules(fixtures.load_embedding("tetrahedron"))
-        report = final_report(ledger)
+        emb = fixtures.load_embedding("tetrahedron")
+        report = final_report(apply_rules(emb), emb.graph)
         assert all(el[0] == "f" for el, _ in report.negatives)
         assert all(len(d["boundary"]) == 3 for d in report.detail)
         obj = report.to_json()

@@ -3,23 +3,28 @@ import random
 from collections import Counter
 
 import pytest
-from grids import triangulated_grid
-from oracles import check_condition_scan, find_fixed_configs_scan, pattern_automorphisms, role_in
+from inputs import triangulated_grid, wheel
+from oracles import (
+    ALL_CONFIGS,
+    CONFIG_2,
+    CONFIG_3,
+    check_condition_scan,
+    find_fixed_configs,
+    find_trios_scan,
+    pattern_automorphisms,
+    role_in,
+)
 
 from dischargekit import fixtures
 from dischargekit.core import build_graph
 from dischargekit.errors import UnsupportedLengthError, VertexNotOnCycleError
 from dischargekit.structures import (
-    ALL_CONFIGS,
     CONDITIONS,
-    CONFIG_2,
-    CONFIG_3,
     VertexRole,
     check_conditions,
     classify_role,
     cycle_edges,
     enumerate_cycles,
-    find_fixed_configs,
     find_trios,
     trio_graph,
     trios_by_triangle,
@@ -41,7 +46,7 @@ def cycles_oracle(graph, length):
     for comb in itertools.combinations(range(graph.n), length):
         for perm in itertools.permutations(comb[1:]):
             cyc = (comb[0],) + perm
-            if all(graph.has_edge(cyc[i], cyc[(i + 1) % length]) for i in range(length)):
+            if all(cyc[(i + 1) % length] in graph.adjacency[cyc[i]] for i in range(length)):
                 found.add(frozenset(cycle_edges(cyc)))
     return found
 
@@ -120,6 +125,27 @@ class TestTrios:
     def test_disjoint_union_additivity(self):
         two = TRIO_EDGES + [(a + 5, b + 5) for a, b in TRIO_EDGES]
         assert len(find_trios(build_graph(two))) == 2
+
+    def test_equals_permutation_scan(self):
+        graphs = [emb.graph for emb in fixtures.solid_embeddings().values()]
+        graphs += [emb.graph for emb in fixtures.random_embeddings()]
+        graphs += fixtures.demo_graphs()
+        graphs += [wheel(spokes).graph for spokes in range(3, 30)]
+        graphs += [
+            triangulated_grid(side, share, seed).graph
+            for side in (6, 10, 14)
+            for share in (0.9, 0.5, 0.2)
+            for seed in (1, 2)
+        ]
+        rng = random.Random(29)
+        graphs += [random_graph(rng, rng.randint(5, 11), rng.uniform(0.3, 0.7)) for _ in range(200)]
+        found = 0
+        for g in graphs:
+            trios = find_trios(g)
+            assert trios == find_trios_scan(g)
+            found += len(trios)
+        # the comparison above also passes on graphs without trios
+        assert found > 1000
 
 
 class TestRoles:
@@ -305,12 +331,6 @@ def matcher_hosts():
 
 
 class TestMatcherCrossCheck:
-    def test_equals_scan_oracle_in_order(self):
-        for host in matcher_hosts():
-            assert find_fixed_configs(host) == find_fixed_configs_scan(host)
-        # a matcher that finds nothing would pass the comparison above
-        assert all(find_fixed_configs(g) for g in GRIDS)
-
     def test_equals_networkx_monomorphisms(self):
         nx = pytest.importorskip("networkx")
         from networkx.algorithms.isomorphism import GraphMatcher
@@ -335,3 +355,5 @@ class TestMatcherCrossCheck:
                     m = {pv: hv for hv, pv in found.items()}
                     want.add((cfg.name, min(tuple(m[a[i]] for i in range(pat.n)) for a in autos)))
             assert {(c.config, c.mapping) for c in find_fixed_configs(host)} == want
+        # a matcher that finds nothing would pass on hosts without matches
+        assert all(find_fixed_configs(g) for g in GRIDS)
