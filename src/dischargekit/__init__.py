@@ -33,7 +33,6 @@ from .choosability import (
     ReducibleConfig,
     check_extension,
     is_k_choosable,
-    l_color,
 )
 from .discharging import (
     ChargeLedger,

@@ -10,7 +10,7 @@ per-vertex multiplicities equal the required list sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .alon_tarsi import find_certificate
 from .core import Graph
@@ -58,90 +58,6 @@ class ReducibleConfig:
             raise ValueError("residual_sizes must cover every inner vertex")
         if any(s < 1 for s in self.residual_sizes):
             raise ValueError("residual sizes are positive")
-
-
-def l_color(graph: Graph, lists: Sequence[Sequence[int]]) -> Optional[List[int]]:
-    """A proper coloring with each vertex colored from its own list, or None.
-
-    Exhaustive backtracking; vertices are processed smallest-list-first.
-    """
-    if len(lists) != graph.n:
-        raise ValueError("lists must cover every vertex")
-    order = sorted(range(graph.n), key=lambda v: (len(lists[v]), -graph.degree(v)))
-    coloring: Dict[int, int] = {}
-    adj = graph.adjacency
-
-    def rec(i: int) -> bool:
-        if i == graph.n:
-            return True
-        v = order[i]
-        for c in lists[v]:
-            if all(coloring.get(u) != c for u in adj[v]):
-                coloring[v] = c
-                if rec(i + 1):
-                    return True
-                del coloring[v]
-        return False
-
-    if rec(0):
-        return [coloring[v] for v in range(graph.n)]
-    return None
-
-
-def iter_canonical_assignments(sizes: Sequence[int]) -> Iterator[Lists]:
-    """Canonical list assignments with the given sizes, one per intersection
-    pattern (orbit under color permutation).
-
-    Color types are visited largest-subset-first, so the first assignment
-    yielded is the maximally shared one (all lists identical where sizes
-    allow).  Colors are numbered in order of first use, which makes each
-    yielded assignment the least representative of its orbit in signature
-    order.
-    """
-    n = len(sizes)
-    # Singleton types would come last, in vertex order, and each could only
-    # take all its vertex's remaining colours; so they are not enumerated,
-    # and what the shared types leave becomes private colours at the end.
-    shared = sorted((t for t in range(1, 1 << n) if t & (t - 1)), key=lambda t: (-bin(t).count("1"), t))
-    members = [[v for v in range(n) if t >> v & 1] for t in shared]
-    all_full = (1 << n) - 1
-    lists: List[List[int]] = [[] for _ in range(n)]
-    next_color = [0]
-
-    # ``full`` has a bit set for each vertex whose list is full; a type
-    # containing one of them can take no colour.
-    def rec(i: int, remaining: List[int], full: int) -> Iterator[Lists]:
-        if full == all_full:
-            yield tuple(tuple(lst) for lst in lists)
-            return
-        # Recurse only into types given a nonzero multiplicity, so the depth
-        # is at most sum(sizes), not the number of types.
-        for j in range(i, len(shared)):
-            if shared[j] & full:
-                continue
-            mem = members[j]
-            for mult in range(min(remaining[v] for v in mem), 0, -1):
-                base = next_color[0]
-                filled = full
-                for v in mem:
-                    remaining[v] -= mult
-                    lists[v].extend(range(base, base + mult))
-                    if not remaining[v]:
-                        filled |= 1 << v
-                next_color[0] += mult
-                yield from rec(j + 1, remaining, filled)
-                for v in mem:
-                    remaining[v] += mult
-                    del lists[v][-mult:]
-                next_color[0] -= mult
-        base = next_color[0]
-        private = []
-        for v in range(n):
-            private.append(tuple(lists[v]) + tuple(range(base, base + remaining[v])))
-            base += remaining[v]
-        yield tuple(private)
-
-    return rec(0, list(sizes), sum(1 << v for v in range(n) if not sizes[v]))
 
 
 @dataclass(frozen=True)
@@ -198,18 +114,105 @@ def is_k_choosable(graph: Graph, k: int) -> ChoosabilityVerdict:
     return ChoosabilityVerdict(choosable=False, witness=ListAssignment(lists=witness), method="exhaustive")
 
 
+def _colourer(graph: Graph, sizes: Sequence[int]) -> Callable[[List[int]], bool]:
+    """A test of whether lists with these sizes, one colour bitmask per
+    vertex, admit a proper colouring.  Vertices are coloured smallest list
+    first, then highest degree; each takes its lowest colour bit that no
+    earlier neighbour took, and the search backtracks."""
+    n = len(sizes)
+    order = sorted(range(n), key=lambda v: (sizes[v], -graph.degree(v)))
+    at = [0] * n
+    for i, v in enumerate(order):
+        at[v] = i
+    earlier = [[at[u] for u in graph.adjacency[v] if at[u] < i] for i, v in enumerate(order)]
+
+    def colourable(masks: List[int]) -> bool:
+        if not n:
+            return True
+        taken = [0] * n
+        free = [0] * n
+        free[0] = masks[order[0]]
+        i = 0
+        while i >= 0:
+            f = free[i]
+            if not f:
+                i -= 1
+                continue
+            c = f & -f
+            free[i] = f ^ c
+            taken[i] = c
+            i += 1
+            if i == n:
+                return True
+            f = masks[order[i]]
+            for j in earlier[i]:
+                f &= ~taken[j]
+            free[i] = f
+        return False
+
+    return colourable
+
+
 def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
-    """The first canonical assignment with these sizes that ``l_color``
-    cannot colour, or None.  Raises ``SizeLimitExceededError`` past
-    ``MAX_ASSIGNMENT_CHECKS`` assignments."""
-    for checked, lists in enumerate(iter_canonical_assignments(sizes)):
-        if checked >= MAX_ASSIGNMENT_CHECKS:
-            raise SizeLimitExceededError(
-                f"exhaustive check needs more than {MAX_ASSIGNMENT_CHECKS} assignments"
-            )
-        if l_color(graph, lists) is None:
-            return lists
-    return None
+    """The first canonical assignment with these sizes that has no proper
+    colouring, or None.  Raises ``SizeLimitExceededError`` when the
+    (``MAX_ASSIGNMENT_CHECKS`` + 1)-th assignment would be checked.
+
+    The canonical assignments are the nodes of a tree: a child adds one
+    shared colour type, a set of at least two vertices, with a multiplicity,
+    to the lists of its parent, types being taken largest first and each at
+    most once along a path.  A node's assignment gives every vertex the rest
+    of its list as private colours, and comes after those of its children.
+    Colours are numbered in order of first use and kept as one bitmask per
+    vertex.
+    """
+    n = len(sizes)
+    # Singleton types would come last, in vertex order, and each could only
+    # take all its vertex's remaining colours: those are the private ones.
+    shared = sorted((t for t in range(1, 1 << n) if t & (t - 1)), key=lambda t: (-bin(t).count("1"), t))
+    members = [[v for v in range(n) if t >> v & 1] for t in shared]
+    colourable = _colourer(graph, sizes)
+    budget = MAX_ASSIGNMENT_CHECKS
+    masks = [0] * n
+    remaining = list(sizes)
+    checked = 0
+
+    # ``full`` has a bit set for each vertex whose list is full; a type
+    # containing one of them can take no colour.  ``base`` is the next
+    # unused colour.  Returns the first uncolourable lists of the subtree.
+    def walk(i: int, full: int, base: int) -> Optional[List[int]]:
+        nonlocal checked
+        for j in range(i, len(shared)):
+            if shared[j] & full:
+                continue
+            mem = members[j]
+            for mult in range(min([remaining[v] for v in mem]), 0, -1):
+                bits = ((1 << mult) - 1) << base
+                filled = full
+                for v in mem:
+                    masks[v] |= bits
+                    remaining[v] -= mult
+                    if not remaining[v]:
+                        filled |= 1 << v
+                found = walk(j + 1, filled, base + mult)
+                if found is not None:
+                    return found
+                for v in mem:
+                    masks[v] ^= bits
+                    remaining[v] += mult
+        if checked == budget:
+            raise SizeLimitExceededError(f"exhaustive check needs more than {budget} assignments")
+        checked += 1
+        lists = []
+        for v in range(n):
+            lists.append(masks[v] | ((1 << remaining[v]) - 1) << base)
+            base += remaining[v]
+        return None if colourable(lists) else lists
+
+    found = walk(0, sum(1 << v for v in range(n) if not sizes[v]), 0)
+    if found is None:
+        return None
+    return tuple(tuple(c for c in range(m.bit_length()) if m >> c & 1) for m in found)
 
 
 def check_extension(config: ReducibleConfig) -> bool:

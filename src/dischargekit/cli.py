@@ -35,7 +35,7 @@ from .core import (
 )
 from .discharging import RuleSet, apply_rules, final_report
 from .errors import DischargeKitError, SizeLimitExceededError
-from .structures import check_conditions, classify_role, find_trios, trios_by_triangle
+from .structures import StepBudget, check_conditions, classify_role, find_trios, trio_tuples, trios_by_triangle
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -126,7 +126,10 @@ def cmd_detect(args) -> int:
     reports = []
     status = EXIT_OK
     for gi, graph in enumerate(_load_graphs(args)):
-        conds = check_conditions(graph)
+        # counting the trio tuples takes no search, so a dense graph stops here
+        budget = StepBudget()
+        budget.spend(trio_tuples(graph))
+        conds = check_conditions(graph, budget)
         trios = find_trios(graph)
         trios_on = trios_by_triangle(trios)
         roles = []

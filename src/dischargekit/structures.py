@@ -11,10 +11,10 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .core import Edge, Graph, build_graph, canonical_edge
-from .errors import UnsupportedLengthError, VertexNotOnCycleError
+from .errors import SizeLimitExceededError, UnsupportedLengthError, VertexNotOnCycleError
 
 Cycle = Tuple[int, ...]
 
@@ -23,17 +23,36 @@ TRIO_LABELS = ("x", "y", "u", "v", "w")
 TRIO_EDGES = (("x", "y"), ("x", "u"), ("x", "v"), ("y", "v"), ("y", "w"), ("u", "v"), ("v", "w"))
 
 
+# The most steps ``detect`` may take on one graph: paths that the cycle
+# search extends plus (x, y, u, w) tuples that the trio search tries.
+MAX_DETECT_STEPS = 500_000
+
+
+class StepBudget:
+    """The steps left of ``MAX_DETECT_STEPS``."""
+
+    def __init__(self) -> None:
+        self.left = MAX_DETECT_STEPS
+
+    def spend(self, steps: int) -> None:
+        """Take ``steps``; raises ``SizeLimitExceededError`` past the budget."""
+        self.left -= steps
+        if self.left < 0:
+            raise SizeLimitExceededError(f"detect needs more than {MAX_DETECT_STEPS} search steps")
+
+
 def trio_graph() -> Graph:
     """The bare trio graph with vertices x=0, y=1, u=2, v=3, w=4."""
     idx = {lab: i for i, lab in enumerate(TRIO_LABELS)}
     return build_graph([(idx[a], idx[b]) for a, b in TRIO_EDGES], n=len(TRIO_LABELS))
 
 
-def enumerate_cycles(graph: Graph, length: int) -> List[Cycle]:
+def enumerate_cycles(graph: Graph, length: int, budget: Optional[StepBudget] = None) -> List[Cycle]:
     """All cycles of the given length, each once up to rotation/reflection.
 
     Canonical form: minimum vertex first, then the lexicographically smaller
-    of the two traversal directions.
+    of the two traversal directions.  Each path extended spends a step of
+    ``budget``, if one is given.
     """
     if length not in (3, 4, 5):
         raise UnsupportedLengthError(f"cycle length {length} not in {{3, 4, 5}}")
@@ -48,6 +67,8 @@ def enumerate_cycles(graph: Graph, length: int) -> List[Cycle]:
             return
         for w in adj[last]:
             if w > path[0] and w not in path:
+                if budget is not None:
+                    budget.spend(1)
                 path.append(w)
                 extend(path)
                 path.pop()
@@ -120,6 +141,24 @@ def find_trios(graph: Graph) -> List[TrioOccurrence]:
     return sorted(found.values(), key=lambda o: o.vertex_map)
 
 
+def trio_tuples(graph: Graph) -> int:
+    """The (x, y, u, w) tuples that ``find_trios`` tries, counted without
+    trying them: for each x-y edge of a link, u is one of x's link
+    neighbours other than y, and w one of y's other than x and u."""
+    adj = graph.adjacency
+    tuples = 0
+    for v in range(graph.n):
+        link = adj[v]
+        if len(link) < 4:
+            continue
+        for x in link:
+            near_x = adj[x] & link
+            for y in near_x:
+                near_y = adj[y] & link
+                tuples += (len(near_x) - 1) * (len(near_y) - 1) - len(near_x & near_y)
+    return tuples
+
+
 def trios_by_triangle(trios: Sequence[TrioOccurrence]) -> Dict[FrozenSet[int], List[TrioOccurrence]]:
     """Map each triangle to the trios that contain it, in the order of
     ``trios``."""
@@ -180,7 +219,7 @@ class ConditionReport:
 CONDITIONS = ("Thm1", "Thm2", "Corollary")
 
 
-def check_conditions(graph: Graph) -> Tuple[ConditionReport, ...]:
+def check_conditions(graph: Graph, budget: Optional[StepBudget] = None) -> Tuple[ConditionReport, ...]:
     """Check the three 5-cycle conditions in one pass over the 3- and
     5-cycles; one report per condition, in ``CONDITIONS`` order, whose
     witnesses are the violating 5-cycles.
@@ -190,9 +229,11 @@ def check_conditions(graph: Graph) -> Tuple[ConditionReport, ...]:
     Thm2: no 5-cycle shares an edge with two distinct 3-cycles, and none
     shares an edge with a 4-cycle that has a chord.
     Corollary: no 5-cycle shares any edge with a 3-cycle.
+
+    The cycle searches spend steps of ``budget``, if one is given.
     """
     triangles_on: Dict[Edge, List[Cycle]] = {}
-    for t in enumerate_cycles(graph, 3):
+    for t in enumerate_cycles(graph, 3, budget):
         for e in cycle_edges(t):
             triangles_on.setdefault(e, []).append(t)
     # A 4-cycle a-b-c-d with chord ac is the two triangles abc and acd on
@@ -202,7 +243,7 @@ def check_conditions(graph: Graph) -> Tuple[ConditionReport, ...]:
         if len(triangles) >= 2:
             chorded_edges.update(e for t in triangles for e in cycle_edges(t) if e != chord)
     witnesses: Tuple[List[Cycle], ...] = ([], [], [])
-    for c in enumerate_cycles(graph, 5):
+    for c in enumerate_cycles(graph, 5, budget):
         ce = cycle_edges(c)
         # Edges of c on each 3-cycle that shares one with c.
         shared = Counter(t for e in ce for t in triangles_on.get(e, ()))

@@ -7,16 +7,15 @@ here too: no command reads it, and networkx is its reference."""
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from dischargekit import choosability
 from dischargekit.alon_tarsi import EulerianCount
 from dischargekit.choosability import (
     ChoosabilityVerdict,
     ListAssignment,
+    Lists,
     ReducibleConfig,
-    iter_canonical_assignments,
-    l_color,
 )
 from dischargekit.core import Graph, Orientation, PlaneGraph, build_graph
 from dischargekit.discharging import ChargeLedger, RuleSet, initial_charges
@@ -101,6 +100,92 @@ def count_eulerian_frontier(orientation: Orientation) -> EulerianCount:
         states = new
     total = states.get((), [0, 0])
     return EulerianCount(even=total[0], odd=total[1])
+
+
+def l_color(graph: Graph, lists: Sequence[Sequence[int]]) -> Optional[List[int]]:
+    """A proper coloring with each vertex colored from its own list, or None.
+
+    Exhaustive backtracking; vertices are processed smallest-list-first.
+    The per-call colourer that ``choosability._colourer`` replaced.
+    """
+    if len(lists) != graph.n:
+        raise ValueError("lists must cover every vertex")
+    order = sorted(range(graph.n), key=lambda v: (len(lists[v]), -graph.degree(v)))
+    coloring: Dict[int, int] = {}
+    adj = graph.adjacency
+
+    def rec(i: int) -> bool:
+        if i == graph.n:
+            return True
+        v = order[i]
+        for c in lists[v]:
+            if all(coloring.get(u) != c for u in adj[v]):
+                coloring[v] = c
+                if rec(i + 1):
+                    return True
+                del coloring[v]
+        return False
+
+    if rec(0):
+        return [coloring[v] for v in range(graph.n)]
+    return None
+
+
+def iter_canonical_assignments(sizes: Sequence[int]) -> Iterator[Lists]:
+    """Canonical list assignments with the given sizes, one per intersection
+    pattern (orbit under color permutation), in the order in which
+    ``choosability._first_uncolourable`` checks them.
+
+    Color types are visited largest-subset-first, so the first assignment
+    yielded is the maximally shared one (all lists identical where sizes
+    allow).  Colors are numbered in order of first use, which makes each
+    yielded assignment the least representative of its orbit in signature
+    order.
+    """
+    n = len(sizes)
+    # Singleton types would come last, in vertex order, and each could only
+    # take all its vertex's remaining colours; so they are not enumerated,
+    # and what the shared types leave becomes private colours at the end.
+    shared = sorted((t for t in range(1, 1 << n) if t & (t - 1)), key=lambda t: (-bin(t).count("1"), t))
+    members = [[v for v in range(n) if t >> v & 1] for t in shared]
+    all_full = (1 << n) - 1
+    lists: List[List[int]] = [[] for _ in range(n)]
+    next_color = [0]
+
+    # ``full`` has a bit set for each vertex whose list is full; a type
+    # containing one of them can take no colour.
+    def rec(i: int, remaining: List[int], full: int) -> Iterator[Lists]:
+        if full == all_full:
+            yield tuple(tuple(lst) for lst in lists)
+            return
+        # Recurse only into types given a nonzero multiplicity, so the depth
+        # is at most sum(sizes), not the number of types.
+        for j in range(i, len(shared)):
+            if shared[j] & full:
+                continue
+            mem = members[j]
+            for mult in range(min(remaining[v] for v in mem), 0, -1):
+                base = next_color[0]
+                filled = full
+                for v in mem:
+                    remaining[v] -= mult
+                    lists[v].extend(range(base, base + mult))
+                    if not remaining[v]:
+                        filled |= 1 << v
+                next_color[0] += mult
+                yield from rec(j + 1, remaining, filled)
+                for v in mem:
+                    remaining[v] += mult
+                    del lists[v][-mult:]
+                next_color[0] -= mult
+        base = next_color[0]
+        private = []
+        for v in range(n):
+            private.append(tuple(lists[v]) + tuple(range(base, base + remaining[v])))
+            base += remaining[v]
+        yield tuple(private)
+
+    return rec(0, list(sizes), sum(1 << v for v in range(n) if not sizes[v]))
 
 
 def l_color_brute(graph: Graph, lists: Sequence[Sequence[int]]) -> Optional[List[int]]:
@@ -240,6 +325,29 @@ def find_trios_scan(graph: Graph) -> List[TrioOccurrence]:
                 if key not in found or occ.vertex_map < found[key].vertex_map:
                     found[key] = occ
     return sorted(found.values(), key=lambda o: o.vertex_map)
+
+
+def trio_tuples_scan(graph: Graph) -> int:
+    """Oracle for ``trio_tuples``: the ordered 4-tuples of distinct
+    neighbours that ``find_trios_scan`` accepts as (x, y, u, w)."""
+    adj = graph.adjacency
+    return sum(
+        y in adj[x] and u in adj[x] and w in adj[y]
+        for v in range(graph.n)
+        for x, y, u, w in itertools.permutations(adj[v], 4)
+    )
+
+
+def cycle_search_paths(graph: Graph, length: int) -> int:
+    """Oracle for the steps ``enumerate_cycles`` spends: the paths of 2 to
+    ``length`` vertices whose first vertex is their smallest."""
+    adj = graph.adjacency
+    return sum(
+        all(b in adj[a] for a, b in zip(path, path[1:]))
+        for r in range(graph.n)
+        for k in range(1, length)
+        for path in ((r,) + rest for rest in itertools.permutations(range(r + 1, graph.n), k))
+    )
 
 
 def role_in(graph: Graph, s: int, triangle) -> VertexRole:
@@ -407,15 +515,19 @@ def _count_check(checked: int) -> int:
     return checked + 1
 
 
-def check_extension_loop(config: ReducibleConfig) -> bool:
-    """The plain extension check as its own loop: True iff the inner graph is
-    colourable from every canonical assignment of the residual sizes."""
-    checked = 0
-    for lists in iter_canonical_assignments(config.residual_sizes):
-        checked = _count_check(checked)
-        if l_color(config.inner, lists) is None:
-            return False
-    return True
+def first_uncolourable_loop(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
+    """Oracle for ``choosability._first_uncolourable``: the first
+    assignment of ``iter_canonical_assignments`` that ``l_color`` cannot
+    colour, or None.  Raises ``SizeLimitExceededError`` when the
+    (``MAX_ASSIGNMENT_CHECKS`` + 1)-th assignment would be checked."""
+    for checked, lists in enumerate(iter_canonical_assignments(sizes)):
+        if checked >= choosability.MAX_ASSIGNMENT_CHECKS:
+            raise SizeLimitExceededError(
+                f"exhaustive check needs more than {choosability.MAX_ASSIGNMENT_CHECKS} assignments"
+            )
+        if l_color(graph, lists) is None:
+            return lists
+    return None
 
 
 def check_extension_with_rechoice(config: ReducibleConfig, choice_set: Sequence[int]) -> bool:
@@ -461,7 +573,7 @@ def reducible_with_rechoice(config: ReducibleConfig, choice_set: Sequence[int] =
     choice vertices, else the plain loop."""
     if choice_set:
         return check_extension_with_rechoice(config, choice_set)
-    return check_extension_loop(config)
+    return first_uncolourable_loop(config.inner, config.residual_sizes) is None
 
 
 def parse_graph6_bitwalk(text: str) -> Graph:

@@ -11,11 +11,11 @@ import time
 
 from dischargekit import fixtures
 from dischargekit.alon_tarsi import count_eulerian
-from dischargekit.choosability import check_extension, is_k_choosable, l_color
+from dischargekit.choosability import check_extension, is_k_choosable
 from dischargekit.core import Orientation, build_graph
 from dischargekit.discharging import RuleSet, apply_rules, initial_charges
 from dischargekit.structures import VertexRole, check_conditions, find_trios
-from oracles import count_eulerian_brute, l_color_brute, role_in
+from oracles import count_eulerian_brute, l_color, l_color_brute, role_in
 
 
 def report(name, ok, detail=""):

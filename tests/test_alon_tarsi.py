@@ -8,10 +8,9 @@ from inputs import triangulated_grid
 
 from dischargekit import alon_tarsi, fixtures
 from dischargekit.alon_tarsi import count_eulerian, find_certificate
-from dischargekit.choosability import iter_canonical_assignments, l_color
 from dischargekit.core import Orientation, build_graph, orientations_with_max_outdegree
 from dischargekit.errors import SizeLimitExceededError
-from oracles import count_eulerian_brute, count_eulerian_frontier
+from oracles import count_eulerian_brute, count_eulerian_frontier, iter_canonical_assignments, l_color
 
 
 def directed_triangle():

@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import pytest
+from inputs import wheel
 
 from dischargekit import choosability, fixtures
 from dischargekit.choosability import (
@@ -12,15 +13,16 @@ from dischargekit.choosability import (
     check_extension,
     degeneracy,
     is_k_choosable,
-    iter_canonical_assignments,
-    l_color,
 )
 from dischargekit.core import build_graph
 from dischargekit.errors import SizeLimitExceededError
 from oracles import (
     check_extension_with_rechoice,
+    first_uncolourable_loop,
     is_k_choosable_raw,
+    iter_canonical_assignments,
     iter_canonical_assignments_all_types,
+    l_color,
     l_color_brute,
     reducible_with_rechoice,
 )
@@ -35,6 +37,23 @@ TRIANGLE = fixtures.reducible_config(fixtures.CONFIG_TRIANGLE)
 H = fixtures.reducible_config(fixtures.CONFIG_H)
 # The vertices on which the paper re-chooses colours in H: x and u.
 H_CHOICE = (0, 2)
+
+
+def complete_bipartite(a, b, offset=0, n=None):
+    """K(a, b) on the vertices from ``offset`` on, the a side first."""
+    return build_graph([(offset + i, offset + a + j) for i in range(a) for j in range(b)], n=n)
+
+
+# The graphs that the choose-small benchmark asks about at k = 2 and 3.
+CHOOSE_SMALL = {
+    "C5": C5,
+    "C6": build_graph([(i, (i + 1) % 6) for i in range(6)]),
+    "K2,3": complete_bipartite(2, 3),
+    "K2,4": complete_bipartite(2, 4),
+    "K3,3": complete_bipartite(3, 3),
+    "K4": K4,
+    **{f"W{r}": wheel(r).graph for r in range(4, 10)},
+}
 
 
 def random_instance(rng, n_max=8, list_max=4):
@@ -120,6 +139,96 @@ class TestCanonicalAssignments:
         first, second = itertools.islice(iter_canonical_assignments([1] * 10), 2)
         assert first == ((0,),) * 10
         assert second == ((0,),) * 9 + ((1,),)
+
+
+def first_or_error(find, graph, sizes):
+    """``find(graph, sizes)``, or the message of the budget error it raises."""
+    try:
+        return find(graph, sizes)
+    except SizeLimitExceededError as exc:
+        return str(exc)
+
+
+def oracle_checks(graph, sizes):
+    """The assignments the oracle stream checks: up to and including its
+    first uncolourable one, or all of them."""
+    checked = 0
+    for lists in iter_canonical_assignments(sizes):
+        checked += 1
+        if l_color(graph, lists) is None:
+            break
+    return checked
+
+
+class TestFirstUncolourable:
+    """The fused walk against the first assignment of the oracle stream
+    that the oracle ``l_color`` cannot colour."""
+
+    def assert_agrees(self, graph, sizes):
+        got = first_or_error(choosability._first_uncolourable, graph, sizes)
+        assert got == first_or_error(first_uncolourable_loop, graph, sizes), (graph.edges, sizes)
+        return got
+
+    def test_random_graphs(self, monkeypatch):
+        # a smaller budget keeps the oracle to a second or two
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 3_000)
+        rng = random.Random(5)
+        outcomes = Counter()
+        for _ in range(300):
+            n = rng.randint(0, 7)
+            g = build_graph([e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5], n=n)
+            got = self.assert_agrees(g, tuple(rng.randint(0, 3) for _ in range(n)))
+            outcomes[type(got)] += 1
+        assert outcomes[tuple] >= 100 and outcomes[type(None)] >= 100, outcomes
+
+    def test_h_sizes(self):
+        assert self.assert_agrees(H.inner, H.residual_sizes) is None
+        assert self.assert_agrees(C5, (2, 3, 2, 4, 2)) is None
+        assert self.assert_agrees(K5, (2, 3, 2, 4, 2)) is not None
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_choose_small_graphs(self, k, monkeypatch):
+        # the first 2,000 assignments of each; see test_pinned_witnesses
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 2_000)
+        for graph in CHOOSE_SMALL.values():
+            self.assert_agrees(graph, [k] * graph.n)
+
+    def test_pinned_witnesses(self):
+        # the two choose-small "no" answers that come after many checks
+        assert self.assert_agrees(CHOOSE_SMALL["K2,4"], [2] * 6) == (
+            (0, 3), (1, 2), (0, 1), (0, 2), (1, 3), (2, 3),
+        )
+        assert self.assert_agrees(CHOOSE_SMALL["K3,3"], [2] * 6) == ((0, 1), (0, 2), (1, 2)) * 2
+
+    def test_budget_boundary(self, monkeypatch):
+        rng = random.Random(8)
+        cases = [
+            (SQUARE.inner, SQUARE.residual_sizes),
+            (CHOOSE_SMALL["K3,3"], [2] * 6),
+            (C3, (2, 2, 2)),
+            (complete_bipartite(2, 4, offset=4, n=10), [2] * 6 + [1] * 4),
+        ]
+        for _ in range(10):
+            n = rng.randint(2, 5)
+            g = build_graph([e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5], n=n)
+            cases.append((g, tuple(rng.randint(1, 3) for _ in range(n))))
+        expected = [(oracle_checks(g, sizes), first_uncolourable_loop(g, sizes)) for g, sizes in cases]
+        for (graph, sizes), (needed, want) in zip(cases, expected):
+            monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", needed)
+            assert choosability._first_uncolourable(graph, sizes) == want
+            monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", needed - 1)
+            message = f"^exhaustive check needs more than {needed - 1} assignments$"
+            with pytest.raises(SizeLimitExceededError, match=message):
+                choosability._first_uncolourable(graph, sizes)
+
+    def test_ten_vertices(self, monkeypatch):
+        # the vertex count that DEFAULT_N_LIMIT admits; 1,013 shared types
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 2_000)
+        late = complete_bipartite(2, 4, offset=4, n=10)
+        assert self.assert_agrees(late, [2] * 6 + [1] * 4) == ((0, 1),) * 6 + ((0,),) * 3 + ((1,),)
+        assert self.assert_agrees(build_graph([], n=10), [1] * 10).startswith("exhaustive check")
+        assert self.assert_agrees(build_graph([(i, i + 1) for i in range(9)]), [2] * 10).startswith("exhaustive")
+        assert self.assert_agrees(wheel(9).graph, [3] * 10) == ((0, 1, 2),) * 10
 
 
 class TestKChoosable:

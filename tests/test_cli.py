@@ -68,6 +68,24 @@ class TestDetect:
         for r in roles:
             assert r["role"] == role_in(graph, r["vertex"], r["triangle"]).value
 
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            # 1,860,480 trio tuples, counted before any search
+            [(i, j) for j in range(20) for i in range(j)],
+            # no 5-cycle, but millions of paths from each leaf through the hubs
+            [(i, 300 + hub) for hub in range(2) for i in range(300)],
+        ],
+        ids=["K20", "K2,300-hubs-last"],
+    )
+    def test_step_budget_exits_2(self, edges, tmp_path, capsys):
+        path = tmp_path / "g.g6"
+        path.write_text(write_graph6(build_graph(edges)) + "\n")
+        code = main(["detect", "--input", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: detect needs more than 500000 search steps\n"
+
 
 class TestChoosable:
     def test_c5_4_choosable(self, tmp_path, capsys):
@@ -229,6 +247,20 @@ class TestReduce:
         )
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+    def test_assignment_budget_on_ten_vertices_exits_2(self, tmp_path):
+        # one edge and lists of 200: far more canonical assignments than the
+        # budget; in a fresh process, with a timeout that only catches a hang
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"edges": [[0, 1]], "n": 10, "sizes": [200] * 10}))
+        env = dict(os.environ, PYTHONPATH=str(Path(dischargekit.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dischargekit.cli", "reduce", "--input", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: exhaustive check needs more than 100000 assignments\n"
 
 
 class TestDischarge:

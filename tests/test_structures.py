@@ -10,16 +10,19 @@ from oracles import (
     CONFIG_3,
     check_condition_scan,
     find_fixed_configs,
+    cycle_search_paths,
     find_trios_scan,
     pattern_automorphisms,
     role_in,
+    trio_tuples_scan,
 )
 
-from dischargekit import fixtures
+from dischargekit import fixtures, structures
 from dischargekit.core import build_graph
-from dischargekit.errors import UnsupportedLengthError, VertexNotOnCycleError
+from dischargekit.errors import SizeLimitExceededError, UnsupportedLengthError, VertexNotOnCycleError
 from dischargekit.structures import (
     CONDITIONS,
+    StepBudget,
     VertexRole,
     check_conditions,
     classify_role,
@@ -27,6 +30,7 @@ from dischargekit.structures import (
     enumerate_cycles,
     find_trios,
     trio_graph,
+    trio_tuples,
     trios_by_triangle,
 )
 
@@ -104,6 +108,33 @@ class TestEnumerateCycles:
         # the comparison above also passes on graphs without cycles
         assert found > 1000
 
+    def test_budget_counts_extended_paths(self, monkeypatch):
+        rng = random.Random(4)
+        spent = 0
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.2, 0.8))
+            for length in (3, 4, 5):
+                paths = cycle_search_paths(g, length)
+                monkeypatch.setattr(structures, "MAX_DETECT_STEPS", paths)
+                assert enumerate_cycles(g, length, StepBudget()) == enumerate_cycles(g, length)
+                spent += paths
+                if paths:
+                    monkeypatch.setattr(structures, "MAX_DETECT_STEPS", paths - 1)
+                    message = f"^detect needs more than {paths - 1} search steps$"
+                    with pytest.raises(SizeLimitExceededError, match=message):
+                        enumerate_cycles(g, length, StepBudget())
+        assert spent > 1000
+
+    def test_conditions_share_one_budget(self, monkeypatch):
+        g = petersen()
+        paths = cycle_search_paths(g, 3) + cycle_search_paths(g, 5)
+        monkeypatch.setattr(structures, "MAX_DETECT_STEPS", paths)
+        budget = StepBudget()
+        assert check_conditions(g, budget) == check_conditions(g) and budget.left == 0
+        monkeypatch.setattr(structures, "MAX_DETECT_STEPS", paths - 1)
+        with pytest.raises(SizeLimitExceededError):
+            check_conditions(g, StepBudget())
+
 
 class TestTrios:
     def test_trio_graph_single_occurrence(self):
@@ -146,6 +177,17 @@ class TestTrios:
             found += len(trios)
         # the comparison above also passes on graphs without trios
         assert found > 1000
+
+    def test_tuple_count_equals_scan(self):
+        graphs = [emb.graph for emb in fixtures.solid_embeddings().values()]
+        graphs += [wheel(spokes).graph for spokes in range(3, 30)]
+        graphs += [build_graph(list(itertools.combinations(range(n), 2))) for n in range(4, 10)]
+        rng = random.Random(30)
+        graphs += [random_graph(rng, rng.randint(5, 11), rng.uniform(0.3, 0.7)) for _ in range(100)]
+        counted = [trio_tuples(g) for g in graphs]
+        assert counted == [trio_tuples_scan(g) for g in graphs]
+        # K9 tries every ordered 4-tuple of each vertex's 8 neighbours
+        assert counted[-101] == 9 * 8 * 7 * 6 * 5
 
 
 class TestRoles:
