@@ -15,6 +15,7 @@ from .core import (
 )
 from .structures import (
     ConditionReport,
+    StepBudget,
     TrioOccurrence,
     VertexRole,
     check_conditions,

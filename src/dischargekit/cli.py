@@ -127,7 +127,7 @@ def cmd_detect(args) -> int:
     status = EXIT_OK
     for gi, graph in enumerate(_load_graphs(args)):
         # counting the trio tuples takes no search, so a dense graph stops here
-        budget = StepBudget()
+        budget = StepBudget(graph)
         budget.spend(trio_tuples(graph))
         conds = check_conditions(graph, budget)
         trios = find_trios(graph)
@@ -302,7 +302,7 @@ def repro_rows() -> List[dict]:
 
     demo_ok = True
     for graph in fixtures.demo_graphs():
-        _, _, corollary = check_conditions(graph)
+        _, _, corollary = check_conditions(graph, StepBudget(graph))
         if not corollary.holds:
             demo_ok = False
             break

@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .core import Edge, Graph, build_graph, canonical_edge
 from .errors import SizeLimitExceededError, UnsupportedLengthError, VertexNotOnCycleError
@@ -23,22 +23,27 @@ TRIO_LABELS = ("x", "y", "u", "v", "w")
 TRIO_EDGES = (("x", "y"), ("x", "u"), ("x", "v"), ("y", "v"), ("y", "w"), ("u", "v"), ("v", "w"))
 
 
-# The most steps ``detect`` may take on one graph: paths that the cycle
-# search extends plus (x, y, u, w) tuples that the trio search tries.
-MAX_DETECT_STEPS = 500_000
+# The steps ``detect`` may take on one graph, that is, the (x, y, u, w)
+# tuples that the trio search tries plus the paths that the cycle searches
+# extend: a fixed base plus a share for each edge.  A triangulated grid
+# needs fewer than 100 steps per edge, so any such grid is answered, while
+# K16 and up are refused.
+DETECT_BASE_STEPS = 500_000
+DETECT_STEPS_PER_EDGE = 200
 
 
 class StepBudget:
-    """The steps left of ``MAX_DETECT_STEPS``."""
+    """The steps left of one graph's ``detect`` budget."""
 
-    def __init__(self) -> None:
-        self.left = MAX_DETECT_STEPS
+    def __init__(self, graph: Graph) -> None:
+        self.limit = DETECT_BASE_STEPS + DETECT_STEPS_PER_EDGE * len(graph.edges)
+        self.left = self.limit
 
     def spend(self, steps: int) -> None:
         """Take ``steps``; raises ``SizeLimitExceededError`` past the budget."""
         self.left -= steps
         if self.left < 0:
-            raise SizeLimitExceededError(f"detect needs more than {MAX_DETECT_STEPS} search steps")
+            raise SizeLimitExceededError(f"detect needs more than {self.limit} search steps")
 
 
 def trio_graph() -> Graph:
@@ -47,31 +52,41 @@ def trio_graph() -> Graph:
     return build_graph([(idx[a], idx[b]) for a, b in TRIO_EDGES], n=len(TRIO_LABELS))
 
 
-def enumerate_cycles(graph: Graph, length: int, budget: Optional[StepBudget] = None) -> List[Cycle]:
+def enumerate_cycles(graph: Graph, length: int, budget: StepBudget) -> List[Cycle]:
     """All cycles of the given length, each once up to rotation/reflection.
 
     Canonical form: minimum vertex first, then the lexicographically smaller
     of the two traversal directions.  Each path extended spends a step of
-    ``budget``, if one is given.
+    ``budget``.  A path spends the steps of its extensions once they have
+    been searched, so the search stops at most ``length - 1`` times the
+    largest degree of steps past the budget.
     """
     if length not in (3, 4, 5):
         raise UnsupportedLengthError(f"cycle length {length} not in {{3, 4, 5}}")
     cycles: List[Cycle] = []
     adj = graph.adjacency
+    spend = budget.spend
 
     def extend(path: List[int]) -> None:
-        last = path[-1]
-        if len(path) == length:
-            if path[0] in adj[last] and path[1] < path[-1]:
-                cycles.append(tuple(path))
-            return
-        for w in adj[last]:
-            if w > path[0] and w not in path:
-                if budget is not None:
-                    budget.spend(1)
-                path.append(w)
-                extend(path)
-                path.pop()
+        first, last = path[0], path[-1]
+        extended = 0
+        if len(path) == length - 1:
+            # each extension w is a last vertex: it closes a cycle if it
+            # is a neighbour of the first
+            closing = adj[first]
+            for w in adj[last]:
+                if w > first and w not in path:
+                    extended += 1
+                    if w in closing and path[1] < w:
+                        cycles.append((*path, w))
+        else:
+            for w in adj[last]:
+                if w > first and w not in path:
+                    extended += 1
+                    path.append(w)
+                    extend(path)
+                    path.pop()
+        spend(extended)
 
     for r in range(graph.n):
         extend([r])
@@ -219,7 +234,7 @@ class ConditionReport:
 CONDITIONS = ("Thm1", "Thm2", "Corollary")
 
 
-def check_conditions(graph: Graph, budget: Optional[StepBudget] = None) -> Tuple[ConditionReport, ...]:
+def check_conditions(graph: Graph, budget: StepBudget) -> Tuple[ConditionReport, ...]:
     """Check the three 5-cycle conditions in one pass over the 3- and
     5-cycles; one report per condition, in ``CONDITIONS`` order, whose
     witnesses are the violating 5-cycles.
@@ -230,7 +245,7 @@ def check_conditions(graph: Graph, budget: Optional[StepBudget] = None) -> Tuple
     shares an edge with a 4-cycle that has a chord.
     Corollary: no 5-cycle shares any edge with a 3-cycle.
 
-    The cycle searches spend steps of ``budget``, if one is given.
+    The cycle searches spend steps of ``budget``.
     """
     triangles_on: Dict[Edge, List[Cycle]] = {}
     for t in enumerate_cycles(graph, 3, budget):

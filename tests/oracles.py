@@ -24,6 +24,7 @@ from dischargekit.fixtures import CONFIG_H, FixedConfig
 from dischargekit.structures import (
     CONDITIONS,
     ConditionReport,
+    StepBudget,
     TrioOccurrence,
     VertexRole,
     classify_role,
@@ -363,12 +364,12 @@ def check_condition_scan(graph: Graph, which: str) -> ConditionReport:
     vertices."""
     if which not in CONDITIONS:
         raise ValueError(f"unknown condition {which!r}")
-    five = enumerate_cycles(graph, 5)
-    three = enumerate_cycles(graph, 3)
+    five = enumerate_cycles(graph, 5, StepBudget(graph))
+    three = enumerate_cycles(graph, 3, StepBudget(graph))
     witnesses = []
     chorded = []
     if which == "Thm2":
-        for c in enumerate_cycles(graph, 4):
+        for c in enumerate_cycles(graph, 4, StepBudget(graph)):
             a, b, cc, d = c
             if cc in graph.adjacency[a] or d in graph.adjacency[b]:
                 chorded.append(c)

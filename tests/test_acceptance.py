@@ -14,7 +14,7 @@ from dischargekit.alon_tarsi import count_eulerian
 from dischargekit.choosability import check_extension, is_k_choosable
 from dischargekit.core import Orientation, build_graph
 from dischargekit.discharging import RuleSet, apply_rules, initial_charges
-from dischargekit.structures import VertexRole, check_conditions, find_trios
+from dischargekit.structures import StepBudget, VertexRole, check_conditions, find_trios
 from oracles import count_eulerian_brute, l_color, l_color_brute, role_in
 
 
@@ -161,15 +161,15 @@ def test_structure_detection():
 
     rim = [(i, (i + 1) % 5) for i in range(5)]
     wheel = build_graph(rim + [(i, 5) for i in range(5)])
-    thm1, _, _ = check_conditions(wheel)
+    thm1, _, _ = check_conditions(wheel, StepBudget(wheel))
     ok = ok and not thm1.holds
 
     glued = build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 5)])
-    _, _, corollary = check_conditions(glued)
+    _, _, corollary = check_conditions(glued, StepBudget(glued))
     ok = ok and not corollary.holds
 
     c5 = build_graph(rim)
-    ok = ok and all(c.holds for c in check_conditions(c5))
+    ok = ok and all(c.holds for c in check_conditions(c5, StepBudget(c5)))
     report("structure-detection", ok)
 
 
@@ -178,7 +178,7 @@ def test_demo_corpus_is_4_choosable():
     ok = len(graphs) == 50
     for g in graphs:
         ok = ok and g.n <= 10
-        _, _, corollary = check_conditions(g)
+        _, _, corollary = check_conditions(g, StepBudget(g))
         ok = ok and corollary.holds
         ok = ok and is_k_choosable(g, 4).choosable
     report("demo-4-choosable", ok, f"{len(graphs)} graphs")

@@ -14,6 +14,7 @@ import dischargekit
 from dischargekit import cli, fixtures
 from dischargekit.cli import _dumps, build_parser, main
 from dischargekit.core import build_graph, orientation_to_json
+from dischargekit.structures import DETECT_BASE_STEPS, StepBudget, check_conditions, trio_tuples
 
 C5_G6 = "Dhc"
 WHEEL5_G6 = ">>graph6<<Ehfw"  # 5-wheel: rim 0..4 plus hub 5
@@ -69,22 +70,35 @@ class TestDetect:
             assert r["role"] == role_in(graph, r["vertex"], r["triangle"]).value
 
     @pytest.mark.parametrize(
-        "edges",
+        "edges, limit",
         [
             # 1,860,480 trio tuples, counted before any search
-            [(i, j) for j in range(20) for i in range(j)],
+            ([(i, j) for j in range(20) for i in range(j)], 500_000 + 200 * 190),
             # no 5-cycle, but millions of paths from each leaf through the hubs
-            [(i, 300 + hub) for hub in range(2) for i in range(300)],
+            ([(i, 300 + hub) for hub in range(2) for i in range(300)], 500_000 + 200 * 600),
         ],
         ids=["K20", "K2,300-hubs-last"],
     )
-    def test_step_budget_exits_2(self, edges, tmp_path, capsys):
+    def test_step_budget_exits_2(self, edges, limit, tmp_path, capsys):
         path = tmp_path / "g.g6"
         path.write_text(write_graph6(build_graph(edges)) + "\n")
         code = main(["detect", "--input", str(path)])
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
-        assert err == "error: detect needs more than 500000 search steps\n"
+        assert err == f"error: detect needs more than {limit} search steps\n"
+
+    def test_large_triangulated_grid_answers(self, tmp_path):
+        # 2,500 vertices: more steps than the budget's fixed base, fewer
+        # than its share per edge adds
+        graph = triangulated_grid(50, 1.0, 1).graph
+        budget = StepBudget(graph)
+        budget.spend(trio_tuples(graph))
+        check_conditions(graph, budget)
+        assert budget.limit - budget.left > DETECT_BASE_STEPS
+        path = tmp_path / "grid.g6"
+        path.write_text(write_graph6(graph) + "\n")
+        # the report, with thousands of trios, goes to a file
+        assert main(["detect", "--input", str(path), "--output", str(tmp_path / "out.json")]) in (0, 1)
 
 
 class TestChoosable:

@@ -63,25 +63,27 @@ def random_graph(rng, n, p):
 class TestEnumerateCycles:
     def test_k4_triangles(self):
         g = build_graph(list(itertools.combinations(range(4), 2)))
-        assert len(enumerate_cycles(g, 3)) == 4
+        assert len(enumerate_cycles(g, 3, StepBudget(g))) == 4
 
     def test_c5_single_cycle(self):
         g = build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        assert enumerate_cycles(g, 5) == [(0, 1, 2, 3, 4)]
+        assert enumerate_cycles(g, 5, StepBudget(g)) == [(0, 1, 2, 3, 4)]
 
     def test_petersen_twelve_5cycles(self):
-        assert len(enumerate_cycles(petersen(), 5)) == 12
+        g = petersen()
+        assert len(enumerate_cycles(g, 5, StepBudget(g))) == 12
 
     def test_unsupported_length(self):
         with pytest.raises(UnsupportedLengthError):
-            enumerate_cycles(trio_graph(), 6)
+            g = trio_graph()
+            enumerate_cycles(g, 6, StepBudget(g))
 
     def test_matches_oracle_on_random_graphs(self):
         rng = random.Random(13)
         for _ in range(25):
             g = random_graph(rng, rng.randint(3, 8), 0.45)
             for length in (3, 4, 5):
-                got = {frozenset(cycle_edges(c)) for c in enumerate_cycles(g, length)}
+                got = {frozenset(cycle_edges(c)) for c in enumerate_cycles(g, length, StepBudget(g))}
                 assert got == cycles_oracle(g, length)
 
     def test_matches_networkx_simple_cycles(self):
@@ -103,37 +105,43 @@ class TestEnumerateCycles:
                 want = sorted(
                     canonical(c) for c in nx.simple_cycles(g_nx, length_bound=length) if len(c) == length
                 )
-                assert enumerate_cycles(g, length) == want
+                assert enumerate_cycles(g, length, StepBudget(g)) == want
                 found += len(want)
         # the comparison above also passes on graphs without cycles
         assert found > 1000
 
     def test_budget_counts_extended_paths(self, monkeypatch):
+        monkeypatch.setattr(structures, "DETECT_STEPS_PER_EDGE", 0)
         rng = random.Random(4)
         spent = 0
         for _ in range(30):
             g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.2, 0.8))
             for length in (3, 4, 5):
+                monkeypatch.setattr(structures, "DETECT_BASE_STEPS", 10**9)
+                want = enumerate_cycles(g, length, StepBudget(g))
                 paths = cycle_search_paths(g, length)
-                monkeypatch.setattr(structures, "MAX_DETECT_STEPS", paths)
-                assert enumerate_cycles(g, length, StepBudget()) == enumerate_cycles(g, length)
+                monkeypatch.setattr(structures, "DETECT_BASE_STEPS", paths)
+                budget = StepBudget(g)
+                assert enumerate_cycles(g, length, budget) == want and budget.left == 0
                 spent += paths
                 if paths:
-                    monkeypatch.setattr(structures, "MAX_DETECT_STEPS", paths - 1)
+                    monkeypatch.setattr(structures, "DETECT_BASE_STEPS", paths - 1)
                     message = f"^detect needs more than {paths - 1} search steps$"
                     with pytest.raises(SizeLimitExceededError, match=message):
-                        enumerate_cycles(g, length, StepBudget())
+                        enumerate_cycles(g, length, StepBudget(g))
         assert spent > 1000
 
     def test_conditions_share_one_budget(self, monkeypatch):
         g = petersen()
+        want = check_conditions(g, StepBudget(g))
         paths = cycle_search_paths(g, 3) + cycle_search_paths(g, 5)
-        monkeypatch.setattr(structures, "MAX_DETECT_STEPS", paths)
-        budget = StepBudget()
-        assert check_conditions(g, budget) == check_conditions(g) and budget.left == 0
-        monkeypatch.setattr(structures, "MAX_DETECT_STEPS", paths - 1)
-        with pytest.raises(SizeLimitExceededError):
-            check_conditions(g, StepBudget())
+        monkeypatch.setattr(structures, "DETECT_STEPS_PER_EDGE", 0)
+        monkeypatch.setattr(structures, "DETECT_BASE_STEPS", paths)
+        budget = StepBudget(g)
+        assert check_conditions(g, budget) == want and budget.left == 0
+        monkeypatch.setattr(structures, "DETECT_BASE_STEPS", paths - 1)
+        with pytest.raises(SizeLimitExceededError, match=f"^detect needs more than {paths - 1} search steps$"):
+            check_conditions(g, StepBudget(g))
 
 
 class TestTrios:
@@ -206,7 +214,7 @@ class TestRoles:
     def test_good_without_trio(self):
         g = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])  # K4 minus one edge
         assert find_trios(g) == []
-        for t in enumerate_cycles(g, 3):
+        for t in enumerate_cycles(g, 3, StepBudget(g)):
             for s in t:
                 assert role_in(g, s, t) is VertexRole.GOOD
 
@@ -220,7 +228,7 @@ class TestRoles:
         perm = list(range(5))
         rng.shuffle(perm)
         relabeled = build_graph([(perm[a], perm[b]) for a, b in g.edges], n=5)
-        for t in enumerate_cycles(g, 3):
+        for t in enumerate_cycles(g, 3, StepBudget(g)):
             for s in t:
                 role = role_in(g, s, t)
                 assert role is role_in(relabeled, perm[s], frozenset(perm[v] for v in t))
@@ -240,20 +248,20 @@ class TestTrioIndex:
 class TestConditions:
     def test_c5_all_hold(self):
         g = build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        reports = check_conditions(g)
+        reports = check_conditions(g, StepBudget(g))
         assert [r.condition for r in reports] == list(CONDITIONS)
         assert all(r.holds for r in reports)
 
     def test_5wheel_violates_thm1(self):
         rim = [(i, (i + 1) % 5) for i in range(5)]
         g = build_graph(rim + [(i, 5) for i in range(5)])
-        thm1, _, _ = check_conditions(g)
+        thm1, _, _ = check_conditions(g, StepBudget(g))
         assert not thm1.holds
         assert (0, 1, 2, 3, 4) in thm1.witnesses
 
     def test_glued_triangle_pentagon(self):
         g = build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 5)])
-        thm1, thm2, corollary = check_conditions(g)
+        thm1, thm2, corollary = check_conditions(g, StepBudget(g))
         assert not corollary.holds
         assert not thm1.holds
         assert thm2.holds
@@ -262,7 +270,7 @@ class TestConditions:
         g = build_graph(
             [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 5), (2, 6), (3, 6)]
         )
-        _, thm2, _ = check_conditions(g)
+        _, thm2, _ = check_conditions(g, StepBudget(g))
         assert not thm2.holds
 
     def test_chorded_4cycle_alone_violates_thm2(self):
@@ -270,16 +278,16 @@ class TestConditions:
         # outer edge 01 with it and lies on no triangle but 012.
         diamond = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]
         g = build_graph(diamond + [(1, 4), (4, 5), (5, 6), (0, 6)])
-        five = enumerate_cycles(g, 5)
+        five = enumerate_cycles(g, 5, StepBudget(g))
         assert five == [(0, 1, 4, 5, 6)]
-        assert sum(bool(cycle_edges(five[0]) & cycle_edges(t)) for t in enumerate_cycles(g, 3)) == 1
-        _, thm2, _ = check_conditions(g)
+        assert sum(bool(cycle_edges(five[0]) & cycle_edges(t)) for t in enumerate_cycles(g, 3, StepBudget(g))) == 1
+        _, thm2, _ = check_conditions(g, StepBudget(g))
         assert thm2.witnesses == ((0, 1, 4, 5, 6),)
         assert thm2 == check_condition_scan(g, "Thm2")
 
     def test_report_json_shape(self):
         g = build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 5)])
-        _, _, corollary = check_conditions(g)
+        _, _, corollary = check_conditions(g, StepBudget(g))
         obj = corollary.to_json()
         assert obj["condition"] == "Corollary"
         assert obj["holds"] is False
@@ -289,12 +297,12 @@ class TestConditions:
         rng = random.Random(99)
         for _ in range(30):
             g = random_graph(rng, rng.randint(5, 8), 0.35)
-            _, _, corollary = check_conditions(g)
+            _, _, corollary = check_conditions(g, StepBudget(g))
             if corollary.holds:
                 # no 5-cycle shares an edge with any 3-cycle, so in particular
                 # none is adjacent to two of them
-                five = enumerate_cycles(g, 5)
-                three = enumerate_cycles(g, 3)
+                five = enumerate_cycles(g, 5, StepBudget(g))
+                three = enumerate_cycles(g, 3, StepBudget(g))
                 for c in five:
                     shared = sum(1 for t in three if cycle_edges(c) & cycle_edges(t))
                     assert shared == 0
@@ -310,11 +318,11 @@ class TestConditions:
         witnesses = Counter()
         others = Counter()
         for g in graphs:
-            reports = check_conditions(g)
+            reports = check_conditions(g, StepBudget(g))
             assert reports == tuple(check_condition_scan(g, which) for which in CONDITIONS)
             for report in reports:
                 witnesses[report.condition] += len(report.witnesses)
-                others[report.condition] += len(enumerate_cycles(g, 5)) - len(report.witnesses)
+                others[report.condition] += len(enumerate_cycles(g, 5, StepBudget(g))) - len(report.witnesses)
         # both outcomes occur, so a check that always or never fires fails
         for which in CONDITIONS:
             assert witnesses[which] and others[which], which
