@@ -10,7 +10,6 @@ from .core import (
     PlaneGraph,
     build_graph,
     faces_of,
-    orientations_with_max_outdegree,
     parse_graph6,
 )
 from .structures import (

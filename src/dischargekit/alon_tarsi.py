@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from .core import Graph, Orientation, orientation_to_json, orientations_with_max_outdegree
-from .errors import SizeLimitExceededError
+from .core import Graph, Orientation, orientation_to_json
+from .errors import WorkBudget
 
-# The most DP states one count, or one certificate search over all its
-# orientations, may build before it gives up (about a second of work).
+# The most work one count or certificate search may do (about a second): the
+# DP states built, plus in a search the orientation tree nodes visited.
 MAX_DP_STATES = 1_000_000
 
 
@@ -51,51 +51,51 @@ def _placement(graph: Graph) -> List[int]:
     return position
 
 
-def count_eulerian(orientation: Orientation) -> EulerianCount:
-    """Exact (even, odd) counts of balanced arc subsets.
+def _plan(graph: Graph):
+    """The DP schedule of ``graph``: ``(steps, balanced, bias, mask)``.
 
-    A frontier dynamic program: arcs are taken in vertex placement order
-    (``_placement``), and a state is the out-minus-in balance of every
-    vertex with arcs still to come.  A state is dropped as soon as some
-    |balance| exceeds that vertex's arcs still to come, since it can no
-    longer close at 0.  Balances are packed into one integer, a field of
-    ``width`` bits per frontier slot holding balance + ``bias``, so taking
-    an arc adds a constant; a vertex's slot is reused once its arcs are
-    done.  Raises ``SizeLimitExceededError`` past ``MAX_DP_STATES`` states.
-    """
-    arcs = orientation.arcs
-    if not arcs:
-        return EulerianCount(even=1, odd=0)
-    pos = _placement(orientation.base)
-    order = sorted(arcs, key=lambda a: (max(pos[a[0]], pos[a[1]]), min(pos[a[0]], pos[a[1]])))
-    left = orientation.base.degrees()
-    width = max(left).bit_length() + 1
-    bias, mask = 1 << (width - 1), (1 << width) - 1
+    Edges are taken in vertex placement order (``_placement``).  A state
+    packs the balances into one integer, ``width`` bits per frontier slot
+    holding balance + ``bias``; a vertex's slot is reused once its edges are
+    done.  A step is an edge's index and, for its lower and then its upper
+    end as tail: the bit offsets of tail and head, the arcs each has still
+    to come, and the constant that taking the arc adds."""
+    edges = graph.edges
+    pos = _placement(graph)
+    order = sorted(range(len(edges)), key=lambda e: sorted((pos[v] for v in edges[e]), reverse=True))
+    left = graph.degrees()
+    width = max(left, default=0).bit_length() + 1
+    bias = 1 << (width - 1)
     slot: Dict[int, int] = {}
     free: List[int] = []
-    slots = 0
-    # per arc: the bit offsets of its tail's and head's fields, and the
-    # arcs each of the two has still to come after this one
-    plan = []
-    for t, h in order:
-        for v in (t, h):
-            if v not in slot:
-                if free:
-                    slot[v] = free.pop()
-                else:
-                    slot[v], slots = slots, slots + 1
-        left[t] -= 1
-        left[h] -= 1
-        plan.append((slot[t] * width, slot[h] * width, left[t], left[h]))
-        for v in (t, h):
-            if left[v] == 0:
-                free.append(slot.pop(v))
-    balanced = sum(bias << (s * width) for s in range(slots))
+    steps = []
+    for e in order:
+        u, v = edges[e]
+        for w in (u, v):
+            if w not in slot:
+                slot[w] = free.pop() if free else len(slot)
+            left[w] -= 1
+        su, sv = slot[u] * width, slot[v] * width
+        forward = (su, sv, left[u], left[v], (1 << su) - (1 << sv))
+        steps.append((e, (forward, (sv, su, left[v], left[u], -forward[4]))))
+        for w in (u, v):
+            if left[w] == 0:
+                free.append(slot.pop(w))
+    # every slot is free once all edges are done
+    return steps, sum(bias << (s * width) for s in range(len(free))), bias, (1 << width) - 1
+
+
+def _count(plan, flip: List[int], spend: Callable[[int], None]) -> EulerianCount:
+    """(even, odd) counts of balanced arc subsets when edge e's tail is its
+    lower end if ``flip[e]`` is 0, else its upper end.  A state is dropped
+    once some |balance| exceeds that vertex's arcs still to come, as it can
+    no longer close at 0.  Each step's states are spent."""
+    steps, balanced, bias, mask = plan
     # state -> (even, odd) counts of the arc subsets chosen so far
     states: Dict[int, Tuple[int, int]] = {balanced: (1, 0)}
     built = 0
-    for st, sh, lt, lh in plan:
-        delta = (1 << st) - (1 << sh)
+    for e, directed in steps:
+        st, sh, lt, lh, delta = directed[flip[e]]
         new: Dict[int, Tuple[int, int]] = {}
         get = new.get
         for key, (ev, od) in states.items():
@@ -110,10 +110,19 @@ def count_eulerian(orientation: Orientation) -> EulerianCount:
                 new[taken] = (od, ev) if cell is None else (cell[0] + od, cell[1] + ev)
         states = new
         built += len(new)
-        if built > MAX_DP_STATES:
-            raise SizeLimitExceededError(f"Eulerian count needs more than {MAX_DP_STATES} DP states")
+        spend(len(new))
     even, odd = states.get(balanced, (0, 0))
     return EulerianCount(even=even, odd=odd, states=built)
+
+
+def count_eulerian(orientation: Orientation) -> EulerianCount:
+    """Exact (even, odd) counts of balanced arc subsets, by the frontier DP
+    of ``_plan`` and ``_count``; the arcs may come in any order.  Raises
+    ``SizeLimitExceededError`` past ``MAX_DP_STATES`` DP states."""
+    flipped = {(h, t) for t, h in orientation.arcs if t > h}
+    flip = [int(e in flipped) for e in orientation.base.edges]
+    spend = WorkBudget(MAX_DP_STATES, "Eulerian count", "DP states").spend
+    return _count(_plan(orientation.base), flip, spend)
 
 
 @dataclass(frozen=True)
@@ -123,40 +132,55 @@ class AtCertificate:
     orientation: Orientation
     counts: EulerianCount
 
-    @property
-    def list_size_bound(self) -> List[int]:
-        return [d + 1 for d in self.orientation.outdegrees()]
-
     def to_json(self) -> dict:
+        outdegrees = self.orientation.outdegrees()
         return {
             "orientation": orientation_to_json(self.orientation),
             "even": self.counts.even,
             "odd": self.counts.odd,
-            "outdegrees": self.orientation.outdegrees(),
-            "list_size_bound": self.list_size_bound,
+            "outdegrees": outdegrees,
+            "list_size_bound": [d + 1 for d in outdegrees],
         }
 
 
-def find_certificate(graph: Graph, list_sizes: Sequence[int]) -> Optional[AtCertificate]:
-    """First orientation (in canonical enumeration order) with outdegrees
-    below the list sizes and even != odd, or None after exhausting them.
+def find_certificate(graph: Graph, k: int) -> Optional[AtCertificate]:
+    """First orientation with outdegrees below ``k`` and even != odd, or None.
 
-    Raises ``SizeLimitExceededError`` once the DPs of the orientations
-    tried have built more than ``MAX_DP_STATES`` states together."""
-    if any(s < 1 for s in list_sizes):
-        raise ValueError("list sizes must be positive")
-    if sum(s - 1 for s in list_sizes) < len(graph.edges):
+    Orientations are the leaves of a tree walked depth first: the i-th step
+    down directs edge i of ``graph.edges`` from its lower end first, and
+    from an end only while its outdegree is below k - 1.  Every leaf is
+    counted along one plan.  Raises ``SizeLimitExceededError`` once the tree
+    nodes visited and the DP states built pass ``MAX_DP_STATES``."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    edges = graph.edges
+    if (k - 1) * graph.n < len(edges):
         # the outdegrees of every orientation add up to the edge count
         return None
-    bound = max((s - 1 for s in list_sizes), default=0)
-    built = 0
-    for orientation in orientations_with_max_outdegree(graph, bound):
-        if any(d + 1 > list_sizes[v] for v, d in enumerate(orientation.outdegrees())):
+    plan = _plan(graph)
+    spend = WorkBudget(MAX_DP_STATES, "certificate search", "tree nodes and DP states").spend
+    out = [0] * graph.n
+    # per directed edge: 0 if its lower end is the tail, 1 if its upper end is
+    flip: List[int] = []
+    f = 0  # the end of edge len(flip) to try next as its tail
+    while True:
+        i = len(flip)
+        if i == len(edges):
+            counts = _count(plan, flip, spend)
+            if counts.even != counts.odd:
+                arcs = tuple((v, u) if d else (u, v) for (u, v), d in zip(edges, flip))
+                return AtCertificate(orientation=Orientation(graph, arcs), counts=counts)
+        elif f < 2:
+            if out[edges[i][f]] < k - 1:
+                out[edges[i][f]] += 1
+                flip.append(f)
+                spend(1)
+                f = 0
+            else:
+                f += 1
             continue
-        counts = count_eulerian(orientation)
-        if counts.even != counts.odd:
-            return AtCertificate(orientation=orientation, counts=counts)
-        built += counts.states
-        if built > MAX_DP_STATES:
-            raise SizeLimitExceededError(f"certificate search needs more than {MAX_DP_STATES} DP states")
-    return None
+        if not flip:
+            return None
+        f = flip.pop()
+        out[edges[i - 1][f]] -= 1
+        f += 1

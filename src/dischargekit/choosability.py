@@ -14,7 +14,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from .alon_tarsi import find_certificate
 from .core import Graph
-from .errors import SizeLimitExceededError
+from .errors import SizeLimitExceededError, WorkBudget
 
 Lists = Tuple[Tuple[int, ...], ...]
 
@@ -97,8 +97,8 @@ def is_k_choosable(graph: Graph, k: int) -> ChoosabilityVerdict:
     canonical enumeration, which also produces a witness assignment on
     "no".  Inputs beyond ``DEFAULT_N_LIMIT`` vertices are rejected, not
     approximated.  The certificate search raises
-    ``SizeLimitExceededError`` past ``alon_tarsi.MAX_DP_STATES`` DP states,
-    the enumeration past ``MAX_ASSIGNMENT_CHECKS`` assignments.
+    ``SizeLimitExceededError`` past ``alon_tarsi.MAX_DP_STATES`` tree nodes
+    and DP states, the enumeration past ``MAX_ASSIGNMENT_CHECKS`` assignments.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -106,7 +106,7 @@ def is_k_choosable(graph: Graph, k: int) -> ChoosabilityVerdict:
         raise SizeLimitExceededError(f"n = {graph.n} exceeds guard {DEFAULT_N_LIMIT}")
     if degeneracy(graph) <= k - 1:
         return ChoosabilityVerdict(choosable=True, method="degeneracy")
-    if len(graph.edges) <= _AT_MAX_EDGES and find_certificate(graph, [k] * graph.n) is not None:
+    if len(graph.edges) <= _AT_MAX_EDGES and find_certificate(graph, k) is not None:
         return ChoosabilityVerdict(choosable=True, method="alon-tarsi")
     witness = _first_uncolourable(graph, [k] * graph.n)
     if witness is None:
@@ -172,16 +172,14 @@ def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
     shared = sorted((t for t in range(1, 1 << n) if t & (t - 1)), key=lambda t: (-bin(t).count("1"), t))
     members = [[v for v in range(n) if t >> v & 1] for t in shared]
     colourable = _colourer(graph, sizes)
-    budget = MAX_ASSIGNMENT_CHECKS
+    spend = WorkBudget(MAX_ASSIGNMENT_CHECKS, "exhaustive check", "assignments").spend
     masks = [0] * n
     remaining = list(sizes)
-    checked = 0
 
     # ``full`` has a bit set for each vertex whose list is full; a type
     # containing one of them can take no colour.  ``base`` is the next
     # unused colour.  Returns the first uncolourable lists of the subtree.
     def walk(i: int, full: int, base: int) -> Optional[List[int]]:
-        nonlocal checked
         for j in range(i, len(shared)):
             if shared[j] & full:
                 continue
@@ -200,9 +198,7 @@ def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
                 for v in mem:
                     masks[v] ^= bits
                     remaining[v] += mult
-        if checked == budget:
-            raise SizeLimitExceededError(f"exhaustive check needs more than {budget} assignments")
-        checked += 1
+        spend(1)
         lists = []
         for v in range(n):
             lists.append(masks[v] | ((1 << remaining[v]) - 1) << base)

@@ -198,7 +198,7 @@ def cmd_alon_tarsi(args) -> int:
     results = []
     status = EXIT_OK
     for gi, graph in enumerate(graphs):
-        cert = find_certificate(graph, [k] * graph.n)
+        cert = find_certificate(graph, k)
         results.append({"graph": gi, "certificate": cert.to_json() if cert else None})
         if cert is None:
             status = EXIT_VIOLATIONS

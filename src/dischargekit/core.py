@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import isqrt
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from .errors import (
     DanglingVertexIndexError,
@@ -181,34 +181,6 @@ class Orientation:
         for t, _ in self.arcs:
             out[t] += 1
         return out
-
-
-def orientations_with_max_outdegree(graph: Graph, bound: int) -> Iterator[Orientation]:
-    """Yield every orientation whose maximum outdegree is at most ``bound``.
-
-    Enumeration is lexicographic over the canonical edge order with
-    direction 0 = (min -> max), so the stream order is reproducible.
-    """
-    edges = graph.edges
-    out = [0] * graph.n
-    arcs: List[Edge] = []
-
-    def rec(i: int) -> Iterator[Orientation]:
-        if i == len(edges):
-            yield Orientation(graph, tuple(arcs))
-            return
-        u, v = edges[i]
-        for tail, head in ((u, v), (v, u)):
-            if out[tail] < bound:
-                out[tail] += 1
-                arcs.append((tail, head))
-                yield from rec(i + 1)
-                arcs.pop()
-                out[tail] -= 1
-
-    if bound < 0:
-        raise ValueError("bound must be nonnegative")
-    return rec(0)
 
 
 # ---------------------------------------------------------------------------

@@ -75,11 +75,10 @@ class ChargeLedger:
     def transfer(self, rule: str, source: Element, sink: Element, amount: Fraction) -> None:
         if amount == 0:
             return
-        rec = TransferRecord(rule=rule, source=source, sink=sink, amount=amount)
-        for (kind, i), sign in ((source, -1), (sink, +1)):
-            book = self.vertex_charge if kind == "v" else self.face_charge
-            book[i] += sign * amount
-        self.trace.append(rec)
+        (skind, si), (tkind, ti) = source, sink
+        (self.vertex_charge if skind == "v" else self.face_charge)[si] -= amount
+        (self.vertex_charge if tkind == "v" else self.face_charge)[ti] += amount
+        self.trace.append(TransferRecord(rule=rule, source=source, sink=sink, amount=amount))
 
     def to_json(self) -> dict:
         return {

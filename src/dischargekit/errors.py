@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the budget of work past
+which a search raises one."""
 
 
 class DischargeKitError(Exception):
@@ -39,3 +40,18 @@ class VertexNotOnCycleError(DischargeKitError):
 
 class SizeLimitExceededError(DischargeKitError):
     """Input exceeds a configured exhaustive-enumeration cap."""
+
+
+class WorkBudget:
+    """A fixed allowance of work: past ``limit``, ``spend`` raises
+    ``SizeLimitExceededError`` ("``what`` needs more than ``limit`` ``units``")."""
+
+    def __init__(self, limit: int, what: str, units: str) -> None:
+        self.limit = limit
+        self.left = limit
+        self.message = f"{what} needs more than {limit} {units}"
+
+    def spend(self, work: int) -> None:
+        self.left -= work
+        if self.left < 0:
+            raise SizeLimitExceededError(self.message)

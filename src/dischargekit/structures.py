@@ -14,7 +14,7 @@ from functools import cached_property
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .core import Edge, Graph, build_graph, canonical_edge
-from .errors import SizeLimitExceededError, UnsupportedLengthError, VertexNotOnCycleError
+from .errors import UnsupportedLengthError, VertexNotOnCycleError, WorkBudget
 
 Cycle = Tuple[int, ...]
 
@@ -32,18 +32,12 @@ DETECT_BASE_STEPS = 500_000
 DETECT_STEPS_PER_EDGE = 200
 
 
-class StepBudget:
+class StepBudget(WorkBudget):
     """The steps left of one graph's ``detect`` budget."""
 
     def __init__(self, graph: Graph) -> None:
-        self.limit = DETECT_BASE_STEPS + DETECT_STEPS_PER_EDGE * len(graph.edges)
-        self.left = self.limit
-
-    def spend(self, steps: int) -> None:
-        """Take ``steps``; raises ``SizeLimitExceededError`` past the budget."""
-        self.left -= steps
-        if self.left < 0:
-            raise SizeLimitExceededError(f"detect needs more than {self.limit} search steps")
+        limit = DETECT_BASE_STEPS + DETECT_STEPS_PER_EDGE * len(graph.edges)
+        super().__init__(limit, "detect", "search steps")
 
 
 def trio_graph() -> Graph:

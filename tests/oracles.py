@@ -9,15 +9,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from dischargekit import choosability
-from dischargekit.alon_tarsi import EulerianCount
+from dischargekit import alon_tarsi, choosability
+from dischargekit.alon_tarsi import AtCertificate, EulerianCount, count_eulerian
 from dischargekit.choosability import (
     ChoosabilityVerdict,
     ListAssignment,
     Lists,
     ReducibleConfig,
 )
-from dischargekit.core import Graph, Orientation, PlaneGraph, build_graph
+from dischargekit.core import Edge, Graph, Orientation, PlaneGraph, build_graph
 from dischargekit.discharging import ChargeLedger, RuleSet, initial_charges
 from dischargekit.errors import SizeLimitExceededError
 from dischargekit.fixtures import CONFIG_H, FixedConfig
@@ -101,6 +101,52 @@ def count_eulerian_frontier(orientation: Orientation) -> EulerianCount:
         states = new
     total = states.get((), [0, 0])
     return EulerianCount(even=total[0], odd=total[1])
+
+
+def orientations_with_max_outdegree(graph: Graph, bound: int) -> Iterator[Orientation]:
+    """Yield every orientation whose maximum outdegree is at most ``bound``.
+
+    Enumeration is lexicographic over the canonical edge order with
+    direction 0 = (min -> max), so the stream order is reproducible.
+    """
+    edges = graph.edges
+    out = [0] * graph.n
+    arcs: List[Edge] = []
+
+    def rec(i: int) -> Iterator[Orientation]:
+        if i == len(edges):
+            yield Orientation(graph, tuple(arcs))
+            return
+        u, v = edges[i]
+        for tail, head in ((u, v), (v, u)):
+            if out[tail] < bound:
+                out[tail] += 1
+                arcs.append((tail, head))
+                yield from rec(i + 1)
+                arcs.pop()
+                out[tail] -= 1
+
+    if bound < 0:
+        raise ValueError("bound must be nonnegative")
+    return rec(0)
+
+
+def find_certificate_loop(graph: Graph, k: int) -> Optional[AtCertificate]:
+    """Oracle for ``find_certificate``: the loop it replaced, which counts
+    each orientation of ``orientations_with_max_outdegree`` with its own
+    ``count_eulerian`` and gives up once the DPs of the orientations tried
+    have built more than ``alon_tarsi.MAX_DP_STATES`` states together."""
+    if (k - 1) * graph.n < len(graph.edges):
+        return None
+    built = 0
+    for orientation in orientations_with_max_outdegree(graph, k - 1):
+        counts = count_eulerian(orientation)
+        if counts.even != counts.odd:
+            return AtCertificate(orientation=orientation, counts=counts)
+        built += counts.states
+        if built > alon_tarsi.MAX_DP_STATES:
+            raise SizeLimitExceededError(f"certificate search needs more than {alon_tarsi.MAX_DP_STATES} DP states")
+    return None
 
 
 def l_color(graph: Graph, lists: Sequence[Sequence[int]]) -> Optional[List[int]]:

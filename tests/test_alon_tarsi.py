@@ -8,9 +8,16 @@ from inputs import triangulated_grid
 
 from dischargekit import alon_tarsi, fixtures
 from dischargekit.alon_tarsi import count_eulerian, find_certificate
-from dischargekit.core import Orientation, build_graph, orientations_with_max_outdegree
+from dischargekit.core import Orientation, build_graph
 from dischargekit.errors import SizeLimitExceededError
-from oracles import count_eulerian_brute, count_eulerian_frontier, iter_canonical_assignments, l_color
+from oracles import (
+    count_eulerian_brute,
+    count_eulerian_frontier,
+    find_certificate_loop,
+    iter_canonical_assignments,
+    l_color,
+    orientations_with_max_outdegree,
+)
 
 
 def directed_triangle():
@@ -43,6 +50,33 @@ def wheel(rim):
     return build_graph([(i, (i + 1) % rim) for i in range(rim)] + [(i, rim) for i in range(rim)])
 
 
+def choose_small_graphs():
+    """The graphs whose choosability the benchmark asks at k = 2 and 3:
+    C5, C6, K2,3, K2,4, K3,3, K4 and the wheels W4-W9."""
+    def bipartite(a, b):
+        return build_graph([(i, a + j) for i in range(a) for j in range(b)])
+
+    graphs = [build_graph([(i, (i + 1) % n) for i in range(n)]) for n in (5, 6)]
+    graphs += [bipartite(2, 3), bipartite(2, 4), bipartite(3, 3), build_graph(itertools.combinations(range(4), 2))]
+    return graphs + [wheel(rim) for rim in range(4, 10)]
+
+
+def path_plus_k6():
+    """A 30-vertex path and a disjoint K6: the K6's 15 edges cannot fit
+    outdegree 2, so no orientation of the path extends to a leaf at k = 3."""
+    k6 = [(30 + a, 30 + b) for a, b in itertools.combinations(range(6), 2)]
+    return build_graph([(i, i + 1) for i in range(29)] + k6)
+
+
+def search_outcome(search, graph, k):
+    """The first certificate's arcs and counts, None, or "budget"."""
+    try:
+        cert = search(graph, k)
+    except SizeLimitExceededError:
+        return "budget"
+    return None if cert is None else (cert.orientation.arcs, cert.counts.as_tuple(), cert.counts.states)
+
+
 class TestCountEulerian:
     def test_directed_triangle(self):
         assert count_eulerian(directed_triangle()).as_tuple() == (1, 1)
@@ -72,6 +106,23 @@ class TestCountEulerian:
             if len(o.arcs) > 14:
                 continue
             assert count_eulerian(o).as_tuple() == count_eulerian_brute(o).as_tuple()
+
+    def test_arc_order_does_not_matter(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=100, deadline=None, database=None)
+        @hypothesis.given(st.integers(1, 9), st.randoms(use_true_random=False))
+        def check(n, rng):
+            o = random_orientation(rng, n, rng.random())
+            shuffled = list(o.arcs)
+            rng.shuffle(shuffled)
+            want = count_eulerian(o)
+            for arcs in (shuffled, o.arcs[::-1]):
+                got = count_eulerian(Orientation(o.base, tuple(arcs)))
+                assert (got.as_tuple(), got.states) == (want.as_tuple(), want.states)
+
+        check()
 
     def test_reversal_preserves_counts(self):
         rng = random.Random(3)
@@ -167,39 +218,35 @@ class TestVerifyApplicable:
 class TestFindCertificate:
     def test_c4_all_twos(self):
         g = build_graph([(0, 1), (1, 2), (2, 3), (3, 0)])
-        cert = find_certificate(g, [2, 2, 2, 2])
+        cert = find_certificate(g, 2)
         assert cert is not None
         assert cert.counts.even != cert.counts.odd
         assert all(d <= 1 for d in cert.orientation.outdegrees())
 
     def test_c3_all_twos_has_none(self):
         g = build_graph([(0, 1), (1, 2), (0, 2)])
-        assert find_certificate(g, [2, 2, 2]) is None
+        assert find_certificate(g, 2) is None
 
     def test_single_vertex(self):
         g = build_graph([], n=1)
-        cert = find_certificate(g, [1])
+        cert = find_certificate(g, 1)
         assert cert is not None
         assert cert.orientation.arcs == ()
         assert cert.counts.as_tuple() == (1, 0)
 
     def test_first_certificate_is_deterministic(self):
         g = build_graph([(0, 1), (1, 2), (2, 3), (3, 0)])
-        assert find_certificate(g, [2, 2, 2, 2]).orientation.arcs == find_certificate(
-            g, [2, 2, 2, 2]
-        ).orientation.arcs
+        assert find_certificate(g, 2).orientation.arcs == find_certificate(g, 2).orientation.arcs
 
     def test_certificate_implies_list_colorable(self):
         # desk-scale cross check against the list-coloring solver
         cases = [
-            (build_graph([(0, 1), (1, 2), (2, 3), (3, 0)]), [2, 2, 2, 2]),
-            (build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)]), [3, 3, 3, 2, 2]),
+            (build_graph([(0, 1), (1, 2), (2, 3), (3, 0)]), 2),
+            (build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)]), 3),
         ]
-        for g, sizes in cases:
-            cert = find_certificate(g, sizes)
-            if cert is None:
-                continue
-            for lists in iter_canonical_assignments(sizes):
+        for g, k in cases:
+            assert find_certificate(g, k) is not None
+            for lists in iter_canonical_assignments([k] * g.n):
                 assert l_color(g, lists) is not None
 
     def test_too_few_colours_for_the_edges_is_none_at_once(self):
@@ -208,7 +255,7 @@ class TestFindCertificate:
         graph = triangulated_grid(6, 0.9, 0).graph
         assert len(graph.edges) > 2 * graph.n
         start = time.perf_counter()
-        assert find_certificate(graph, [3] * graph.n) is None
+        assert find_certificate(graph, 3) is None
         assert time.perf_counter() - start < 1.0
 
     def test_search_budget_adds_up_the_dps(self, monkeypatch):
@@ -219,10 +266,61 @@ class TestFindCertificate:
         assert biggest < 300
         monkeypatch.setattr(alon_tarsi, "MAX_DP_STATES", 300)
         with pytest.raises(SizeLimitExceededError, match="certificate search"):
-            find_certificate(g, [3] * g.n)
+            find_certificate(g, 3)
+
+    def test_budget_counts_tree_nodes(self):
+        # no leaf is ever reached, so no DP runs: only the nodes stop it
+        with pytest.raises(SizeLimitExceededError, match="tree nodes"):
+            find_certificate(path_plus_k6(), 3)
+
+    def test_more_edges_than_the_recursion_limit(self):
+        # the walk keeps its path in a list, not in the Python call stack
+        g = build_graph([(i, i + 1) for i in range(1500)])
+        cert = find_certificate(g, 2)
+        assert cert.orientation.arcs == g.edges and cert.counts.as_tuple() == (1, 0)
+
+    def test_placement_runs_once_per_search(self, monkeypatch):
+        calls = []
+        placement = alon_tarsi._placement
+        monkeypatch.setattr(alon_tarsi, "_placement", lambda g: calls.append(g) or placement(g))
+        # W5 is not 3-colourable: the search counts all 142 orientations
+        assert find_certificate(wheel(5), 3) is None
+        assert len(calls) == 1
 
     def test_icosahedron_k5(self):
         # planar graphs have Alon-Tarsi number at most 5 (Zhu, JCTB 2019)
         g = fixtures.solid_embeddings()["icosahedron"].graph
-        cert = find_certificate(g, [5] * g.n)
+        cert = find_certificate(g, 5)
         assert cert is not None and cert.counts.even != cert.counts.odd
+
+
+class TestWalkAgainstLoop:
+    """The tree walk against the loop it replaced: a fresh count for each
+    orientation of the generator."""
+
+    def test_random_graphs(self, monkeypatch):
+        # a budget of 20,000 lets some of the denser searches give up, at a
+        # small cost; on graphs this small the walk's tree nodes are few
+        # beside its DP states, so both give up on the same graphs
+        monkeypatch.setattr(alon_tarsi, "MAX_DP_STATES", 20_000)
+        rng = random.Random(0)
+        outcomes = []
+        for _ in range(100):
+            n = rng.randint(1, 8)
+            p = rng.random()
+            g = build_graph([e for e in itertools.combinations(range(n), 2) if rng.random() < p], n=n)
+            for k in range(1, 5):
+                got = search_outcome(find_certificate, g, k)
+                assert got == search_outcome(find_certificate_loop, g, k), (g.edges, k)
+                outcomes.append(got if got in (None, "budget") else "found")
+        assert all(outcomes.count(o) >= 10 for o in (None, "budget", "found"))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_choose_small_graphs(self, k):
+        for g in choose_small_graphs():
+            assert search_outcome(find_certificate, g, k) == search_outcome(find_certificate_loop, g, k), g.edges
+
+    def test_solids_at_k5(self):
+        for name, emb in fixtures.solid_embeddings().items():
+            got = search_outcome(find_certificate, emb.graph, 5)
+            assert got not in (None, "budget") and got == search_outcome(find_certificate_loop, emb.graph, 5), name

@@ -172,6 +172,21 @@ class TestAlonTarsi:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "DP states" in err, err
 
+    def test_search_budget_ends_a_search_without_leaves(self, tmp_path):
+        # a 30-vertex path and a disjoint K6 at k = 3: no orientation fits
+        # the K6, so only the tree nodes count; in a fresh process, with a
+        # timeout that only catches a hang
+        k6 = [(30 + a, 30 + b) for a in range(6) for b in range(a + 1, 6)]
+        path = tmp_path / "path-k6.g6"
+        path.write_text(write_graph6(build_graph([(i, i + 1) for i in range(29)] + k6)) + "\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(dischargekit.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dischargekit.cli", "alon-tarsi", "--k", "3", "--input", str(path)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: certificate search needs more than 1000000 tree nodes and DP states\n"
+
     def test_more_than_thirty_edges_get_an_answer(self, tmp_path, capsys):
         # a 6 x 6 grid: 82 edges, which the old arc cap of 30 refused
         path = tmp_path / "grid.g6"

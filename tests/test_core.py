@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 from inputs import embedding_to_json, write_graph6
-from oracles import parse_graph6_bitwalk
+from oracles import orientations_with_max_outdegree, parse_graph6_bitwalk
 
 from dischargekit import fixtures
 from dischargekit.core import (
@@ -16,7 +16,6 @@ from dischargekit.core import (
     faces_of,
     orientation_from_json,
     orientation_to_json,
-    orientations_with_max_outdegree,
     parse_graph6,
 )
 from dischargekit.errors import (
