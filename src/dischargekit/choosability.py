@@ -214,5 +214,11 @@ def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
 def check_extension(config: ReducibleConfig) -> bool:
     """True iff the inner graph is colorable from every assignment with the
     configured residual sizes.  Raises ``SizeLimitExceededError`` past
-    ``MAX_ASSIGNMENT_CHECKS`` assignments."""
-    return _first_uncolourable(config.inner, config.residual_sizes) is None
+    ``MAX_ASSIGNMENT_CHECKS`` assignments.
+
+    Each size is first cut to the vertex's inner degree plus one, which
+    keeps the answer: a vertex with more colours than neighbours can be
+    coloured last whatever its neighbours took."""
+    inner = config.inner
+    sizes = [min(size, inner.degree(v) + 1) for v, size in enumerate(config.residual_sizes)]
+    return _first_uncolourable(inner, sizes) is None

@@ -146,10 +146,7 @@ def cmd_detect(args) -> int:
         entry = {
             "graph": gi,
             "conditions": [c.to_json() for c in conds],
-            "trios": [
-                {"vertices": sorted(o.vertices), "center": o.center, "map": dict(o.vertex_map)}
-                for o in trios
-            ],
+            "trios": [{"vertices": sorted(o), "center": o.v, "map": o._asdict()} for o in trios],
             "roles": roles,
         }
         reports.append(entry)
@@ -297,7 +294,7 @@ def repro_rows() -> List[dict]:
 
     trio = fixtures.trio_graph()
     trios = find_trios(trio)
-    ok = len(trios) == 1 and trios[0].center == 3
+    ok = len(trios) == 1 and trios[0].v == 3
     rows.append({"check": "trio-detection", "expected": [1], "got": [len(trios)], "ok": ok})
 
     demo_ok = True

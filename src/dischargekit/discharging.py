@@ -29,6 +29,9 @@ def _frac_from_json(obj, what: str) -> Fraction:
     if isinstance(obj, dict):
         args = (expect_json(obj["num"], int, f"{what} num"), expect_json(obj["den"], int, f"{what} den"))
     elif type(obj) in (int, str):
+        if type(obj) is str and "e" in obj.lower():
+            # Fraction would build the power of ten the exponent names
+            raise ValueError(f"{what} must be written without an exponent")
         args = (obj,)
     else:
         raise MalformedInputError(f"{what} must be a {{num, den}} object, an integer or a string")
@@ -149,10 +152,13 @@ def apply_rules(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()) -> ChargeLe
         vs = f.vertex_set()
         if f.degree == 3 and len(vs) == 3:
             face_of[vs] = None if vs in face_of else fi
-    facial = [
-        occ for occ in find_trios(graph) if all(face_of.get(t) is not None for t in occ.triangles)
-    ]
-    trio_faces = [sorted(face_of[t] for t in occ.triangles) for occ in facial]
+    facial = []
+    trio_faces = []
+    for occ in find_trios(graph):
+        indices = [face_of.get(t) for t in occ.triangles]
+        if None not in indices:
+            facial.append(occ)
+            trio_faces.append(sorted(indices))
     in_trio = {fi for indices in trio_faces for fi in indices}
     trios_on = trios_by_triangle(facial)
 

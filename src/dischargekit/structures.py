@@ -10,15 +10,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from .core import Edge, Graph, build_graph, canonical_edge
 from .errors import UnsupportedLengthError, VertexNotOnCycleError, WorkBudget
 
 Cycle = Tuple[int, ...]
 
-TRIO_LABELS = ("x", "y", "u", "v", "w")
 # Trio pattern on labels x,y,u,v,w: three triangles xuv, xyv, yvw around center v.
 TRIO_EDGES = (("x", "y"), ("x", "u"), ("x", "v"), ("y", "v"), ("y", "w"), ("u", "v"), ("v", "w"))
 
@@ -42,8 +40,8 @@ class StepBudget(WorkBudget):
 
 def trio_graph() -> Graph:
     """The bare trio graph with vertices x=0, y=1, u=2, v=3, w=4."""
-    idx = {lab: i for i, lab in enumerate(TRIO_LABELS)}
-    return build_graph([(idx[a], idx[b]) for a, b in TRIO_EDGES], n=len(TRIO_LABELS))
+    idx = {lab: i for i, lab in enumerate(TrioOccurrence._fields)}
+    return build_graph([(idx[a], idx[b]) for a, b in TRIO_EDGES], n=len(idx))
 
 
 def enumerate_cycles(graph: Graph, length: int, budget: StepBudget) -> List[Cycle]:
@@ -92,31 +90,20 @@ def cycle_edges(cycle: Sequence[int]) -> FrozenSet[Tuple[int, int]]:
     return frozenset(canonical_edge(cycle[i], cycle[(i + 1) % k]) for i in range(k))
 
 
-@dataclass(frozen=True)
-class TrioOccurrence:
-    """An injective image of the trio pattern in a host graph."""
+class TrioOccurrence(NamedTuple):
+    """An injective image of the trio pattern in a host graph: the three
+    triangles xuv, xyv and yvw around the centre v."""
 
-    vertex_map: Tuple[Tuple[str, int], ...]  # (label, vertex) pairs
-
-    def __getitem__(self, label: str) -> int:
-        return dict(self.vertex_map)[label]
-
-    @property
-    def center(self) -> int:
-        return self["v"]
+    x: int
+    y: int
+    u: int
+    v: int
+    w: int
 
     @property
-    def vertices(self) -> FrozenSet[int]:
-        return frozenset(v for _, v in self.vertex_map)
-
-    @cached_property
     def triangles(self) -> Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]:
-        m = dict(self.vertex_map)
-        return (
-            frozenset((m["x"], m["u"], m["v"])),
-            frozenset((m["x"], m["y"], m["v"])),
-            frozenset((m["y"], m["v"], m["w"])),
-        )
+        x, y, u, v, w = self
+        return frozenset((x, u, v)), frozenset((x, y, v)), frozenset((y, v, w))
 
 
 def find_trios(graph: Graph) -> List[TrioOccurrence]:
@@ -143,11 +130,11 @@ def find_trios(graph: Graph) -> List[TrioOccurrence]:
                     for w in near_y:
                         if w == x or w == u:
                             continue
-                        occ = TrioOccurrence(vertex_map=(("x", x), ("y", y), ("u", u), ("v", v), ("w", w)))
-                        key = (occ.vertices, v)
-                        if key not in found or occ.vertex_map < found[key].vertex_map:
+                        occ = TrioOccurrence(x, y, u, v, w)
+                        key = (frozenset(occ), v)
+                        if key not in found or occ < found[key]:
                             found[key] = occ
-    return sorted(found.values(), key=lambda o: o.vertex_map)
+    return sorted(found.values())
 
 
 def trio_tuples(graph: Graph) -> int:
@@ -191,17 +178,17 @@ def classify_role(s: int, triangle: Sequence[int], trios: Sequence[TrioOccurrenc
 
     Good if the triangle lies in no trio.  Otherwise, over those trios:
     worst if ``s`` lies on all three triangles of some trio; bad if in every
-    trio ``s`` lies only on this triangle; worse otherwise.
+    trio ``s`` lies only on this triangle; worse otherwise.  A trio's centre
+    v lies on all three of its triangles, x and y on two, u and w on one,
+    so the role is read from the positions of ``s``.
     """
-    t = frozenset(triangle)
-    if s not in t:
-        raise VertexNotOnCycleError(f"vertex {s} is not on triangle {sorted(t)}")
+    if s not in triangle:
+        raise VertexNotOnCycleError(f"vertex {s} is not on triangle {sorted(triangle)}")
     if not trios:
         return VertexRole.GOOD
-    for occ in trios:
-        if all(s in tri for tri in occ.triangles):
-            return VertexRole.WORST
-    if all(sum(s in tri for tri in occ.triangles) == 1 for occ in trios):
+    if any(occ.v == s for occ in trios):
+        return VertexRole.WORST
+    if all(occ.u == s or occ.w == s for occ in trios):
         return VertexRole.BAD
     return VertexRole.WORSE
 

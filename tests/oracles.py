@@ -19,7 +19,7 @@ from dischargekit.choosability import (
 )
 from dischargekit.core import Edge, Graph, Orientation, PlaneGraph, build_graph
 from dischargekit.discharging import ChargeLedger, RuleSet, initial_charges
-from dischargekit.errors import SizeLimitExceededError
+from dischargekit.errors import SizeLimitExceededError, VertexNotOnCycleError
 from dischargekit.fixtures import CONFIG_H, FixedConfig
 from dischargekit.structures import (
     CONDITIONS,
@@ -281,7 +281,7 @@ def apply_rules_unindexed(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()):
             return ruleset.hi_four_face
         vs = f.vertex_set()
         containing = [occ for occ in facial if vs in occ.triangles]
-        role = classify_role(v, vs, containing) if fi in in_trio else VertexRole.GOOD
+        role = classify_role_counting(v, vs, containing) if fi in in_trio else VertexRole.GOOD
         if deg[v] == 4:
             return ruleset.deg4_worst if role is VertexRole.WORST else ruleset.deg4_plain
         if role in (VertexRole.GOOD, VertexRole.WORST):
@@ -367,11 +367,11 @@ def find_trios_scan(graph: Graph) -> List[TrioOccurrence]:
     for v in range(graph.n):
         for x, y, u, w in itertools.permutations(sorted(adj[v]), 4):
             if y in adj[x] and u in adj[x] and w in adj[y]:
-                occ = TrioOccurrence(vertex_map=(("x", x), ("y", y), ("u", u), ("v", v), ("w", w)))
-                key = (occ.vertices, v)
-                if key not in found or occ.vertex_map < found[key].vertex_map:
+                occ = TrioOccurrence(x, y, u, v, w)
+                key = (frozenset(occ), v)
+                if key not in found or occ < found[key]:
                     found[key] = occ
-    return sorted(found.values(), key=lambda o: o.vertex_map)
+    return sorted(found.values())
 
 
 def trio_tuples_scan(graph: Graph) -> int:
@@ -395,6 +395,23 @@ def cycle_search_paths(graph: Graph, length: int) -> int:
         for k in range(1, length)
         for path in ((r,) + rest for rest in itertools.permutations(range(r + 1, graph.n), k))
     )
+
+
+def classify_role_counting(s: int, triangle, trios: Sequence[TrioOccurrence]) -> VertexRole:
+    """Oracle for ``classify_role``: for each trio, count the triangles of
+    the trio that hold ``s``.  Worst if some trio has all three; bad if
+    every trio has exactly one; worse otherwise; good for no trios."""
+    t = frozenset(triangle)
+    if s not in t:
+        raise VertexNotOnCycleError(f"vertex {s} is not on triangle {sorted(t)}")
+    if not trios:
+        return VertexRole.GOOD
+    for occ in trios:
+        if all(s in tri for tri in occ.triangles):
+            return VertexRole.WORST
+    if all(sum(s in tri for tri in occ.triangles) == 1 for occ in trios):
+        return VertexRole.BAD
+    return VertexRole.WORSE
 
 
 def role_in(graph: Graph, s: int, triangle) -> VertexRole:

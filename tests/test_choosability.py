@@ -351,6 +351,26 @@ class TestExtension:
         assert agreed[True] >= 100 and agreed[False] >= 100
         assert skipped < sum(agreed.values()) / 5
 
+    def test_sizes_cut_to_degree_plus_one_keep_the_answer(self, monkeypatch):
+        # the oracle walks the sizes as given; a smaller budget keeps it to
+        # a second or two, and configurations it cannot finish are skipped
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 1_000)
+        rng = random.Random(43)
+        agreed = Counter()
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            g = build_graph([e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5], n=n)
+            sizes = tuple(rng.randint(1, 5) for _ in range(n))
+            try:
+                want = first_uncolourable_loop(g, sizes) is None
+            except SizeLimitExceededError:
+                continue
+            assert check_extension(ReducibleConfig(g, sizes)) is want, (g.edges, sizes)
+            agreed[want, any(s > g.degree(v) + 1 for v, s in enumerate(sizes))] += 1
+        # both answers, with and without a size that gets cut
+        assert agreed[True, True] >= 100 and agreed[False, True] >= 20, agreed
+        assert agreed[True, False] >= 10 and agreed[False, False] >= 5, agreed
+
     def test_builtin_checks_agree_with_rechoice(self):
         choices = {"H-with-rechoice": H_CHOICE}
         for name, config, expected in fixtures.REDUCE_CHECKS:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import dischargekit
 from dischargekit import cli, fixtures
 from dischargekit.cli import _dumps, build_parser, main
 from dischargekit.core import build_graph, orientation_to_json
+from dischargekit.discharging import RuleSet
 from dischargekit.structures import DETECT_BASE_STEPS, StepBudget, check_conditions, trio_tuples
 
 C5_G6 = "Dhc"
@@ -24,6 +26,21 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def in_child(argv, timeout):
+    """Run the command line in a fresh interpreter: a run without a guard
+    then fails by its timeout instead of holding up the suite."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dischargekit.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "dischargekit.cli", *argv], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
+def reduce_in_child(config, tmp_path, timeout):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return in_child(["reduce", "--input", str(path)], timeout)
 
 
 def write_embedding(tmp_path, name):
@@ -68,6 +85,18 @@ class TestDetect:
         assert {r["role"] for r in roles} == {"worst", "worse", "bad"}
         for r in roles:
             assert r["role"] == role_in(graph, r["vertex"], r["triangle"]).value
+
+    def test_trio_center_and_vertices_agree_with_map(self, tmp_path, capsys):
+        graph = triangulated_grid(6, 0.9, 1).graph
+        path = tmp_path / "grid.g6"
+        path.write_text(write_graph6(graph) + "\n")
+        _, out = run(capsys, ["detect", "--input", str(path)])
+        trios = json.loads(out)["graphs"][0]["trios"]
+        assert len(trios) > 10
+        for trio in trios:
+            assert set(trio["map"]) == {"x", "y", "u", "v", "w"}
+            assert trio["center"] == trio["map"]["v"]
+            assert trio["vertices"] == sorted(trio["map"].values())
 
     @pytest.mark.parametrize(
         "edges, limit",
@@ -179,11 +208,7 @@ class TestAlonTarsi:
         k6 = [(30 + a, 30 + b) for a in range(6) for b in range(a + 1, 6)]
         path = tmp_path / "path-k6.g6"
         path.write_text(write_graph6(build_graph([(i, i + 1) for i in range(29)] + k6)) + "\n")
-        env = dict(os.environ, PYTHONPATH=str(Path(dischargekit.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "dischargekit.cli", "alon-tarsi", "--k", "3", "--input", str(path)],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        proc = in_child(["alon-tarsi", "--k", "3", "--input", str(path)], timeout=60)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "error: certificate search needs more than 1000000 tree nodes and DP states\n"
 
@@ -257,37 +282,36 @@ class TestReduce:
         assert err == "error: n = 11 exceeds guard 10\n"
 
     @pytest.mark.parametrize(
-        "config",
+        "config, reducible",
         [
-            {"edges": [[0, 1], [1, 2], [0, 2]], "sizes": [40, 40, 40]},
-            {"edges": [[i, i + 1] for i in range(11)], "sizes": [2] * 12},
+            # lists of 40 are cut to 3, one more than each vertex's degree,
+            # so the triangle gets its answer instead of the budget error
+            ({"edges": [[0, 1], [1, 2], [0, 2]], "sizes": [40, 40, 40]}, True),
+            ({"edges": [[i, i + 1] for i in range(11)], "sizes": [2] * 12}, None),
         ],
         ids=["triangle-40", "path-12"],
     )
-    def test_exits_2_within_seconds(self, config, tmp_path):
-        # in a fresh process, so that a run without a guard fails by its
-        # timeout instead of holding up the suite
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
-        env = dict(os.environ, PYTHONPATH=str(Path(dischargekit.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "dischargekit.cli", "reduce", "--input", str(path)],
-            env=env, capture_output=True, text=True, timeout=30,
-        )
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    def test_exits_2_within_seconds(self, config, reducible, tmp_path):
+        proc = reduce_in_child(config, tmp_path, timeout=30)
+        if reducible is None:
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        else:
+            assert proc.returncode == 0 and proc.stderr == ""
+            assert json.loads(proc.stdout)["checks"][0]["reducible"] is reducible
+
+    def test_million_colour_edge_answers(self, tmp_path):
+        # each list is cut to 2 before the walk, which took minutes on
+        # colour masks a million bits wide; the timeout only catches a hang
+        proc = reduce_in_child({"edges": [[0, 1]], "sizes": [1_000_000, 1_000_000]}, tmp_path, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["checks"][0]["reducible"] is True
 
 
     def test_assignment_budget_on_ten_vertices_exits_2(self, tmp_path):
         # one edge and lists of 200: far more canonical assignments than the
         # budget; in a fresh process, with a timeout that only catches a hang
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"edges": [[0, 1]], "n": 10, "sizes": [200] * 10}))
-        env = dict(os.environ, PYTHONPATH=str(Path(dischargekit.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "dischargekit.cli", "reduce", "--input", str(path)],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        proc = reduce_in_child({"edges": [[0, 1]], "n": 10, "sizes": [200] * 10}, tmp_path, timeout=60)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "error: exhaustive check needs more than 100000 assignments\n"
 
@@ -331,13 +355,30 @@ class TestDischarge:
         # the suite; the timeout is no speed bound
         path = tmp_path / "w1000.json"
         path.write_text(json.dumps(embedding_to_json(wheel(1000))))
-        env = dict(os.environ, PYTHONPATH=str(Path(dischargekit.__file__).parents[1]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "dischargekit.cli", "discharge", "--input", str(path)],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        proc = in_child(["discharge", "--input", str(path)], timeout=60)
         assert proc.returncode == 1, proc.stderr
         assert json.loads(proc.stdout)["ledger"]["total"] == {"num": -12, "den": 1}
+
+    @pytest.mark.parametrize("amount", ["1e99999999", "1E-99999999", "2.5e3", "1/1e3"])
+    def test_rule_with_exponent_exits_2(self, amount, tmp_path):
+        # Fraction would build the power of ten first, which took minutes;
+        # in a fresh process, with a timeout that only catches a hang
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps({"five_face": amount}))
+        proc = in_child(["discharge", "--input", write_embedding(tmp_path, "cube"), "--rules", str(rules)], timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: five_face must be written without an exponent\n"
+
+    @pytest.mark.parametrize(
+        "amount, want",
+        [(3, "3"), ("2/7", "2/7"), ("0.25", "1/4"), (" 1 ", "1"), ({"num": 6, "den": 4}, "3/2")],
+    )
+    def test_rule_forms_accepted(self, amount, want, tmp_path, capsys):
+        assert RuleSet.from_json({"five_face": amount}).five_face == Fraction(want)
+        rules = tmp_path / "rules.json"
+        rules.write_text(json.dumps({"five_face": amount}))
+        code = main(["discharge", "--input", write_embedding(tmp_path, "dodecahedron"), "--rules", str(rules)])
+        assert code in (0, 1) and capsys.readouterr().err == ""
 
 
 class TestReproPaper:

@@ -9,6 +9,7 @@ from oracles import (
     CONFIG_2,
     CONFIG_3,
     check_condition_scan,
+    classify_role_counting,
     find_fixed_configs,
     cycle_search_paths,
     find_trios_scan,
@@ -23,6 +24,7 @@ from dischargekit.errors import SizeLimitExceededError, UnsupportedLengthError, 
 from dischargekit.structures import (
     CONDITIONS,
     StepBudget,
+    TrioOccurrence,
     VertexRole,
     check_conditions,
     classify_role,
@@ -149,8 +151,8 @@ class TestTrios:
         occs = find_trios(trio_graph())
         assert len(occs) == 1
         occ = occs[0]
-        assert occ.center == 3
-        assert occ.vertices == frozenset(range(5))
+        assert occ == TrioOccurrence(x=0, y=1, u=2, v=3, w=4)
+        assert frozenset(occ) == frozenset(range(5))
         assert set(occ.triangles) == {
             frozenset({0, 2, 3}),
             frozenset({0, 1, 3}),
@@ -181,7 +183,9 @@ class TestTrios:
         found = 0
         for g in graphs:
             trios = find_trios(g)
-            assert trios == find_trios_scan(g)
+            scanned = find_trios_scan(g)
+            assert trios == scanned
+            assert all(type(o) is TrioOccurrence for o in trios + scanned)
             found += len(trios)
         # the comparison above also passes on graphs without trios
         assert found > 1000
@@ -232,6 +236,28 @@ class TestRoles:
             for s in t:
                 role = role_in(g, s, t)
                 assert role is role_in(relabeled, perm[s], frozenset(perm[v] for v in t))
+
+    def test_positions_match_counting_oracle(self):
+        # every vertex of every triangle of every trio, given the trios on
+        # the triangle, all trios of the graph, and seeded random subsets
+        # of them, many of which do not contain the triangle
+        graphs = [triangulated_grid(side, 0.9, seed).graph for side in (6, 8) for seed in (1, 2, 3)]
+        graphs += [emb.graph for emb in fixtures.solid_embeddings().values()]
+        graphs += [emb.graph for emb in fixtures.random_embeddings()]
+        rng = random.Random(41)
+        graphs += [random_graph(rng, rng.randint(5, 9), rng.uniform(0.4, 0.8)) for _ in range(100)]
+        seen = Counter()
+        for g in graphs:
+            trios = find_trios(g)
+            trios_on = trios_by_triangle(trios)
+            for t, on in trios_on.items():
+                for trio_list in (on, trios, rng.sample(trios, min(len(trios), 3)), [], on[:1] + trios[-2:]):
+                    for s in t:
+                        role = classify_role(s, t, trio_list)
+                        assert role is classify_role_counting(s, t, trio_list), (g.edges, s, t, trio_list)
+                        seen[role, trio_list is on] += 1
+        assert all(seen[role, given] > 100 for role in VertexRole for given in (True, False) if role is not VertexRole.GOOD)
+        assert seen[VertexRole.GOOD, False] > 100
 
 
 class TestTrioIndex:
