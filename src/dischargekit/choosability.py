@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .alon_tarsi import find_certificate
-from .core import Graph
+from .core import Graph, build_graph
 from .errors import SizeLimitExceededError, WorkBudget
 
 Lists = Tuple[Tuple[int, ...], ...]
@@ -216,9 +216,23 @@ def check_extension(config: ReducibleConfig) -> bool:
     configured residual sizes.  Raises ``SizeLimitExceededError`` past
     ``MAX_ASSIGNMENT_CHECKS`` assignments.
 
-    Each size is first cut to the vertex's inner degree plus one, which
-    keeps the answer: a vertex with more colours than neighbours can be
-    coloured last whatever its neighbours took."""
-    inner = config.inner
-    sizes = [min(size, inner.degree(v) + 1) for v, size in enumerate(config.residual_sizes)]
-    return _first_uncolourable(inner, sizes) is None
+    First every vertex with more colours than neighbours left is dropped,
+    and its neighbours lose a neighbour, until no such vertex is left.  This
+    keeps the answer: a dropped vertex can be coloured last whatever its
+    neighbours took.  The walk then runs on the vertices that are left."""
+    inner, sizes = config.inner, config.residual_sizes
+    degree = inner.degrees()
+    left = set(range(inner.n))
+    drop = [v for v in left if sizes[v] > degree[v]]
+    while drop:
+        v = drop.pop()
+        if v in left:
+            left.discard(v)
+            for u in inner.adjacency[v]:
+                degree[u] -= 1
+                if u in left and sizes[u] > degree[u]:
+                    drop.append(u)
+    keep = sorted(left)
+    index = {v: i for i, v in enumerate(keep)}
+    rest = build_graph([(index[u], index[v]) for u, v in inner.edges if u in index and v in index], n=len(keep))
+    return _first_uncolourable(rest, [sizes[v] for v in keep]) is None

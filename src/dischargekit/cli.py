@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from fractions import Fraction
-from typing import List
+from typing import Iterable, Iterator, List
 
 from . import fixtures
 from .alon_tarsi import count_eulerian, find_certificate
@@ -33,7 +34,7 @@ from .core import (
     orientation_from_json,
     parse_graph6,
 )
-from .discharging import RuleSet, apply_rules, final_report
+from .discharging import ChargeLedger, FinalReport, RuleSet, apply_rules, final_report
 from .errors import DischargeKitError, SizeLimitExceededError
 from .structures import StepBudget, check_conditions, classify_role, find_trios, trio_tuples, trios_by_triangle
 
@@ -105,14 +106,163 @@ def _dumps(obj) -> str:
     return "".join(chunks)
 
 
-def _emit(report: dict, args) -> None:
-    text = _dumps(report)
+# Templates of the discharge report's fixed shapes, each written as at the
+# outer level; ``_shift`` moves one to the depth where it appears.  Rule
+# names and element kinds are plain words with nothing to escape.
+_FRACTION = """{
+  "den": %d,
+  "num": %d
+}"""
+_TRANSFER = """{
+  "amount": {
+    "den": %d,
+    "num": %d
+  },
+  "rule": "%s",
+  "sink": [
+    "%s",
+    %d
+  ],
+  "source": [
+    "%s",
+    %d
+  ]
+}"""
+_NEGATIVE = """{
+  "charge": {
+    "den": %d,
+    "num": %d
+  },
+  "element": [
+    "%s",
+    %d
+  ]
+}"""
+_VERTEX_DETAIL = """{
+  "element": [
+    "v",
+    %d
+  ],
+  "neighbors": %s,
+  "trace": %s
+}"""
+_FACE_DETAIL = """{
+  "boundary": %s,
+  "element": [
+    "f",
+    %d
+  ],
+  "trace": %s
+}"""
+_DISCHARGE = """{
+  "command": "discharge",
+  "ledger": {
+    "face_charge": %s,
+    "faces": %s,
+    "total": %s,
+    "trace": %s,
+    "vertex_charge": %s
+  },
+  "report": {
+    "detail": %s,
+    "negatives": %s,
+    "total": %s
+  }
+}"""
+# Stands in the report for the two lists that are streamed; the report is
+# numbers, fixed words and JSON punctuation, so it never holds this.
+_STREAMED = "\0"
+
+
+def _shift(text: str, depth: int) -> str:
+    """The text of a value as written ``depth`` levels deeper: a JSON
+    string holds no raw newline, so each newline starts an indent."""
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+def _items(items: List[str], depth: int, brackets: str = "[]") -> str:
+    """A list (or, with ``brackets="{}"``, an object) ``depth`` levels deep
+    from the text of its items."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _stream_items(items: Iterable[str], depth: int) -> Iterator[str]:
+    """``_items(list(items), depth)`` in chunks, one per item, without
+    holding the list."""
+    inner = "\n" + "  " * (depth + 1)
+    sep = "[" + inner
+    for item in items:
+        yield sep + item
+        sep = "," + inner
+    yield "[]" if sep[0] == "[" else "\n" + "  " * depth + "]"
+
+
+def _discharge_report(ledger: ChargeLedger, report: FinalReport, graph: Graph) -> Iterator[str]:
+    """The text of the discharge report, in chunks: what ``_dumps`` writes
+    for its tree (``tests/oracles.discharge_report_tree``).
+
+    Each transfer is rendered once, from one template; its copies in the
+    detail of the negative elements are that text shifted two levels
+    deeper.  Every number is rendered before this returns, so a number
+    too long to write raises before the first chunk."""
+    transfer = _shift(_TRANSFER, 3)
+    trace = [
+        transfer % (r.amount.denominator, r.amount.numerator, r.rule, *r.sink, *r.source)
+        for r in ledger.trace
+    ]
+    entry = '"%s": ' + _shift(_FRACTION, 3)
+
+    def book(charges) -> str:
+        # the keys are written as strings, so they sort as strings
+        entries = sorted((str(k), q) for k, q in charges.items())
+        return _items([entry % (k, q.denominator, q.numerator) for k, q in entries], 2, "{}")
+
+    def ints(values, depth: int) -> str:
+        return _items(list(map(str, values)), depth)
+
+    total = _shift(_FRACTION, 2) % (report.total.denominator, report.total.numerator)
+    negative = _shift(_NEGATIVE, 3)
+    head, middle, tail = (
+        _DISCHARGE
+        % (
+            book(ledger.face_charge),
+            _items([ints(f.boundary, 3) for f in ledger.faces], 2),
+            total,
+            _STREAMED,
+            book(ledger.vertex_charge),
+            _STREAMED,
+            _items([negative % (q.denominator, q.numerator, *el) for el, q in report.negatives], 2),
+            total,
+        )
+    ).split(_STREAMED)
+    vertex_detail, face_detail = _shift(_VERTEX_DETAIL, 3), _shift(_FACE_DETAIL, 3)
+
+    def detail() -> Iterator[str]:
+        for ((kind, i), _), indices in zip(report.negatives, report.detail):
+            touching = _items([_shift(trace[j], 2) for j in indices], 4)
+            if kind == "v":
+                yield vertex_detail % (i, ints(sorted(graph.adjacency[i]), 4), touching)
+            else:
+                yield face_detail % (ints(ledger.faces[i].boundary, 4), i, touching)
+
+    return itertools.chain(
+        (head,), _stream_items(trace, 2), (middle,), _stream_items(detail(), 2), (tail,)
+    )
+
+
+def _emit(chunks: Iterable[str], args) -> None:
+    """Write a report's text chunks and a closing newline to ``--output``,
+    or else to stdout."""
     if args.output:
         with open(args.output, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
             fh.write("\n")
     else:
-        print(text)
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
 
 
 def _load_graphs(args) -> List[Graph]:
@@ -152,7 +302,7 @@ def cmd_detect(args) -> int:
         reports.append(entry)
         if any(not c.holds for c in conds):
             status = EXIT_VIOLATIONS
-    _emit({"command": "detect", "graphs": reports}, args)
+    _emit([_dumps({"command": "detect", "graphs": reports})], args)
     if args.summary:
         for entry in reports:
             for c in entry["conditions"]:
@@ -168,7 +318,7 @@ def cmd_choosable(args) -> int:
         verdicts.append({"graph": gi, "k": args.k, **verdict.to_json()})
         if not verdict.choosable:
             status = EXIT_VIOLATIONS
-    _emit({"command": "choosable", "verdicts": verdicts}, args)
+    _emit([_dumps({"command": "choosable", "verdicts": verdicts})], args)
     if args.summary:
         for v in verdicts:
             print(f"graph {v['graph']}: {args.k}-choosable: {v['choosable']} ({v['method']})")
@@ -186,7 +336,7 @@ def cmd_alon_tarsi(args) -> int:
             "outdegrees": orientation.outdegrees(),
             "applicable": counts.even != counts.odd,
         }
-        _emit(report, args)
+        _emit([_dumps(report)], args)
         if args.summary:
             print(f"even={counts.even} odd={counts.odd} applicable={report['applicable']}")
         return EXIT_OK if report["applicable"] else EXIT_VIOLATIONS
@@ -199,7 +349,7 @@ def cmd_alon_tarsi(args) -> int:
         results.append({"graph": gi, "certificate": cert.to_json() if cert else None})
         if cert is None:
             status = EXIT_VIOLATIONS
-    _emit({"command": "alon-tarsi", "results": results}, args)
+    _emit([_dumps({"command": "alon-tarsi", "results": results})], args)
     if args.summary:
         for r in results:
             print(f"graph {r['graph']}: certificate {'found' if r['certificate'] else 'NONE'}")
@@ -239,7 +389,7 @@ def cmd_reduce(args) -> int:
             rows.append({"name": name, "reducible": got, "expected": expected, "ok": ok})
             if not ok:
                 status = EXIT_VIOLATIONS
-    _emit({"command": "reduce", "checks": rows}, args)
+    _emit([_dumps({"command": "reduce", "checks": rows})], args)
     if args.summary:
         for r in rows:
             print(f"{r['name']}: reducible={r['reducible']} ok={r['ok']}")
@@ -252,14 +402,10 @@ def cmd_discharge(args) -> int:
     if args.rules:
         ruleset = RuleSet.from_json(load_json(_read_input(args.rules), "rules"))
     ledger = apply_rules(embedding, ruleset)
-    report = final_report(ledger, graph=embedding.graph)
-    _emit(
-        {"command": "discharge", "ledger": ledger.to_json(), "report": report.to_json()},
-        args,
-    )
+    report = final_report(ledger)
+    _emit(_discharge_report(ledger, report, embedding.graph), args)
     if args.summary:
-        total = ledger.total()
-        print(f"total charge: {total}")
+        print(f"total charge: {report.total}")
         for el, q in report.negatives:
             print(f"negative: {el[0]}{el[1]} = {q}")
     return EXIT_VIOLATIONS if report.negatives else EXIT_OK
@@ -312,7 +458,7 @@ def repro_rows() -> List[dict]:
 
 def cmd_repro_paper(args) -> int:
     rows = repro_rows()
-    _emit({"command": "repro-paper", "table": rows}, args)
+    _emit([_dumps({"command": "repro-paper", "table": rows})], args)
     status = EXIT_OK if all(r["ok"] for r in rows) else EXIT_VIOLATIONS
     if args.summary:
         for r in rows:

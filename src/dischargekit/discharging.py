@@ -14,15 +14,11 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Tuple
 
-from .core import Face, Graph, PlaneGraph, expect_json, faces_of
+from .core import Face, PlaneGraph, expect_json, faces_of
 from .errors import MalformedInputError
 from .structures import VertexRole, classify_role, find_trios, trios_by_triangle
 
 Element = Tuple[str, int]  # ("v", index) or ("f", index)
-
-
-def _frac_json(q: Fraction) -> dict:
-    return {"num": q.numerator, "den": q.denominator}
 
 
 def _frac_from_json(obj, what: str) -> Fraction:
@@ -52,14 +48,6 @@ class TransferRecord:
         if self.amount <= 0:
             raise ValueError("transfer amounts are positive")
 
-    def to_json(self) -> dict:
-        return {
-            "rule": self.rule,
-            "source": list(self.source),
-            "sink": list(self.sink),
-            "amount": _frac_json(self.amount),
-        }
-
 
 @dataclass
 class ChargeLedger:
@@ -82,15 +70,6 @@ class ChargeLedger:
         (self.vertex_charge if skind == "v" else self.face_charge)[si] -= amount
         (self.vertex_charge if tkind == "v" else self.face_charge)[ti] += amount
         self.trace.append(TransferRecord(rule=rule, source=source, sink=sink, amount=amount))
-
-    def to_json(self) -> dict:
-        return {
-            "vertex_charge": {str(v): _frac_json(q) for v, q in self.vertex_charge.items()},
-            "face_charge": {str(f): _frac_json(q) for f, q in self.face_charge.items()},
-            "faces": [list(f.boundary) for f in self.faces],
-            "total": _frac_json(self.total()),
-            "trace": [r.to_json() for r in self.trace],
-        }
 
 
 @dataclass(frozen=True)
@@ -239,52 +218,28 @@ def apply_rules(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()) -> ChargeLe
 
 @dataclass(frozen=True)
 class FinalReport:
-    """Negative final charges with their incident structure and trace slice."""
+    """Negative final charges, vertices first, each in index order, and for
+    each one the indices into the ledger's trace of the transfers touching
+    it."""
 
     total: Fraction
     negatives: Tuple[Tuple[Element, Fraction], ...]
-    detail: Tuple[dict, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "total": _frac_json(self.total),
-            "negatives": [
-                {"element": list(el), "charge": _frac_json(q)} for el, q in self.negatives
-            ],
-            "detail": list(self.detail),
-        }
+    detail: Tuple[Tuple[int, ...], ...]
 
 
-def final_report(ledger: ChargeLedger, graph: Graph) -> FinalReport:
-    """Every vertex/face with negative final charge, with the rule trace
-    entries touching it."""
-    touching: Dict[Element, List[TransferRecord]] = {}
-    for rec in ledger.trace:
-        touching.setdefault(rec.source, []).append(rec)
-        if rec.sink != rec.source:
-            touching.setdefault(rec.sink, []).append(rec)
-    negatives: List[Tuple[Element, Fraction]] = []
-    detail: List[dict] = []
-    for v in sorted(ledger.vertex_charge):
-        q = ledger.vertex_charge[v]
-        if q < 0:
-            el: Element = ("v", v)
-            negatives.append((el, q))
-            detail.append(_element_detail(ledger, el, touching.get(el, []), graph))
-    for fi in sorted(ledger.face_charge):
-        q = ledger.face_charge[fi]
-        if q < 0:
-            el = ("f", fi)
-            negatives.append((el, q))
-            detail.append(_element_detail(ledger, el, touching.get(el, []), graph))
-    return FinalReport(total=ledger.total(), negatives=tuple(negatives), detail=tuple(detail))
-
-
-def _element_detail(ledger: ChargeLedger, element: Element, touching: List[TransferRecord], graph: Graph) -> dict:
-    kind, i = element
-    out = {"element": list(element), "trace": [r.to_json() for r in touching]}
-    if kind == "f":
-        out["boundary"] = list(ledger.faces[i].boundary)
-    else:
-        out["neighbors"] = sorted(graph.adjacency[i])
-    return out
+def final_report(ledger: ChargeLedger) -> FinalReport:
+    """Every vertex/face with negative final charge, with the indices of the
+    rule trace entries touching it."""
+    negatives = [(("v", v), q) for v, q in sorted(ledger.vertex_charge.items()) if q < 0]
+    negatives += [(("f", fi), q) for fi, q in sorted(ledger.face_charge.items()) if q < 0]
+    touching: Dict[Element, List[int]] = {el: [] for el, _ in negatives}
+    for i, rec in enumerate(ledger.trace):
+        if rec.source in touching:
+            touching[rec.source].append(i)
+        if rec.sink in touching and rec.sink != rec.source:
+            touching[rec.sink].append(i)
+    return FinalReport(
+        total=ledger.total(),
+        negatives=tuple(negatives),
+        detail=tuple(tuple(touching[el]) for el, _ in negatives),
+    )

@@ -18,7 +18,7 @@ from dischargekit.choosability import (
     ReducibleConfig,
 )
 from dischargekit.core import Edge, Graph, Orientation, PlaneGraph, build_graph
-from dischargekit.discharging import ChargeLedger, RuleSet, initial_charges
+from dischargekit.discharging import ChargeLedger, FinalReport, RuleSet, TransferRecord, initial_charges
 from dischargekit.errors import SizeLimitExceededError, VertexNotOnCycleError
 from dischargekit.fixtures import CONFIG_H, FixedConfig
 from dischargekit.structures import (
@@ -335,17 +335,43 @@ def apply_rules_unindexed(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()):
     return ledger, shapes
 
 
-def element_detail_scan(ledger: ChargeLedger, element, graph: Graph) -> dict:
-    """Oracle for one ``final_report`` detail entry: scan the whole trace
-    for the records touching ``element``."""
-    kind, i = element
-    touching = [r.to_json() for r in ledger.trace if r.source == element or r.sink == element]
-    out = {"element": list(element), "trace": touching}
-    if kind == "f":
-        out["boundary"] = list(ledger.faces[i].boundary)
-    else:
-        out["neighbors"] = sorted(graph.adjacency[i])
-    return out
+def discharge_report_tree(ledger: ChargeLedger, report: FinalReport, graph: Graph) -> dict:
+    """Oracle for the ``discharge`` report: the tree whose
+    ``json.dumps(indent=2, sort_keys=True)`` is the report's text, built
+    value by value.  Each negative element's detail scans the whole trace
+    for the records touching it."""
+
+    def fraction(q: Fraction) -> dict:
+        return {"num": q.numerator, "den": q.denominator}
+
+    def record(r: TransferRecord) -> dict:
+        return {"rule": r.rule, "source": list(r.source), "sink": list(r.sink), "amount": fraction(r.amount)}
+
+    def detail(element) -> dict:
+        kind, i = element
+        touching = [record(r) for r in ledger.trace if r.source == element or r.sink == element]
+        out = {"element": list(element), "trace": touching}
+        if kind == "f":
+            out["boundary"] = list(ledger.faces[i].boundary)
+        else:
+            out["neighbors"] = sorted(graph.adjacency[i])
+        return out
+
+    return {
+        "command": "discharge",
+        "ledger": {
+            "vertex_charge": {str(v): fraction(q) for v, q in ledger.vertex_charge.items()},
+            "face_charge": {str(f): fraction(q) for f, q in ledger.face_charge.items()},
+            "faces": [list(f.boundary) for f in ledger.faces],
+            "total": fraction(ledger.total()),
+            "trace": [record(r) for r in ledger.trace],
+        },
+        "report": {
+            "total": fraction(report.total),
+            "negatives": [{"element": list(el), "charge": fraction(q)} for el, q in report.negatives],
+            "detail": [detail(el) for el, _ in report.negatives],
+        },
+    }
 
 
 def replay(ledger: ChargeLedger, start: ChargeLedger) -> ChargeLedger:

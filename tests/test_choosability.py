@@ -371,6 +371,38 @@ class TestExtension:
         assert agreed[True, True] >= 100 and agreed[False, True] >= 20, agreed
         assert agreed[True, False] >= 10 and agreed[False, False] >= 5, agreed
 
+    def test_peel_keeps_the_answer(self, monkeypatch):
+        # configurations in which some vertex has more colours than
+        # neighbours; the oracle walks the whole graph as given
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 1_000)
+        rng = random.Random(59)
+        agreed = Counter()
+        while sum(agreed.values()) < 150:
+            n = rng.randint(2, 5)
+            g = build_graph([e for e in itertools.combinations(range(n), 2) if rng.random() < 0.6], n=n)
+            sizes = tuple(max(1, g.degree(v) + rng.choice((-1, 0, 0, 1))) for v in range(n))
+            if all(s <= g.degree(v) for v, s in enumerate(sizes)):
+                continue
+            try:
+                want = first_uncolourable_loop(g, sizes) is None
+            except SizeLimitExceededError:
+                continue
+            assert check_extension(ReducibleConfig(g, sizes)) is want, (g.edges, sizes)
+            agreed[want] += 1
+        assert agreed[True] >= 50 and agreed[False] >= 20, agreed
+
+    def test_peel_cascades_along_a_path(self, monkeypatch):
+        # each end of a path with 2-lists has one neighbour, so the peel
+        # eats the path from both ends and the walk checks one empty list
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 1)
+        path = build_graph([(v, v + 1) for v in range(9)])
+        assert check_extension(ReducibleConfig(path, (2,) * 10))
+        # a triangle closed at one end is left to the walk, which finds the
+        # 2-lists it cannot colour from
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 100)
+        lollipop = build_graph([(v, v + 1) for v in range(9)] + [(7, 9)])
+        assert not check_extension(ReducibleConfig(lollipop, (2,) * 10))
+
     def test_builtin_checks_agree_with_rechoice(self):
         choices = {"H-with-rechoice": H_CHOICE}
         for name, config, expected in fixtures.REDUCE_CHECKS:

@@ -2,20 +2,21 @@ import enum
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from inputs import embedding_to_json, triangulated_grid, wheel, write_graph6
-from oracles import role_in
+from inputs import embedding_to_json, triangulated_grid, trio_embedding, wheel, write_graph6
+from oracles import discharge_report_tree, role_in
 
 import dischargekit
 from dischargekit import cli, fixtures
 from dischargekit.cli import _dumps, build_parser, main
-from dischargekit.core import build_graph, orientation_to_json
-from dischargekit.discharging import RuleSet
+from dischargekit.core import build_graph, embedding_from_json, orientation_to_json
+from dischargekit.discharging import RuleSet, apply_rules, final_report
 from dischargekit.structures import DETECT_BASE_STEPS, StepBudget, check_conditions, trio_tuples
 
 C5_G6 = "Dhc"
@@ -308,10 +309,20 @@ class TestReduce:
         assert json.loads(proc.stdout)["checks"][0]["reducible"] is True
 
 
-    def test_assignment_budget_on_ten_vertices_exits_2(self, tmp_path):
-        # one edge and lists of 200: far more canonical assignments than the
-        # budget; in a fresh process, with a timeout that only catches a hang
-        proc = reduce_in_child({"edges": [[0, 1]], "n": 10, "sizes": [200] * 10}, tmp_path, timeout=60)
+    def test_ten_vertices_with_long_lists_peel_to_nothing(self, monkeypatch, capsys):
+        # every vertex has more colours than neighbours, so the peel drops
+        # them all; the walk over what was left spent the whole budget
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"edges": [[0, 1]], "n": 10, "sizes": [200] * 10})))
+        code, out = run(capsys, ["reduce", "--input", "-"])
+        assert code == 0
+        assert json.loads(out)["checks"] == [{"expected": None, "name": "user-config", "ok": True, "reducible": True}]
+
+    def test_assignment_budget_exits_2(self, tmp_path):
+        # K5 minus an edge with lists as long as the degrees: the peel drops
+        # nothing, and the walk needs more assignments than the budget; in a
+        # fresh process, with a timeout that only catches a hang
+        edges = [[u, v] for u in range(5) for v in range(u + 1, 5) if (u, v) != (0, 1)]
+        proc = reduce_in_child({"edges": edges, "sizes": [3, 3, 4, 4, 4]}, tmp_path, timeout=60)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "error: exhaustive check needs more than 100000 assignments\n"
 
@@ -515,6 +526,14 @@ def stdlib_text(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True)
 
 
+def discharge_text(emb_path, rules_path=None) -> str:
+    """The stdlib text of the oracle tree of ``discharge`` on these files."""
+    emb = embedding_from_json(Path(emb_path).read_text())
+    ruleset = RuleSet.from_json(json.loads(Path(rules_path).read_text())) if rules_path else RuleSet()
+    ledger = apply_rules(emb, ruleset)
+    return stdlib_text(discharge_report_tree(ledger, final_report(ledger), emb.graph)) + "\n"
+
+
 def write_inputs(tmp_path) -> dict:
     """Input files for the fixture commands: the demo corpus (which has no
     trio), two graphs with trios, C5, C4 and the orientation g1."""
@@ -567,15 +586,18 @@ class Colour(enum.IntEnum):
 
 class TestReportText:
     """Every report is the text of ``json.dumps(report, indent=2,
-    sort_keys=True)``, written by ``cli._dumps``."""
+    sort_keys=True)``: the discharge report's tree is the oracle's, and the
+    other commands' reports are written by ``cli._dumps``."""
 
     def test_fixture_reports(self, tmp_path, monkeypatch, capsys):
         reports = []
         monkeypatch.setattr(cli, "_dumps", lambda report: reports.append(report) or _dumps(report))
-        for argv in report_commands(tmp_path):
+        argvs = report_commands(tmp_path)
+        for argv in argvs:
             main(argv)
-            assert capsys.readouterr().out == stdlib_text(reports[-1]) + "\n", argv
-        assert len(reports) == 32
+            want = discharge_text(argv[2]) if argv[0] == "discharge" else stdlib_text(reports[-1]) + "\n"
+            assert capsys.readouterr().out == want, argv
+        assert (len(argvs), len(reports)) == (32, 7)
 
     @pytest.mark.parametrize(
         "value",
@@ -634,6 +656,82 @@ class TestReportText:
         with pytest.raises(TypeError) as got:
             _dumps(value)
         assert str(got.value) == str(want.value)
+
+
+# Rule parameters with denominators far wider than a machine word.
+LARGE_RULES = {
+    "five_face": "1/100000000000000000039",
+    "deg4_plain": {"num": 10**30 + 1, "den": 10**20 + 3},
+    "hi_good_or_worst": {"num": 10**25, "den": 7**40},
+    "hi_bad": "7/999999999989",
+    "hi_four_face": {"num": 2, "den": 3**60},
+    "equalize_trios": False,
+}
+
+
+class TestDischargeText:
+    """The discharge report, written from the ledger one template per
+    record shape, is the stdlib text of the oracle tree, through
+    ``--output`` and through stdout alike."""
+
+    def check(self, tmp_path, capsys, embedding: dict, rules=None) -> int:
+        emb_path = tmp_path / "emb.json"
+        emb_path.write_text(json.dumps(embedding))
+        argv = ["discharge", "--input", str(emb_path)]
+        rules_path = None
+        if rules is not None:
+            rules_path = tmp_path / "rules.json"
+            rules_path.write_text(json.dumps(rules))
+            argv += ["--rules", str(rules_path)]
+        want = discharge_text(emb_path, rules_path)
+        code = main(argv)
+        assert capsys.readouterr().out == want
+        out = tmp_path / "out.json"
+        assert main(argv + ["--output", str(out)]) == code
+        assert capsys.readouterr().out == "" and out.read_text() == want
+        return code
+
+    def test_bundled_embeddings(self, tmp_path, capsys):
+        for emb in list(fixtures.solid_embeddings().values()) + fixtures.random_embeddings():
+            self.check(tmp_path, capsys, embedding_to_json(emb))
+
+    @pytest.mark.parametrize("share", [0.0, 0.5, 0.9, 1.0])
+    def test_grids(self, share, tmp_path, capsys):
+        for side in range(3, 21):
+            self.check(tmp_path, capsys, embedding_to_json(triangulated_grid(side, share, side)))
+
+    def test_rules_with_large_denominators(self, tmp_path, capsys):
+        for emb in (fixtures.load_embedding("icosahedron"), trio_embedding(), triangulated_grid(8, 0.5, 3)):
+            self.check(tmp_path, capsys, embedding_to_json(emb), LARGE_RULES)
+            assert re.search(r'"den": [0-9]{20,}', (tmp_path / "out.json").read_text())
+
+    @pytest.mark.parametrize(
+        "embedding",
+        [
+            {"n": 1, "rotation": [[]]},  # face boundary [], no trace, no neighbours
+            {"n": 2, "rotation": [[1], [0]]},
+            {"n": 3, "rotation": [[1], [0, 2], [1]]},  # the boundary [0, 1, 2, 1] repeats a vertex
+        ],
+        ids=["vertex", "edge", "path"],
+    )
+    def test_degenerate_embeddings(self, embedding, tmp_path, capsys):
+        assert self.check(tmp_path, capsys, embedding) == 1
+
+    def test_number_too_long_to_write_writes_nothing(self, tmp_path, capsys):
+        # two coprime denominators of 4,000 digits meet in one charge, whose
+        # denominator then has more digits than Python writes
+        rules = tmp_path / "rules.json"
+        rules.write_text(
+            json.dumps({"deg4_plain": {"num": 1, "den": 10**3999 + 1}, "deg4_four_face": {"num": 1, "den": 10**3999 + 3}})
+        )
+        emb = tmp_path / "emb.json"
+        emb.write_text(json.dumps(embedding_to_json(triangulated_grid(4, 0.5, 1))))
+        out = tmp_path / "out.json"
+        for extra in ([], ["--output", str(out)]):
+            assert main(["discharge", "--input", str(emb), "--rules", str(rules)] + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: Exceeds the limit")
+        assert not out.exists()
 
 
 def test_one_parser_serves_every_call(tmp_path, capsys):

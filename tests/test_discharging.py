@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 from inputs import triangulated_grid, trio_embedding
-from oracles import apply_rules_unindexed, element_detail_scan, replay
+from oracles import apply_rules_unindexed, discharge_report_tree, replay
 
 from dischargekit import fixtures
 from dischargekit.core import PlaneGraph, build_graph
@@ -161,10 +161,15 @@ class TestOracleCrossChecks:
     def test_final_report_detail_matches_trace_scan(self):
         for emb in oracle_embeddings():
             ledger = apply_rules(emb)
-            report = final_report(ledger, emb.graph)
+            report = final_report(ledger)
+            books = (("v", ledger.vertex_charge), ("f", ledger.face_charge))
+            assert report.negatives == tuple(
+                ((kind, i), q) for kind, book in books for i, q in sorted(book.items()) if q < 0
+            )
             assert len(report.detail) == len(report.negatives)
-            for (element, _), entry in zip(report.negatives, report.detail):
-                assert entry == element_detail_scan(ledger, element, emb.graph)
+            for (element, _), indices in zip(report.negatives, report.detail):
+                scan = [j for j, r in enumerate(ledger.trace) if element in (r.source, r.sink)]
+                assert list(indices) == scan
 
 
 class TestLedger:
@@ -209,7 +214,9 @@ class TestLedger:
             TransferRecord("R1", ("v", 0), ("f", 0), Fraction(-1))
 
     def test_json_shape(self):
-        obj = apply_rules(fixtures.load_embedding("dodecahedron")).to_json()
+        emb = fixtures.load_embedding("dodecahedron")
+        ledger = apply_rules(emb)
+        obj = discharge_report_tree(ledger, final_report(ledger), emb.graph)["ledger"]
         assert obj["total"] == {"num": -12, "den": 1}
         assert len(obj["trace"]) == 5 * 12
         assert obj["vertex_charge"]["0"] == {"num": -3, "den": 5}
@@ -246,25 +253,29 @@ class TestRuleSet:
 
 class TestFinalReport:
     def test_dodecahedron_negatives_are_vertices(self):
-        emb = fixtures.load_embedding("dodecahedron")
-        report = final_report(apply_rules(emb), emb.graph)
+        report = final_report(apply_rules(fixtures.load_embedding("dodecahedron")))
         assert report.total == -12
         assert [el for el, _ in report.negatives] == [("v", v) for v in range(20)]
         assert all(q == Fraction(-3, 5) for _, q in report.negatives)
 
     def test_detail_includes_trace_and_structure(self):
         emb = fixtures.load_embedding("dodecahedron")
-        report = final_report(apply_rules(emb), emb.graph)
-        first = report.detail[0]
+        ledger = apply_rules(emb)
+        report = final_report(ledger)
+        assert len(report.detail[0]) == 3
+        assert all(ledger.trace[j].source == ("v", 0) for j in report.detail[0])
+        first = discharge_report_tree(ledger, report, emb.graph)["report"]["detail"][0]
         assert first["element"] == ["v", 0]
         assert len(first["trace"]) == 3
         assert len(first["neighbors"]) == 3
 
     def test_face_negatives_carry_boundary(self):
         emb = fixtures.load_embedding("tetrahedron")
-        report = final_report(apply_rules(emb), emb.graph)
+        ledger = apply_rules(emb)
+        report = final_report(ledger)
         assert all(el[0] == "f" for el, _ in report.negatives)
-        assert all(len(d["boundary"]) == 3 for d in report.detail)
-        obj = report.to_json()
+        assert report.detail == ((),) * 4
+        obj = discharge_report_tree(ledger, report, emb.graph)["report"]
+        assert all(len(d["boundary"]) == 3 for d in obj["detail"])
         assert obj["total"] == {"num": -12, "den": 1}
         assert len(obj["negatives"]) == 4
