@@ -6,12 +6,17 @@ vertices to incident faces according to vertex degree and the role the
 vertex plays on 3-faces; R5 then equalizes the charges of the three
 3-faces of each trio whose triangles are all faces of the embedding.
 Every transfer is traced, and totals are conserved with exact equality.
+The rules move charge as integer numerators over one denominator, fixed
+before the first transfer so that every charge and every R5 target is an
+integer; the ledger gets its ``Fraction`` charges once, at the end.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
 from typing import Dict, FrozenSet, List, Tuple
 
 from .core import Face, PlaneGraph, expect_json, faces_of
@@ -37,16 +42,15 @@ def _frac_from_json(obj, what: str) -> Fraction:
         raise ValueError(f"{what} has denominator 0") from None
 
 
-@dataclass(frozen=True)
-class TransferRecord:
-    rule: str
-    source: Element
-    sink: Element
-    amount: Fraction
+class TransferRecord(namedtuple("TransferRecord", "rule source sink amount")):
+    """``amount`` > 0 moved by ``rule`` from ``source`` to ``sink``: a tuple, cheap to build."""
 
-    def __post_init__(self):
-        if self.amount <= 0:
+    __slots__ = ()
+
+    def __new__(cls, rule: str, source: Element, sink: Element, amount: Fraction):
+        if amount.numerator <= 0:
             raise ValueError("transfer amounts are positive")
+        return tuple.__new__(cls, (rule, source, sink, amount))
 
 
 @dataclass
@@ -62,14 +66,6 @@ class ChargeLedger:
         return sum(self.vertex_charge.values(), Fraction(0)) + sum(
             self.face_charge.values(), Fraction(0)
         )
-
-    def transfer(self, rule: str, source: Element, sink: Element, amount: Fraction) -> None:
-        if amount == 0:
-            return
-        (skind, si), (tkind, ti) = source, sink
-        (self.vertex_charge if skind == "v" else self.face_charge)[si] -= amount
-        (self.vertex_charge if tkind == "v" else self.face_charge)[ti] += amount
-        self.trace.append(TransferRecord(rule=rule, source=source, sink=sink, amount=amount))
 
 
 @dataclass(frozen=True)
@@ -138,33 +134,61 @@ def apply_rules(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()) -> ChargeLe
         if None not in indices:
             facial.append(occ)
             trio_faces.append(sorted(indices))
-    in_trio = {fi for indices in trio_faces for fi in indices}
     trios_on = trios_by_triangle(facial)
 
-    def payment(v: int, fi: int) -> Fraction:
+    # R5 equalizes each trio's three 3-faces.  Trios sharing a 3-face are
+    # merged and the whole group is equalized, which is order independent.
+    # The groups depend on the trios alone, so they are found first.
+    parent = {fi: fi for indices in trio_faces for fi in indices}
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for indices in trio_faces:
+        root = find(indices[0])
+        for fi in indices[1:]:
+            parent[find(fi)] = root
+    by_root: Dict[int, List[int]] = {}
+    for fi in parent:
+        by_root.setdefault(find(fi), []).append(fi)
+    groups = [sorted(by_root[root]) for root in sorted(by_root)] if ruleset.equalize_trios else []
+
+    # The books hold numerators over ``den``.  Until R5 equalizes a group,
+    # its charges are multiples of every group size, so its sum divides.
+    rates = {name: q for name, q in vars(ruleset).items() if name != "equalize_trios"}
+    den = lcm(*(q.denominator for q in rates.values())) * lcm(*map(len, groups))
+    pay = {name: (q, q.numerator * (den // q.denominator)) for name, q in rates.items()}
+    vc = {v: int(q) * den for v, q in ledger.vertex_charge.items()}
+    fc = {fi: int(q) * den for fi, q in ledger.face_charge.items()}
+
+    def payment(v: int, fi: int) -> Tuple[Fraction, int]:
         f = faces[fi]
         if f.degree == 4:
             if deg[v] == 4:
-                return ruleset.deg4_four_face
+                return pay["deg4_four_face"]
             if sorted(deg[u] for u in f.boundary) == [4, 4, 4, 5]:
-                return ruleset.hi_4445_face
-            return ruleset.hi_four_face
+                return pay["hi_4445_face"]
+            return pay["hi_four_face"]
         t = f.vertex_set()
         role = classify_role(v, t, trios_on[t]) if t in trios_on else VertexRole.GOOD
         if deg[v] == 4:
-            return ruleset.deg4_worst if role is VertexRole.WORST else ruleset.deg4_plain
+            return pay["deg4_worst"] if role is VertexRole.WORST else pay["deg4_plain"]
         if role in (VertexRole.GOOD, VertexRole.WORST):
-            return ruleset.hi_good_or_worst
-        if role is VertexRole.BAD:
-            return ruleset.hi_bad
-        return ruleset.hi_worse
+            return pay["hi_good_or_worst"]
+        return pay["hi_bad"] if role is VertexRole.BAD else pay["hi_worse"]
 
     # R1: every vertex pays into each incident 5-face, once per boundary
-    # occurrence.
+    # occurrence.  A zero amount records nothing.
+    amount, num = pay["five_face"]
     for fi, f in enumerate(faces):
-        if f.degree == 5:
+        if f.degree == 5 and num:
             for v in f.boundary:
-                ledger.transfer("R1", ("v", v), ("f", fi), ruleset.five_face)
+                vc[v] -= num
+                fc[fi] += num
+                ledger.trace.append(TransferRecord("R1", ("v", v), ("f", fi), amount))
 
     # R2-R4: vertices of degree 4, 5 and at least 6 pay into each incident
     # 3-face on three distinct vertices and each incident 4-face.
@@ -172,47 +196,33 @@ def apply_rules(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()) -> ChargeLe
         if f.degree == 4 or (f.degree == 3 and len(f.vertex_set()) == 3):
             for v in f.boundary:
                 if deg[v] >= 4:
-                    rule = "R2" if deg[v] == 4 else "R3" if deg[v] == 5 else "R4"
-                    ledger.transfer(rule, ("v", v), ("f", fi), payment(v, fi))
+                    amount, num = payment(v, fi)
+                    if num:
+                        vc[v] -= num
+                        fc[fi] += num
+                        rule = "R2" if deg[v] == 4 else "R3" if deg[v] == 5 else "R4"
+                        ledger.trace.append(TransferRecord(rule, ("v", v), ("f", fi), amount))
 
-    # R5: equalize the charges of each trio's three 3-faces.  When trios
-    # share a 3-face the per-trio order would be ambiguous, so overlapping
-    # trios are merged and the whole group is equalized, which is order
-    # independent.
-    if ruleset.equalize_trios and facial:
-        parent = {fi: fi for fi in in_trio}
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for indices in trio_faces:
-            root = find(indices[0])
-            for fi in indices[1:]:
-                parent[find(fi)] = root
-        groups: Dict[int, List[int]] = {}
-        for fi in parent:
-            groups.setdefault(find(fi), []).append(fi)
-        for root in sorted(groups):
-            indices = sorted(groups[root])
-            target = sum(ledger.face_charge[i] for i in indices) / len(indices)
-            givers = [(i, ledger.face_charge[i] - target) for i in indices if ledger.face_charge[i] > target]
-            takers = [[i, target - ledger.face_charge[i]] for i in indices if ledger.face_charge[i] < target]
-            # Each giver fills the takers in order, starting at the first one
-            # still in need.  The surpluses and the needs have the same exact
-            # sum, so the cursor never runs past the last taker.
-            k = 0
-            for gi, gd in givers:
-                while gd > 0:
-                    ti, need = takers[k]
-                    move = min(gd, need)
-                    ledger.transfer("R5", ("f", gi), ("f", ti), move)
-                    gd -= move
-                    takers[k][1] = need - move
-                    if move == need:
-                        k += 1
+    # R5: in each group, each giver fills the takers in order, starting at
+    # the first one still in need.  The surpluses and the needs have the
+    # same exact sum, so the cursor never runs past the last taker.
+    for indices in groups:
+        target = sum(fc[i] for i in indices) // len(indices)
+        givers = [(i, fc[i] - target) for i in indices if fc[i] > target]
+        takers = [[i, target - fc[i]] for i in indices if fc[i] < target]
+        k = 0
+        for gi, gd in givers:
+            while gd > 0:
+                ti, need = takers[k]
+                move = min(gd, need)
+                ledger.trace.append(TransferRecord("R5", ("f", gi), ("f", ti), Fraction(move, den)))
+                gd -= move
+                takers[k][1] = need - move
+                if move == need:
+                    k += 1
+        fc.update(dict.fromkeys(indices, target))
+    ledger.vertex_charge = {v: Fraction(c, den) for v, c in vc.items()}
+    ledger.face_charge = {fi: Fraction(c, den) for fi, c in fc.items()}
     return ledger
 
 

@@ -253,11 +253,24 @@ def is_k_choosable_raw(graph: Graph, k: int) -> ChoosabilityVerdict:
     return ChoosabilityVerdict(choosable=True)
 
 
+def transfer(ledger: ChargeLedger, rule: str, source, sink, amount: Fraction) -> None:
+    """Oracle for one move of ``apply_rules``: ``amount`` leaves the charge
+    of ``source`` and joins that of ``sink`` by ``Fraction`` arithmetic, and
+    is traced; a zero amount records nothing."""
+    if amount == 0:
+        return
+    (skind, si), (tkind, ti) = source, sink
+    (ledger.vertex_charge if skind == "v" else ledger.face_charge)[si] -= amount
+    (ledger.vertex_charge if tkind == "v" else ledger.face_charge)[ti] += amount
+    ledger.trace.append(TransferRecord(rule=rule, source=source, sink=sink, amount=amount))
+
+
 def apply_rules_unindexed(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()):
     """Oracle for ``apply_rules``: every role is looked up by a scan of all
-    facial trios, and R5 equalizes each merged trio group by the nested walk
-    in which every giver scans the whole taker list.  Returns the ledger and
-    the (givers, takers) count of each R5 group."""
+    facial trios, each move is a ``Fraction`` ``transfer``, and R5 equalizes
+    each merged trio group by the nested walk in which every giver scans the
+    whole taker list.  Returns the ledger and the (givers, takers, size) of
+    each R5 group."""
     ledger = initial_charges(embedding)
     graph = embedding.graph
     faces = ledger.faces
@@ -291,13 +304,13 @@ def apply_rules_unindexed(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()):
     for fi, f in enumerate(faces):
         if f.degree == 5:
             for v in f.boundary:
-                ledger.transfer("R1", ("v", v), ("f", fi), ruleset.five_face)
+                transfer(ledger, "R1", ("v", v), ("f", fi), ruleset.five_face)
     for fi, f in enumerate(faces):
         if f.degree == 4 or (f.degree == 3 and len(f.vertex_set()) == 3):
             for v in f.boundary:
                 if deg[v] >= 4:
                     rule = "R2" if deg[v] == 4 else "R3" if deg[v] == 5 else "R4"
-                    ledger.transfer(rule, ("v", v), ("f", fi), payment(v, fi))
+                    transfer(ledger, rule, ("v", v), ("f", fi), payment(v, fi))
     shapes = []
     if not ruleset.equalize_trios:
         return ledger, shapes
@@ -321,7 +334,7 @@ def apply_rules_unindexed(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()):
         target = sum(ledger.face_charge[i] for i in indices) / len(indices)
         givers = [(i, ledger.face_charge[i] - target) for i in indices if ledger.face_charge[i] > target]
         takers = [[i, target - ledger.face_charge[i]] for i in indices if ledger.face_charge[i] < target]
-        shapes.append((len(givers), len(takers)))
+        shapes.append((len(givers), len(takers), len(indices)))
         for gi, gd in givers:
             for taker in takers:
                 if gd == 0:
@@ -329,7 +342,7 @@ def apply_rules_unindexed(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()):
                 ti, need = taker
                 move = min(gd, need)
                 if move > 0:
-                    ledger.transfer("R5", ("f", gi), ("f", ti), move)
+                    transfer(ledger, "R5", ("f", gi), ("f", ti), move)
                     taker[1] -= move
                     gd -= move
     return ledger, shapes

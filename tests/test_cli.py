@@ -1,3 +1,4 @@
+import contextlib
 import enum
 import io
 import json
@@ -490,6 +491,109 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_fuzzed_inputs_exit_0_to_2(self, tmp_path):
+        """Random bytes, graph6-like text and random JSON, on every
+        (command, format) pair that reads a file and on the rules of
+        ``discharge``: each run ends in exit code 0-2, never a traceback,
+        and exit code 2 comes with a one-line message."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        argvs = [
+            ["detect", "--format", "graph6"],
+            ["detect", "--format", "embedding-json"],
+            ["choosable", "--format", "graph6"],
+            ["choosable", "--format", "embedding-json"],
+            ["alon-tarsi", "--format", "graph6"],
+            ["alon-tarsi", "--format", "embedding-json"],
+            ["alon-tarsi", "--format", "orientation-json"],
+            ["discharge", "--format", "embedding-json"],
+            ["reduce"],
+            ["discharge", "--input", write_embedding(tmp_path, "cube"), "--rules"],
+        ]
+        rates = [name for name in vars(RuleSet()) if name != "equalize_trios"]
+        keys = st.sampled_from(["n", "rotation", "arcs", "edges", "sizes", "num", "den", "equalize_trios"] + rates)
+        # Integers stay small: orientation_from_json builds one adjacency
+        # set per vertex of "n" before it reads an arc.
+        scalars = (
+            st.none() | st.booleans() | st.integers(-3, 12) | st.integers(-5, 10**4) | st.floats() | st.text(max_size=6)
+        )
+        values = st.recursive(
+            scalars,
+            lambda inner: st.lists(inner, max_size=6) | st.dictionaries(keys | st.text(max_size=3), inner, max_size=6),
+            max_leaves=40,
+        )
+        # objects with the keys the readers look for, and values of about
+        # the right shape, so that some reach the commands themselves
+        small = st.integers(-1, 7)
+        pairs = st.lists(st.lists(small, min_size=2, max_size=2), max_size=10)
+        amounts = (
+            st.integers(0, 9)
+            | st.from_regex(r"\A-?[0-9]{1,3}(/[0-9]{1,3})?\Z")
+            | st.fixed_dictionaries({"num": small, "den": small})
+        )
+        shaped = st.fixed_dictionaries(
+            {},
+            optional={
+                "n": small,
+                "rotation": st.lists(st.lists(small, max_size=4), max_size=7),
+                "arcs": pairs,
+                "edges": pairs,
+                "sizes": st.lists(small, max_size=8),
+                "equalize_trios": st.booleans(),
+                **{name: amounts for name in rates},
+            },
+        )
+
+        @st.composite
+        def graphs(draw):
+            """A small connected graph as graph6 text, or as one object that
+            every JSON reader accepts, with its edges in a random rotation;
+            the object may get one change: one more neighbour in a rotation,
+            one more edge, or one key replaced by a drawn value."""
+            n = draw(st.integers(1, 7))
+            path = {(v - 1, v) for v in range(1, n)}
+            chords = [(u, v) for v in range(n) for u in range(v)]
+            edges = sorted(path | draw(st.sets(st.sampled_from(chords)))) if chords else []
+            if draw(st.booleans()):
+                return write_graph6(build_graph(edges, n=n)).encode()
+            rotation = [draw(st.permutations([u for e in edges if v in e for u in e if u != v])) for v in range(n)]
+            doc = {"n": n, "rotation": rotation, "arcs": edges, "edges": edges, "sizes": [4] * n}
+            vertex = st.integers(-2, n + 1)
+            change = draw(st.sampled_from(["none", "neighbour", "edge", "key"]))
+            if change == "neighbour":
+                draw(st.sampled_from(rotation)).append(draw(vertex))
+            elif change == "edge":
+                edges.append((draw(vertex), draw(vertex)))
+            elif change == "key":
+                doc[draw(st.sampled_from(sorted(doc)))] = draw(values)
+            return json.dumps(doc).encode()
+
+        payloads = (
+            st.binary(max_size=80)
+            | st.text(st.characters(min_codepoint=63, max_codepoint=126), max_size=24).map(str.encode)
+            | (values | shaped).map(lambda v: json.dumps(v).encode())
+            | graphs()
+        )
+        path = tmp_path / "fuzz"
+        codes = set()
+
+        @hypothesis.settings(max_examples=600, deadline=None, database=None)
+        @hypothesis.seed(8)
+        @hypothesis.given(st.sampled_from(argvs), payloads)
+        def check(argv, payload):
+            path.write_bytes(payload)
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv + [str(path)] if argv[-1] == "--rules" else argv + ["--input", str(path)])
+            assert code in (0, 1, 2)
+            if code == 2:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, err.getvalue()
+            codes.add(code)
+
+        check()
+        # some inputs get past the readers
+        assert codes == {0, 1, 2}
 
     def test_bad_rules_json(self, tmp_path, capsys):
         emb_path = write_embedding(tmp_path, "cube")

@@ -1,9 +1,10 @@
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from inputs import triangulated_grid, trio_embedding
-from oracles import apply_rules_unindexed, discharge_report_tree, replay
+from oracles import apply_rules_unindexed, discharge_report_tree, replay, transfer
 
 from dischargekit import fixtures
 from dischargekit.core import PlaneGraph, build_graph
@@ -102,6 +103,16 @@ class TestApplyRules:
         emb = fixtures.load_embedding("icosahedron")
         assert apply_rules(emb).trace == apply_rules(emb).trace
 
+    def test_negative_amount_through_the_api(self):
+        # RuleSet.from_json rejects a negative amount, the constructor does
+        # not: the first record of one raises, and a rule that never fires
+        # records nothing
+        ruleset = RuleSet(five_face=Fraction(-1, 5))
+        with pytest.raises(ValueError, match="transfer amounts are positive"):
+            apply_rules(fixtures.load_embedding("dodecahedron"), ruleset)
+        ledger = apply_rules(fixtures.load_embedding("cube"), ruleset)
+        assert ledger.trace == [] and ledger.total() == -12
+
 
 class TestTrioEqualization:
     def test_pendant_breaks_symmetry_then_r5_restores_it(self):
@@ -156,7 +167,48 @@ class TestOracleCrossChecks:
                 shapes += group_shapes
         # groups with several givers and several takers move the cursor
         # past a partly filled taker
-        assert any(givers >= 2 and takers >= 2 for givers, takers in shapes)
+        assert any(givers >= 2 and takers >= 2 for givers, takers, _ in shapes)
+
+    def test_integer_books_match_fraction_oracle(self):
+        """The integer books against the oracle's ``Fraction`` transfers,
+        on drawn rule amounts: numerators 0-50 over denominators of up to
+        30 digits, with R5 on and off."""
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        embs = list(fixtures.solid_embeddings().values()) + fixtures.random_embeddings()
+        embs += [triangulated_grid(side, share, side) for side in range(3, 13) for share in (0.2, 0.5, 0.9, 1.0)]
+        # inputs whose R5 group sizes have an lcm above the largest of them:
+        # a denominator scaled by the largest size alone fails there
+        sizes = [[size for _, _, size in apply_rules_unindexed(emb)[1]] for emb in embs]
+        above = [i for i, s in enumerate(sizes) if s and lcm(*s) > max(s)]
+        assert above
+        amounts = st.builds(
+            Fraction, st.integers(0, 50), st.one_of(st.integers(1, 12), st.integers(1, 10**30 - 1))
+        )
+        names = [name for name in vars(RuleSet()) if name != "equalize_trios"]
+        rulesets = st.builds(RuleSet, **{name: amounts for name in names}, equalize_trios=st.booleans())
+        seen = set()
+
+        @hypothesis.settings(max_examples=100, deadline=None, database=None)
+        @hypothesis.seed(17)
+        @hypothesis.given(st.one_of(st.sampled_from(above), st.sampled_from(range(len(embs)))), rulesets)
+        def check(index, ruleset):
+            emb = embs[index]
+            ledger = apply_rules(emb, ruleset)
+            want, _ = apply_rules_unindexed(emb, ruleset)
+            assert ledger.trace == want.trace
+            assert [(r.amount.numerator, r.amount.denominator) for r in ledger.trace] == [
+                (r.amount.numerator, r.amount.denominator) for r in want.trace
+            ]
+            assert ledger.vertex_charge == want.vertex_charge
+            assert ledger.face_charge == want.face_charge
+            assert ledger.total() == -12
+            seen.add(("R5", ruleset.equalize_trios, any(r.rule == "R5" for r in ledger.trace)))
+            seen.add(("zero", any(getattr(ruleset, name) == 0 for name in names)))
+            seen.add(("lcm above largest", ruleset.equalize_trios and index in above))
+
+        check()
+        assert {("R5", True, True), ("R5", False, False), ("zero", True), ("lcm above largest", True)} <= seen
 
     def test_final_report_detail_matches_trace_scan(self):
         for emb in oracle_embeddings():
@@ -190,7 +242,7 @@ class TestLedger:
             )
 
         ledger = hand_built()
-        ledger.transfer("R1", ("v", 0), ("f", 0), Fraction(1, 2))
+        transfer(ledger, "R1", ("v", 0), ("f", 0), Fraction(1, 2))
         replayed = replay(ledger, hand_built())
         assert replayed.vertex_charge == {0: Fraction(3, 2), 1: Fraction(-1)}
         assert replayed.face_charge == {0: Fraction(-5, 2)}
@@ -199,14 +251,14 @@ class TestLedger:
     def test_transfer_updates_both_books(self):
         emb = fixtures.load_embedding("tetrahedron")
         ledger = initial_charges(emb)
-        ledger.transfer("R1", ("v", 0), ("f", 1), Fraction(1, 5))
+        transfer(ledger, "R1", ("v", 0), ("f", 1), Fraction(1, 5))
         assert ledger.vertex_charge[0] == Fraction(-1, 5)
         assert ledger.face_charge[1] == Fraction(-14, 5)
         assert ledger.total() == -12
 
     def test_zero_transfer_is_dropped(self):
         ledger = initial_charges(fixtures.load_embedding("tetrahedron"))
-        ledger.transfer("R1", ("v", 0), ("f", 0), Fraction(0))
+        transfer(ledger, "R1", ("v", 0), ("f", 0), Fraction(0))
         assert ledger.trace == []
 
     def test_negative_transfer_rejected(self):
