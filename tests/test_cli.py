@@ -493,10 +493,10 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
     def test_fuzzed_inputs_exit_0_to_2(self, tmp_path):
-        """Random bytes, graph6-like text and random JSON, on every
-        (command, format) pair that reads a file and on the rules of
-        ``discharge``: each run ends in exit code 0-2, never a traceback,
-        and exit code 2 comes with a one-line message."""
+        """Random bytes, graph6-like text, random JSON and perturbed small
+        graphs, on every (command, format) pair that reads a file and on
+        the rules of ``discharge``: each run ends in exit code 0-2, never a
+        traceback, and exit code 2 comes with a one-line message."""
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
         argvs = [
@@ -523,27 +523,14 @@ class TestErrors:
             lambda inner: st.lists(inner, max_size=6) | st.dictionaries(keys | st.text(max_size=3), inner, max_size=6),
             max_leaves=40,
         )
-        # objects with the keys the readers look for, and values of about
-        # the right shape, so that some reach the commands themselves
-        small = st.integers(-1, 7)
-        pairs = st.lists(st.lists(small, min_size=2, max_size=2), max_size=10)
+        # rule objects with amounts of about the right shape, so that some
+        # reach the rules themselves
         amounts = (
             st.integers(0, 9)
             | st.from_regex(r"\A-?[0-9]{1,3}(/[0-9]{1,3})?\Z")
-            | st.fixed_dictionaries({"num": small, "den": small})
+            | st.fixed_dictionaries({"num": st.integers(-1, 7), "den": st.integers(-1, 7)})
         )
-        shaped = st.fixed_dictionaries(
-            {},
-            optional={
-                "n": small,
-                "rotation": st.lists(st.lists(small, max_size=4), max_size=7),
-                "arcs": pairs,
-                "edges": pairs,
-                "sizes": st.lists(small, max_size=8),
-                "equalize_trios": st.booleans(),
-                **{name: amounts for name in rates},
-            },
-        )
+        rules = st.fixed_dictionaries({}, optional={"equalize_trios": st.booleans(), **{name: amounts for name in rates}})
 
         @st.composite
         def graphs(draw):
@@ -552,9 +539,9 @@ class TestErrors:
             the object may get one change: one more neighbour in a rotation,
             one more edge, or one key replaced by a drawn value."""
             n = draw(st.integers(1, 7))
-            path = {(v - 1, v) for v in range(1, n)}
+            spine = {(v - 1, v) for v in range(1, n)}
             chords = [(u, v) for v in range(n) for u in range(v)]
-            edges = sorted(path | draw(st.sets(st.sampled_from(chords)))) if chords else []
+            edges = sorted(spine | draw(st.sets(st.sampled_from(chords)))) if chords else []
             if draw(st.booleans()):
                 return write_graph6(build_graph(edges, n=n)).encode()
             rotation = [draw(st.permutations([u for e in edges if v in e for u in e if u != v])) for v in range(n)]
@@ -569,11 +556,14 @@ class TestErrors:
                 doc[draw(st.sampled_from(sorted(doc)))] = draw(values)
             return json.dumps(doc).encode()
 
-        payloads = (
-            st.binary(max_size=80)
-            | st.text(st.characters(min_codepoint=63, max_codepoint=126), max_size=24).map(str.encode)
-            | (values | shaped).map(lambda v: json.dumps(v).encode())
-            | graphs()
+        # half of the inputs are drawn graphs, which reach the most code
+        payloads = st.one_of(
+            st.binary(max_size=80),
+            st.text(st.characters(min_codepoint=63, max_codepoint=126), max_size=24).map(str.encode),
+            (values | rules).map(lambda v: json.dumps(v).encode()),
+            graphs(),
+            graphs(),
+            graphs(),
         )
         path = tmp_path / "fuzz"
         codes = set()
