@@ -9,8 +9,9 @@ per-vertex multiplicities equal the required list sizes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .alon_tarsi import find_certificate
 from .core import Graph, build_graph
@@ -91,10 +92,12 @@ def degeneracy(graph: Graph) -> int:
 def is_k_choosable(graph: Graph, k: int) -> ChoosabilityVerdict:
     """Decide whether every k-assignment admits a list coloring.
 
-    First tries two exact sufficient checks for a quick "yes" (degeneracy
-    below k, then, on graphs of at most ``_AT_MAX_EDGES`` edges, an
-    even/odd orientation certificate) and falls back to exhaustive
-    canonical enumeration, which also produces a witness assignment on
+    Degeneracy below k answers "yes" at once.  Otherwise the first
+    canonical assignment, every list {0, ..., k-1}, is tested: a graph
+    that is not k-colourable fails it, has no certificate, and gets it as
+    the witness.  Then, on graphs of at most ``_AT_MAX_EDGES`` edges, an
+    even/odd orientation certificate may answer "yes", and the exhaustive
+    canonical enumeration decides the rest, with a witness assignment on
     "no".  Inputs beyond ``DEFAULT_N_LIMIT`` vertices are rejected, not
     approximated.  The certificate search raises
     ``SizeLimitExceededError`` past ``alon_tarsi.MAX_DP_STATES`` tree nodes
@@ -106,6 +109,9 @@ def is_k_choosable(graph: Graph, k: int) -> ChoosabilityVerdict:
         raise SizeLimitExceededError(f"n = {graph.n} exceeds guard {DEFAULT_N_LIMIT}")
     if degeneracy(graph) <= k - 1:
         return ChoosabilityVerdict(choosable=True, method="degeneracy")
+    if not _colourer(graph, [k] * graph.n, (1 << graph.n) - 1)([(1 << k) - 1] * graph.n):
+        witness = ListAssignment(lists=(tuple(range(k)),) * graph.n)
+        return ChoosabilityVerdict(choosable=False, witness=witness, method="exhaustive")
     if len(graph.edges) <= _AT_MAX_EDGES and find_certificate(graph, k) is not None:
         return ChoosabilityVerdict(choosable=True, method="alon-tarsi")
     witness = _first_uncolourable(graph, [k] * graph.n)
@@ -114,21 +120,18 @@ def is_k_choosable(graph: Graph, k: int) -> ChoosabilityVerdict:
     return ChoosabilityVerdict(choosable=False, witness=ListAssignment(lists=witness), method="exhaustive")
 
 
-def _colourer(graph: Graph, sizes: Sequence[int]) -> Callable[[List[int]], bool]:
-    """A test of whether lists with these sizes, one colour bitmask per
-    vertex, admit a proper colouring.  Vertices are coloured smallest list
-    first, then highest degree; each takes its lowest colour bit that no
-    earlier neighbour took, and the search backtracks."""
-    n = len(sizes)
-    order = sorted(range(n), key=lambda v: (sizes[v], -graph.degree(v)))
-    at = [0] * n
-    for i, v in enumerate(order):
-        at[v] = i
-    earlier = [[at[u] for u in graph.adjacency[v] if at[u] < i] for i, v in enumerate(order)]
+def _colourer(graph: Graph, sizes: Sequence[int], core: int) -> Callable[[List[int]], bool]:
+    """A test of whether the vertices of ``core``, a nonempty bitmask, can
+    be coloured properly from lists given as one colour bitmask per vertex
+    of ``graph``.  They are coloured smallest list first, then highest
+    degree; each takes its lowest colour bit that no earlier neighbour
+    took, and the search backtracks."""
+    order = sorted((v for v in range(graph.n) if core >> v & 1), key=lambda v: (sizes[v], -graph.degree(v)))
+    n = len(order)
+    at = {v: i for i, v in enumerate(order)}
+    earlier = [[at[u] for u in graph.adjacency[v] if at.get(u, n) < i] for i, v in enumerate(order)]
 
     def colourable(masks: List[int]) -> bool:
-        if not n:
-            return True
         taken = [0] * n
         free = [0] * n
         free[0] = masks[order[0]]
@@ -153,6 +156,19 @@ def _colourer(graph: Graph, sizes: Sequence[int]) -> Callable[[List[int]], bool]
     return colourable
 
 
+def _peel(graph: Graph, sizes: Sequence[int], alive: int) -> int:
+    """The vertices of ``alive``, a bitmask, that are left once every vertex
+    with more colours than neighbours left is dropped, until none is.  A
+    dropped vertex can be coloured last whatever its neighbours took."""
+    while True:
+        left = alive
+        for v in range(len(sizes)):
+            if alive >> v & 1 and sizes[v] > sum(alive >> u & 1 for u in graph.adjacency[v]):
+                alive ^= 1 << v
+        if alive == left:
+            return alive
+
+
 def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
     """The first canonical assignment with these sizes that has no proper
     colouring, or None.  Raises ``SizeLimitExceededError`` when the
@@ -165,24 +181,34 @@ def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
     of its list as private colours, and comes after those of its children.
     Colours are numbered in order of first use and kept as one bitmask per
     vertex.
+
+    A vertex with a private colour can take it last, so a node's check
+    colours only its full vertices, and of those only the core that
+    ``_peel`` leaves; an empty core passes without a search.  The types
+    that avoid the full vertices, and the core's test, are built once per
+    set of full vertices.
     """
     n = len(sizes)
     # Singleton types would come last, in vertex order, and each could only
     # take all its vertex's remaining colours: those are the private ones.
     shared = sorted((t for t in range(1, 1 << n) if t & (t - 1)), key=lambda t: (-bin(t).count("1"), t))
     members = [[v for v in range(n) if t >> v & 1] for t in shared]
-    colourable = _colourer(graph, sizes)
     spend = WorkBudget(MAX_ASSIGNMENT_CHECKS, "exhaustive check", "assignments").spend
     masks = [0] * n
     remaining = list(sizes)
+    # per mask of full vertices: the open types and the core's test, if any
+    known: Dict[int, tuple] = {}
 
     # ``full`` has a bit set for each vertex whose list is full; a type
     # containing one of them can take no colour.  ``base`` is the next
     # unused colour.  Returns the first uncolourable lists of the subtree.
     def walk(i: int, full: int, base: int) -> Optional[List[int]]:
-        for j in range(i, len(shared)):
-            if shared[j] & full:
-                continue
+        if full not in known:
+            core = _peel(graph, sizes, full)
+            colourer = _colourer(graph, sizes, core) if core else None
+            known[full] = [j for j, t in enumerate(shared) if not t & full], colourer
+        types, colourable = known[full]
+        for j in types[bisect_left(types, i):]:
             mem = members[j]
             for mult in range(min([remaining[v] for v in mem]), 0, -1):
                 bits = ((1 << mult) - 1) << base
@@ -199,11 +225,13 @@ def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
                     masks[v] ^= bits
                     remaining[v] += mult
         spend(1)
+        if not colourable or colourable(masks):
+            return None
         lists = []
         for v in range(n):
             lists.append(masks[v] | ((1 << remaining[v]) - 1) << base)
             base += remaining[v]
-        return None if colourable(lists) else lists
+        return lists
 
     found = walk(0, sum(1 << v for v in range(n) if not sizes[v]), 0)
     if found is None:
@@ -216,23 +244,12 @@ def check_extension(config: ReducibleConfig) -> bool:
     configured residual sizes.  Raises ``SizeLimitExceededError`` past
     ``MAX_ASSIGNMENT_CHECKS`` assignments.
 
-    First every vertex with more colours than neighbours left is dropped,
-    and its neighbours lose a neighbour, until no such vertex is left.  This
-    keeps the answer: a dropped vertex can be coloured last whatever its
-    neighbours took.  The walk then runs on the vertices that are left."""
+    First ``_peel`` drops every vertex with more colours than neighbours
+    left, which keeps the answer; the walk then runs on the vertices that
+    are left."""
     inner, sizes = config.inner, config.residual_sizes
-    degree = inner.degrees()
-    left = set(range(inner.n))
-    drop = [v for v in left if sizes[v] > degree[v]]
-    while drop:
-        v = drop.pop()
-        if v in left:
-            left.discard(v)
-            for u in inner.adjacency[v]:
-                degree[u] -= 1
-                if u in left and sizes[u] > degree[u]:
-                    drop.append(u)
-    keep = sorted(left)
+    left = _peel(inner, sizes, (1 << inner.n) - 1)
+    keep = [v for v in range(inner.n) if left >> v & 1]
     index = {v: i for i, v in enumerate(keep)}
     rest = build_graph([(index[u], index[v]) for u, v in inner.edges if u in index and v in index], n=len(keep))
     return _first_uncolourable(rest, [sizes[v] for v in keep]) is None

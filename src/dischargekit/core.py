@@ -286,12 +286,17 @@ def embedding_from_json(obj: dict | str) -> PlaneGraph:
 
 
 def orientation_from_json(obj: dict | str) -> Orientation:
-    """Load {"n": int, "arcs": [[tail, head], ...]}."""
+    """Load {"n": int, "arcs": [[tail, head], ...]}.
+
+    Every vertex costs work and a place in the report, so ``n`` is bounded
+    by the arcs given: at most two vertices per arc, plus one."""
     if isinstance(obj, str):
         obj = load_json(obj, "orientation")
     obj = expect_json(obj, dict, "orientation")
     n = expect_json(obj["n"], int, "n")
     arcs = expect_json(obj["arcs"], list, "arcs")
+    if n > 2 * len(arcs) + 1:
+        raise MalformedInputError(f"n = {n} exceeds {2 * len(arcs) + 1}, two vertices per arc plus one")
     arcs = tuple(tuple(expect_int_list(a, f"arcs[{i}]", 2)) for i, a in enumerate(arcs))
     base = build_graph([canonical_edge(t, h) for t, h in arcs], n=n)
     return Orientation(base, arcs)

@@ -14,7 +14,7 @@ from dischargekit.choosability import (
     degeneracy,
     is_k_choosable,
 )
-from dischargekit.core import build_graph
+from dischargekit.core import build_graph, parse_graph6
 from dischargekit.errors import SizeLimitExceededError
 from oracles import (
     check_extension_with_rechoice,
@@ -221,6 +221,21 @@ class TestFirstUncolourable:
             with pytest.raises(SizeLimitExceededError, match=message):
                 choosability._first_uncolourable(graph, sizes)
 
+    def test_eight_to_ten_vertices(self, monkeypatch):
+        # answers and budget messages where the random test above stops;
+        # half the graphs keep lists of 2 or 3 on vertices of degree 2 or
+        # more, so that their first assignment is often colourable
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 1_000)
+        rng = random.Random(61)
+        outcomes = Counter()
+        for case in range(40):
+            n = rng.randint(8, 10)
+            g = build_graph([e for e in itertools.combinations(range(n), 2) if rng.random() < 0.25], n=n)
+            low = [1 if case % 2 or g.degree(v) < 2 else 2 for v in range(n)]
+            got = self.assert_agrees(g, tuple(rng.randint(low[v], 3) for v in range(n)))
+            outcomes[type(got)] += 1
+        assert outcomes[tuple] >= 10 and outcomes[str] >= 10, outcomes
+
     def test_ten_vertices(self, monkeypatch):
         # the vertex count that DEFAULT_N_LIMIT admits; 1,013 shared types
         monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 2_000)
@@ -242,6 +257,52 @@ class TestKChoosable:
     def test_c3_witness_is_identical_lists(self):
         verdict = is_k_choosable(C3, 2)
         assert verdict.witness.lists == ((0, 1), (0, 1), (0, 1))
+
+    def test_uncolourable_graph_is_answered_before_the_certificate_search(self, monkeypatch):
+        # two disjoint K5s at k = 4: the certificate search would pass its
+        # budget, but the first assignment, every list {0, 1, 2, 3}, fails
+        def no_search(graph, k):
+            raise AssertionError("certificate search reached")
+
+        monkeypatch.setattr(choosability, "find_certificate", no_search)
+        two_k5 = parse_graph6("I~{?GKF@w")
+        k5 = list(itertools.combinations(range(5), 2))
+        assert two_k5 == build_graph(k5 + [(u + 5, v + 5) for u, v in k5])
+        verdict = is_k_choosable(two_k5, 4)
+        assert (verdict.choosable, verdict.method) == (False, "exhaustive")
+        assert verdict.witness.lists == ((0, 1, 2, 3),) * 10
+
+    def test_witnesses_are_the_walks_first(self, monkeypatch):
+        # every "no" is the oracle's first uncolourable assignment; half
+        # the graphs are bipartite, asked at k = 2
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 2_000)
+        rng = random.Random(67)
+        outcomes = Counter()
+        for _ in range(300):
+            n, k, bipartite, side = rng.randint(1, 8), rng.randint(2, 4), rng.random() < 0.5, rng.getrandbits(8)
+            pairs = itertools.combinations(range(n), 2)
+            edges = [(u, v) for u, v in pairs if not bipartite or (side >> u ^ side >> v) & 1]
+            g = build_graph([e for e in edges if rng.random() < 0.5], n=n)
+            k = 2 if bipartite else k
+            try:
+                verdict = is_k_choosable(g, k)
+            except SizeLimitExceededError:
+                outcomes["over budget"] += 1
+                continue
+            if not verdict.choosable:
+                assert verdict.witness.lists == first_uncolourable_loop(g, [k] * n), (g.edges, k)
+            outcomes[verdict.choosable, verdict.method] += 1
+        assert outcomes[False, "exhaustive"] >= 20 and outcomes[True, "alon-tarsi"] >= 5, outcomes
+        assert outcomes["over budget"] <= 30, outcomes
+
+    def test_k24_budget_boundary(self, monkeypatch):
+        # its pinned witness is the 14,508th assignment
+        k24 = CHOOSE_SMALL["K2,4"]
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 14_508)
+        assert is_k_choosable(k24, 2).witness.lists == ((0, 3), (1, 2), (0, 1), (0, 2), (1, 3), (2, 3))
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 14_507)
+        with pytest.raises(SizeLimitExceededError, match="^exhaustive check needs more than 14507 assignments$"):
+            is_k_choosable(k24, 2)
 
     def test_exhaustive_agrees_with_auto(self):
         for graph, k in [(C4, 2), (K4, 4), (C5, 2)]:

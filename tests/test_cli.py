@@ -149,6 +149,17 @@ class TestChoosable:
         assert verdict["choosable"] is False
         assert verdict["witness"] is not None
 
+    def test_two_k5_not_4_choosable(self, tmp_path, capsys):
+        # the uniform lists {0, 1, 2, 3} answer before the certificate
+        # search, which would pass its budget on the two K5s
+        path = tmp_path / "2k5.g6"
+        path.write_text("I~{?GKF@w\n")
+        code, out = run(capsys, ["choosable", "--input", str(path), "--k", "4"])
+        assert code == 1
+        verdict = json.loads(out)["verdicts"][0]
+        assert (verdict["choosable"], verdict["method"]) == (False, "exhaustive")
+        assert verdict["witness"] == {"lists": [[0, 1, 2, 3]] * 10}
+
     def test_limit_n_enforced(self, tmp_path, capsys):
         path = tmp_path / "p11.g6"
         path.write_text(write_graph6(build_graph([(i, i + 1) for i in range(10)])) + "\n")
@@ -170,6 +181,27 @@ class TestAlonTarsi:
         report = json.loads(out)
         assert (report["even"], report["odd"]) == (2, 1)
         assert report["applicable"] is True
+
+    def test_vertex_count_bounded_by_the_arcs(self, tmp_path, capsys):
+        # two vertices per arc plus one: a path of one arc and an isolated
+        # vertex is read, one more isolated vertex is not
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"n": 3, "arcs": [[1, 0]]}))
+        code, out = run(capsys, ["alon-tarsi", "--input", str(path), "--format", "orientation-json"])
+        assert code == 0 and json.loads(out)["outdegrees"] == [0, 1, 0]
+        path.write_text(json.dumps({"n": 4, "arcs": [[1, 0]]}))
+        code = main(["alon-tarsi", "--input", str(path), "--format", "orientation-json"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == "error: n = 4 exceeds 3, two vertices per arc plus one\n"
+
+    def test_huge_vertex_count_exits_2(self, tmp_path):
+        # in a fresh process, with a timeout that only catches a hang
+        path = tmp_path / "huge.json"
+        path.write_text('{"n": 100000000, "arcs": []}')
+        proc = in_child(["alon-tarsi", "--format", "orientation-json", "--input", str(path)], timeout=60)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: n = 100000000 exceeds 1, two vertices per arc plus one\n"
 
     def test_graph_certificate_search(self, tmp_path, capsys):
         path = tmp_path / "c4.g6"
@@ -513,10 +545,8 @@ class TestErrors:
         ]
         rates = [name for name in vars(RuleSet()) if name != "equalize_trios"]
         keys = st.sampled_from(["n", "rotation", "arcs", "edges", "sizes", "num", "den", "equalize_trios"] + rates)
-        # Integers stay small: orientation_from_json builds one adjacency
-        # set per vertex of "n" before it reads an arc.
         scalars = (
-            st.none() | st.booleans() | st.integers(-3, 12) | st.integers(-5, 10**4) | st.floats() | st.text(max_size=6)
+            st.none() | st.booleans() | st.integers(-3, 12) | st.integers(-5, 10**9) | st.floats() | st.text(max_size=6)
         )
         values = st.recursive(
             scalars,
