@@ -75,31 +75,18 @@ class ChoosabilityVerdict:
         }
 
 
-def degeneracy(graph: Graph) -> int:
-    degs = graph.degrees()
-    alive = set(range(graph.n))
-    best = 0
-    while alive:
-        v = min(alive, key=lambda u: (degs[u], u))
-        best = max(best, degs[v])
-        alive.discard(v)
-        for u in graph.adjacency[v]:
-            if u in alive:
-                degs[u] -= 1
-    return best
-
-
 def is_k_choosable(graph: Graph, k: int) -> ChoosabilityVerdict:
     """Decide whether every k-assignment admits a list coloring.
 
-    Degeneracy below k answers "yes" at once.  Otherwise the first
-    canonical assignment, every list {0, ..., k-1}, is tested: a graph
-    that is not k-colourable fails it, has no certificate, and gets it as
-    the witness.  Then, on graphs of at most ``_AT_MAX_EDGES`` edges, an
-    even/odd orientation certificate may answer "yes", and the exhaustive
-    canonical enumeration decides the rest, with a witness assignment on
-    "no".  Inputs beyond ``DEFAULT_N_LIMIT`` vertices are rejected, not
-    approximated.  The certificate search raises
+    Degeneracy below k, that is, an empty core once ``_peel`` drops every
+    vertex of degree below k, answers "yes" at once.  Otherwise the first
+    canonical assignment, every list {0, ..., k-1}, is tested on the core:
+    a graph that is not k-colourable fails it, has no certificate, and
+    gets it as the witness.  Then, on graphs of at most ``_AT_MAX_EDGES``
+    edges, an even/odd orientation certificate may answer "yes", and the
+    exhaustive canonical enumeration decides the rest, with a witness
+    assignment on "no".  Inputs beyond ``DEFAULT_N_LIMIT`` vertices are
+    rejected, not approximated.  The certificate search raises
     ``SizeLimitExceededError`` past ``alon_tarsi.MAX_DP_STATES`` tree nodes
     and DP states, the enumeration past ``MAX_ASSIGNMENT_CHECKS`` assignments.
     """
@@ -107,14 +94,16 @@ def is_k_choosable(graph: Graph, k: int) -> ChoosabilityVerdict:
         raise ValueError("k must be positive")
     if graph.n > DEFAULT_N_LIMIT:
         raise SizeLimitExceededError(f"n = {graph.n} exceeds guard {DEFAULT_N_LIMIT}")
-    if degeneracy(graph) <= k - 1:
+    sizes = [k] * graph.n
+    core = _peel(graph, sizes, (1 << graph.n) - 1)
+    if not core:
         return ChoosabilityVerdict(choosable=True, method="degeneracy")
-    if not _colourer(graph, [k] * graph.n, (1 << graph.n) - 1)([(1 << k) - 1] * graph.n):
+    if not _colourer(graph, sizes, core)([(1 << k) - 1] * graph.n):
         witness = ListAssignment(lists=(tuple(range(k)),) * graph.n)
         return ChoosabilityVerdict(choosable=False, witness=witness, method="exhaustive")
     if len(graph.edges) <= _AT_MAX_EDGES and find_certificate(graph, k) is not None:
         return ChoosabilityVerdict(choosable=True, method="alon-tarsi")
-    witness = _first_uncolourable(graph, [k] * graph.n)
+    witness = _first_uncolourable(graph, sizes)
     if witness is None:
         return ChoosabilityVerdict(choosable=True, method="exhaustive")
     return ChoosabilityVerdict(choosable=False, witness=ListAssignment(lists=witness), method="exhaustive")

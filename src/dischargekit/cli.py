@@ -36,7 +36,7 @@ from .core import (
 )
 from .discharging import ChargeLedger, FinalReport, RuleSet, apply_rules, final_report
 from .errors import DischargeKitError, SizeLimitExceededError
-from .structures import StepBudget, check_conditions, classify_role, find_trios, trio_tuples, trios_by_triangle
+from .structures import StepBudget, check_conditions, classify_role, find_trios, trio_tuples
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -281,18 +281,13 @@ def cmd_detect(args) -> int:
         budget.spend(trio_tuples(graph))
         conds = check_conditions(graph, budget)
         trios = find_trios(graph)
-        trios_on = trios_by_triangle(trios)
-        roles = []
-        for occ in trios:
-            for t in occ.triangles:
-                for s in sorted(t):
-                    roles.append(
-                        {
-                            "vertex": s,
-                            "triangle": sorted(t),
-                            "role": classify_role(s, t, trios_on[t]).value,
-                        }
-                    )
+        role_of = classify_role(trios)
+        roles = [
+            {"vertex": s, "triangle": sorted(t), "role": role_of[t][s].value}
+            for occ in trios
+            for t in occ.triangles
+            for s in sorted(t)
+        ]
         entry = {
             "graph": gi,
             "conditions": [c.to_json() for c in conds],

@@ -59,9 +59,11 @@ class Graph:
 def build_graph(edge_list: Iterable[Sequence[int]], n: int | None = None) -> Graph:
     """Validate an edge list and return a Graph.
 
-    ``n`` defaults to max endpoint + 1.  Loops, duplicate edges, and
-    out-of-range endpoints are rejected.
+    ``n`` defaults to max endpoint + 1.  A negative ``n``, loops,
+    duplicate edges, and out-of-range endpoints are rejected.
     """
+    if n is not None and n < 0:
+        raise MalformedInputError(f"vertex count n = {n} is negative")
     edges: List[Edge] = []
     seen = set()
     max_v = -1

@@ -21,7 +21,7 @@ from typing import Dict, FrozenSet, List, Tuple
 
 from .core import Face, PlaneGraph, expect_json, faces_of
 from .errors import MalformedInputError
-from .structures import VertexRole, classify_role, find_trios, trios_by_triangle
+from .structures import VertexRole, classify_role, find_trios
 
 Element = Tuple[str, int]  # ("v", index) or ("f", index)
 
@@ -134,7 +134,7 @@ def apply_rules(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()) -> ChargeLe
         if None not in indices:
             facial.append(occ)
             trio_faces.append(sorted(indices))
-    trios_on = trios_by_triangle(facial)
+    role_of = classify_role(facial)
 
     # R5 equalizes each trio's three 3-faces.  Trios sharing a 3-face are
     # merged and the whole group is equalized, which is order independent.
@@ -172,8 +172,8 @@ def apply_rules(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()) -> ChargeLe
             if sorted(deg[u] for u in f.boundary) == [4, 4, 4, 5]:
                 return pay["hi_4445_face"]
             return pay["hi_four_face"]
-        t = f.vertex_set()
-        role = classify_role(v, t, trios_on[t]) if t in trios_on else VertexRole.GOOD
+        roles = role_of.get(f.vertex_set())
+        role = roles[v] if roles else VertexRole.GOOD
         if deg[v] == 4:
             return pay["deg4_worst"] if role is VertexRole.WORST else pay["deg4_plain"]
         if role in (VertexRole.GOOD, VertexRole.WORST):

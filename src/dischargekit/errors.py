@@ -34,10 +34,6 @@ class UnsupportedLengthError(DischargeKitError):
     """Cycle length outside the supported range {3, 4, 5}."""
 
 
-class VertexNotOnCycleError(DischargeKitError):
-    """Role classification asked for a vertex that is not on the cycle."""
-
-
 class SizeLimitExceededError(DischargeKitError):
     """Input exceeds a configured exhaustive-enumeration cap."""
 

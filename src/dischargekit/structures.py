@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
 
 from .core import Edge, Graph, build_graph, canonical_edge
-from .errors import UnsupportedLengthError, VertexNotOnCycleError, WorkBudget
+from .errors import UnsupportedLengthError, WorkBudget
 
 Cycle = Tuple[int, ...]
 
@@ -155,16 +155,6 @@ def trio_tuples(graph: Graph) -> int:
     return tuples
 
 
-def trios_by_triangle(trios: Sequence[TrioOccurrence]) -> Dict[FrozenSet[int], List[TrioOccurrence]]:
-    """Map each triangle to the trios that contain it, in the order of
-    ``trios``."""
-    index: Dict[FrozenSet[int], List[TrioOccurrence]] = {}
-    for occ in trios:
-        for t in occ.triangles:
-            index.setdefault(t, []).append(occ)
-    return index
-
-
 class VertexRole(Enum):
     GOOD = "good"
     BAD = "bad"
@@ -172,25 +162,30 @@ class VertexRole(Enum):
     WORST = "worst"
 
 
-def classify_role(s: int, triangle: Sequence[int], trios: Sequence[TrioOccurrence]) -> VertexRole:
-    """Role of vertex ``s`` on 3-cycle ``triangle``, given the trios that
-    contain the triangle (its entry in ``trios_by_triangle``).
+def classify_role(trios: Sequence[TrioOccurrence]) -> Dict[FrozenSet[int], Dict[int, VertexRole]]:
+    """The role of each vertex on each triangle of ``trios``, built in one
+    pass over their positions; a triangle in no trio has no entry, and its
+    vertices are good.
 
-    Good if the triangle lies in no trio.  Otherwise, over those trios:
-    worst if ``s`` lies on all three triangles of some trio; bad if in every
-    trio ``s`` lies only on this triangle; worse otherwise.  A trio's centre
-    v lies on all three of its triangles, x and y on two, u and w on one,
-    so the role is read from the positions of ``s``.
+    A trio's centre v lies on all three of its triangles, x and y on two,
+    u and w on one.  So each trio ranks v as worst on its three triangles,
+    and on its own triangles x and y as worse and u and w as bad; a vertex
+    keeps its highest rank.  That is: worst if it is the centre of some
+    trio that holds the triangle, bad if it is u or w of every such trio,
+    and worse otherwise.
     """
-    if s not in triangle:
-        raise VertexNotOnCycleError(f"vertex {s} is not on triangle {sorted(triangle)}")
-    if not trios:
-        return VertexRole.GOOD
-    if any(occ.v == s for occ in trios):
-        return VertexRole.WORST
-    if all(occ.u == s or occ.w == s for occ in trios):
-        return VertexRole.BAD
-    return VertexRole.WORSE
+    index: Dict[FrozenSet[int], Dict[int, VertexRole]] = {}
+    for occ in trios:
+        x, y, u, v, w = occ
+        for t, worse, bad in zip(occ.triangles, ((x,), (x, y), (y,)), ((u,), (), (w,))):
+            roles = index.setdefault(t, {})
+            roles[v] = VertexRole.WORST
+            for s in worse:
+                if roles.get(s) is not VertexRole.WORST:
+                    roles[s] = VertexRole.WORSE
+            for s in bad:
+                roles.setdefault(s, VertexRole.BAD)
+    return index
 
 
 @dataclass(frozen=True)

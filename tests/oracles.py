@@ -19,7 +19,7 @@ from dischargekit.choosability import (
 )
 from dischargekit.core import Edge, Graph, Orientation, PlaneGraph, build_graph
 from dischargekit.discharging import ChargeLedger, FinalReport, RuleSet, TransferRecord, initial_charges
-from dischargekit.errors import SizeLimitExceededError, VertexNotOnCycleError
+from dischargekit.errors import SizeLimitExceededError
 from dischargekit.fixtures import CONFIG_H, FixedConfig
 from dischargekit.structures import (
     CONDITIONS,
@@ -32,7 +32,6 @@ from dischargekit.structures import (
     enumerate_cycles,
     find_trios,
     trio_graph,
-    trios_by_triangle,
 )
 
 
@@ -442,7 +441,7 @@ def classify_role_counting(s: int, triangle, trios: Sequence[TrioOccurrence]) ->
     every trio has exactly one; worse otherwise; good for no trios."""
     t = frozenset(triangle)
     if s not in t:
-        raise VertexNotOnCycleError(f"vertex {s} is not on triangle {sorted(t)}")
+        raise ValueError(f"vertex {s} is not on triangle {sorted(t)}")
     if not trios:
         return VertexRole.GOOD
     for occ in trios:
@@ -454,9 +453,9 @@ def classify_role_counting(s: int, triangle, trios: Sequence[TrioOccurrence]) ->
 
 
 def role_in(graph: Graph, s: int, triangle) -> VertexRole:
-    """Role of ``s`` on ``triangle``, looked up in the trio index of a fresh
-    ``find_trios`` scan of the whole graph."""
-    return classify_role(s, triangle, trios_by_triangle(find_trios(graph)).get(frozenset(triangle), []))
+    """Role of ``s`` on ``triangle``, looked up in the role index of all
+    the graph's trios; good where the index has no entry."""
+    return classify_role(find_trios(graph)).get(frozenset(triangle), {}).get(s, VertexRole.GOOD)
 
 
 def check_condition_scan(graph: Graph, which: str) -> ConditionReport:

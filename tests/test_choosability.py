@@ -6,12 +6,11 @@ from collections import Counter
 import pytest
 from inputs import wheel
 
-from dischargekit import choosability, fixtures
+from dischargekit import alon_tarsi, choosability, fixtures
 from dischargekit.choosability import (
     ListAssignment,
     ReducibleConfig,
     check_extension,
-    degeneracy,
     is_k_choosable,
 )
 from dischargekit.core import build_graph, parse_graph6
@@ -347,10 +346,29 @@ class TestKChoosable:
         with pytest.raises(SizeLimitExceededError):
             is_k_choosable(k23, 2)
 
-    def test_degeneracy(self):
-        assert degeneracy(K4) == 3
-        assert degeneracy(C5) == 2
-        assert degeneracy(build_graph([], n=3)) == 0
+    def test_degeneracy(self, monkeypatch):
+        # the degeneracy answer comes exactly when the k-core is empty; small
+        # budgets cut short the searches that come after it
+        nx = pytest.importorskip("networkx")
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 10)
+        monkeypatch.setattr(alon_tarsi, "MAX_DP_STATES", 100)
+        rng = random.Random(19)
+        methods = Counter()
+        for _ in range(3000):
+            n = rng.randint(0, 10)
+            p = rng.random()
+            g = build_graph([e for e in itertools.combinations(range(n), 2) if rng.random() < p], n=n)
+            nxg = nx.Graph(g.edges)
+            nxg.add_nodes_from(range(n))
+            largest_core = max(nx.core_number(nxg).values(), default=0)
+            for k in range(1, 7):
+                try:
+                    method = is_k_choosable(g, k).method
+                except SizeLimitExceededError:
+                    method = None
+                assert (method == "degeneracy") == (largest_core < k), (g.edges, k)
+                methods[method] += 1
+        assert min(methods.values()) > 50, methods
 
 
 class TestExtension:

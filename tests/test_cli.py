@@ -484,6 +484,21 @@ class TestErrors:
         assert err.startswith("error: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize(
+        "argv, payload, n",
+        [
+            (["alon-tarsi", "--format", "orientation-json"], '{"n": -3, "arcs": []}', -3),
+            (["reduce"], '{"edges": [], "n": -1, "sizes": []}', -1),
+        ],
+        ids=["alon-tarsi", "reduce"],
+    )
+    def test_negative_vertex_count(self, argv, payload, n, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code = main(argv + ["--input", "-"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: vertex count n = {n} is negative\n"
+
+    @pytest.mark.parametrize(
         "rules",
         [
             "[1]",

@@ -20,7 +20,7 @@ from oracles import (
 
 from dischargekit import fixtures, structures
 from dischargekit.core import build_graph
-from dischargekit.errors import SizeLimitExceededError, UnsupportedLengthError, VertexNotOnCycleError
+from dischargekit.errors import SizeLimitExceededError, UnsupportedLengthError
 from dischargekit.structures import (
     CONDITIONS,
     StepBudget,
@@ -33,7 +33,6 @@ from dischargekit.structures import (
     find_trios,
     trio_graph,
     trio_tuples,
-    trios_by_triangle,
 )
 
 TRIO_EDGES = [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4), (2, 3), (3, 4)]  # x y u v w = 0 1 2 3 4
@@ -202,6 +201,16 @@ class TestTrios:
         assert counted[-101] == 9 * 8 * 7 * 6 * 5
 
 
+def role_graphs():
+    """Seeded triangulated grids, the five solids, the random embeddings
+    and 100 seeded random graphs."""
+    graphs = [triangulated_grid(side, 0.9, seed).graph for side in (6, 8) for seed in (1, 2, 3)]
+    graphs += [emb.graph for emb in fixtures.solid_embeddings().values()]
+    graphs += [emb.graph for emb in fixtures.random_embeddings()]
+    rng = random.Random(41)
+    return graphs + [random_graph(rng, rng.randint(5, 9), rng.uniform(0.4, 0.8)) for _ in range(100)]
+
+
 class TestRoles:
     def test_roles_on_bare_trio(self):
         g = trio_graph()
@@ -222,10 +231,6 @@ class TestRoles:
             for s in t:
                 assert role_in(g, s, t) is VertexRole.GOOD
 
-    def test_vertex_not_on_cycle(self):
-        with pytest.raises(VertexNotOnCycleError):
-            classify_role(4, frozenset({0, 2, 3}), [])
-
     def test_exactly_one_role_and_automorphism_invariance(self):
         g = trio_graph()
         rng = random.Random(5)
@@ -238,37 +243,43 @@ class TestRoles:
                 assert role is role_in(relabeled, perm[s], frozenset(perm[v] for v in t))
 
     def test_positions_match_counting_oracle(self):
-        # every vertex of every triangle of every trio, given the trios on
-        # the triangle, all trios of the graph, and seeded random subsets
-        # of them, many of which do not contain the triangle
-        graphs = [triangulated_grid(side, 0.9, seed).graph for side in (6, 8) for seed in (1, 2, 3)]
-        graphs += [emb.graph for emb in fixtures.solid_embeddings().values()]
-        graphs += [emb.graph for emb in fixtures.random_embeddings()]
-        rng = random.Random(41)
-        graphs += [random_graph(rng, rng.randint(5, 9), rng.uniform(0.4, 0.8)) for _ in range(100)]
+        # the index of all trios of the graph and of seeded random subsets
+        # of them: one entry per triangle of the trios given, one role per
+        # vertex of it, and each role that of the counting oracle over the
+        # given trios that hold the triangle
+        rng = random.Random(42)
         seen = Counter()
-        for g in graphs:
+        for g in role_graphs():
             trios = find_trios(g)
-            trios_on = trios_by_triangle(trios)
-            for t, on in trios_on.items():
-                for trio_list in (on, trios, rng.sample(trios, min(len(trios), 3)), [], on[:1] + trios[-2:]):
-                    for s in t:
-                        role = classify_role(s, t, trio_list)
-                        assert role is classify_role_counting(s, t, trio_list), (g.edges, s, t, trio_list)
-                        seen[role, trio_list is on] += 1
-        assert all(seen[role, given] > 100 for role in VertexRole for given in (True, False) if role is not VertexRole.GOOD)
-        assert seen[VertexRole.GOOD, False] > 100
+            subsets = [rng.sample(trios, rng.randint(0, len(trios))) for _ in range(3)]
+            for given in [trios] + subsets:
+                index = classify_role(given)
+                assert set(index) == {t for occ in given for t in occ.triangles}
+                for t, roles in index.items():
+                    assert set(roles) == t
+                    holding = [occ for occ in given if t in occ.triangles]
+                    for s, role in roles.items():
+                        assert role is classify_role_counting(s, t, holding), (g.edges, s, t, holding)
+                        seen[role, given is trios] += 1
+        assert all(seen[role, full] > 100 for role in VertexRole for full in (True, False) if role is not VertexRole.GOOD)
 
 
 class TestTrioIndex:
     def test_indexed_roles_match_full_scan(self):
-        graphs = [emb.graph for emb in fixtures.random_embeddings()]
-        graphs += [trio_graph()] + [triangulated_grid(6, 0.9, seed).graph for seed in (1, 2)]
-        for g in graphs:
-            trios = find_trios(g)
-            index = trios_by_triangle(trios)
-            triangles = {t for occ in trios for t in occ.triangles}
-            assert index == {t: [occ for occ in trios if t in occ.triangles] for t in triangles}
+        # every vertex of every triangle of the graph, in a trio or not:
+        # the index of all trios agrees with the counting oracle over the
+        # trios that a full scan finds on the triangle
+        seen = Counter()
+        for g in role_graphs():
+            index = classify_role(find_trios(g))
+            scanned = find_trios_scan(g)
+            for t in map(frozenset, enumerate_cycles(g, 3, StepBudget(g))):
+                holding = [occ for occ in scanned if t in occ.triangles]
+                for s in t:
+                    role = index[t][s] if t in index else VertexRole.GOOD
+                    assert role is classify_role_counting(s, t, holding), (g.edges, s, t)
+                    seen[role] += 1
+        assert all(seen[role] > 10 for role in VertexRole)
 
 
 class TestConditions:
