@@ -281,7 +281,7 @@ def cmd_detect(args) -> int:
         budget.spend(trio_tuples(graph))
         conds = check_conditions(graph, budget)
         trios = find_trios(graph)
-        role_of = classify_role(trios)
+        role_of = classify_role([(occ, occ.triangles) for occ in trios])
         roles = [
             {"vertex": s, "triangle": sorted(t), "role": role_of[t][s].value}
             for occ in trios

@@ -100,9 +100,6 @@ class Face:
     def degree(self) -> int:
         return len(self.boundary)
 
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.boundary)
-
 
 class PlaneGraph:
     """A graph together with a rotation system (cyclic neighbor orders)."""

@@ -5,6 +5,8 @@ exactly -12 on a connected plane graph.  Rules R1-R4 move charge from
 vertices to incident faces according to vertex degree and the role the
 vertex plays on 3-faces; R5 then equalizes the charges of the three
 3-faces of each trio whose triangles are all faces of the embedding.
+Those trios are windows of three 3-face sectors in a row around their
+centre, read off the rotation system, and their roles are indexed by face.
 Every transfer is traced, and totals are conserved with exact equality.
 The rules move charge as integer numerators over one denominator, fixed
 before the first transfer so that every charge and every R5 target is an
@@ -17,11 +19,11 @@ from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, List, Tuple
 
 from .core import Face, PlaneGraph, expect_json, faces_of
 from .errors import MalformedInputError
-from .structures import VertexRole, classify_role, find_trios
+from .structures import VertexRole, classify_role, facial_trios
 
 Element = Tuple[str, int]  # ("v", index) or ("f", index)
 
@@ -63,9 +65,11 @@ class ChargeLedger:
     trace: List[TransferRecord] = field(default_factory=list)
 
     def total(self) -> Fraction:
-        return sum(self.vertex_charge.values(), Fraction(0)) + sum(
-            self.face_charge.values(), Fraction(0)
-        )
+        """The sum of all charges, added as integer numerators over the lcm
+        of their denominators."""
+        charges = [*self.vertex_charge.values(), *self.face_charge.values()]
+        den = lcm(*(q.denominator for q in charges))
+        return Fraction(sum(q.numerator * (den // q.denominator) for q in charges), den)
 
 
 @dataclass(frozen=True)
@@ -113,28 +117,18 @@ def initial_charges(embedding: PlaneGraph) -> ChargeLedger:
 def apply_rules(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()) -> ChargeLedger:
     """Run R1-R5 in canonical order and return the traced ledger.
 
-    Roles on 3-faces are classified against trios whose triangles are all
-    faces of the embedding; abstract-only trios never trigger face rules.
+    Roles on 3-faces are classified against the trios whose triangles are
+    all 3-faces, read off the rotation by ``facial_trios``; abstract-only
+    trios never trigger face rules.  The role index is keyed by face index.
     """
     ledger = initial_charges(embedding)
     graph = embedding.graph
     faces = ledger.faces
     deg = graph.degrees()
 
-    # Each triangle's one 3-face; None when two faces share the triangle.
-    face_of: Dict[FrozenSet[int], int | None] = {}
-    for fi, f in enumerate(faces):
-        vs = f.vertex_set()
-        if f.degree == 3 and len(vs) == 3:
-            face_of[vs] = None if vs in face_of else fi
-    facial = []
-    trio_faces = []
-    for occ in find_trios(graph):
-        indices = [face_of.get(t) for t in occ.triangles]
-        if None not in indices:
-            facial.append(occ)
-            trio_faces.append(sorted(indices))
-    role_of = classify_role(facial)
+    trios = facial_trios(embedding, faces)
+    role_of = classify_role(trios)
+    trio_faces = [sorted(indices) for _, indices in trios]
 
     # R5 equalizes each trio's three 3-faces.  Trios sharing a 3-face are
     # merged and the whole group is equalized, which is order independent.
@@ -172,7 +166,7 @@ def apply_rules(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()) -> ChargeLe
             if sorted(deg[u] for u in f.boundary) == [4, 4, 4, 5]:
                 return pay["hi_4445_face"]
             return pay["hi_four_face"]
-        roles = role_of.get(f.vertex_set())
+        roles = role_of.get(fi)
         role = roles[v] if roles else VertexRole.GOOD
         if deg[v] == 4:
             return pay["deg4_worst"] if role is VertexRole.WORST else pay["deg4_plain"]
@@ -191,9 +185,9 @@ def apply_rules(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()) -> ChargeLe
                 ledger.trace.append(TransferRecord("R1", ("v", v), ("f", fi), amount))
 
     # R2-R4: vertices of degree 4, 5 and at least 6 pay into each incident
-    # 3-face on three distinct vertices and each incident 4-face.
+    # 3-face and 4-face.  A simple graph's 3-face has three distinct vertices.
     for fi, f in enumerate(faces):
-        if f.degree == 4 or (f.degree == 3 and len(f.vertex_set()) == 3):
+        if f.degree in (3, 4):
             for v in f.boundary:
                 if deg[v] >= 4:
                     amount, num = payment(v, fi)
@@ -240,8 +234,8 @@ class FinalReport:
 def final_report(ledger: ChargeLedger) -> FinalReport:
     """Every vertex/face with negative final charge, with the indices of the
     rule trace entries touching it."""
-    negatives = [(("v", v), q) for v, q in sorted(ledger.vertex_charge.items()) if q < 0]
-    negatives += [(("f", fi), q) for fi, q in sorted(ledger.face_charge.items()) if q < 0]
+    negatives = [(("v", v), q) for v, q in sorted(ledger.vertex_charge.items()) if q.numerator < 0]
+    negatives += [(("f", fi), q) for fi, q in sorted(ledger.face_charge.items()) if q.numerator < 0]
     touching: Dict[Element, List[int]] = {el: [] for el, _ in negatives}
     for i, rec in enumerate(ledger.trace):
         if rec.source in touching:

@@ -10,9 +10,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, FrozenSet, List, NamedTuple, Sequence, Tuple
+from itertools import permutations
+from typing import Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Sequence, Tuple
 
-from .core import Edge, Graph, build_graph, canonical_edge
+from .core import Edge, Face, Graph, PlaneGraph, build_graph, canonical_edge
 from .errors import UnsupportedLengthError, WorkBudget
 
 Cycle = Tuple[int, ...]
@@ -155,6 +156,71 @@ def trio_tuples(graph: Graph) -> int:
     return tuples
 
 
+def facial_trios(
+    embedding: PlaneGraph, faces: Sequence[Face]
+) -> List[Tuple[TrioOccurrence, Tuple[int, int, int]]]:
+    """The trios of ``find_trios`` whose three triangles are 3-faces of the
+    embedding, in the same order, each with the indices of its faces xuv,
+    xyv and yvw in ``faces``.
+
+    A 3-face at a centre v is one sector of v's rotation, between two
+    neighbours in a row, so such a trio is a window of three 3-face sectors
+    in a row, with neighbours u, x, y, w; each window is read once.
+    ``find_trios`` keeps one trio per (vertex set, centre), the smallest
+    link tuple.  If the window's four neighbours carry a link edge besides
+    the path u-x-y-w (at a degree-4 centre with four triangular sectors,
+    whose windows share one key, and where a separating triangle adds a
+    chord), that may be another ordering of them, kept only if its
+    triangles are 3-faces too.
+    """
+    adj = embedding.graph.adjacency
+    # Arriving at q from p, a face walk leaves q towards the successor of
+    # p in q's rotation.  A 3-face of a connected simple graph other than
+    # a lone triangle is the only face on its triangle.
+    face_after: Dict[Tuple[int, int], int] = {}
+    for fi, f in enumerate(faces):
+        if f.degree == 3:
+            p, q, r = f.boundary
+            face_after[q, p] = face_after[r, q] = face_after[p, r] = fi
+    found = []
+    for v, rot in enumerate(embedding.rotation):
+        d = len(rot)
+        if d < 4:
+            continue
+        # sector k lies between rot[k - 1] and rot[k]
+        sector = [face_after.get((v, p)) for p in rot[-1:] + rot[:-1]]
+        for k in range(d):
+            keys = (sector[k], sector[(k + 1) % d], sector[(k + 2) % d])
+            if None in keys:
+                continue
+            u, x, y, w = rot[k - 1], rot[k], rot[(k + 1) % d], rot[(k + 2) % d]
+            if y not in adj[u] and w not in adj[x] and w not in adj[u]:
+                # the window and its mirror are the only link tuples
+                if x < y:
+                    found.append((TrioOccurrence(x, y, u, v, w), keys))
+                else:
+                    found.append((TrioOccurrence(y, x, w, v, u), keys[::-1]))
+                continue
+            # the first link tuple in lexicographic order is the smallest
+            x, y, u, w = next(
+                t for t in permutations(sorted((u, x, y, w)))
+                if t[1] in adj[t[0]] and t[2] in adj[t[0]] and t[3] in adj[t[1]]
+            )
+            # each triangle's sector, if its two neighbours are in a row
+            at = {p: i for i, p in enumerate(rot)}
+            keys = tuple(
+                sector[j] if j == (i + 1) % d else sector[i] if i == (j + 1) % d else None
+                for i, j in ((at[x], at[u]), (at[x], at[y]), (at[y], at[w]))
+            )
+            if None not in keys:
+                found.append((TrioOccurrence(x, y, u, v, w), keys))
+            if d == 4:
+                # every window holds all four neighbours: one key
+                break
+    found.sort()
+    return found
+
+
 class VertexRole(Enum):
     GOOD = "good"
     BAD = "bad"
@@ -162,10 +228,16 @@ class VertexRole(Enum):
     WORST = "worst"
 
 
-def classify_role(trios: Sequence[TrioOccurrence]) -> Dict[FrozenSet[int], Dict[int, VertexRole]]:
-    """The role of each vertex on each triangle of ``trios``, built in one
-    pass over their positions; a triangle in no trio has no entry, and its
-    vertices are good.
+def classify_role(
+    trios: Iterable[Tuple[TrioOccurrence, Tuple[Hashable, Hashable, Hashable]]]
+) -> Dict[Hashable, Dict[int, VertexRole]]:
+    """The role of each vertex on each triangle of the given trios, built
+    in one pass over their positions; a triangle in no trio has no entry,
+    and its vertices are good.
+
+    Each trio comes with the keys of its triangles xuv, xyv and yvw, and
+    the index is keyed by them: ``detect`` passes the triangles
+    themselves, ``apply_rules`` the indices of the 3-faces.
 
     A trio's centre v lies on all three of its triangles, x and y on two,
     u and w on one.  So each trio ranks v as worst on its three triangles,
@@ -174,17 +246,18 @@ def classify_role(trios: Sequence[TrioOccurrence]) -> Dict[FrozenSet[int], Dict[
     trio that holds the triangle, bad if it is u or w of every such trio,
     and worse otherwise.
     """
-    index: Dict[FrozenSet[int], Dict[int, VertexRole]] = {}
-    for occ in trios:
-        x, y, u, v, w = occ
-        for t, worse, bad in zip(occ.triangles, ((x,), (x, y), (y,)), ((u,), (), (w,))):
-            roles = index.setdefault(t, {})
-            roles[v] = VertexRole.WORST
-            for s in worse:
-                if roles.get(s) is not VertexRole.WORST:
-                    roles[s] = VertexRole.WORSE
-            for s in bad:
-                roles.setdefault(s, VertexRole.BAD)
+    worst, worse, bad = VertexRole.WORST, VertexRole.WORSE, VertexRole.BAD
+    index: Dict[Hashable, Dict[int, VertexRole]] = {}
+    for (x, y, u, v, w), (t_xuv, t_xyv, t_yvw) in trios:
+        r_xuv = index.setdefault(t_xuv, {})
+        r_xyv = index.setdefault(t_xyv, {})
+        r_yvw = index.setdefault(t_yvw, {})
+        r_xuv[v] = r_xyv[v] = r_yvw[v] = worst
+        for roles, s in ((r_xuv, x), (r_xyv, x), (r_xyv, y), (r_yvw, y)):
+            if roles.get(s) is not worst:
+                roles[s] = worse
+        r_xuv.setdefault(u, bad)
+        r_yvw.setdefault(w, bad)
     return index
 
 

@@ -1,5 +1,6 @@
 """Test inputs built in code: seeded triangulated grids (plane embeddings
-large enough to hold many overlapping trios), wheels, the trio embedding,
+large enough to hold many overlapping trios), seeded stacked
+triangulations (whose links have chords), wheels, the trio embedding,
 and the graph6 and embedding-JSON writers that put graphs into files for
 the CLI."""
 
@@ -37,6 +38,46 @@ def wheel(spokes: int) -> PlaneGraph:
     rim = range(1, spokes + 1)
     rotation = [list(rim)] + [[0, (i - 2) % spokes + 1, i % spokes + 1] for i in rim]
     return embedding_from_json({"n": spokes + 1, "rotation": rotation})
+
+
+def stacked_triangulation(n: int, deletions: int, seed: int) -> PlaneGraph:
+    """A seeded stacked triangulation on ``n`` >= 3 vertices, less up to
+    ``deletions`` seeded edges, embedded by networkx's ``check_planarity``.
+
+    From a triangle, each new vertex is joined to the three corners of a
+    seeded one of the triangles made so far, which it splits in three, so
+    the graph has separating triangles and its links have chords.  An edge
+    is deleted only if the graph stays connected.  Labels are shuffled, so
+    that the smallest link tuple of a trio is not the first one made.
+    """
+    import networkx as nx
+
+    rng = random.Random(seed)
+    g = nx.Graph([(0, 1), (1, 2), (0, 2)])
+    triangles = [(0, 1, 2)]
+    for new in range(3, n):
+        a, b, c = triangles.pop(rng.randrange(len(triangles)))
+        g.add_edges_from([(a, new), (b, new), (c, new)])
+        triangles += [(a, b, new), (b, c, new), (a, c, new)]
+    edges = sorted(g.edges)
+    rng.shuffle(edges)
+    for e in edges[:deletions]:
+        g.remove_edge(*e)
+        if not nx.is_connected(g):
+            g.add_edge(*e)
+    label = list(range(n))
+    rng.shuffle(label)
+    g = nx.relabel_nodes(g, dict(enumerate(label)))
+    _, embedding = nx.check_planarity(g)
+    return PlaneGraph(build_graph(g.edges, n=n), [list(embedding.neighbors_cw_order(v)) for v in range(n)])
+
+
+def stacked_triangulations() -> list:
+    """240 seeded stacked triangulations on 5-30 vertices, each less up to
+    as many edges as it has vertices."""
+    rng = random.Random(43)
+    sizes = [rng.randint(5, 30) for _ in range(240)]
+    return [stacked_triangulation(n, rng.randint(0, n), seed) for seed, n in enumerate(sizes)]
 
 
 def trio_embedding() -> PlaneGraph:

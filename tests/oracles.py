@@ -17,7 +17,7 @@ from dischargekit.choosability import (
     Lists,
     ReducibleConfig,
 )
-from dischargekit.core import Edge, Graph, Orientation, PlaneGraph, build_graph
+from dischargekit.core import Edge, Face, Graph, Orientation, PlaneGraph, build_graph
 from dischargekit.discharging import ChargeLedger, FinalReport, RuleSet, TransferRecord, initial_charges
 from dischargekit.errors import SizeLimitExceededError
 from dischargekit.fixtures import CONFIG_H, FixedConfig
@@ -264,6 +264,23 @@ def transfer(ledger: ChargeLedger, rule: str, source, sink, amount: Fraction) ->
     ledger.trace.append(TransferRecord(rule=rule, source=source, sink=sink, amount=amount))
 
 
+def facial_trios_filtered(embedding: PlaneGraph, faces: Sequence[Face]):
+    """Oracle for ``facial_trios``: the trios of ``find_trios`` whose three
+    triangles are each the one 3-face on their vertex set, each with the
+    indices of its faces xuv, xyv and yvw."""
+    face_of = {}
+    for fi, f in enumerate(faces):
+        vs = frozenset(f.boundary)
+        if f.degree == 3 and len(vs) == 3:
+            face_of[vs] = None if vs in face_of else fi
+    found = []
+    for occ in find_trios(embedding.graph):
+        indices = tuple(face_of.get(t) for t in occ.triangles)
+        if None not in indices:
+            found.append((occ, indices))
+    return found
+
+
 def apply_rules_unindexed(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()):
     """Oracle for ``apply_rules``: every role is looked up by a scan of all
     facial trios, each move is a ``Fraction`` ``transfer``, and R5 equalizes
@@ -274,13 +291,9 @@ def apply_rules_unindexed(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()):
     graph = embedding.graph
     faces = ledger.faces
     deg = graph.degrees()
-    face_of = {}
-    for fi, f in enumerate(faces):
-        vs = f.vertex_set()
-        if f.degree == 3 and len(vs) == 3:
-            face_of[vs] = None if vs in face_of else fi
-    facial = [occ for occ in find_trios(graph) if all(face_of.get(t) is not None for t in occ.triangles)]
-    trio_faces = [sorted(face_of[t] for t in occ.triangles) for occ in facial]
+    pairs = facial_trios_filtered(embedding, faces)
+    facial = [occ for occ, _ in pairs]
+    trio_faces = [sorted(indices) for _, indices in pairs]
     in_trio = {fi for indices in trio_faces for fi in indices}
 
     def payment(v: int, fi: int) -> Fraction:
@@ -291,7 +304,7 @@ def apply_rules_unindexed(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()):
             if sorted(deg[u] for u in f.boundary) == [4, 4, 4, 5]:
                 return ruleset.hi_4445_face
             return ruleset.hi_four_face
-        vs = f.vertex_set()
+        vs = frozenset(f.boundary)
         containing = [occ for occ in facial if vs in occ.triangles]
         role = classify_role_counting(v, vs, containing) if fi in in_trio else VertexRole.GOOD
         if deg[v] == 4:
@@ -305,7 +318,7 @@ def apply_rules_unindexed(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()):
             for v in f.boundary:
                 transfer(ledger, "R1", ("v", v), ("f", fi), ruleset.five_face)
     for fi, f in enumerate(faces):
-        if f.degree == 4 or (f.degree == 3 and len(f.vertex_set()) == 3):
+        if f.degree == 4 or (f.degree == 3 and len(frozenset(f.boundary)) == 3):
             for v in f.boundary:
                 if deg[v] >= 4:
                     rule = "R2" if deg[v] == 4 else "R3" if deg[v] == 5 else "R4"
@@ -455,7 +468,8 @@ def classify_role_counting(s: int, triangle, trios: Sequence[TrioOccurrence]) ->
 def role_in(graph: Graph, s: int, triangle) -> VertexRole:
     """Role of ``s`` on ``triangle``, looked up in the role index of all
     the graph's trios; good where the index has no entry."""
-    return classify_role(find_trios(graph)).get(frozenset(triangle), {}).get(s, VertexRole.GOOD)
+    index = classify_role([(occ, occ.triangles) for occ in find_trios(graph)])
+    return index.get(frozenset(triangle), {}).get(s, VertexRole.GOOD)
 
 
 def check_condition_scan(graph: Graph, which: str) -> ConditionReport:

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from inputs import triangulated_grid, trio_embedding
+from inputs import stacked_triangulations, triangulated_grid, trio_embedding
 from oracles import apply_rules_unindexed, discharge_report_tree, replay, transfer
 
 from dischargekit import fixtures
@@ -158,7 +158,10 @@ def oracle_embeddings():
 class TestOracleCrossChecks:
     def test_trace_matches_unindexed_rules(self):
         shapes = []
-        for emb in oracle_embeddings():
+        # the stacked triangulations' links have chords, so some trios of
+        # find_trios are dropped for a smallest link tuple that is not facial
+        pytest.importorskip("networkx")
+        for emb in oracle_embeddings() + stacked_triangulations():
             for ruleset in (RuleSet(), CUSTOM):
                 ledger = apply_rules(emb, ruleset)
                 want, group_shapes = apply_rules_unindexed(emb, ruleset)

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from inputs import triangulated_grid, wheel
+from inputs import stacked_triangulations, triangulated_grid, wheel
 from oracles import (
     ALL_CONFIGS,
     CONFIG_2,
@@ -12,6 +12,7 @@ from oracles import (
     classify_role_counting,
     find_fixed_configs,
     cycle_search_paths,
+    facial_trios_filtered,
     find_trios_scan,
     pattern_automorphisms,
     role_in,
@@ -19,7 +20,7 @@ from oracles import (
 )
 
 from dischargekit import fixtures, structures
-from dischargekit.core import build_graph
+from dischargekit.core import build_graph, faces_of
 from dischargekit.errors import SizeLimitExceededError, UnsupportedLengthError
 from dischargekit.structures import (
     CONDITIONS,
@@ -30,6 +31,7 @@ from dischargekit.structures import (
     classify_role,
     cycle_edges,
     enumerate_cycles,
+    facial_trios,
     find_trios,
     trio_graph,
     trio_tuples,
@@ -201,6 +203,62 @@ class TestTrios:
         assert counted[-101] == 9 * 8 * 7 * 6 * 5
 
 
+def facial_trio_embeddings():
+    """The five solids, the random embeddings, seeded triangulated grids of
+    sides 4-14 at five diagonal shares, the wheels W4-W8 and 240 seeded
+    stacked triangulations less some edges."""
+    embs = list(fixtures.solid_embeddings().values()) + fixtures.random_embeddings()
+    embs += [
+        triangulated_grid(side, share, side)
+        for side in range(4, 15)
+        for share in (0, 0.2, 0.5, 0.9, 1)
+    ]
+    embs += [wheel(spokes) for spokes in range(4, 9)]
+    return embs + stacked_triangulations()
+
+
+class TestFacialTrios:
+    def test_matches_find_then_filter(self):
+        # the same trios in the same order, with the same face triples, as
+        # the trios of find_trios whose triangles are 3-faces
+        pytest.importorskip("networkx")
+        found = 0
+        for emb in facial_trio_embeddings():
+            faces = faces_of(emb)
+            trios = facial_trios(emb, faces)
+            assert trios == facial_trios_filtered(emb, faces), emb.rotation
+            assert all(type(occ) is TrioOccurrence for occ, _ in trios)
+            found += len(trios)
+        # the comparison above also passes on embeddings without trios
+        assert found > 10_000
+
+    def test_octahedron_keeps_the_smallest_link_tuple(self):
+        # Every centre has degree 4 and a 4-cycle as its link, so its four
+        # windows share one (vertex set, centre) key of find_trios, which
+        # keeps the smallest link tuple of the four neighbours.
+        emb = fixtures.load_embedding("octahedron")
+        adj = emb.graph.adjacency
+        faces = faces_of(emb)
+        trios = facial_trios(emb, faces)
+        assert [occ.v for occ, _ in trios] == [2, 3, 1, 4, 0, 5]
+        for occ, _ in trios:
+            link_tuples = [
+                TrioOccurrence(x, y, u, occ.v, w)
+                for x, y, u, w in itertools.permutations(adj[occ.v], 4)
+                if y in adj[x] and u in adj[x] and w in adj[y]
+            ]
+            assert occ == min(link_tuples)
+        # the roles by face index are those the counting oracle gives over
+        # the filtered trios that hold the face's triangle
+        filtered = [occ for occ, _ in facial_trios_filtered(emb, faces)]
+        by_face = classify_role(trios)
+        for fi, roles in by_face.items():
+            t = frozenset(faces[fi].boundary)
+            holding = [occ for occ in filtered if t in occ.triangles]
+            assert roles == {s: classify_role_counting(s, t, holding) for s in t}
+        assert len(by_face) == 7
+
+
 def role_graphs():
     """Seeded triangulated grids, the five solids, the random embeddings
     and 100 seeded random graphs."""
@@ -253,7 +311,7 @@ class TestRoles:
             trios = find_trios(g)
             subsets = [rng.sample(trios, rng.randint(0, len(trios))) for _ in range(3)]
             for given in [trios] + subsets:
-                index = classify_role(given)
+                index = classify_role([(occ, occ.triangles) for occ in given])
                 assert set(index) == {t for occ in given for t in occ.triangles}
                 for t, roles in index.items():
                     assert set(roles) == t
@@ -271,7 +329,7 @@ class TestTrioIndex:
         # trios that a full scan finds on the triangle
         seen = Counter()
         for g in role_graphs():
-            index = classify_role(find_trios(g))
+            index = classify_role([(occ, occ.triangles) for occ in find_trios(g)])
             scanned = find_trios_scan(g)
             for t in map(frozenset, enumerate_cycles(g, 3, StepBudget(g))):
                 holding = [occ for occ in scanned if t in occ.triangles]
