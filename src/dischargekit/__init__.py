@@ -19,7 +19,6 @@ from .structures import (
     VertexRole,
     check_conditions,
     classify_role,
-    enumerate_cycles,
     find_trios,
 )
 from .alon_tarsi import (

@@ -36,7 +36,7 @@ from .core import (
 )
 from .discharging import ChargeLedger, FinalReport, RuleSet, apply_rules, final_report
 from .errors import DischargeKitError, SizeLimitExceededError
-from .structures import StepBudget, check_conditions, classify_role, find_trios, trio_tuples
+from .structures import StepBudget, check_conditions, classify_role, find_trios
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -276,10 +276,7 @@ def cmd_detect(args) -> int:
     reports = []
     status = EXIT_OK
     for gi, graph in enumerate(_load_graphs(args)):
-        # counting the trio tuples takes no search, so a dense graph stops here
-        budget = StepBudget(graph)
-        budget.spend(trio_tuples(graph))
-        conds = check_conditions(graph, budget)
+        conds = check_conditions(graph, StepBudget(graph))
         trios = find_trios(graph)
         role_of = classify_role([(occ, occ.triangles) for occ in trios])
         roles = [

@@ -30,10 +30,6 @@ class InvalidRotationError(DischargeKitError):
     """A rotation system is not a permutation of the incident edges."""
 
 
-class UnsupportedLengthError(DischargeKitError):
-    """Cycle length outside the supported range {3, 4, 5}."""
-
-
 class SizeLimitExceededError(DischargeKitError):
     """Input exceeds a configured exhaustive-enumeration cap."""
 

@@ -7,14 +7,13 @@ sought in the abstract graph, not only among faces of an embedding.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
 from typing import Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .core import Edge, Face, Graph, PlaneGraph, build_graph, canonical_edge
-from .errors import UnsupportedLengthError, WorkBudget
+from .errors import WorkBudget
 
 Cycle = Tuple[int, ...]
 
@@ -22,11 +21,10 @@ Cycle = Tuple[int, ...]
 TRIO_EDGES = (("x", "y"), ("x", "u"), ("x", "v"), ("y", "v"), ("y", "w"), ("u", "v"), ("v", "w"))
 
 
-# The steps ``detect`` may take on one graph, that is, the (x, y, u, w)
-# tuples that the trio search tries plus the paths that the cycle searches
-# extend: a fixed base plus a share for each edge.  A triangulated grid
-# needs fewer than 100 steps per edge, so any such grid is answered, while
-# K16 and up are refused.
+# The steps ``detect`` may take on one graph, those that
+# ``check_conditions`` counts: a fixed base plus a share for each edge.  A
+# triangulated grid needs fewer than 40 steps per edge, so any such grid
+# is answered, while K16 and up are refused before any 5-cycle is sought.
 DETECT_BASE_STEPS = 500_000
 DETECT_STEPS_PER_EDGE = 200
 
@@ -43,52 +41,6 @@ def trio_graph() -> Graph:
     """The bare trio graph with vertices x=0, y=1, u=2, v=3, w=4."""
     idx = {lab: i for i, lab in enumerate(TrioOccurrence._fields)}
     return build_graph([(idx[a], idx[b]) for a, b in TRIO_EDGES], n=len(idx))
-
-
-def enumerate_cycles(graph: Graph, length: int, budget: StepBudget) -> List[Cycle]:
-    """All cycles of the given length, each once up to rotation/reflection.
-
-    Canonical form: minimum vertex first, then the lexicographically smaller
-    of the two traversal directions.  Each path extended spends a step of
-    ``budget``.  A path spends the steps of its extensions once they have
-    been searched, so the search stops at most ``length - 1`` times the
-    largest degree of steps past the budget.
-    """
-    if length not in (3, 4, 5):
-        raise UnsupportedLengthError(f"cycle length {length} not in {{3, 4, 5}}")
-    cycles: List[Cycle] = []
-    adj = graph.adjacency
-    spend = budget.spend
-
-    def extend(path: List[int]) -> None:
-        first, last = path[0], path[-1]
-        extended = 0
-        if len(path) == length - 1:
-            # each extension w is a last vertex: it closes a cycle if it
-            # is a neighbour of the first
-            closing = adj[first]
-            for w in adj[last]:
-                if w > first and w not in path:
-                    extended += 1
-                    if w in closing and path[1] < w:
-                        cycles.append((*path, w))
-        else:
-            for w in adj[last]:
-                if w > first and w not in path:
-                    extended += 1
-                    path.append(w)
-                    extend(path)
-                    path.pop()
-        spend(extended)
-
-    for r in range(graph.n):
-        extend([r])
-    return sorted(cycles)
-
-
-def cycle_edges(cycle: Sequence[int]) -> FrozenSet[Tuple[int, int]]:
-    k = len(cycle)
-    return frozenset(canonical_edge(cycle[i], cycle[(i + 1) % k]) for i in range(k))
 
 
 class TrioOccurrence(NamedTuple):
@@ -136,24 +88,6 @@ def find_trios(graph: Graph) -> List[TrioOccurrence]:
                         if key not in found or occ < found[key]:
                             found[key] = occ
     return sorted(found.values())
-
-
-def trio_tuples(graph: Graph) -> int:
-    """The (x, y, u, w) tuples that ``find_trios`` tries, counted without
-    trying them: for each x-y edge of a link, u is one of x's link
-    neighbours other than y, and w one of y's other than x and u."""
-    adj = graph.adjacency
-    tuples = 0
-    for v in range(graph.n):
-        link = adj[v]
-        if len(link) < 4:
-            continue
-        for x in link:
-            near_x = adj[x] & link
-            for y in near_x:
-                near_y = adj[y] & link
-                tuples += (len(near_x) - 1) * (len(near_y) - 1) - len(near_x & near_y)
-    return tuples
 
 
 def facial_trios(
@@ -283,10 +217,17 @@ class ConditionReport:
 CONDITIONS = ("Thm1", "Thm2", "Corollary")
 
 
+def _canonical(cycle: Cycle) -> Cycle:
+    """The cycle from its smallest vertex, in the direction whose second
+    vertex is the smaller."""
+    i = cycle.index(min(cycle))
+    c = cycle[i:] + cycle[:i]
+    return c if c[1] < c[-1] else c[:1] + c[:0:-1]
+
+
 def check_conditions(graph: Graph, budget: StepBudget) -> Tuple[ConditionReport, ...]:
-    """Check the three 5-cycle conditions in one pass over the 3- and
-    5-cycles; one report per condition, in ``CONDITIONS`` order, whose
-    witnesses are the violating 5-cycles.
+    """Check the three 5-cycle conditions; one report per condition, in
+    ``CONDITIONS`` order, whose witnesses are the violating 5-cycles.
 
     Thm1: no 5-cycle has a hub vertex adjacent to all five of its vertices,
     and no 5-cycle shares exactly one edge with a 3-cycle.
@@ -294,29 +235,71 @@ def check_conditions(graph: Graph, budget: StepBudget) -> Tuple[ConditionReport,
     shares an edge with a 4-cycle that has a chord.
     Corollary: no 5-cycle shares any edge with a 3-cycle.
 
-    The cycle searches spend steps of ``budget``.
+    Every witness shares an edge with a 3-cycle: a hub h of c closes the
+    3-cycle (c[0], c[1], h), and a chorded 4-cycle is two triangles on its
+    chord.  So the 5-cycles sought are the paths a-p-q-r-b closed by an
+    edge ab of a triangle, read off one index: the common neighbours of
+    the ends of each edge, the third vertices of its triangles.
+
+    Steps of ``budget``: one per edge and one per common neighbour of its
+    ends; the (x, y, u, w) tuples that ``find_trios`` tries, counted from
+    the index before any 5-cycle is sought; one per (p, r) pair tried; and
+    one per 5-cycle formed.
     """
-    triangles_on: Dict[Edge, List[Cycle]] = {}
-    for t in enumerate_cycles(graph, 3, budget):
-        for e in cycle_edges(t):
-            triangles_on.setdefault(e, []).append(t)
+    adj = graph.adjacency
+    spend = budget.spend
+    common: Dict[Edge, FrozenSet[int]] = {}
+    for a, b in graph.edges:
+        common[a, b] = on_ab = adj[a] & adj[b]
+        spend(1 + len(on_ab))
+    # A trio centred at v on the triangle vxy takes u from the other
+    # triangles on vx and w from the other triangles on vy, with w != u; a
+    # vertex that could be both is adjacent to all of v, x and y.  Each
+    # triangle abc is such a vxy six times: three centres, two orders of
+    # the other two.
+    for (a, b), on_ab in common.items():
+        for c in on_ab:
+            if c > b:
+                ab, ac, bc = len(on_ab) - 1, len(common[a, c]) - 1, len(common[b, c]) - 1
+                spend(2 * (ab * ac + ab * bc + ac * bc) - 6 * len(on_ab & adj[c]))
     # A 4-cycle a-b-c-d with chord ac is the two triangles abc and acd on
     # ac, and its edges are theirs other than ac.
     chorded_edges = set()
-    for chord, triangles in triangles_on.items():
-        if len(triangles) >= 2:
-            chorded_edges.update(e for t in triangles for e in cycle_edges(t) if e != chord)
+    for (a, b), on_ab in common.items():
+        if len(on_ab) >= 2:
+            for w in on_ab:
+                chorded_edges.update((canonical_edge(a, w), canonical_edge(b, w)))
+    fives = set()
+    for (a, b), on_ab in common.items():
+        if not on_ab:
+            continue
+        spend((len(adj[a]) - 1) * (len(adj[b]) - 1) - len(on_ab))
+        ends = {a, b}
+        for p in adj[a]:
+            if p == b:
+                continue
+            near_p = adj[p] - ends
+            for r in adj[b]:
+                if r != a and r != p:
+                    qs = near_p & adj[r]
+                    if qs:
+                        spend(len(qs))
+                        fives.update(_canonical((a, p, q, r, b)) for q in qs)
     witnesses: Tuple[List[Cycle], ...] = ([], [], [])
-    for c in enumerate_cycles(graph, 5, budget):
-        ce = cycle_edges(c)
-        # Edges of c on each 3-cycle that shares one with c.
-        shared = Counter(t for e in ce for t in triangles_on.get(e, ()))
+    for c in sorted(fives):
+        ce = [canonical_edge(c[i - 1], c[i]) for i in range(5)]
+        # The triangles on the edges of c, once per edge they share with c.
+        # One that shares two is c[i - 2], c[i - 1], c[i] on the chord
+        # c[i - 2] c[i], and none shares three, so on - folded triangles
+        # share an edge with c and on - 2 * folded share exactly one.
+        on = sum(len(common[e]) for e in ce)
+        folded = sum(c[i - 2] in adj[c[i]] for i in range(5))
         violated = (  # in CONDITIONS order
             # A hub h of c closes the 3-cycle (c[0], c[1], h), which shares
             # exactly one edge with c, so this test also finds every hub.
-            1 in shared.values(),
-            len(shared) >= 2 or not chorded_edges.isdisjoint(ce),
-            bool(shared),
+            on > 2 * folded,
+            on - folded >= 2 or not chorded_edges.isdisjoint(ce),
+            on > 0,
         )
         for found, bad in zip(witnesses, violated):
             if bad:

@@ -5,6 +5,7 @@ very small inputs.  The matcher of the paper's fixed configurations lives
 here too: no command reads it, and networkx is its reference."""
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
@@ -17,19 +18,16 @@ from dischargekit.choosability import (
     Lists,
     ReducibleConfig,
 )
-from dischargekit.core import Edge, Face, Graph, Orientation, PlaneGraph, build_graph
+from dischargekit.core import Edge, Face, Graph, Orientation, PlaneGraph, build_graph, canonical_edge
 from dischargekit.discharging import ChargeLedger, FinalReport, RuleSet, TransferRecord, initial_charges
 from dischargekit.errors import SizeLimitExceededError
 from dischargekit.fixtures import CONFIG_H, FixedConfig
 from dischargekit.structures import (
     CONDITIONS,
     ConditionReport,
-    StepBudget,
     TrioOccurrence,
     VertexRole,
     classify_role,
-    cycle_edges,
-    enumerate_cycles,
     find_trios,
     trio_graph,
 )
@@ -425,6 +423,24 @@ def find_trios_scan(graph: Graph) -> List[TrioOccurrence]:
     return sorted(found.values())
 
 
+def trio_tuples(graph: Graph) -> int:
+    """The (x, y, u, w) tuples that ``find_trios`` tries, counted without
+    trying them: for each x-y edge of a link, u is one of x's link
+    neighbours other than y, and w one of y's other than x and u."""
+    adj = graph.adjacency
+    tuples = 0
+    for v in range(graph.n):
+        link = adj[v]
+        if len(link) < 4:
+            continue
+        for x in link:
+            near_x = adj[x] & link
+            for y in near_x:
+                near_y = adj[y] & link
+                tuples += (len(near_x) - 1) * (len(near_y) - 1) - len(near_x & near_y)
+    return tuples
+
+
 def trio_tuples_scan(graph: Graph) -> int:
     """Oracle for ``trio_tuples``: the ordered 4-tuples of distinct
     neighbours that ``find_trios_scan`` accepts as (x, y, u, w)."""
@@ -436,16 +452,87 @@ def trio_tuples_scan(graph: Graph) -> int:
     )
 
 
-def cycle_search_paths(graph: Graph, length: int) -> int:
-    """Oracle for the steps ``enumerate_cycles`` spends: the paths of 2 to
-    ``length`` vertices whose first vertex is their smallest."""
+def check_conditions_steps(graph: Graph) -> int:
+    """Oracle for the steps ``check_conditions`` spends, each counted over
+    all vertices: every edge ab and every vertex adjacent to both ends;
+    the trio tuples of ``trio_tuples_scan``; and for each edge ab with a
+    vertex adjacent to both ends, every pair of distinct p != b adjacent to
+    a and r != a adjacent to b, and every q other than a and b adjacent to
+    both p and r."""
     adj = graph.adjacency
-    return sum(
-        all(b in adj[a] for a, b in zip(path, path[1:]))
-        for r in range(graph.n)
-        for k in range(1, length)
-        for path in ((r,) + rest for rest in itertools.permutations(range(r + 1, graph.n), k))
-    )
+    vs = range(graph.n)
+    steps = trio_tuples_scan(graph)
+    for a, b in graph.edges:
+        thirds = sum(w in adj[a] and w in adj[b] for w in vs)
+        steps += 1 + thirds
+        if thirds:
+            for p, r in itertools.permutations(vs, 2):
+                if p in adj[a] and p != b and r in adj[b] and r != a:
+                    steps += 1 + sum(q not in (a, b) and q in adj[p] and q in adj[r] for q in vs)
+    return steps
+
+
+def enumerate_cycles(graph: Graph, length: int) -> List[Tuple[int, ...]]:
+    """All cycles of the given length, each once up to rotation/reflection,
+    by a search over the paths whose first vertex is their smallest.
+
+    Canonical form: minimum vertex first, then the lexicographically smaller
+    of the two traversal directions.
+    """
+    if length not in (3, 4, 5):
+        raise ValueError(f"cycle length {length} not in {{3, 4, 5}}")
+    cycles = []
+    adj = graph.adjacency
+
+    def extend(path: List[int]) -> None:
+        first, last = path[0], path[-1]
+        for w in adj[last]:
+            if w > first and w not in path:
+                if len(path) < length - 1:
+                    extend(path + [w])
+                elif w in adj[first] and path[1] < w:
+                    cycles.append((*path, w))
+
+    for r in range(graph.n):
+        extend([r])
+    return sorted(cycles)
+
+
+def cycle_edges(cycle: Sequence[int]) -> FrozenSet[Edge]:
+    k = len(cycle)
+    return frozenset(canonical_edge(cycle[i], cycle[(i + 1) % k]) for i in range(k))
+
+
+def check_conditions_all_cycles(graph: Graph) -> Tuple[ConditionReport, ...]:
+    """Oracle for ``check_conditions``: one pass over every 5-cycle, each
+    compared with the 3-cycles on its edges, all enumerated by
+    ``enumerate_cycles``."""
+    triangles_on: Dict[Edge, List[Tuple[int, ...]]] = {}
+    for t in enumerate_cycles(graph, 3):
+        for e in cycle_edges(t):
+            triangles_on.setdefault(e, []).append(t)
+    # A 4-cycle a-b-c-d with chord ac is the two triangles abc and acd on
+    # ac, and its edges are theirs other than ac.
+    chorded_edges = set()
+    for chord, triangles in triangles_on.items():
+        if len(triangles) >= 2:
+            chorded_edges.update(e for t in triangles for e in cycle_edges(t) if e != chord)
+    witnesses: Tuple[list, ...] = ([], [], [])
+    for c in enumerate_cycles(graph, 5):
+        ce = cycle_edges(c)
+        # Edges of c on each 3-cycle that shares one with c.
+        shared = Counter(t for e in ce for t in triangles_on.get(e, ()))
+        violated = (  # in CONDITIONS order
+            # A hub h of c closes the 3-cycle (c[0], c[1], h), which shares
+            # exactly one edge with c, so this test also finds every hub.
+            1 in shared.values(),
+            len(shared) >= 2 or not chorded_edges.isdisjoint(ce),
+            bool(shared),
+        )
+        for found, bad in zip(witnesses, violated):
+            if bad:
+                found.append(c)
+    return tuple(ConditionReport(condition=name, witnesses=tuple(w)) for name, w in zip(CONDITIONS, witnesses))
 
 
 def classify_role_counting(s: int, triangle, trios: Sequence[TrioOccurrence]) -> VertexRole:
@@ -479,12 +566,12 @@ def check_condition_scan(graph: Graph, which: str) -> ConditionReport:
     vertices."""
     if which not in CONDITIONS:
         raise ValueError(f"unknown condition {which!r}")
-    five = enumerate_cycles(graph, 5, StepBudget(graph))
-    three = enumerate_cycles(graph, 3, StepBudget(graph))
+    five = enumerate_cycles(graph, 5)
+    three = enumerate_cycles(graph, 3)
     witnesses = []
     chorded = []
     if which == "Thm2":
-        for c in enumerate_cycles(graph, 4, StepBudget(graph)):
+        for c in enumerate_cycles(graph, 4):
             a, b, cc, d = c
             if cc in graph.adjacency[a] or d in graph.adjacency[b]:
                 chorded.append(c)

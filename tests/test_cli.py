@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from dischargekit import cli, fixtures
 from dischargekit.cli import _dumps, build_parser, main
 from dischargekit.core import build_graph, embedding_from_json, orientation_to_json
 from dischargekit.discharging import RuleSet, apply_rules, final_report
-from dischargekit.structures import DETECT_BASE_STEPS, StepBudget, check_conditions, trio_tuples
+from dischargekit.structures import DETECT_BASE_STEPS, StepBudget, check_conditions
 
 C5_G6 = "Dhc"
 WHEEL5_G6 = ">>graph6<<Ehfw"  # 5-wheel: rim 0..4 plus hub 5
@@ -103,12 +104,12 @@ class TestDetect:
     @pytest.mark.parametrize(
         "edges, limit",
         [
-            # 1,860,480 trio tuples, counted before any search
+            # 1,860,480 trio tuples, counted before any 5-cycle is sought
             ([(i, j) for j in range(20) for i in range(j)], 500_000 + 200 * 190),
-            # no 5-cycle, but millions of paths from each leaf through the hubs
-            ([(i, 300 + hub) for hub in range(2) for i in range(300)], 500_000 + 200 * 600),
+            # 1,800 index entries and 524,160 trio tuples
+            ([(i, j) for j in range(16) for i in range(j)], 500_000 + 200 * 120),
         ],
-        ids=["K20", "K2,300-hubs-last"],
+        ids=["K20", "K16"],
     )
     def test_step_budget_exits_2(self, edges, limit, tmp_path, capsys):
         path = tmp_path / "g.g6"
@@ -118,12 +119,23 @@ class TestDetect:
         assert code == 2 and out == ""
         assert err == f"error: detect needs more than {limit} search steps\n"
 
+    def test_k2_300_hubs_last_answers(self, tmp_path, capsys):
+        # millions of paths run through the two hubs, but no edge is on a
+        # triangle, so no 5-cycle is sought
+        path = tmp_path / "g.g6"
+        path.write_text(write_graph6(build_graph([(i, 300 + hub) for hub in range(2) for i in range(300)])) + "\n")
+        start = time.perf_counter()
+        code, out = run(capsys, ["detect", "--input", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert all(c["holds"] for c in json.loads(out)["graphs"][0]["conditions"])
+
     def test_large_triangulated_grid_answers(self, tmp_path):
-        # 2,500 vertices: more steps than the budget's fixed base, fewer
+        # 4,489 vertices, the smallest grid with every square split that
+        # takes more steps than the budget's fixed base: 512,988, fewer
         # than its share per edge adds
-        graph = triangulated_grid(50, 1.0, 1).graph
+        graph = triangulated_grid(67, 1.0, 1).graph
         budget = StepBudget(graph)
-        budget.spend(trio_tuples(graph))
         check_conditions(graph, budget)
         assert budget.limit - budget.left > DETECT_BASE_STEPS
         path = tmp_path / "grid.g6"

@@ -9,19 +9,23 @@ from oracles import (
     CONFIG_2,
     CONFIG_3,
     check_condition_scan,
+    check_conditions_all_cycles,
+    check_conditions_steps,
     classify_role_counting,
+    cycle_edges,
+    enumerate_cycles,
     find_fixed_configs,
-    cycle_search_paths,
     facial_trios_filtered,
     find_trios_scan,
     pattern_automorphisms,
     role_in,
+    trio_tuples,
     trio_tuples_scan,
 )
 
 from dischargekit import fixtures, structures
 from dischargekit.core import build_graph, faces_of
-from dischargekit.errors import SizeLimitExceededError, UnsupportedLengthError
+from dischargekit.errors import SizeLimitExceededError
 from dischargekit.structures import (
     CONDITIONS,
     StepBudget,
@@ -29,12 +33,9 @@ from dischargekit.structures import (
     VertexRole,
     check_conditions,
     classify_role,
-    cycle_edges,
-    enumerate_cycles,
     facial_trios,
     find_trios,
     trio_graph,
-    trio_tuples,
 )
 
 TRIO_EDGES = [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4), (2, 3), (3, 4)]  # x y u v w = 0 1 2 3 4
@@ -66,27 +67,26 @@ def random_graph(rng, n, p):
 class TestEnumerateCycles:
     def test_k4_triangles(self):
         g = build_graph(list(itertools.combinations(range(4), 2)))
-        assert len(enumerate_cycles(g, 3, StepBudget(g))) == 4
+        assert len(enumerate_cycles(g, 3)) == 4
 
     def test_c5_single_cycle(self):
         g = build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        assert enumerate_cycles(g, 5, StepBudget(g)) == [(0, 1, 2, 3, 4)]
+        assert enumerate_cycles(g, 5) == [(0, 1, 2, 3, 4)]
 
     def test_petersen_twelve_5cycles(self):
         g = petersen()
-        assert len(enumerate_cycles(g, 5, StepBudget(g))) == 12
+        assert len(enumerate_cycles(g, 5)) == 12
 
     def test_unsupported_length(self):
-        with pytest.raises(UnsupportedLengthError):
-            g = trio_graph()
-            enumerate_cycles(g, 6, StepBudget(g))
+        with pytest.raises(ValueError):
+            enumerate_cycles(trio_graph(), 6)
 
     def test_matches_oracle_on_random_graphs(self):
         rng = random.Random(13)
         for _ in range(25):
             g = random_graph(rng, rng.randint(3, 8), 0.45)
             for length in (3, 4, 5):
-                got = {frozenset(cycle_edges(c)) for c in enumerate_cycles(g, length, StepBudget(g))}
+                got = {frozenset(cycle_edges(c)) for c in enumerate_cycles(g, length)}
                 assert got == cycles_oracle(g, length)
 
     def test_matches_networkx_simple_cycles(self):
@@ -108,43 +108,37 @@ class TestEnumerateCycles:
                 want = sorted(
                     canonical(c) for c in nx.simple_cycles(g_nx, length_bound=length) if len(c) == length
                 )
-                assert enumerate_cycles(g, length, StepBudget(g)) == want
+                assert enumerate_cycles(g, length) == want
                 found += len(want)
         # the comparison above also passes on graphs without cycles
         assert found > 1000
 
-    def test_budget_counts_extended_paths(self, monkeypatch):
-        monkeypatch.setattr(structures, "DETECT_STEPS_PER_EDGE", 0)
-        rng = random.Random(4)
-        spent = 0
-        for _ in range(30):
-            g = random_graph(rng, rng.randint(1, 8), rng.uniform(0.2, 0.8))
-            for length in (3, 4, 5):
-                monkeypatch.setattr(structures, "DETECT_BASE_STEPS", 10**9)
-                want = enumerate_cycles(g, length, StepBudget(g))
-                paths = cycle_search_paths(g, length)
-                monkeypatch.setattr(structures, "DETECT_BASE_STEPS", paths)
-                budget = StepBudget(g)
-                assert enumerate_cycles(g, length, budget) == want and budget.left == 0
-                spent += paths
-                if paths:
-                    monkeypatch.setattr(structures, "DETECT_BASE_STEPS", paths - 1)
-                    message = f"^detect needs more than {paths - 1} search steps$"
-                    with pytest.raises(SizeLimitExceededError, match=message):
-                        enumerate_cycles(g, length, StepBudget(g))
-        assert spent > 1000
-
     def test_conditions_share_one_budget(self, monkeypatch):
-        g = petersen()
-        want = check_conditions(g, StepBudget(g))
-        paths = cycle_search_paths(g, 3) + cycle_search_paths(g, 5)
+        # Petersen has no triangle, so it spends its edges alone; on the
+        # grid and most random graphs, the 5-cycle search crosses the
+        # budget after the index and the trio tuples
+        rng = random.Random(4)
+        graphs = [petersen(), triangulated_grid(6, 0.9, 1).graph]
+        graphs += [random_graph(rng, rng.randint(5, 9), rng.uniform(0.4, 0.8)) for _ in range(30)]
         monkeypatch.setattr(structures, "DETECT_STEPS_PER_EDGE", 0)
-        monkeypatch.setattr(structures, "DETECT_BASE_STEPS", paths)
-        budget = StepBudget(g)
-        assert check_conditions(g, budget) == want and budget.left == 0
-        monkeypatch.setattr(structures, "DETECT_BASE_STEPS", paths - 1)
-        with pytest.raises(SizeLimitExceededError, match=f"^detect needs more than {paths - 1} search steps$"):
-            check_conditions(g, StepBudget(g))
+        searched = 0
+        for g in graphs:
+            steps = check_conditions_steps(g)
+            monkeypatch.setattr(structures, "DETECT_BASE_STEPS", steps)
+            budget = StepBudget(g)
+            assert check_conditions(g, budget) == check_conditions_all_cycles(g) and budget.left == 0
+            monkeypatch.setattr(structures, "DETECT_BASE_STEPS", steps - 1)
+            with pytest.raises(SizeLimitExceededError, match=f"^detect needs more than {steps - 1} search steps$"):
+                check_conditions(g, StepBudget(g))
+            before_search = len(g.edges) + 3 * len(enumerate_cycles(g, 3)) + trio_tuples_scan(g)
+            searched += before_search < steps
+        assert check_conditions_steps(graphs[0]) == 15
+        assert searched > 20 and check_conditions_steps(graphs[1]) > 1000
+
+    def test_cliques_stop_before_the_search(self):
+        # the index and the trio tuples alone cross K16's budget
+        g = build_graph(list(itertools.combinations(range(16), 2)))
+        assert len(g.edges) + 3 * len(enumerate_cycles(g, 3)) + trio_tuples(g) > StepBudget(g).limit
 
 
 class TestTrios:
@@ -285,7 +279,7 @@ class TestRoles:
     def test_good_without_trio(self):
         g = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])  # K4 minus one edge
         assert find_trios(g) == []
-        for t in enumerate_cycles(g, 3, StepBudget(g)):
+        for t in enumerate_cycles(g, 3):
             for s in t:
                 assert role_in(g, s, t) is VertexRole.GOOD
 
@@ -295,7 +289,7 @@ class TestRoles:
         perm = list(range(5))
         rng.shuffle(perm)
         relabeled = build_graph([(perm[a], perm[b]) for a, b in g.edges], n=5)
-        for t in enumerate_cycles(g, 3, StepBudget(g)):
+        for t in enumerate_cycles(g, 3):
             for s in t:
                 role = role_in(g, s, t)
                 assert role is role_in(relabeled, perm[s], frozenset(perm[v] for v in t))
@@ -331,7 +325,7 @@ class TestTrioIndex:
         for g in role_graphs():
             index = classify_role([(occ, occ.triangles) for occ in find_trios(g)])
             scanned = find_trios_scan(g)
-            for t in map(frozenset, enumerate_cycles(g, 3, StepBudget(g))):
+            for t in map(frozenset, enumerate_cycles(g, 3)):
                 holding = [occ for occ in scanned if t in occ.triangles]
                 for s in t:
                     role = index[t][s] if t in index else VertexRole.GOOD
@@ -373,9 +367,9 @@ class TestConditions:
         # outer edge 01 with it and lies on no triangle but 012.
         diamond = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]
         g = build_graph(diamond + [(1, 4), (4, 5), (5, 6), (0, 6)])
-        five = enumerate_cycles(g, 5, StepBudget(g))
+        five = enumerate_cycles(g, 5)
         assert five == [(0, 1, 4, 5, 6)]
-        assert sum(bool(cycle_edges(five[0]) & cycle_edges(t)) for t in enumerate_cycles(g, 3, StepBudget(g))) == 1
+        assert sum(bool(cycle_edges(five[0]) & cycle_edges(t)) for t in enumerate_cycles(g, 3)) == 1
         _, thm2, _ = check_conditions(g, StepBudget(g))
         assert thm2.witnesses == ((0, 1, 4, 5, 6),)
         assert thm2 == check_condition_scan(g, "Thm2")
@@ -396,8 +390,8 @@ class TestConditions:
             if corollary.holds:
                 # no 5-cycle shares an edge with any 3-cycle, so in particular
                 # none is adjacent to two of them
-                five = enumerate_cycles(g, 5, StepBudget(g))
-                three = enumerate_cycles(g, 3, StepBudget(g))
+                five = enumerate_cycles(g, 5)
+                three = enumerate_cycles(g, 3)
                 for c in five:
                     shared = sum(1 for t in three if cycle_edges(c) & cycle_edges(t))
                     assert shared == 0
@@ -417,10 +411,44 @@ class TestConditions:
             assert reports == tuple(check_condition_scan(g, which) for which in CONDITIONS)
             for report in reports:
                 witnesses[report.condition] += len(report.witnesses)
-                others[report.condition] += len(enumerate_cycles(g, 5, StepBudget(g))) - len(report.witnesses)
+                others[report.condition] += len(enumerate_cycles(g, 5)) - len(report.witnesses)
         # both outcomes occur, so a check that always or never fires fails
         for which in CONDITIONS:
             assert witnesses[which] and others[which], which
+
+
+    def test_matches_all_cycles_oracle(self):
+        # the 5-cycles through a triangle edge give the same witnesses, in
+        # the same order, as a pass over every 5-cycle
+        graphs = [emb.graph for emb in fixtures.solid_embeddings().values()]
+        graphs += [emb.graph for emb in fixtures.random_embeddings()] + fixtures.demo_graphs()
+        graphs += [triangulated_grid(side, share, side) for side in (5, 8, 11) for share in (0.2, 0.5, 0.9)]
+        graphs = [getattr(g, "graph", g) for g in graphs]
+        rng = random.Random(31)
+        graphs += [random_graph(rng, rng.randint(1, 11), rng.uniform(0.1, 0.8)) for _ in range(400)]
+        witnesses = Counter()
+        for g in graphs:
+            reports = check_conditions(g, StepBudget(g))
+            assert reports == check_conditions_all_cycles(g), g.edges
+            witnesses.update(r.condition for r in reports for _ in r.witnesses)
+        assert all(witnesses[which] > 1000 for which in CONDITIONS)
+
+    def test_trio_fails_every_condition(self):
+        # The 5-cycle u-x-y-w-v of a trio shares exactly the edge xy with
+        # its triangle xyv, and edges with two other triangles: every graph
+        # with a trio violates all three conditions.
+        atlas = pytest.importorskip("networkx.generators.atlas")
+        graphs = [build_graph(list(a.edges), n=a.number_of_nodes()) for a in atlas.graph_atlas_g()]
+        assert len(graphs) == 1253
+        graphs += [triangulated_grid(side, share, seed).graph for side in (4, 6, 8) for share in (0.3, 0.9) for seed in (1, 2)]
+        with_trio = 0
+        for g in graphs:
+            reports = check_conditions(g, StepBudget(g))
+            assert reports == check_conditions_all_cycles(g), g.edges
+            if find_trios(g):
+                with_trio += 1
+                assert not any(r.holds for r in reports), g.edges
+        assert with_trio > 400
 
 
 def with_pendants(edges, leaf_counts):
