@@ -4,14 +4,15 @@ certificates for list colorability.
 A spanning Eulerian subdigraph is an arc subset with indegree equal to
 outdegree at every vertex; it may be disconnected or empty, so the even
 count is always at least 1.  An orientation whose even and odd counts
-differ certifies colorability from lists of size outdegree + 1.
+differ certifies colorability from lists of size outdegree + 1, and the
+certificate search takes a list size per vertex.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import Graph, Orientation, orientation_to_json
 from .errors import WorkBudget
@@ -144,17 +145,30 @@ class AtCertificate:
 
 
 def find_certificate(graph: Graph, k: int) -> Optional[AtCertificate]:
-    """First orientation with outdegrees below ``k`` and even != odd, or None.
+    """First orientation with outdegrees below ``k`` and even != odd, or
+    None: ``find_list_certificate`` with every list of size ``k``."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    return find_list_certificate(graph, [k] * graph.n)
+
+
+def find_list_certificate(graph: Graph, sizes: Sequence[int]) -> Optional[AtCertificate]:
+    """First orientation with each outdegree below its vertex's list size
+    and even != odd, or None.  By the Alon–Tarsi theorem, such an
+    orientation shows that the graph is colourable from every assignment
+    of lists with these sizes.
 
     Orientations are the leaves of a tree walked depth first: the i-th step
     down directs edge i of ``graph.edges`` from its lower end first, and
-    from an end only while its outdegree is below k - 1.  Every leaf is
-    counted along one plan.  Raises ``SizeLimitExceededError`` once the tree
-    nodes visited and the DP states built pass ``MAX_DP_STATES``."""
-    if k < 1:
-        raise ValueError("k must be positive")
+    from an end v only while its outdegree is below ``sizes[v]`` - 1.
+    Every leaf is counted along one plan.  Raises ``SizeLimitExceededError``
+    once the tree nodes visited and the DP states built pass
+    ``MAX_DP_STATES``."""
+    if any(s < 1 for s in sizes):
+        raise ValueError("list sizes must be positive")
     edges = graph.edges
-    if (k - 1) * graph.n < len(edges):
+    cap = [s - 1 for s in sizes]
+    if sum(cap) < len(edges):
         # the outdegrees of every orientation add up to the edge count
         return None
     plan = _plan(graph)
@@ -171,8 +185,9 @@ def find_certificate(graph: Graph, k: int) -> Optional[AtCertificate]:
                 arcs = tuple((v, u) if d else (u, v) for (u, v), d in zip(edges, flip))
                 return AtCertificate(orientation=Orientation(graph, arcs), counts=counts)
         elif f < 2:
-            if out[edges[i][f]] < k - 1:
-                out[edges[i][f]] += 1
+            tail = edges[i][f]
+            if out[tail] < cap[tail]:
+                out[tail] += 1
                 flip.append(f)
                 spend(1)
                 f = 0

@@ -13,7 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .alon_tarsi import find_certificate
+from .alon_tarsi import find_certificate, find_list_certificate
 from .core import Graph, build_graph
 from .errors import SizeLimitExceededError, WorkBudget
 
@@ -171,11 +171,12 @@ def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
     Colours are numbered in order of first use and kept as one bitmask per
     vertex.
 
-    A vertex with a private colour can take it last, so a node's check
-    colours only its full vertices, and of those only the core that
-    ``_peel`` leaves; an empty core passes without a search.  The types
-    that avoid the full vertices, and the core's test, are built once per
-    set of full vertices.
+    A node with a child passes once that child has, so only the leaves
+    are coloured.  A vertex with a private colour can take it last, so a
+    leaf's check colours only its full vertices, and of those only the
+    core that ``_peel`` leaves; an empty core passes without a search.
+    The types that avoid the full vertices, and the core's test, are built
+    once per set of full vertices.  Every node spends one assignment.
     """
     n = len(sizes)
     # Singleton types would come last, in vertex order, and each could only
@@ -188,15 +189,33 @@ def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
     # per mask of full vertices: the open types and the core's test, if any
     known: Dict[int, tuple] = {}
 
-    # ``full`` has a bit set for each vertex whose list is full; a type
-    # containing one of them can take no colour.  ``base`` is the next
-    # unused colour.  Returns the first uncolourable lists of the subtree.
-    def walk(i: int, full: int, base: int) -> Optional[List[int]]:
+    def node(full: int) -> tuple:
         if full not in known:
             core = _peel(graph, sizes, full)
             colourer = _colourer(graph, sizes, core) if core else None
             known[full] = [j for j, t in enumerate(shared) if not t & full], colourer
-        types, colourable = known[full]
+        return known[full]
+
+    # A node with no child is checked where it is met; ``base`` is the next
+    # unused colour.  Returns its lists if they are uncolourable.
+    def leaf(colourable, base: int) -> Optional[List[int]]:
+        spend(1)
+        if not colourable or colourable(masks):
+            return None
+        lists = []
+        for v in range(n):
+            lists.append(masks[v] | ((1 << remaining[v]) - 1) << base)
+            base += remaining[v]
+        return lists
+
+    # A node with a child, whose children add the open types from ``i`` on.
+    # ``full`` has a bit set for each vertex whose list is full; a type
+    # containing one of them can take no colour.  Returns the first
+    # uncolourable lists of the subtree.  The node itself passes once its
+    # children have: the colours of a child's type are private here, and a
+    # private colour clashes with nothing.
+    def walk(i: int, full: int, base: int) -> Optional[List[int]]:
+        types = known[full][0]
         for j in types[bisect_left(types, i):]:
             mem = members[j]
             for mult in range(min([remaining[v] for v in mem]), 0, -1):
@@ -207,22 +226,22 @@ def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
                     remaining[v] -= mult
                     if not remaining[v]:
                         filled |= 1 << v
-                found = walk(j + 1, filled, base + mult)
+                below, colourable = node(filled)
+                if below and below[-1] > j:
+                    found = walk(j + 1, filled, base + mult)
+                else:
+                    found = leaf(colourable, base + mult)
                 if found is not None:
                     return found
                 for v in mem:
                     masks[v] ^= bits
                     remaining[v] += mult
         spend(1)
-        if not colourable or colourable(masks):
-            return None
-        lists = []
-        for v in range(n):
-            lists.append(masks[v] | ((1 << remaining[v]) - 1) << base)
-            base += remaining[v]
-        return lists
+        return None
 
-    found = walk(0, sum(1 << v for v in range(n) if not sizes[v]), 0)
+    root = sum(1 << v for v in range(n) if not sizes[v])
+    types, colourable = node(root)
+    found = walk(0, root, 0) if types else leaf(colourable, 0)
     if found is None:
         return None
     return tuple(tuple(c for c in range(m.bit_length()) if m >> c & 1) for m in found)
@@ -234,11 +253,28 @@ def check_extension(config: ReducibleConfig) -> bool:
     ``MAX_ASSIGNMENT_CHECKS`` assignments.
 
     First ``_peel`` drops every vertex with more colours than neighbours
-    left, which keeps the answer; the walk then runs on the vertices that
-    are left."""
+    left, which keeps the answer.  What is left is tested on the walk's
+    first assignment, each list {0, ..., size - 1}: if it fails, it is the
+    walk's answer, and no certificate exists.  Then, on a graph of at most
+    ``_AT_MAX_EDGES`` edges, an orientation certificate for the sizes left
+    answers True.  The walk decides the rest, also where the certificate
+    search runs out of its budget.  Lists as long as the degrees of a
+    connected graph that is not a Gallai tree always have a certificate
+    (Hladký, Král' and Schauz, 2010)."""
     inner, sizes = config.inner, config.residual_sizes
     left = _peel(inner, sizes, (1 << inner.n) - 1)
+    if not left:
+        return True
     keep = [v for v in range(inner.n) if left >> v & 1]
     index = {v: i for i, v in enumerate(keep)}
     rest = build_graph([(index[u], index[v]) for u, v in inner.edges if u in index and v in index], n=len(keep))
-    return _first_uncolourable(rest, [sizes[v] for v in keep]) is None
+    kept = [sizes[v] for v in keep]
+    if not _colourer(rest, kept, (1 << rest.n) - 1)([(1 << s) - 1 for s in kept]):
+        return False
+    if len(rest.edges) <= _AT_MAX_EDGES:
+        try:
+            if find_list_certificate(rest, kept) is not None:
+                return True
+        except SizeLimitExceededError:
+            pass
+    return _first_uncolourable(rest, kept) is None

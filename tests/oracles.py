@@ -20,7 +20,7 @@ from dischargekit.choosability import (
 )
 from dischargekit.core import Edge, Face, Graph, Orientation, PlaneGraph, build_graph, canonical_edge
 from dischargekit.discharging import ChargeLedger, FinalReport, RuleSet, TransferRecord, initial_charges
-from dischargekit.errors import SizeLimitExceededError
+from dischargekit.errors import SizeLimitExceededError, WorkBudget
 from dischargekit.fixtures import CONFIG_H, FixedConfig
 from dischargekit.structures import (
     CONDITIONS,
@@ -144,6 +144,61 @@ def find_certificate_loop(graph: Graph, k: int) -> Optional[AtCertificate]:
         if built > alon_tarsi.MAX_DP_STATES:
             raise SizeLimitExceededError(f"certificate search needs more than {alon_tarsi.MAX_DP_STATES} DP states")
     return None
+
+
+def find_certificate_uniform(graph: Graph, k: int) -> Optional[AtCertificate]:
+    """Oracle for ``find_certificate``: the search with one list size ``k``
+    for every vertex that ``find_list_certificate`` generalised.  The same
+    tree walk, counting each leaf along one plan and spending its nodes and
+    DP states against ``alon_tarsi.MAX_DP_STATES``."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    edges = graph.edges
+    if (k - 1) * graph.n < len(edges):
+        return None
+    plan = alon_tarsi._plan(graph)
+    spend = WorkBudget(alon_tarsi.MAX_DP_STATES, "certificate search", "tree nodes and DP states").spend
+    out = [0] * graph.n
+    flip: List[int] = []
+    f = 0
+    while True:
+        i = len(flip)
+        if i == len(edges):
+            counts = alon_tarsi._count(plan, flip, spend)
+            if counts.even != counts.odd:
+                arcs = tuple((v, u) if d else (u, v) for (u, v), d in zip(edges, flip))
+                return AtCertificate(orientation=Orientation(graph, arcs), counts=counts)
+        elif f < 2:
+            if out[edges[i][f]] < k - 1:
+                out[edges[i][f]] += 1
+                flip.append(f)
+                spend(1)
+                f = 0
+            else:
+                f += 1
+            continue
+        if not flip:
+            return None
+        f = flip.pop()
+        out[edges[i - 1][f]] -= 1
+        f += 1
+
+
+def is_gallai_tree(graph: Graph) -> bool:
+    """True iff every block of ``graph`` is a complete graph or an odd
+    cycle.  A connected graph is colourable from every assignment of lists
+    as long as its degrees unless it is a Gallai tree (Borodin 1977;
+    Erdős, Rubin and Taylor 1979).  The blocks come from networkx."""
+    import networkx as nx
+
+    g = nx.Graph(graph.edges)
+    g.add_nodes_from(range(graph.n))
+    for block in nx.biconnected_component_edges(g):
+        vertices = {v for e in block for v in e}
+        a, m = len(vertices), len(block)
+        if m != a * (a - 1) // 2 and not (m == a and a % 2):
+            return False
+    return True
 
 
 def l_color(graph: Graph, lists: Sequence[Sequence[int]]) -> Optional[List[int]]:

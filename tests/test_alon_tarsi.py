@@ -1,19 +1,22 @@
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from inputs import triangulated_grid
 
-from dischargekit import alon_tarsi, fixtures
-from dischargekit.alon_tarsi import count_eulerian, find_certificate
+from dischargekit import alon_tarsi, choosability, fixtures
+from dischargekit.alon_tarsi import count_eulerian, find_certificate, find_list_certificate
 from dischargekit.core import Orientation, build_graph
 from dischargekit.errors import SizeLimitExceededError
 from oracles import (
     count_eulerian_brute,
     count_eulerian_frontier,
     find_certificate_loop,
+    find_certificate_uniform,
+    first_uncolourable_loop,
     iter_canonical_assignments,
     l_color,
     orientations_with_max_outdegree,
@@ -324,3 +327,67 @@ class TestWalkAgainstLoop:
         for name, emb in fixtures.solid_embeddings().items():
             got = search_outcome(find_certificate, emb.graph, 5)
             assert got not in (None, "budget") and got == search_outcome(find_certificate_loop, emb.graph, 5), name
+
+
+class TestListSizes:
+    """The search with a list size per vertex: with one size for all, the
+    search it generalised; with any sizes, sound against the walk."""
+
+    def test_uniform_sizes_keep_the_search(self, monkeypatch):
+        # every graph of networkx's atlas; a smaller budget keeps the
+        # searches that give up to a few seconds, and both give up alike
+        atlas = pytest.importorskip("networkx.generators.atlas")
+        monkeypatch.setattr(alon_tarsi, "MAX_DP_STATES", 5_000)
+        outcomes = []
+        for a in atlas.graph_atlas_g():
+            g = build_graph(list(a.edges), n=a.number_of_nodes())
+            for k in range(2, 6):
+                got = search_outcome(find_certificate, g, k)
+                assert got == search_outcome(find_certificate_uniform, g, k), (g.edges, k)
+                outcomes.append(got if got in (None, "budget") else "found")
+        assert all(outcomes.count(o) >= 20 for o in (None, "budget", "found")), outcomes
+
+    def test_certificates_only_where_the_walk_says_yes(self, monkeypatch):
+        # random sizes, and sizes near the degrees; a smaller budget keeps
+        # the walk oracle to a few seconds, and the search keeps its own
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 500)
+        rng = random.Random(23)
+        outcomes = Counter()
+        for case in range(400):
+            n = rng.randint(1, 9)
+            p = rng.random()
+            g = build_graph([e for e in itertools.combinations(range(n), 2) if rng.random() < p], n=n)
+            if len(g.edges) > choosability._AT_MAX_EDGES:
+                continue
+            if case % 2:
+                sizes = [rng.randint(1, 4) for _ in range(n)]
+            else:
+                sizes = [max(1, g.degree(v) + rng.choice((-1, 0, 0, 1))) for v in range(n)]
+            try:
+                yes = first_uncolourable_loop(g, sizes) is None
+            except SizeLimitExceededError:
+                yes = None
+            try:
+                cert = find_list_certificate(g, sizes)
+            except SizeLimitExceededError:
+                assert yes is None, (g.edges, sizes)
+                outcomes["search budget"] += 1
+                continue
+            if cert is not None:
+                assert yes is not False, (g.edges, sizes)
+                assert all(d < s for d, s in zip(cert.orientation.outdegrees(), sizes))
+                assert count_eulerian(cert.orientation) == cert.counts and cert.counts.even != cert.counts.odd
+            outcomes[cert is not None, yes] += 1
+        # certificates answer graphs that the walk's budget does not
+        assert outcomes[True, True] >= 100 and outcomes[True, None] >= 50, outcomes
+        assert outcomes[False, False] >= 100, outcomes
+
+    def test_too_few_colours_for_the_edges_is_none_at_once(self):
+        # K4 needs 6 outdegrees; lists of 2, 2, 3 and 3 leave room for 4
+        k4 = build_graph(itertools.combinations(range(4), 2))
+        assert find_list_certificate(k4, [2, 2, 3, 3]) is None
+        assert find_list_certificate(k4, [4, 4, 4, 4]) is not None
+
+    def test_sizes_must_be_positive(self):
+        with pytest.raises(ValueError):
+            find_list_certificate(build_graph([], n=2), [1, 0])

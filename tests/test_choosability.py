@@ -18,6 +18,7 @@ from dischargekit.errors import SizeLimitExceededError
 from oracles import (
     check_extension_with_rechoice,
     first_uncolourable_loop,
+    is_gallai_tree,
     is_k_choosable_raw,
     iter_canonical_assignments,
     iter_canonical_assignments_all_types,
@@ -111,6 +112,11 @@ class TestCanonicalAssignments:
     def test_first_assignment_is_maximally_shared(self):
         first = next(iter_canonical_assignments([2, 2, 2]))
         assert first == ((0, 1), (0, 1), (0, 1))
+        # each list {0, ..., size - 1}, which check_extension tests first
+        rng = random.Random(4)
+        for _ in range(50):
+            sizes = [rng.randint(1, 4) for _ in range(rng.randint(1, 6))]
+            assert next(iter_canonical_assignments(sizes)) == tuple(tuple(range(s)) for s in sizes)
 
     def test_sizes_respected(self):
         for lists in iter_canonical_assignments([1, 2, 3]):
@@ -482,6 +488,45 @@ class TestExtension:
         lollipop = build_graph([(v, v + 1) for v in range(9)] + [(7, 9)])
         assert not check_extension(ReducibleConfig(lollipop, (2,) * 10))
 
+    # Seeded connected graphs whose degree-sized lists still exit on the
+    # walk's budget: Gallai trees, which have no certificate (ROADMAP items
+    # 3, 9 and 10).  A change that answers one takes it out of the set.
+    DEGREE_SIZED_EXITS = {
+        ((0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (3, 5)),
+        ((0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (2, 4), (3, 4), (3, 5), (3, 6)),
+        ((0, 1), (0, 2), (0, 5), (0, 6), (1, 2), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (5, 6)),
+    }
+
+    def test_degree_sizes_follow_the_gallai_tree_rule(self):
+        # lists as long as the degrees of a connected graph: colourable from
+        # every such assignment unless every block is complete or an odd cycle
+        nx = pytest.importorskip("networkx")
+        k5_minus_edge = build_graph([e for e in itertools.combinations(range(5), 2) if e != (0, 1)])
+        assert is_gallai_tree(K5) and is_gallai_tree(C5) and is_gallai_tree(build_graph([(0, 1), (1, 2)]))
+        assert not is_gallai_tree(C4) and not is_gallai_tree(k5_minus_edge)
+        rng = random.Random(3)
+        agreed = Counter()
+        exits = set()
+        while sum(agreed.values()) + len(exits) < 1_500:
+            n = rng.randint(2, 7)
+            p = rng.random()
+            g = build_graph([e for e in itertools.combinations(range(n), 2) if rng.random() < p], n=n)
+            nxg = nx.Graph(g.edges)
+            nxg.add_nodes_from(range(n))
+            if not nx.is_connected(nxg):
+                continue
+            want = not is_gallai_tree(g)
+            try:
+                got = check_extension(ReducibleConfig(g, tuple(g.degree(v) for v in range(n))))
+            except SizeLimitExceededError:
+                assert not want, g.edges
+                exits.add(g.edges)
+                continue
+            assert got is want, g.edges
+            agreed[got] += 1
+        assert exits == self.DEGREE_SIZED_EXITS
+        assert agreed[True] >= 500 and agreed[False] >= 500, agreed
+
     def test_builtin_checks_agree_with_rechoice(self):
         choices = {"H-with-rechoice": H_CHOICE}
         for name, config, expected in fixtures.REDUCE_CHECKS:
@@ -497,21 +542,53 @@ class TestExtension:
             "triangle-222": (2, 2, 2),
         }
 
+    # The square and H have orientation certificates, so check_extension
+    # answers them before the walk; their walks keep these counts.
     def test_assignment_budget(self, monkeypatch):
         assert sum(1 for _ in iter_canonical_assignments(SQUARE.residual_sizes)) == 139
         monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 139)
-        assert check_extension(SQUARE)
+        assert choosability._first_uncolourable(SQUARE.inner, SQUARE.residual_sizes) is None
         monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 138)
         with pytest.raises(SizeLimitExceededError):
-            check_extension(SQUARE)
+            choosability._first_uncolourable(SQUARE.inner, SQUARE.residual_sizes)
 
     def test_h_budget_boundary(self, monkeypatch):
         # one check per assignment: H has 6,319
         monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 6_319)
-        assert check_extension(H)
+        assert choosability._first_uncolourable(H.inner, H.residual_sizes) is None
         monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 6_318)
         with pytest.raises(SizeLimitExceededError):
-            check_extension(H)
+            choosability._first_uncolourable(H.inner, H.residual_sizes)
+
+    def test_certificates_answer_before_the_walk(self, monkeypatch):
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 0)
+        assert check_extension(SQUARE) and check_extension(H)
+        # K5 minus an edge with lists as long as the degrees is no Gallai tree
+        edges = [e for e in itertools.combinations(range(5), 2) if e != (0, 1)]
+        assert check_extension(ReducibleConfig(build_graph(edges), (3, 3, 4, 4, 4)))
+
+    def test_search_budget_leaves_the_answer_to_the_walk(self):
+        # a K6 on 0, 1, 2, 4, 6 and 7 with the path 6-5-3: its first
+        # assignment colours, the certificate search runs out of its budget,
+        # and the walk finds an uncolourable assignment after 98,518 checks
+        edges = [
+            (0, 1), (0, 2), (0, 4), (0, 6), (0, 7), (1, 2), (1, 4), (1, 6), (1, 7),
+            (2, 4), (2, 6), (2, 7), (3, 5), (4, 6), (4, 7), (5, 6), (6, 7),
+        ]
+        cfg = ReducibleConfig(build_graph(edges), (4, 3, 5, 1, 3, 2, 6, 5))
+        with pytest.raises(SizeLimitExceededError, match="^certificate search"):
+            alon_tarsi.find_list_certificate(cfg.inner, cfg.residual_sizes)
+        assert check_extension(cfg) is False
+
+    def test_budget_boundary_without_a_certificate(self, monkeypatch):
+        # K2,4 with lists of 2 has 8 edges, more than its 6 vertices' lists
+        # of 2 allow as outdegrees, so the walk decides after 14,508 checks
+        k24 = ReducibleConfig(CHOOSE_SMALL["K2,4"], (2,) * 6)
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 14_508)
+        assert not check_extension(k24)
+        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 14_507)
+        with pytest.raises(SizeLimitExceededError, match="^exhaustive check needs more than 14507 assignments$"):
+            check_extension(k24)
 
 
 class TestListAssignment:

@@ -15,7 +15,7 @@ from inputs import embedding_to_json, triangulated_grid, trio_embedding, wheel, 
 from oracles import discharge_report_tree, role_in
 
 import dischargekit
-from dischargekit import cli, fixtures
+from dischargekit import choosability, cli, fixtures
 from dischargekit.cli import _dumps, build_parser, main
 from dischargekit.core import build_graph, embedding_from_json, orientation_to_json
 from dischargekit.discharging import RuleSet, apply_rules, final_report
@@ -362,12 +362,30 @@ class TestReduce:
         assert code == 0
         assert json.loads(out)["checks"] == [{"expected": None, "name": "user-config", "ok": True, "reducible": True}]
 
-    def test_assignment_budget_exits_2(self, tmp_path):
-        # K5 minus an edge with lists as long as the degrees: the peel drops
-        # nothing, and the walk needs more assignments than the budget; in a
-        # fresh process, with a timeout that only catches a hang
+    def test_k5_minus_an_edge_answers(self, tmp_path):
+        # lists as long as the degrees: the peel drops nothing, and an
+        # orientation certificate answers where the walk needs more
+        # assignments than its budget
         edges = [[u, v] for u in range(5) for v in range(u + 1, 5) if (u, v) != (0, 1)]
+        start = time.perf_counter()
         proc = reduce_in_child({"edges": edges, "sizes": [3, 3, 4, 4, 4]}, tmp_path, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["checks"][0]["reducible"] is True
+        assert time.perf_counter() - start < 5.0
+
+    def test_assignment_budget_exits_2(self, tmp_path):
+        # 32 edges on 10 vertices, drawn from random.Random(1), with lists
+        # of 5: the peel drops nothing, no certificate is sought on more
+        # than _AT_MAX_EDGES edges, and the walk needs more assignments than
+        # the budget; in a fresh process, with a timeout that only catches
+        # a hang
+        edges = [
+            [0, 1], [0, 2], [0, 4], [0, 5], [0, 7], [0, 8], [0, 9], [1, 3], [1, 6], [1, 7], [1, 9],
+            [2, 3], [2, 4], [2, 5], [2, 7], [2, 8], [2, 9], [3, 4], [3, 5], [3, 7], [3, 8], [3, 9],
+            [4, 5], [4, 6], [4, 7], [4, 9], [5, 6], [5, 7], [5, 8], [6, 8], [6, 9], [7, 8],
+        ]
+        assert len(edges) > choosability._AT_MAX_EDGES
+        proc = reduce_in_child({"edges": edges, "sizes": [5] * 10}, tmp_path, timeout=60)
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr == "error: exhaustive check needs more than 100000 assignments\n"
 
