@@ -95,7 +95,7 @@ def is_k_choosable(graph: Graph, k: int) -> ChoosabilityVerdict:
     if graph.n > DEFAULT_N_LIMIT:
         raise SizeLimitExceededError(f"n = {graph.n} exceeds guard {DEFAULT_N_LIMIT}")
     sizes = [k] * graph.n
-    core = _peel(graph, sizes, (1 << graph.n) - 1)
+    core = _peel(_neighbours(graph), sizes, (1 << graph.n) - 1)
     if not core:
         return ChoosabilityVerdict(choosable=True, method="degeneracy")
     if not _colourer(graph, sizes, core)([(1 << k) - 1] * graph.n):
@@ -109,53 +109,177 @@ def is_k_choosable(graph: Graph, k: int) -> ChoosabilityVerdict:
     return ChoosabilityVerdict(choosable=False, witness=ListAssignment(lists=witness), method="exhaustive")
 
 
-def _colourer(graph: Graph, sizes: Sequence[int], core: int) -> Callable[[List[int]], bool]:
+def _colourer(graph: Graph, sizes: Sequence[int], core: int) -> Callable[..., bool]:
     """A test of whether the vertices of ``core``, a nonempty bitmask, can
     be coloured properly from lists given as one colour bitmask per vertex
     of ``graph``.  They are coloured smallest list first, then highest
     degree; each takes its lowest colour bit that no earlier neighbour
-    took, and the search backtracks."""
+    took, and the search backtracks.
+
+    A vertex v may also be left to ``fresh[v]`` fresh colours, which no
+    list holds but which other vertices' fresh colours may repeat, so long
+    as the vertices left so far peel away by their fresh colours
+    (``_peel``): those take fresh colours last, in reverse order of their
+    dropping.  So a True answer holds for every choice of fresh colours.
+    The fresh option is tried after the list colours."""
     order = sorted((v for v in range(graph.n) if core >> v & 1), key=lambda v: (sizes[v], -graph.degree(v)))
     n = len(order)
     at = {v: i for i, v in enumerate(order)}
     earlier = [[at[u] for u in graph.adjacency[v] if at.get(u, n) < i] for i, v in enumerate(order)]
+    nbr = _neighbours(graph)
+    # above every colour of the lists
+    fresh_bit = 1 << sum(sizes)
+    no_fresh = [0] * graph.n
 
-    def colourable(masks: List[int]) -> bool:
+    def colourable(masks: List[int], fresh: Sequence[int] = no_fresh) -> bool:
         taken = [0] * n
         free = [0] * n
-        free[0] = masks[order[0]]
+        # the vertices left to fresh colours before each position
+        left = [0] * (n + 1)
         i = 0
-        while i >= 0:
-            f = free[i]
-            if not f:
+        while True:
+            v = order[i]
+            f = masks[v]
+            for j in earlier[i]:
+                f &= ~taken[j]
+            if fresh[v] and not _peel(nbr, fresh, left[i] | 1 << v):
+                f |= fresh_bit
+            free[i] = f
+            while not f:
                 i -= 1
-                continue
+                if i < 0:
+                    return False
+                f = free[i]
             c = f & -f
             free[i] = f ^ c
             taken[i] = c
+            left[i + 1] = left[i] | 1 << order[i] if c == fresh_bit else left[i]
             i += 1
             if i == n:
                 return True
-            f = masks[order[i]]
-            for j in earlier[i]:
-                f &= ~taken[j]
-            free[i] = f
-        return False
 
     return colourable
 
 
-def _peel(graph: Graph, sizes: Sequence[int], alive: int) -> int:
+def _neighbours(graph: Graph) -> List[int]:
+    """The neighbours of each vertex, as a bitmask."""
+    return [sum(1 << u for u in graph.adjacency[v]) for v in range(graph.n)]
+
+
+def _peel(nbr: Sequence[int], colours: Sequence[int], alive: int) -> int:
     """The vertices of ``alive``, a bitmask, that are left once every vertex
     with more colours than neighbours left is dropped, until none is.  A
-    dropped vertex can be coloured last whatever its neighbours took."""
+    dropped vertex can be coloured last whatever its neighbours took;
+    ``nbr`` holds each vertex's neighbours as a bitmask."""
     while True:
         left = alive
-        for v in range(len(sizes)):
-            if alive >> v & 1 and sizes[v] > sum(alive >> u & 1 for u in graph.adjacency[v]):
+        for v in range(len(colours)):
+            if alive >> v & 1 and colours[v] > (nbr[v] & alive).bit_count():
                 alive ^= 1 << v
         if alive == left:
             return alive
+
+
+class _TypeTable:
+    """The shared colour types of one walk over ``n`` vertices, the open
+    ones per set of full vertices, and the number of assignments in each
+    subtree of the walk.
+
+    A shared type is a set of at least two vertices, kept as a bitmask;
+    ``shared`` holds them largest first, then by value, the order in which
+    the walk takes them, and ``members`` the vertices of each.  Singleton
+    types would come last, in vertex order, and each could only take all
+    its vertex's remaining colours: those are the private ones."""
+
+    def __init__(self, n: int) -> None:
+        self.n = n
+        self.shared = sorted((t for t in range(1, 1 << n) if t & (t - 1)), key=lambda t: (-t.bit_count(), t))
+        self.members = [[v for v in range(n) if t >> v & 1] for t in self.shared]
+        self.opened: Dict[int, List[int]] = {}
+        self.blocks: Dict[int, List[Tuple[int, int]]] = {}
+        # per state of ``count``, its count; None is a state with no type left
+        self.counted: Dict[Optional[Tuple[int, Tuple[int, ...]]], int] = {None: 1}
+
+    def open(self, full: int) -> List[int]:
+        """The indices of the types with no vertex of ``full``, a bitmask."""
+        if full not in self.opened:
+            self.opened[full] = [j for j, t in enumerate(self.shared) if not t & full]
+        return self.opened[full]
+
+    def count(self, i: int, remaining: Sequence[int], cap: int) -> int:
+        """The number of canonical assignments in a subtree of the walk
+        whose children add the types from ``i`` on, with ``remaining[v]``
+        colours still to give each vertex v, or ``cap`` if there are at
+        least that many.
+
+        They are the sets of (type, multiplicity) pairs, types from ``i`` on
+        and each at most once, whose multiplicities at each vertex sum to at
+        most its remaining colours; the empty set is the subtree's root.  So
+        a state (i, remaining) counts the sets without type i, a state of
+        i + 1, and those with it at each multiplicity, one state of i + 1
+        each.  A count depends on its state alone and is kept by the table.
+        The states are followed on a stack, not by recursion.  No state
+        counts more sets than the one it was reached from, so the first
+        count to reach ``cap`` ends the search."""
+        counted = self.counted
+        top = self._state(i, tuple(remaining))
+        stack = [top]
+        # per state on the stack, the states it adds up
+        parts: Dict[Tuple[int, Tuple[int, ...]], list] = {}
+        while stack:
+            state = stack[-1]
+            if state in counted:
+                stack.pop()
+                continue
+            if state not in parts:
+                i, rem = state
+                mem = self.members[i]
+                parts[state] = [self._state(i + 1, rem)]
+                below = list(rem)
+                for _ in range(min([rem[v] for v in mem])):
+                    for v in mem:
+                        below[v] -= 1
+                    parts[state].append(self._state(i + 1, tuple(below)))
+                missing = [p for p in parts[state] if p not in counted]
+                if missing:
+                    stack.extend(missing)
+                    continue
+            total = sum([counted[p] for p in parts.pop(state)])
+            if total >= cap:
+                return cap
+            counted[state] = total
+            stack.pop()
+        return min(counted[top], cap)
+
+    def _state(self, i: int, rem: Tuple[int, ...]) -> Optional[Tuple[int, Tuple[int, ...]]]:
+        """The state that counts as (i, rem) does: i moved on to the first
+        open type, None if there is none, and ``rem`` sorted within each
+        block of vertices that the types from i on treat alike.
+
+        From the first type of each size on, the types left are every set
+        of that size or smaller: one block of all vertices.  Past it, the
+        types of that size left are those above type i by value, and a
+        renaming of the vertices within one gap of type i's members, below
+        the first, between two or above the last, maps them onto each
+        other."""
+        types = self.open(sum(1 << v for v, r in enumerate(rem) if not r))
+        at = bisect_left(types, i)
+        if at == len(types):
+            return None
+        i = types[at]
+        if i not in self.blocks:
+            t = self.shared[i]
+            if not i or t.bit_count() < self.shared[i - 1].bit_count():
+                self.blocks[i] = [(0, self.n)]
+            else:
+                cuts = [-1] + self.members[i] + [self.n]
+                self.blocks[i] = [(a + 1, b) for a, b in zip(cuts, cuts[1:]) if b - a > 2]
+        if self.blocks[i]:
+            rem = list(rem)
+            for lo, hi in self.blocks[i]:
+                rem[lo:hi] = sorted(rem[lo:hi])
+            rem = tuple(rem)
+        return i, rem
 
 
 def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
@@ -175,32 +299,52 @@ def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
     are coloured.  A vertex with a private colour can take it last, so a
     leaf's check colours only its full vertices, and of those only the
     core that ``_peel`` leaves; an empty core passes without a search.
-    The types that avoid the full vertices, and the core's test, are built
-    once per set of full vertices.  Every node spends one assignment.
+
+    Before the walk enters a node with a child, it tests whether every
+    assignment in the node's subtree passes, and if so spends the subtree's
+    exact number of assignments, ``_TypeTable.count``, in one call; every
+    witness, count and budget boundary stays that of a walk that enters
+    every node.  Below the node each vertex v keeps its colours so far and
+    gets ``remaining[v]`` fresh ones, which no vertex has yet but which
+    may repeat among vertices in any way.  The test, ``_colourer`` with
+    those fresh counts, seeks a proper colouring from the colours so far
+    in which some vertices are left to fresh colours, so long as those
+    peel away by their fresh colours: in every assignment below, the
+    others keep their colours, and the vertices left take fresh ones in
+    reverse order of their dropping.  It colours only the core that
+    ``_peel`` leaves of the graph with the full list sizes: any other
+    vertex has more colours than neighbours left in any assignment.
     """
     n = len(sizes)
-    # Singleton types would come last, in vertex order, and each could only
-    # take all its vertex's remaining colours: those are the private ones.
-    shared = sorted((t for t in range(1, 1 << n) if t & (t - 1)), key=lambda t: (-bin(t).count("1"), t))
-    members = [[v for v in range(n) if t >> v & 1] for t in shared]
-    spend = WorkBudget(MAX_ASSIGNMENT_CHECKS, "exhaustive check", "assignments").spend
+    table = _TypeTable(n)
+    members = table.members
+    budget = WorkBudget(MAX_ASSIGNMENT_CHECKS, "exhaustive check", "assignments")
+    spend = budget.spend
+    nbr = _neighbours(graph)
+    # the vertices that a subtree's test colours
+    core = _peel(nbr, sizes, (1 << n) - 1)
     masks = [0] * n
     remaining = list(sizes)
-    # per mask of full vertices: the open types and the core's test, if any
-    known: Dict[int, tuple] = {}
+    # per mask of full vertices, the core of a leaf's check
+    cores: Dict[int, int] = {}
+    colourers: Dict[int, Callable[..., bool]] = {}
 
-    def node(full: int) -> tuple:
-        if full not in known:
-            core = _peel(graph, sizes, full)
-            colourer = _colourer(graph, sizes, core) if core else None
-            known[full] = [j for j, t in enumerate(shared) if not t & full], colourer
-        return known[full]
+    # whether the vertices of ``part`` colour from the colours so far, and
+    # from fresh ones if they are given
+    def colourable(part: int, *fresh: Sequence[int]) -> bool:
+        if not part:
+            return True
+        if part not in colourers:
+            colourers[part] = _colourer(graph, sizes, part)
+        return colourers[part](masks, *fresh)
 
     # A node with no child is checked where it is met; ``base`` is the next
     # unused colour.  Returns its lists if they are uncolourable.
-    def leaf(colourable, base: int) -> Optional[List[int]]:
+    def leaf(full: int, base: int) -> Optional[List[int]]:
         spend(1)
-        if not colourable or colourable(masks):
+        if full not in cores:
+            cores[full] = _peel(nbr, sizes, full)
+        if colourable(cores[full]):
             return None
         lists = []
         for v in range(n):
@@ -208,15 +352,21 @@ def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
             base += remaining[v]
         return lists
 
-    # A node with a child, whose children add the open types from ``i`` on.
-    # ``full`` has a bit set for each vertex whose list is full; a type
+    # The node whose children add the open types from ``i`` on, if any;
+    # ``full`` has a bit set for each vertex whose list is full, and a type
     # containing one of them can take no colour.  Returns the first
-    # uncolourable lists of the subtree.  The node itself passes once its
-    # children have: the colours of a child's type are private here, and a
-    # private colour clashes with nothing.
-    def walk(i: int, full: int, base: int) -> Optional[List[int]]:
-        types = known[full][0]
-        for j in types[bisect_left(types, i):]:
+    # uncolourable lists of the subtree.  A node with a child passes once
+    # its children have: the colours of a child's type are private here,
+    # and a private colour clashes with nothing.
+    def visit(i: int, full: int, base: int) -> Optional[List[int]]:
+        types = table.open(full)
+        start = bisect_left(types, i)
+        if start == len(types):
+            return leaf(full, base)
+        if colourable(core, remaining):
+            spend(table.count(i, remaining, budget.left + 1))
+            return None
+        for j in types[start:]:
             mem = members[j]
             for mult in range(min([remaining[v] for v in mem]), 0, -1):
                 bits = ((1 << mult) - 1) << base
@@ -226,11 +376,7 @@ def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
                     remaining[v] -= mult
                     if not remaining[v]:
                         filled |= 1 << v
-                below, colourable = node(filled)
-                if below and below[-1] > j:
-                    found = walk(j + 1, filled, base + mult)
-                else:
-                    found = leaf(colourable, base + mult)
+                found = visit(j + 1, filled, base + mult)
                 if found is not None:
                     return found
                 for v in mem:
@@ -239,9 +385,12 @@ def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
         spend(1)
         return None
 
-    root = sum(1 << v for v in range(n) if not sizes[v])
-    types, colourable = node(root)
-    found = walk(0, root, 0) if types else leaf(colourable, 0)
+    try:
+        found = visit(0, sum(1 << v for v in range(n) if not sizes[v]), 0)
+    finally:
+        # ``visit`` calls itself through its closure; emptying that cell
+        # frees the walk's tables on return, not at the next full collection
+        del visit
     if found is None:
         return None
     return tuple(tuple(c for c in range(m.bit_length()) if m >> c & 1) for m in found)
@@ -262,7 +411,7 @@ def check_extension(config: ReducibleConfig) -> bool:
     connected graph that is not a Gallai tree always have a certificate
     (Hladký, Král' and Schauz, 2010)."""
     inner, sizes = config.inner, config.residual_sizes
-    left = _peel(inner, sizes, (1 << inner.n) - 1)
+    left = _peel(_neighbours(inner), sizes, (1 << inner.n) - 1)
     if not left:
         return True
     keep = [v for v in range(inner.n) if left >> v & 1]

@@ -5,6 +5,7 @@ very small inputs.  The matcher of the paper's fixed configurations lives
 here too: no command reads it, and networkx is its reference."""
 
 import itertools
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -199,6 +200,39 @@ def is_gallai_tree(graph: Graph) -> bool:
         if m != a * (a - 1) // 2 and not (m == a and a % 2):
             return False
     return True
+
+
+def ert_two_choosable(graph: Graph) -> bool:
+    """Erdos-Rubin-Taylor for a connected graph: it is 2-choosable iff its
+    core, left once degree-1 vertices are pruned, is K1, an even cycle or
+    theta(2, 2, 2m)."""
+    adj = graph.adjacency
+    alive = set(range(graph.n))
+    pruned = True
+    while pruned and len(alive) > 1:
+        leaves = [v for v in alive if len(adj[v] & alive) <= 1]
+        alive.difference_update(leaves[: len(alive) - 1])
+        pruned = bool(leaves)
+    deg = {v: len(adj[v] & alive) for v in alive}
+    if len(alive) == 1:
+        return True
+    if all(d == 2 for d in deg.values()):
+        return len(alive) % 2 == 0
+    hubs = [v for v, d in deg.items() if d == 3]
+    if len(hubs) != 2 or any(d not in (2, 3) for d in deg.values()):
+        return False
+    a, b = hubs
+    lengths = []
+    for start in adj[a] & alive:
+        prev, cur, length = a, start, 1
+        while cur != b:
+            if cur == a or deg[cur] != 2:
+                return False
+            prev, cur = cur, next(iter((adj[cur] & alive) - {prev}))
+            length += 1
+        lengths.append(length)
+    lengths.sort()
+    return lengths[0] == 2 and lengths[1] == 2 and lengths[2] % 2 == 0
 
 
 def l_color(graph: Graph, lists: Sequence[Sequence[int]]) -> Optional[List[int]]:
@@ -511,9 +545,9 @@ def check_conditions_steps(graph: Graph) -> int:
     """Oracle for the steps ``check_conditions`` spends, each counted over
     all vertices: every edge ab and every vertex adjacent to both ends;
     the trio tuples of ``trio_tuples_scan``; and for each edge ab with a
-    vertex adjacent to both ends, every pair of distinct p != b adjacent to
-    a and r != a adjacent to b, and every q other than a and b adjacent to
-    both p and r."""
+    vertex adjacent to both ends, the fewer of the 2-paths x-p-q with p != y
+    and q not x or y, from x = a or x = b, and every path a-p-q-r-b of five
+    distinct vertices."""
     adj = graph.adjacency
     vs = range(graph.n)
     steps = trio_tuples_scan(graph)
@@ -521,9 +555,13 @@ def check_conditions_steps(graph: Graph) -> int:
         thirds = sum(w in adj[a] and w in adj[b] for w in vs)
         steps += 1 + thirds
         if thirds:
+            steps += min(
+                sum(p in adj[x] and p != y and q in adj[p] and q not in (x, y) for p in vs for q in vs)
+                for x, y in ((a, b), (b, a))
+            )
             for p, r in itertools.permutations(vs, 2):
                 if p in adj[a] and p != b and r in adj[b] and r != a:
-                    steps += 1 + sum(q not in (a, b) and q in adj[p] and q in adj[r] for q in vs)
+                    steps += sum(q not in (a, b) and q in adj[p] and q in adj[r] for q in vs)
     return steps
 
 
@@ -786,6 +824,89 @@ def first_uncolourable_loop(graph: Graph, sizes: Sequence[int]) -> Optional[List
         if l_color(graph, lists) is None:
             return lists
     return None
+
+
+def first_uncolourable_unpruned(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
+    """Oracle for ``choosability._first_uncolourable``: the same walk over
+    the canonical colour-type tree, with the same budget, but entering
+    every node, so every assignment spends one check and every leaf is
+    coloured.
+
+    A node with a child passes once that child has, so only the leaves
+    are coloured.  A vertex with a private colour can take it last, so a
+    leaf's check colours only its full vertices, and of those only the
+    core that ``_peel`` leaves; an empty core passes without a search.
+    The types that avoid the full vertices, and the core's test, are built
+    once per set of full vertices.
+    """
+    n = len(sizes)
+    # Singleton types would come last, in vertex order, and each could only
+    # take all its vertex's remaining colours: those are the private ones.
+    shared = sorted((t for t in range(1, 1 << n) if t & (t - 1)), key=lambda t: (-bin(t).count("1"), t))
+    members = [[v for v in range(n) if t >> v & 1] for t in shared]
+    spend = WorkBudget(choosability.MAX_ASSIGNMENT_CHECKS, "exhaustive check", "assignments").spend
+    nbr = choosability._neighbours(graph)
+    masks = [0] * n
+    remaining = list(sizes)
+    # per mask of full vertices: the open types and the core's test, if any
+    known: Dict[int, tuple] = {}
+
+    def node(full: int) -> tuple:
+        if full not in known:
+            core = choosability._peel(nbr, sizes, full)
+            colourer = choosability._colourer(graph, sizes, core) if core else None
+            known[full] = [j for j, t in enumerate(shared) if not t & full], colourer
+        return known[full]
+
+    # A node with no child is checked where it is met; ``base`` is the next
+    # unused colour.  Returns its lists if they are uncolourable.
+    def leaf(colourable, base: int) -> Optional[List[int]]:
+        spend(1)
+        if not colourable or colourable(masks):
+            return None
+        lists = []
+        for v in range(n):
+            lists.append(masks[v] | ((1 << remaining[v]) - 1) << base)
+            base += remaining[v]
+        return lists
+
+    # A node with a child, whose children add the open types from ``i`` on.
+    # ``full`` has a bit set for each vertex whose list is full; a type
+    # containing one of them can take no colour.  Returns the first
+    # uncolourable lists of the subtree.  The node itself passes once its
+    # children have: the colours of a child's type are private here, and a
+    # private colour clashes with nothing.
+    def walk(i: int, full: int, base: int) -> Optional[List[int]]:
+        types = known[full][0]
+        for j in types[bisect_left(types, i):]:
+            mem = members[j]
+            for mult in range(min([remaining[v] for v in mem]), 0, -1):
+                bits = ((1 << mult) - 1) << base
+                filled = full
+                for v in mem:
+                    masks[v] |= bits
+                    remaining[v] -= mult
+                    if not remaining[v]:
+                        filled |= 1 << v
+                below, colourable = node(filled)
+                if below and below[-1] > j:
+                    found = walk(j + 1, filled, base + mult)
+                else:
+                    found = leaf(colourable, base + mult)
+                if found is not None:
+                    return found
+                for v in mem:
+                    masks[v] ^= bits
+                    remaining[v] += mult
+        spend(1)
+        return None
+
+    root = sum(1 << v for v in range(n) if not sizes[v])
+    types, colourable = node(root)
+    found = walk(0, root, 0) if types else leaf(colourable, 0)
+    if found is None:
+        return None
+    return tuple(tuple(c for c in range(m.bit_length()) if m >> c & 1) for m in found)
 
 
 def check_extension_with_rechoice(config: ReducibleConfig, choice_set: Sequence[int]) -> bool:

@@ -14,10 +14,12 @@ from dischargekit.choosability import (
     is_k_choosable,
 )
 from dischargekit.core import build_graph, parse_graph6
-from dischargekit.errors import SizeLimitExceededError
+from dischargekit.errors import SizeLimitExceededError, WorkBudget
 from oracles import (
     check_extension_with_rechoice,
+    ert_two_choosable,
     first_uncolourable_loop,
+    first_uncolourable_unpruned,
     is_gallai_tree,
     is_k_choosable_raw,
     iter_canonical_assignments,
@@ -146,6 +148,38 @@ class TestCanonicalAssignments:
         assert second == ((0,),) * 9 + ((1,),)
 
 
+class TestSubtreeCount:
+    """``_TypeTable.count`` from the root against the length of the oracle
+    stream, which yields every canonical assignment once."""
+
+    def test_every_size_vector_to_five_vertices(self):
+        for n in range(6):
+            for sizes in itertools.product(range(4), repeat=n):
+                want = sum(1 for _ in iter_canonical_assignments(sizes))
+                assert choosability._TypeTable(n).count(0, sizes, want + 1) == want, sizes
+
+    def test_seeded_sizes_to_seven_vertices_and_the_cap(self):
+        # a stream longer than the limit is only compared up to it
+        limit = 20_000
+        rng = random.Random(71)
+        exact = 0
+        for _ in range(60):
+            n = rng.randint(6, 7)
+            sizes = tuple(rng.randint(0, 3) for _ in range(n))
+            want = sum(1 for _ in itertools.islice(iter_canonical_assignments(sizes), limit))
+            if want < limit:
+                table = choosability._TypeTable(n)
+                assert table.count(0, sizes, want + 1) == want, sizes
+                exact += 1
+            # the cap where the count is at least the cap, on a new table
+            # and on one that keeps counts of earlier calls
+            for cap in {1, max(1, want // 3), want}:
+                assert choosability._TypeTable(n).count(0, sizes, cap) == cap, (sizes, cap)
+                if want < limit:
+                    assert table.count(0, sizes, cap) == cap, (sizes, cap)
+        assert 20 <= exact < 60, exact
+
+
 def first_or_error(find, graph, sizes):
     """``find(graph, sizes)``, or the message of the budget error it raises."""
     try:
@@ -249,6 +283,68 @@ class TestFirstUncolourable:
         assert self.assert_agrees(build_graph([], n=10), [1] * 10).startswith("exhaustive check")
         assert self.assert_agrees(build_graph([(i, i + 1) for i in range(9)]), [2] * 10).startswith("exhaustive")
         assert self.assert_agrees(wheel(9).graph, [3] * 10) == ((0, 1, 2),) * 10
+
+
+class TestSkips:
+    """The walk's skipped subtrees: ``_first_uncolourable`` against the
+    walk that enters every node, ``oracles.first_uncolourable_unpruned``."""
+
+    @staticmethod
+    def record(monkeypatch):
+        # the work of each spend of the walk's budget, and the number of
+        # subtrees counted in one call
+        spent, skips = [], []
+        real_count = choosability._TypeTable.count
+
+        class Recording(WorkBudget):
+            def spend(self, work):
+                spent.append(work)
+                super().spend(work)
+
+        def count(table, i, remaining, cap):
+            skips.append(i)
+            return real_count(table, i, remaining, cap)
+
+        monkeypatch.setattr(choosability, "WorkBudget", Recording)
+        monkeypatch.setattr(choosability._TypeTable, "count", count)
+        return spent, skips
+
+    def test_equals_the_unpruned_walk(self, monkeypatch):
+        spent, skips = self.record(monkeypatch)
+        rng = random.Random(73)
+        outcomes = Counter()
+        skipped = 0
+        for case in range(400):
+            n = rng.randint(1, 9)
+            p = rng.random()
+            g = build_graph([e for e in itertools.combinations(range(n), 2) if rng.random() < p], n=n)
+            # a vertex of degree 2 or more gets at least 2 colours, so that
+            # the first assignment often colours
+            sizes = tuple(rng.randint(min(2, max(1, g.degree(v))), 3) for v in range(n))
+            monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", (1, 7, 100, 3_000)[case % 4])
+            skips.clear()
+            got = first_or_error(choosability._first_uncolourable, g, sizes)
+            assert got == first_or_error(first_uncolourable_unpruned, g, sizes), (g.edges, sizes)
+            skipped += bool(skips)
+            outcomes[type(got)] += 1
+        assert skipped >= 200, skipped
+        assert min(outcomes[tuple], outcomes[str], outcomes[type(None)]) >= 50, (skipped, outcomes)
+
+    @pytest.mark.parametrize(
+        "graph, sizes, checks",
+        [
+            (CHOOSE_SMALL["K2,4"], [2] * 6, 14_508),
+            (CHOOSE_SMALL["K3,3"], [2] * 6, None),
+            (H.inner, H.residual_sizes, 6_319),
+        ],
+        ids=["K2,4", "K3,3", "H"],
+    )
+    def test_few_nodes_visited(self, graph, sizes, checks, monkeypatch):
+        # every assignment is still spent, most of them in skipped subtrees
+        spent, skips = self.record(monkeypatch)
+        choosability._first_uncolourable(graph, sizes)
+        assert len(spent) - len(skips) < 200, (len(spent), len(skips))
+        assert sum(spent) == (checks or oracle_checks(graph, sizes))
 
 
 class TestKChoosable:
@@ -375,6 +471,48 @@ class TestKChoosable:
                 assert (method == "degeneracy") == (largest_core < k), (g.edges, k)
                 methods[method] += 1
         assert min(methods.values()) > 50, methods
+
+
+class TestAtlas:
+    """Every graph on at most 7 vertices, in the order of networkx's copy of
+    the atlas of Read and Wilson, at k = 2, 3 and 4."""
+
+    # (atlas index, k) pairs that exit on the walk's budget (ROADMAP items
+    # 3, 9 and 10).  A change that answers one takes it out of the set.
+    BUDGET_EXITS = {
+        (254, 2), (304, 2), (308, 2), (347, 2), (370, 2), (392, 2), (396, 2), (405, 2), (411, 2),
+        (416, 2), (431, 2), (442, 2), (448, 2), (507, 2), (525, 2), (670, 2),
+        (1171, 3), (1202, 3), (1208, 3), (1210, 3), (1233, 3),
+    }
+
+    def test_every_graph_to_seven_vertices(self):
+        nx = pytest.importorskip("networkx")
+        exits = set()
+        outcomes = Counter()
+        for index, atlas_graph in enumerate(nx.graph_atlas_g()):
+            n = atlas_graph.number_of_nodes()
+            g = build_graph(sorted(tuple(sorted(e)) for e in atlas_graph.edges), n=n)
+            largest_core = max(nx.core_number(atlas_graph).values(), default=0)
+            connected = n > 0 and nx.is_connected(atlas_graph)
+            for k in (2, 3, 4):
+                try:
+                    verdict = is_k_choosable(g, k)
+                except SizeLimitExceededError:
+                    exits.add((index, k))
+                    continue
+                assert (verdict.method == "degeneracy") == (largest_core < k), (index, k)
+                if not verdict.choosable:
+                    assert l_color_brute(g, verdict.witness.lists) is None, (index, k)
+                if k == 2 and connected:
+                    assert verdict.choosable is ert_two_choosable(g), index
+                outcomes[k, verdict.method, verdict.choosable] += 1
+        assert exits == self.BUDGET_EXITS
+        assert outcomes == {
+            (2, "degeneracy", True): 80, (2, "alon-tarsi", True): 31,
+            (2, "exhaustive", True): 4, (2, "exhaustive", False): 1_122,
+            (3, "degeneracy", True): 659, (3, "alon-tarsi", True): 169, (3, "exhaustive", False): 420,
+            (4, "degeneracy", True): 1_150, (4, "alon-tarsi", True): 37, (4, "exhaustive", False): 66,
+        }
 
 
 class TestExtension:

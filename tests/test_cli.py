@@ -130,9 +130,31 @@ class TestDetect:
         assert code == 0
         assert all(c["holds"] for c in json.loads(out)["graphs"][0]["conditions"])
 
+    @pytest.mark.parametrize(
+        "edges, holds",
+        [
+            # the bipyramid on 200 rim vertices: 5-cycles share edges with
+            # its triangles, so every condition fails
+            ([(h, 2 + i) for h in range(2) for i in range(200)] + [(2 + i, 2 + (i + 1) % 200) for i in range(200)], False),
+            # K2,600 plus the hub edge: every edge is on a triangle, but no
+            # 5-cycle exists
+            ([(0, 1)] + [(h, 2 + i) for h in range(2) for i in range(600)], True),
+        ],
+        ids=["bipyramid-200", "K2,600-hub-edge"],
+    )
+    def test_hubs_first_answers(self, edges, holds, tmp_path, capsys):
+        # two hubs numbered first: the 5-cycle search on each triangle edge
+        # walks the 2-paths from its end with fewer of them, so the hubs'
+        # degrees do not multiply
+        path = tmp_path / "g.g6"
+        path.write_text(write_graph6(build_graph(edges)) + "\n")
+        code, out = run(capsys, ["detect", "--input", str(path)])
+        assert code == (0 if holds else 1)
+        assert [c["holds"] for c in json.loads(out)["graphs"][0]["conditions"]] == [holds] * 3
+
     def test_large_triangulated_grid_answers(self, tmp_path):
         # 4,489 vertices, the smallest grid with every square split that
-        # takes more steps than the budget's fixed base: 512,988, fewer
+        # takes more steps than the budget's fixed base: 508,830, fewer
         # than its share per edge adds
         graph = triangulated_grid(67, 1.0, 1).graph
         budget = StepBudget(graph)
