@@ -243,9 +243,9 @@ def check_conditions(graph: Graph, budget: StepBudget) -> Tuple[ConditionReport,
 
     Steps of ``budget``: one per edge and one per common neighbour of its
     ends; the (x, y, u, w) tuples that ``find_trios`` tries, counted from
-    the index before any 5-cycle is sought; one per 2-path a-p-q walked,
-    from the end of ab with fewer of them, each closed by the common
-    neighbours r of q and b; and one per 5-cycle formed.
+    the index before any 5-cycle is sought; one per walk a-p-q that avoids
+    b, from the end of ab with fewer of them, each 2-path among them closed
+    by the common neighbours r of q and b; and one per 5-cycle formed.
     """
     adj = graph.adjacency
     spend = budget.spend
@@ -270,30 +270,29 @@ def check_conditions(graph: Graph, budget: StepBudget) -> Tuple[ConditionReport,
         if len(on_ab) >= 2:
             for w in on_ab:
                 chorded_edges.update((canonical_edge(a, w), canonical_edge(b, w)))
-    # the walks v-p-q with q != v, from each vertex v
-    walks = [sum(len(adj[p]) - 1 for p in adj[v]) for v in range(graph.n)]
+    # the walks v-p-q from each vertex v, q = v among them
+    walks = [sum(len(adj[p]) for p in adj[v]) for v in range(graph.n)]
     fives = set()
     for (a, b), on_ab in common.items():
         if not on_ab:
             continue
-        # the 2-paths a-p-q with p != b and q not a or b, from the end with
-        # fewer of them; a p adjacent to b, one of on_ab, has one q fewer
-        from_a = walks[a] - (len(adj[b]) - 1) - len(on_ab)
-        from_b = walks[b] - (len(adj[a]) - 1) - len(on_ab)
+        # the walks a-p-q that avoid b, from the end with fewer of them: the
+        # deg(a) - 1 with q = a, and the 2-paths a-p-q with p != b and q not
+        # a or b
+        from_a = walks[a] - len(adj[b]) - len(on_ab)
+        from_b = walks[b] - len(adj[a]) - len(on_ab)
         if from_b < from_a:
             a, b = b, a
         spend(min(from_a, from_b))
-        ends = {a, b}
+        ends, near_b = {a, b}, adj[b]
         for p in adj[a]:
             if p == b:
                 continue
-            # the r that close a-p-q-r-b: neighbours of b other than a and p
-            closing = adj[b] - {a, p}
             for q in adj[p] - ends:
-                rs = adj[q] & closing
-                if rs:
-                    spend(len(rs))
-                    fives.update(_canonical((a, p, q, r, b)) for r in rs)
+                for r in adj[q] & near_b:
+                    if r != a and r != p:
+                        spend(1)
+                        fives.add(_canonical((a, p, q, r, b)))
     witnesses: Tuple[List[Cycle], ...] = ([], [], [])
     for c in sorted(fives):
         ce = [canonical_edge(c[i - 1], c[i]) for i in range(5)]

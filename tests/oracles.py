@@ -545,9 +545,9 @@ def check_conditions_steps(graph: Graph) -> int:
     """Oracle for the steps ``check_conditions`` spends, each counted over
     all vertices: every edge ab and every vertex adjacent to both ends;
     the trio tuples of ``trio_tuples_scan``; and for each edge ab with a
-    vertex adjacent to both ends, the fewer of the 2-paths x-p-q with p != y
-    and q not x or y, from x = a or x = b, and every path a-p-q-r-b of five
-    distinct vertices."""
+    vertex adjacent to both ends, the fewer of the walks x-p-q with p and q
+    not y, from x = a or x = b, and every path a-p-q-r-b of five distinct
+    vertices."""
     adj = graph.adjacency
     vs = range(graph.n)
     steps = trio_tuples_scan(graph)
@@ -556,7 +556,7 @@ def check_conditions_steps(graph: Graph) -> int:
         steps += 1 + thirds
         if thirds:
             steps += min(
-                sum(p in adj[x] and p != y and q in adj[p] and q not in (x, y) for p in vs for q in vs)
+                sum(p in adj[x] and p != y and q in adj[p] and q != y for p in vs for q in vs)
                 for x, y in ((a, b), (b, a))
             )
             for p, r in itertools.permutations(vs, 2):

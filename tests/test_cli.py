@@ -154,7 +154,7 @@ class TestDetect:
 
     def test_large_triangulated_grid_answers(self, tmp_path):
         # 4,489 vertices, the smallest grid with every square split that
-        # takes more steps than the budget's fixed base: 508,830, fewer
+        # takes more steps than the budget's fixed base: 573,248, fewer
         # than its share per edge adds
         graph = triangulated_grid(67, 1.0, 1).graph
         budget = StepBudget(graph)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -139,6 +140,38 @@ class TestEnumerateCycles:
         # the index and the trio tuples alone cross K16's budget
         g = build_graph(list(itertools.combinations(range(16), 2)))
         assert len(g.edges) + 3 * len(enumerate_cycles(g, 3)) + trio_tuples(g) > StepBudget(g).limit
+
+
+    @pytest.mark.parametrize("n", [600, 5000])
+    def test_set_work_stays_within_the_budget(self, monkeypatch, n):
+        # K2,n plus the hub edge, hubs first: the elements that the search's
+        # set operations and loops read from the adjacency sets stay within
+        # a few per step spent, both when it answers (n = 600) and up to the
+        # budget exit (n = 5000), so the budget bounds the work
+        read = [0]
+
+        class Counted(frozenset):
+            def __iter__(self):
+                read[0] += len(self)
+                return super().__iter__()
+
+            def __sub__(self, other):
+                read[0] += len(self)
+                return super().__sub__(other)
+
+            def __and__(self, other):
+                read[0] += min(len(self), len(other))
+                return super().__and__(other)
+
+        g = build_graph([(0, 1)] + [(h, 2 + i) for h in range(2) for i in range(n)])
+        g = dataclasses.replace(g, adjacency=tuple(Counted(a) for a in g.adjacency))
+        budget = StepBudget(g)
+        try:
+            check_conditions(g, budget)
+            assert n == 600
+        except SizeLimitExceededError:
+            assert n == 5000
+        assert read[0] <= 4 * (budget.limit - budget.left)
 
 
 class TestTrios:
