@@ -52,60 +52,6 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-# The text of a scalar whose type is exactly one of these; any other
-# scalar (a float, a subclass) is written by json.dumps itself.
-_SCALAR = {
-    str: json.encoder.encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-    type(None): lambda _: "null",
-}
-
-
-def _key(k) -> str:
-    if type(k) is str:
-        return json.encoder.encode_basestring_ascii(k)
-    if type(k) is int:
-        return '"' + int.__repr__(k) + '"'
-    return json.dumps({k: 0})[1:-4]  # the key as the stdlib writes it, or its TypeError
-
-
-def _dumps(obj) -> str:
-    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``.
-
-    With an indent the stdlib encodes in pure Python; this writes the same
-    text around its C string escaper.  Each separator, indent and key goes
-    into the chunk of the value that follows it, so the list of chunks is
-    shorter than the stdlib's."""
-    chunks = []
-    append = chunks.append
-
-    def enc(o, head, nl):
-        # head: the text before o; nl: a newline and o's own indent
-        write = _SCALAR.get(type(o))
-        if write is not None:
-            append(head + write(o))
-        elif isinstance(o, dict) and o:
-            inner = nl + "  "
-            sep = head + "{" + inner
-            for k, v in sorted(o.items()):
-                enc(v, sep + _key(k) + ": ", inner)
-                sep = "," + inner
-            append(nl + "}")
-        elif isinstance(o, (list, tuple)) and o:
-            inner = nl + "  "
-            sep = head + "[" + inner
-            for v in o:
-                enc(v, sep, inner)
-                sep = "," + inner
-            append(nl + "]")
-        else:  # a float, a subclass, an empty list or dict, or what json rejects
-            append(head + json.dumps(o))
-
-    enc(obj, "", "\n")
-    return "".join(chunks)
-
-
 # Templates of the discharge report's fixed shapes, each written as at the
 # outer level; ``_shift`` moves one to the depth where it appears.  Rule
 # names and element kinds are plain words with nothing to escape.
@@ -169,7 +115,36 @@ _DISCHARGE = """{
     "total": %s
   }
 }"""
-# Stands in the report for the two lists that are streamed; the report is
+# Templates of the detect report's fixed shapes, written the same way;
+# condition names and role values are plain words too.
+_CONDITION = """{
+  "condition": "%s",
+  "holds": %s,
+  "witnesses": %s
+}"""
+_ROLE = """{
+  "role": "%s",
+  "triangle": %s,
+  "vertex": %d
+}"""
+_TRIO = """{
+  "center": %d,
+  "map": {
+    "u": %d,
+    "v": %d,
+    "w": %d,
+    "x": %d,
+    "y": %d
+  },
+  "vertices": %s
+}"""
+_GRAPH = """{
+  "conditions": %s,
+  "graph": %d,
+  "roles": %s,
+  "trios": %s
+}"""
+# Stands in a report for the lists that are streamed; the report is
 # numbers, fixed words and JSON punctuation, so it never holds this.
 _STREAMED = "\0"
 
@@ -189,6 +164,11 @@ def _items(items: List[str], depth: int, brackets: str = "[]") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
 
 
+def _ints(values, depth: int) -> str:
+    """A list of integers ``depth`` levels deep."""
+    return _items(list(map(str, values)), depth)
+
+
 def _stream_items(items: Iterable[str], depth: int) -> Iterator[str]:
     """``_items(list(items), depth)`` in chunks, one per item, without
     holding the list."""
@@ -201,8 +181,9 @@ def _stream_items(items: Iterable[str], depth: int) -> Iterator[str]:
 
 
 def _discharge_report(ledger: ChargeLedger, report: FinalReport, graph: Graph) -> Iterator[str]:
-    """The text of the discharge report, in chunks: what ``_dumps`` writes
-    for its tree (``tests/oracles.discharge_report_tree``).
+    """The text of the discharge report, in chunks: what ``json.dumps(tree,
+    indent=2, sort_keys=True)`` writes for its tree
+    (``tests/oracles.discharge_report_tree``).
 
     Each transfer is rendered once, from one template; its copies in the
     detail of the negative elements are that text shifted two levels
@@ -220,16 +201,13 @@ def _discharge_report(ledger: ChargeLedger, report: FinalReport, graph: Graph) -
         entries = sorted((str(k), q) for k, q in charges.items())
         return _items([entry % (k, q.denominator, q.numerator) for k, q in entries], 2, "{}")
 
-    def ints(values, depth: int) -> str:
-        return _items(list(map(str, values)), depth)
-
     total = _shift(_FRACTION, 2) % (report.total.denominator, report.total.numerator)
     negative = _shift(_NEGATIVE, 3)
     head, middle, tail = (
         _DISCHARGE
         % (
             book(ledger.face_charge),
-            _items([ints(f.boundary, 3) for f in ledger.faces], 2),
+            _items([_ints(f.boundary, 3) for f in ledger.faces], 2),
             total,
             _STREAMED,
             book(ledger.vertex_charge),
@@ -244,13 +222,51 @@ def _discharge_report(ledger: ChargeLedger, report: FinalReport, graph: Graph) -
         for ((kind, i), _), indices in zip(report.negatives, report.detail):
             touching = _items([_shift(trace[j], 2) for j in indices], 4)
             if kind == "v":
-                yield vertex_detail % (i, ints(sorted(graph.adjacency[i]), 4), touching)
+                yield vertex_detail % (i, _ints(sorted(graph.adjacency[i]), 4), touching)
             else:
-                yield face_detail % (ints(ledger.faces[i].boundary, 4), i, touching)
+                yield face_detail % (_ints(ledger.faces[i].boundary, 4), i, touching)
 
     return itertools.chain(
         (head,), _stream_items(trace, 2), (middle,), _stream_items(detail(), 2), (tail,)
     )
+
+
+def _detect_report(results) -> Iterator[str]:
+    """The text of the detect report, in chunks: what ``json.dumps(tree,
+    indent=2, sort_keys=True)`` writes for its tree
+    (``tests/oracles.detect_report_tree``).
+
+    ``results`` holds each graph's condition reports, trios and role
+    index.  Each condition, role entry and trio entry is rendered from
+    its template as it is written."""
+    condition, role, trio, graph = _shift(_CONDITION, 4), _shift(_ROLE, 4), _shift(_TRIO, 4), _shift(_GRAPH, 2)
+
+    def roles(trios, role_of) -> Iterator[str]:
+        # per trio, per triangle, per sorted vertex, repeats included
+        for occ in trios:
+            for t in occ.triangles:
+                of, ends = role_of[t], sorted(t)
+                triangle = _ints(ends, 5)
+                for s in ends:
+                    yield role % (of[s].value, triangle, s)
+
+    yield '{\n  "command": "detect",\n  "graphs": '
+    sep = "[\n    "
+    for gi, (conds, trios, role_of) in enumerate(results):
+        conditions = (
+            condition % (c.condition, "true" if c.holds else "false", _items([_ints(w, 6) for w in c.witnesses], 5))
+            for c in conds
+        )
+        head, middle, before_trios, tail = (graph % (_STREAMED, gi, _STREAMED, _STREAMED)).split(_STREAMED)
+        yield sep + head
+        yield from _stream_items(conditions, 3)
+        yield middle
+        yield from _stream_items(roles(trios, role_of), 3)
+        yield before_trios
+        yield from _stream_items((trio % (o.v, o.u, o.v, o.w, o.x, o.y, _ints(sorted(o), 5)) for o in trios), 3)
+        yield tail
+        sep = ",\n    "
+    yield ("[]" if sep[0] == "[" else "\n  ]") + "\n}"
 
 
 def _emit(chunks: Iterable[str], args) -> None:
@@ -265,6 +281,11 @@ def _emit(chunks: Iterable[str], args) -> None:
         sys.stdout.write("\n")
 
 
+def _emit_tree(report, args) -> None:
+    """Write a report built as a tree, with the standard library's writer."""
+    _emit([json.dumps(report, indent=2, sort_keys=True)], args)
+
+
 def _load_graphs(args) -> List[Graph]:
     text = _read_input(args.input)
     if args.format == "graph6":
@@ -273,33 +294,18 @@ def _load_graphs(args) -> List[Graph]:
 
 
 def cmd_detect(args) -> int:
-    reports = []
-    status = EXIT_OK
-    for gi, graph in enumerate(_load_graphs(args)):
+    # every search ends before the first byte, so a failing request writes nothing
+    results = []
+    for graph in _load_graphs(args):
         conds = check_conditions(graph, StepBudget(graph))
         trios = find_trios(graph)
-        role_of = classify_role([(occ, occ.triangles) for occ in trios])
-        roles = [
-            {"vertex": s, "triangle": sorted(t), "role": role_of[t][s].value}
-            for occ in trios
-            for t in occ.triangles
-            for s in sorted(t)
-        ]
-        entry = {
-            "graph": gi,
-            "conditions": [c.to_json() for c in conds],
-            "trios": [{"vertices": sorted(o), "center": o.v, "map": o._asdict()} for o in trios],
-            "roles": roles,
-        }
-        reports.append(entry)
-        if any(not c.holds for c in conds):
-            status = EXIT_VIOLATIONS
-    _emit([_dumps({"command": "detect", "graphs": reports})], args)
+        results.append((conds, trios, classify_role([(occ, occ.triangles) for occ in trios])))
+    _emit(_detect_report(results), args)
     if args.summary:
-        for entry in reports:
-            for c in entry["conditions"]:
-                print(f"graph {entry['graph']}: {c['condition']}: {'holds' if c['holds'] else 'VIOLATED'}")
-    return status
+        for gi, (conds, _, _) in enumerate(results):
+            for c in conds:
+                print(f"graph {gi}: {c.condition}: {'holds' if c.holds else 'VIOLATED'}")
+    return EXIT_OK if all(c.holds for conds, _, _ in results for c in conds) else EXIT_VIOLATIONS
 
 
 def cmd_choosable(args) -> int:
@@ -310,7 +316,7 @@ def cmd_choosable(args) -> int:
         verdicts.append({"graph": gi, "k": args.k, **verdict.to_json()})
         if not verdict.choosable:
             status = EXIT_VIOLATIONS
-    _emit([_dumps({"command": "choosable", "verdicts": verdicts})], args)
+    _emit_tree({"command": "choosable", "verdicts": verdicts}, args)
     if args.summary:
         for v in verdicts:
             print(f"graph {v['graph']}: {args.k}-choosable: {v['choosable']} ({v['method']})")
@@ -328,7 +334,7 @@ def cmd_alon_tarsi(args) -> int:
             "outdegrees": orientation.outdegrees(),
             "applicable": counts.even != counts.odd,
         }
-        _emit([_dumps(report)], args)
+        _emit_tree(report, args)
         if args.summary:
             print(f"even={counts.even} odd={counts.odd} applicable={report['applicable']}")
         return EXIT_OK if report["applicable"] else EXIT_VIOLATIONS
@@ -341,7 +347,7 @@ def cmd_alon_tarsi(args) -> int:
         results.append({"graph": gi, "certificate": cert.to_json() if cert else None})
         if cert is None:
             status = EXIT_VIOLATIONS
-    _emit([_dumps({"command": "alon-tarsi", "results": results})], args)
+    _emit_tree({"command": "alon-tarsi", "results": results}, args)
     if args.summary:
         for r in results:
             print(f"graph {r['graph']}: certificate {'found' if r['certificate'] else 'NONE'}")
@@ -381,7 +387,7 @@ def cmd_reduce(args) -> int:
             rows.append({"name": name, "reducible": got, "expected": expected, "ok": ok})
             if not ok:
                 status = EXIT_VIOLATIONS
-    _emit([_dumps({"command": "reduce", "checks": rows})], args)
+    _emit_tree({"command": "reduce", "checks": rows}, args)
     if args.summary:
         for r in rows:
             print(f"{r['name']}: reducible={r['reducible']} ok={r['ok']}")
@@ -450,7 +456,7 @@ def repro_rows() -> List[dict]:
 
 def cmd_repro_paper(args) -> int:
     rows = repro_rows()
-    _emit([_dumps({"command": "repro-paper", "table": rows})], args)
+    _emit_tree({"command": "repro-paper", "table": rows}, args)
     status = EXIT_OK if all(r["ok"] for r in rows) else EXIT_VIOLATIONS
     if args.summary:
         for r in rows:

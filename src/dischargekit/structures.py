@@ -206,13 +206,6 @@ class ConditionReport:
     def holds(self) -> bool:
         return not self.witnesses
 
-    def to_json(self) -> dict:
-        return {
-            "condition": self.condition,
-            "holds": self.holds,
-            "witnesses": [list(w) for w in self.witnesses],
-        }
-
 
 CONDITIONS = ("Thm1", "Thm2", "Corollary")
 

@@ -26,8 +26,10 @@ from dischargekit.fixtures import CONFIG_H, FixedConfig
 from dischargekit.structures import (
     CONDITIONS,
     ConditionReport,
+    StepBudget,
     TrioOccurrence,
     VertexRole,
+    check_conditions,
     classify_role,
     find_trios,
     trio_graph,
@@ -484,6 +486,36 @@ def discharge_report_tree(ledger: ChargeLedger, report: FinalReport, graph: Grap
             "detail": [detail(el) for el, _ in report.negatives],
         },
     }
+
+
+def detect_report_tree(graphs: Sequence[Graph]) -> dict:
+    """Oracle for the ``detect`` report on these graphs: the tree whose
+    ``json.dumps(indent=2, sort_keys=True)`` is the report's text, built
+    as dicts.  Each trio lists the roles on its three triangles, so a
+    triangle in several trios lists its roles once per trio."""
+    reports = []
+    for gi, graph in enumerate(graphs):
+        conds = check_conditions(graph, StepBudget(graph))
+        trios = find_trios(graph)
+        role_of = classify_role([(occ, occ.triangles) for occ in trios])
+        roles = [
+            {"vertex": s, "triangle": sorted(t), "role": role_of[t][s].value}
+            for occ in trios
+            for t in occ.triangles
+            for s in sorted(t)
+        ]
+        reports.append(
+            {
+                "graph": gi,
+                "conditions": [
+                    {"condition": c.condition, "holds": c.holds, "witnesses": [list(w) for w in c.witnesses]}
+                    for c in conds
+                ],
+                "trios": [{"vertices": sorted(o), "center": o.v, "map": o._asdict()} for o in trios],
+                "roles": roles,
+            }
+        )
+    return {"command": "detect", "graphs": reports}
 
 
 def replay(ledger: ChargeLedger, start: ChargeLedger) -> ChargeLedger:

@@ -1,5 +1,4 @@
 import contextlib
-import enum
 import io
 import json
 import os
@@ -12,12 +11,12 @@ from pathlib import Path
 
 import pytest
 from inputs import embedding_to_json, triangulated_grid, trio_embedding, wheel, write_graph6
-from oracles import discharge_report_tree, role_in
+from oracles import detect_report_tree, discharge_report_tree, role_in
 
 import dischargekit
-from dischargekit import choosability, cli, fixtures
-from dischargekit.cli import _dumps, build_parser, main
-from dischargekit.core import build_graph, embedding_from_json, orientation_to_json
+from dischargekit import choosability, fixtures
+from dischargekit.cli import build_parser, main
+from dischargekit.core import build_graph, embedding_from_json, orientation_to_json, parse_graph6
 from dischargekit.discharging import RuleSet, apply_rules, final_report
 from dischargekit.structures import DETECT_BASE_STEPS, StepBudget, check_conditions
 
@@ -52,6 +51,16 @@ def write_embedding(tmp_path, name):
     return str(path)
 
 
+# Runs detect on the embedding file named by its argument, writing the
+# report to the null device, and prints the exit code and peak RSS.
+RSS_PROBE = """
+import os, resource, sys
+from dischargekit.cli import main
+code = main(["detect", "--format", "embedding-json", "--input", sys.argv[1], "--output", os.devnull])
+print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
 class TestDetect:
     def test_c5_passes(self, tmp_path, capsys):
         path = tmp_path / "c5.g6"
@@ -68,6 +77,20 @@ class TestDetect:
         code, out = run(capsys, ["detect", "--input", str(path), "--summary"])
         assert code == 1
         assert "VIOLATED" in out
+
+    def test_summary_reads_the_conditions(self, tmp_path, capsys):
+        path = tmp_path / "g.g6"
+        path.write_text(C5_G6 + "\n" + WHEEL5_G6 + "\n")
+        assert main(["detect", "--input", str(path), "--output", str(tmp_path / "out.json")]) == 1
+        report = json.loads((tmp_path / "out.json").read_text())
+        code, out = run(capsys, ["detect", "--input", str(path), "--output", os.devnull, "--summary"])
+        assert code == 1
+        assert out.splitlines() == [
+            f"graph {g['graph']}: {c['condition']}: {'holds' if c['holds'] else 'VIOLATED'}"
+            for g in report["graphs"]
+            for c in g["conditions"]
+        ]
+        assert out.count("VIOLATED") == 3 and out.count("holds") == 3
 
     def test_trio_roles_reported(self, tmp_path, capsys):
         path = tmp_path / "trio.g6"
@@ -118,6 +141,34 @@ class TestDetect:
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert err == f"error: detect needs more than {limit} search steps\n"
+
+    def test_failing_graph_writes_nothing(self, tmp_path, capsys):
+        # the trio graph is answered before K16 exceeds its budget: every
+        # graph is searched before the first byte of the report
+        k16 = build_graph([(i, j) for j in range(16) for i in range(j)])
+        path = tmp_path / "g.g6"
+        path.write_text(write_graph6(fixtures.trio_graph()) + "\n" + write_graph6(k16) + "\n")
+        out = tmp_path / "out.json"
+        for extra in ([], ["--output", str(out)]):
+            assert main(["detect", "--input", str(path)] + extra) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "error: detect needs more than 524000 search steps\n"
+        assert not out.exists()
+
+    def test_grid_report_streams_in_small_memory(self, tmp_path):
+        # a 14.9 MB report on 1,600 vertices; the child reads its own peak
+        # resident set, in KiB on Linux
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(embedding_to_json(triangulated_grid(40, 0.9, 1))))
+        env = dict(os.environ, PYTHONPATH=str(Path(dischargekit.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", RSS_PROBE, str(path)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, peak_kib = map(int, proc.stdout.split())
+        assert code == 1
+        assert peak_kib < 80 * 1024
 
     def test_k2_300_hubs_last_answers(self, tmp_path, capsys):
         # millions of paths run through the two hubs, but no edge is on a
@@ -725,6 +776,16 @@ def discharge_text(emb_path, rules_path=None) -> str:
     return stdlib_text(discharge_report_tree(ledger, final_report(ledger), emb.graph)) + "\n"
 
 
+def detect_text(path, fmt="graph6") -> str:
+    """The stdlib text of the oracle tree of ``detect`` on this file."""
+    text = Path(path).read_text()
+    if fmt == "graph6":
+        graphs = [parse_graph6(ln) for ln in text.splitlines() if ln.strip()]
+    else:
+        graphs = [embedding_from_json(text).graph]
+    return stdlib_text(detect_report_tree(graphs)) + "\n"
+
+
 def write_inputs(tmp_path) -> dict:
     """Input files for the fixture commands: the demo corpus (which has no
     trio), two graphs with trios, C5, C4 and the orientation g1."""
@@ -763,90 +824,70 @@ def report_commands(tmp_path):
     ]
 
 
-class Number(int):
-    pass
-
-
-class Text(str):
-    pass
-
-
-class Colour(enum.IntEnum):
-    RED = 7
-
-
 class TestReportText:
     """Every report is the text of ``json.dumps(report, indent=2,
-    sort_keys=True)``: the discharge report's tree is the oracle's, and the
-    other commands' reports are written by ``cli._dumps``."""
+    sort_keys=True)``: the discharge and detect reports' trees are the
+    oracles', and the other commands write theirs with the standard
+    library, so each is its own canonical form."""
 
-    def test_fixture_reports(self, tmp_path, monkeypatch, capsys):
-        reports = []
-        monkeypatch.setattr(cli, "_dumps", lambda report: reports.append(report) or _dumps(report))
+    def test_fixture_reports(self, tmp_path, capsys):
         argvs = report_commands(tmp_path)
         for argv in argvs:
             main(argv)
-            want = discharge_text(argv[2]) if argv[0] == "discharge" else stdlib_text(reports[-1]) + "\n"
-            assert capsys.readouterr().out == want, argv
-        assert (len(argvs), len(reports)) == (32, 7)
+            out = capsys.readouterr().out
+            if argv[0] == "discharge":
+                want = discharge_text(argv[2])
+            elif argv[0] == "detect":
+                want = detect_text(argv[2])
+            else:
+                want = stdlib_text(json.loads(out)) + "\n"
+            assert out == want, argv
+        assert len(argvs) == 32
 
-    @pytest.mark.parametrize(
-        "value",
-        [
-            {1.5: "a", -0.0: [float("nan")], float("inf"): -float("inf")},
-            {True: 0, False: None},
-            {None: []},
-            {Number(3): Number(4), Colour.RED: Colour.RED, 5: Text("\u00e9")},
-            {Text("b"): 1, "a": Text("c")},
-            {2: {}, 10: [[], {}], -1: (1, (2,))},
-            ["\x00\x1f\x7f\u2028\ud800\U0001f600", 10**40, -(2**70), 1e300, 0.1],
-            [],
-            {},
-            "text",
-            None,
-        ],
-    )
-    def test_keys_and_values_of_every_kind(self, value):
-        assert _dumps(value) == stdlib_text(value)
 
-    def test_hypothesis_values(self):
-        hypothesis = pytest.importorskip("hypothesis")
-        st = hypothesis.strategies
-        scalars = (
-            st.text(st.characters(exclude_categories=()))
-            | st.integers()
-            | st.integers(-(2**200), 2**200)
-            | st.booleans()
-            | st.none()
-            | st.floats()
-        )
+class TestDetectText:
+    """The detect report, streamed one record at a time from templates, is
+    the stdlib text of the oracle tree, through ``--output`` and through
+    stdout alike."""
 
-        def values(depth):
-            if depth == 0:
-                return scalars
-            inner = values(depth - 1)
-            return (
-                scalars
-                | st.lists(inner, max_size=4)
-                | st.lists(inner, max_size=4).map(tuple)
-                | st.dictionaries(st.text(), inner, max_size=4)
-                | st.dictionaries(st.integers(), inner, max_size=4)
-            )
+    def check(self, tmp_path, capsys, text: str, fmt: str = "graph6") -> int:
+        path = tmp_path / "input"
+        path.write_text(text)
+        argv = ["detect", "--format", fmt, "--input", str(path)]
+        want = detect_text(path, fmt)
+        code = main(argv)
+        assert capsys.readouterr().out == want
+        out = tmp_path / "out.json"
+        assert main(argv + ["--output", str(out)]) == code
+        assert capsys.readouterr().out == "" and out.read_text() == want
+        return code
 
-        @hypothesis.settings(max_examples=300, deadline=None, database=None)
-        @hypothesis.given(values(4))
-        def check(value):
-            assert _dumps(value) == stdlib_text(value)
+    def test_demo_graphs(self, tmp_path, capsys):
+        assert self.check(tmp_path, capsys, "".join(write_graph6(g) + "\n" for g in fixtures.demo_graphs())) == 0
 
-        check()
+    def test_trio_graph(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, write_graph6(fixtures.trio_graph()) + "\n")
 
-    @pytest.mark.parametrize("value", [{1, 2}, object(), {"a": [1, {2}]}, {(1, 2): 0}, {1: 0, "a": 1}])
-    def test_unserialisable_raises_type_error(self, value):
-        with pytest.raises(TypeError) as want:
-            stdlib_text(value)
-        with pytest.raises(TypeError) as got:
-            _dumps(value)
-        assert str(got.value) == str(want.value)
+    def test_bundled_embeddings(self, tmp_path, capsys):
+        for emb in list(fixtures.solid_embeddings().values()) + fixtures.random_embeddings():
+            self.check(tmp_path, capsys, json.dumps(embedding_to_json(emb)), "embedding-json")
+
+    @pytest.mark.parametrize("side", range(4, 13))
+    @pytest.mark.parametrize("share", [0.0, 0.5, 0.9])
+    def test_grids(self, share, side, tmp_path, capsys):
+        embedding = embedding_to_json(triangulated_grid(side, share, side))
+        self.check(tmp_path, capsys, json.dumps(embedding), "embedding-json")
+
+    def test_empty_lists(self, tmp_path, capsys):
+        # K2,300 with its hubs last has no triangle, so no trio, role or witness
+        k2_300 = build_graph([(i, 300 + hub) for hub in range(2) for i in range(300)])
+        assert self.check(tmp_path, capsys, write_graph6(k2_300) + "\n") == 0
+        text = (tmp_path / "out.json").read_text()
+        assert '"roles": []' in text and '"trios": []' in text and text.count('"witnesses": []') == 3
+
+    def test_no_graphs(self, tmp_path, capsys):
+        assert self.check(tmp_path, capsys, "") == 0
+        assert (tmp_path / "out.json").read_text() == '{\n  "command": "detect",\n  "graphs": []\n}\n'
 
 
 # Rule parameters with denominators far wider than a machine word.

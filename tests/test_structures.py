@@ -1,10 +1,11 @@
 import dataclasses
 import itertools
+import json
 import random
 from collections import Counter
 
 import pytest
-from inputs import stacked_triangulations, triangulated_grid, wheel
+from inputs import stacked_triangulations, triangulated_grid, wheel, write_graph6
 from oracles import (
     ALL_CONFIGS,
     CONFIG_2,
@@ -25,6 +26,7 @@ from oracles import (
 )
 
 from dischargekit import fixtures, structures
+from dischargekit.cli import main
 from dischargekit.core import build_graph, faces_of
 from dischargekit.errors import SizeLimitExceededError
 from dischargekit.structures import (
@@ -407,13 +409,13 @@ class TestConditions:
         assert thm2.witnesses == ((0, 1, 4, 5, 6),)
         assert thm2 == check_condition_scan(g, "Thm2")
 
-    def test_report_json_shape(self):
+    def test_report_json_shape(self, tmp_path):
         g = build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 5)])
-        _, _, corollary = check_conditions(g, StepBudget(g))
-        obj = corollary.to_json()
-        assert obj["condition"] == "Corollary"
-        assert obj["holds"] is False
-        assert obj["witnesses"] == [[0, 1, 2, 3, 4]]
+        path, out = tmp_path / "g.g6", tmp_path / "out.json"
+        path.write_text(write_graph6(g) + "\n")
+        assert main(["detect", "--input", str(path), "--output", str(out)]) == 1
+        obj = json.loads(out.read_text())["graphs"][0]["conditions"][2]
+        assert obj == {"condition": "Corollary", "holds": False, "witnesses": [[0, 1, 2, 3, 4]]}
 
     def test_corollary_implies_no_double_triangle_witness(self):
         rng = random.Random(99)
