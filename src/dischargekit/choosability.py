@@ -21,8 +21,9 @@ Lists = Tuple[Tuple[int, ...], ...]
 
 DEFAULT_N_LIMIT = 10
 
-# The most list assignments one exhaustive check may try.
-MAX_ASSIGNMENT_CHECKS = 100_000
+# The most steps one exhaustive walk may take: nodes entered, leaf checks
+# and colourer backtrack steps.
+MAX_WALK_STEPS = 100_000
 
 # Graphs up to this many edges get an orientation certificate search before
 # the exhaustive one.  This picks a method; it is not a guard: on a denser
@@ -88,7 +89,9 @@ def is_k_choosable(graph: Graph, k: int) -> ChoosabilityVerdict:
     assignment on "no".  Inputs beyond ``DEFAULT_N_LIMIT`` vertices are
     rejected, not approximated.  The certificate search raises
     ``SizeLimitExceededError`` past ``alon_tarsi.MAX_DP_STATES`` tree nodes
-    and DP states, the enumeration past ``MAX_ASSIGNMENT_CHECKS`` assignments.
+    and DP states, the enumeration past ``MAX_WALK_STEPS`` steps of its
+    walk (``_first_uncolourable``); the first assignment's test is not
+    charged.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -109,7 +112,9 @@ def is_k_choosable(graph: Graph, k: int) -> ChoosabilityVerdict:
     return ChoosabilityVerdict(choosable=False, witness=ListAssignment(lists=witness), method="exhaustive")
 
 
-def _colourer(graph: Graph, sizes: Sequence[int], core: int) -> Callable[..., bool]:
+def _colourer(
+    graph: Graph, sizes: Sequence[int], core: int, spend: Callable[[int], None] = lambda work: None
+) -> Callable[..., bool]:
     """A test of whether the vertices of ``core``, a nonempty bitmask, can
     be coloured properly from lists given as one colour bitmask per vertex
     of ``graph``.  They are coloured smallest list first, then highest
@@ -121,7 +126,8 @@ def _colourer(graph: Graph, sizes: Sequence[int], core: int) -> Callable[..., bo
     as the vertices left so far peel away by their fresh colours
     (``_peel``): those take fresh colours last, in reverse order of their
     dropping.  So a True answer holds for every choice of fresh colours.
-    The fresh option is tried after the list colours."""
+    The fresh option is tried after the list colours.  Each backtrack step
+    is charged to ``spend``, one unit each."""
     order = sorted((v for v in range(graph.n) if core >> v & 1), key=lambda v: (sizes[v], -graph.degree(v)))
     n = len(order)
     at = {v: i for i, v in enumerate(order)}
@@ -146,6 +152,7 @@ def _colourer(graph: Graph, sizes: Sequence[int], core: int) -> Callable[..., bo
                 f |= fresh_bit
             free[i] = f
             while not f:
+                spend(1)
                 i -= 1
                 if i < 0:
                     return False
@@ -180,112 +187,10 @@ def _peel(nbr: Sequence[int], colours: Sequence[int], alive: int) -> int:
             return alive
 
 
-class _TypeTable:
-    """The shared colour types of one walk over ``n`` vertices, the open
-    ones per set of full vertices, and the number of assignments in each
-    subtree of the walk.
-
-    A shared type is a set of at least two vertices, kept as a bitmask;
-    ``shared`` holds them largest first, then by value, the order in which
-    the walk takes them, and ``members`` the vertices of each.  Singleton
-    types would come last, in vertex order, and each could only take all
-    its vertex's remaining colours: those are the private ones."""
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.shared = sorted((t for t in range(1, 1 << n) if t & (t - 1)), key=lambda t: (-t.bit_count(), t))
-        self.members = [[v for v in range(n) if t >> v & 1] for t in self.shared]
-        self.opened: Dict[int, List[int]] = {}
-        self.blocks: Dict[int, List[Tuple[int, int]]] = {}
-        # per state of ``count``, its count; None is a state with no type left
-        self.counted: Dict[Optional[Tuple[int, Tuple[int, ...]]], int] = {None: 1}
-
-    def open(self, full: int) -> List[int]:
-        """The indices of the types with no vertex of ``full``, a bitmask."""
-        if full not in self.opened:
-            self.opened[full] = [j for j, t in enumerate(self.shared) if not t & full]
-        return self.opened[full]
-
-    def count(self, i: int, remaining: Sequence[int], cap: int) -> int:
-        """The number of canonical assignments in a subtree of the walk
-        whose children add the types from ``i`` on, with ``remaining[v]``
-        colours still to give each vertex v, or ``cap`` if there are at
-        least that many.
-
-        They are the sets of (type, multiplicity) pairs, types from ``i`` on
-        and each at most once, whose multiplicities at each vertex sum to at
-        most its remaining colours; the empty set is the subtree's root.  So
-        a state (i, remaining) counts the sets without type i, a state of
-        i + 1, and those with it at each multiplicity, one state of i + 1
-        each.  A count depends on its state alone and is kept by the table.
-        The states are followed on a stack, not by recursion.  No state
-        counts more sets than the one it was reached from, so the first
-        count to reach ``cap`` ends the search."""
-        counted = self.counted
-        top = self._state(i, tuple(remaining))
-        stack = [top]
-        # per state on the stack, the states it adds up
-        parts: Dict[Tuple[int, Tuple[int, ...]], list] = {}
-        while stack:
-            state = stack[-1]
-            if state in counted:
-                stack.pop()
-                continue
-            if state not in parts:
-                i, rem = state
-                mem = self.members[i]
-                parts[state] = [self._state(i + 1, rem)]
-                below = list(rem)
-                for _ in range(min([rem[v] for v in mem])):
-                    for v in mem:
-                        below[v] -= 1
-                    parts[state].append(self._state(i + 1, tuple(below)))
-                missing = [p for p in parts[state] if p not in counted]
-                if missing:
-                    stack.extend(missing)
-                    continue
-            total = sum([counted[p] for p in parts.pop(state)])
-            if total >= cap:
-                return cap
-            counted[state] = total
-            stack.pop()
-        return min(counted[top], cap)
-
-    def _state(self, i: int, rem: Tuple[int, ...]) -> Optional[Tuple[int, Tuple[int, ...]]]:
-        """The state that counts as (i, rem) does: i moved on to the first
-        open type, None if there is none, and ``rem`` sorted within each
-        block of vertices that the types from i on treat alike.
-
-        From the first type of each size on, the types left are every set
-        of that size or smaller: one block of all vertices.  Past it, the
-        types of that size left are those above type i by value, and a
-        renaming of the vertices within one gap of type i's members, below
-        the first, between two or above the last, maps them onto each
-        other."""
-        types = self.open(sum(1 << v for v, r in enumerate(rem) if not r))
-        at = bisect_left(types, i)
-        if at == len(types):
-            return None
-        i = types[at]
-        if i not in self.blocks:
-            t = self.shared[i]
-            if not i or t.bit_count() < self.shared[i - 1].bit_count():
-                self.blocks[i] = [(0, self.n)]
-            else:
-                cuts = [-1] + self.members[i] + [self.n]
-                self.blocks[i] = [(a + 1, b) for a, b in zip(cuts, cuts[1:]) if b - a > 2]
-        if self.blocks[i]:
-            rem = list(rem)
-            for lo, hi in self.blocks[i]:
-                rem[lo:hi] = sorted(rem[lo:hi])
-            rem = tuple(rem)
-        return i, rem
-
-
 def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
     """The first canonical assignment with these sizes that has no proper
-    colouring, or None.  Raises ``SizeLimitExceededError`` when the
-    (``MAX_ASSIGNMENT_CHECKS`` + 1)-th assignment would be checked.
+    colouring, or None.  Raises ``SizeLimitExceededError`` when the walk
+    would take its (``MAX_WALK_STEPS`` + 1)-th step.
 
     The canonical assignments are the nodes of a tree: a child adds one
     shared colour type, a set of at least two vertices, with a multiplicity,
@@ -301,31 +206,38 @@ def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
     core that ``_peel`` leaves; an empty core passes without a search.
 
     Before the walk enters a node with a child, it tests whether every
-    assignment in the node's subtree passes, and if so spends the subtree's
-    exact number of assignments, ``_TypeTable.count``, in one call; every
-    witness, count and budget boundary stays that of a walk that enters
-    every node.  Below the node each vertex v keeps its colours so far and
-    gets ``remaining[v]`` fresh ones, which no vertex has yet but which
-    may repeat among vertices in any way.  The test, ``_colourer`` with
-    those fresh counts, seeks a proper colouring from the colours so far
-    in which some vertices are left to fresh colours, so long as those
-    peel away by their fresh colours: in every assignment below, the
-    others keep their colours, and the vertices left take fresh ones in
-    reverse order of their dropping.  It colours only the core that
-    ``_peel`` leaves of the graph with the full list sizes: any other
-    vertex has more colours than neighbours left in any assignment.
+    assignment in the node's subtree passes, and if so skips the subtree.
+    Below the node each vertex v keeps its colours so far and gets
+    ``remaining[v]`` fresh ones, which no vertex has yet but which may
+    repeat among vertices in any way.  The test, ``_colourer`` with those
+    fresh counts, seeks a proper colouring from the colours so far in
+    which some vertices are left to fresh colours, so long as those peel
+    away by their fresh colours: in every assignment below, the others
+    keep their colours, and the vertices left take fresh ones in reverse
+    order of their dropping.  It colours only the core that ``_peel``
+    leaves of the graph with the full list sizes: any other vertex has
+    more colours than neighbours left in any assignment.
+
+    The walk is charged for the work it does: one step per node entered,
+    one per leaf check and one per backtrack step of a colourer, in skip
+    tests and leaf checks alike.  A skipped subtree costs only its test.
     """
     n = len(sizes)
-    table = _TypeTable(n)
-    members = table.members
-    budget = WorkBudget(MAX_ASSIGNMENT_CHECKS, "exhaustive check", "assignments")
-    spend = budget.spend
+    # The shared colour types, kept as bitmasks, largest first, then by
+    # value: the order in which the walk takes them.  Singleton types would
+    # come last, in vertex order, and each could only take all its vertex's
+    # remaining colours: those are the private ones.
+    shared = sorted((t for t in range(1, 1 << n) if t & (t - 1)), key=lambda t: (-t.bit_count(), t))
+    members = [[v for v in range(n) if t >> v & 1] for t in shared]
+    spend = WorkBudget(MAX_WALK_STEPS, "exhaustive check", "steps").spend
     nbr = _neighbours(graph)
     # the vertices that a subtree's test colours
     core = _peel(nbr, sizes, (1 << n) - 1)
     masks = [0] * n
     remaining = list(sizes)
-    # per mask of full vertices, the core of a leaf's check
+    # per mask of full vertices, the indices of the types that avoid them
+    # and the core of a leaf's check
+    opened: Dict[int, List[int]] = {}
     cores: Dict[int, int] = {}
     colourers: Dict[int, Callable[..., bool]] = {}
 
@@ -335,7 +247,7 @@ def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
         if not part:
             return True
         if part not in colourers:
-            colourers[part] = _colourer(graph, sizes, part)
+            colourers[part] = _colourer(graph, sizes, part, spend)
         return colourers[part](masks, *fresh)
 
     # A node with no child is checked where it is met; ``base`` is the next
@@ -359,12 +271,14 @@ def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
     # its children have: the colours of a child's type are private here,
     # and a private colour clashes with nothing.
     def visit(i: int, full: int, base: int) -> Optional[List[int]]:
-        types = table.open(full)
+        spend(1)
+        if full not in opened:
+            opened[full] = [j for j, t in enumerate(shared) if not t & full]
+        types = opened[full]
         start = bisect_left(types, i)
         if start == len(types):
             return leaf(full, base)
         if colourable(core, remaining):
-            spend(table.count(i, remaining, budget.left + 1))
             return None
         for j in types[start:]:
             mem = members[j]
@@ -382,7 +296,6 @@ def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
                 for v in mem:
                     masks[v] ^= bits
                     remaining[v] += mult
-        spend(1)
         return None
 
     try:
@@ -399,7 +312,7 @@ def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
 def check_extension(config: ReducibleConfig) -> bool:
     """True iff the inner graph is colorable from every assignment with the
     configured residual sizes.  Raises ``SizeLimitExceededError`` past
-    ``MAX_ASSIGNMENT_CHECKS`` assignments.
+    ``MAX_WALK_STEPS`` steps of the walk (``_first_uncolourable``).
 
     First ``_peel`` drops every vertex with more colours than neighbours
     left, which keeps the answer.  What is left is tested on the walk's
@@ -407,7 +320,7 @@ def check_extension(config: ReducibleConfig) -> bool:
     walk's answer, and no certificate exists.  Then, on a graph of at most
     ``_AT_MAX_EDGES`` edges, an orientation certificate for the sizes left
     answers True.  The walk decides the rest, also where the certificate
-    search runs out of its budget.  Lists as long as the degrees of a
+    search runs out of its budget; only the walk is charged steps.  Lists as long as the degrees of a
     connected graph that is not a Gallai tree always have a certificate
     (Hladký, Král' and Schauz, 2010)."""
     inner, sizes = config.inner, config.residual_sizes

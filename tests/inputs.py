@@ -1,13 +1,24 @@
 """Test inputs built in code: seeded triangulated grids (plane embeddings
 large enough to hold many overlapping trios), seeded stacked
 triangulations (whose links have chords), wheels, the trio embedding,
-and the graph6 and embedding-JSON writers that put graphs into files for
-the CLI."""
+a dense graph whose exhaustive walk runs out of steps, and the graph6 and
+embedding-JSON writers that put graphs into files for the CLI."""
 
 import math
 import random
 
 from dischargekit.core import Graph, PlaneGraph, build_graph, embedding_from_json
+
+
+# A dense 10-vertex graph, 36 of the 45 edges, from a seeded sweep of such
+# graphs.  With lists of 5 the peel drops nothing, no certificate is sought
+# on more than choosability._AT_MAX_EDGES edges, and the exhaustive walk
+# needs more than choosability.MAX_WALK_STEPS steps.
+STEP_BUDGET_EXIT = [
+    (0, 1), (0, 2), (0, 4), (0, 5), (0, 6), (0, 7), (0, 9), (1, 2), (1, 3), (1, 4), (1, 5), (1, 7),
+    (1, 8), (1, 9), (2, 3), (2, 4), (2, 5), (2, 6), (2, 9), (3, 4), (3, 6), (3, 7), (3, 9), (4, 5),
+    (4, 6), (4, 7), (4, 8), (4, 9), (5, 6), (5, 7), (6, 7), (6, 8), (6, 9), (7, 8), (7, 9), (8, 9),
+]
 
 
 def triangulated_grid(side: int, share: float, seed: int) -> PlaneGraph:

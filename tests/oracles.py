@@ -833,12 +833,19 @@ def iter_canonical_assignments_all_types(sizes: Sequence[int]):
     return rec(0, list(sizes))
 
 
+# The most assignments (or (assignment, pick) pairs) that one exhaustive
+# oracle below may check, read at call time.  The package's walk has a
+# budget of its own, in steps; tests lower this one to keep an oracle to a
+# second or two.
+MAX_ORACLE_ASSIGNMENTS = 100_000
+
+
 def _count_check(checked: int) -> int:
-    """``checked + 1``, or ``SizeLimitExceededError`` past the package's
-    assignment budget, read at call time."""
-    if checked >= choosability.MAX_ASSIGNMENT_CHECKS:
+    """``checked + 1``, or ``SizeLimitExceededError`` past
+    ``MAX_ORACLE_ASSIGNMENTS``."""
+    if checked >= MAX_ORACLE_ASSIGNMENTS:
         raise SizeLimitExceededError(
-            f"exhaustive check needs more than {choosability.MAX_ASSIGNMENT_CHECKS} (assignment, pick) pairs"
+            f"exhaustive check needs more than {MAX_ORACLE_ASSIGNMENTS} (assignment, pick) pairs"
         )
     return checked + 1
 
@@ -847,12 +854,10 @@ def first_uncolourable_loop(graph: Graph, sizes: Sequence[int]) -> Optional[List
     """Oracle for ``choosability._first_uncolourable``: the first
     assignment of ``iter_canonical_assignments`` that ``l_color`` cannot
     colour, or None.  Raises ``SizeLimitExceededError`` when the
-    (``MAX_ASSIGNMENT_CHECKS`` + 1)-th assignment would be checked."""
+    (``MAX_ORACLE_ASSIGNMENTS`` + 1)-th assignment would be checked."""
     for checked, lists in enumerate(iter_canonical_assignments(sizes)):
-        if checked >= choosability.MAX_ASSIGNMENT_CHECKS:
-            raise SizeLimitExceededError(
-                f"exhaustive check needs more than {choosability.MAX_ASSIGNMENT_CHECKS} assignments"
-            )
+        if checked >= MAX_ORACLE_ASSIGNMENTS:
+            raise SizeLimitExceededError(f"exhaustive check needs more than {MAX_ORACLE_ASSIGNMENTS} assignments")
         if l_color(graph, lists) is None:
             return lists
     return None
@@ -860,9 +865,9 @@ def first_uncolourable_loop(graph: Graph, sizes: Sequence[int]) -> Optional[List
 
 def first_uncolourable_unpruned(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
     """Oracle for ``choosability._first_uncolourable``: the same walk over
-    the canonical colour-type tree, with the same budget, but entering
-    every node, so every assignment spends one check and every leaf is
-    coloured.
+    the canonical colour-type tree, but entering every node, so every leaf
+    is coloured, and charged one check per assignment against
+    ``MAX_ORACLE_ASSIGNMENTS``.
 
     A node with a child passes once that child has, so only the leaves
     are coloured.  A vertex with a private colour can take it last, so a
@@ -876,7 +881,7 @@ def first_uncolourable_unpruned(graph: Graph, sizes: Sequence[int]) -> Optional[
     # take all its vertex's remaining colours: those are the private ones.
     shared = sorted((t for t in range(1, 1 << n) if t & (t - 1)), key=lambda t: (-bin(t).count("1"), t))
     members = [[v for v in range(n) if t >> v & 1] for t in shared]
-    spend = WorkBudget(choosability.MAX_ASSIGNMENT_CHECKS, "exhaustive check", "assignments").spend
+    spend = WorkBudget(MAX_ORACLE_ASSIGNMENTS, "exhaustive check", "assignments").spend
     nbr = choosability._neighbours(graph)
     masks = [0] * n
     remaining = list(sizes)
@@ -946,7 +951,7 @@ def check_extension_with_rechoice(config: ReducibleConfig, choice_set: Sequence[
     residual sizes there exist colour selections for the choice vertices
     (proper among adjacent choice vertices) whose removal from neighbouring
     lists leaves the remaining vertices colourable.  Raises
-    ``SizeLimitExceededError`` past ``MAX_ASSIGNMENT_CHECKS``
+    ``SizeLimitExceededError`` past ``MAX_ORACLE_ASSIGNMENTS``
     (assignment, selection) pairs."""
     if not choice_set:
         raise ValueError("choice_set must be nonempty")

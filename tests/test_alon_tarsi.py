@@ -3,6 +3,7 @@ import random
 import time
 from collections import Counter
 
+import oracles
 import pytest
 
 from inputs import triangulated_grid
@@ -350,7 +351,7 @@ class TestListSizes:
     def test_certificates_only_where_the_walk_says_yes(self, monkeypatch):
         # random sizes, and sizes near the degrees; a smaller budget keeps
         # the walk oracle to a few seconds, and the search keeps its own
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 500)
+        monkeypatch.setattr(oracles, "MAX_ORACLE_ASSIGNMENTS", 500)
         rng = random.Random(23)
         outcomes = Counter()
         for case in range(400):

@@ -1,13 +1,16 @@
 import itertools
 import json
 import random
+import sys
 from collections import Counter
 
+import oracles
 import pytest
-from inputs import wheel
+from inputs import STEP_BUDGET_EXIT, wheel
 
 from dischargekit import alon_tarsi, choosability, fixtures
 from dischargekit.choosability import (
+    ChoosabilityVerdict,
     ListAssignment,
     ReducibleConfig,
     check_extension,
@@ -148,38 +151,6 @@ class TestCanonicalAssignments:
         assert second == ((0,),) * 9 + ((1,),)
 
 
-class TestSubtreeCount:
-    """``_TypeTable.count`` from the root against the length of the oracle
-    stream, which yields every canonical assignment once."""
-
-    def test_every_size_vector_to_five_vertices(self):
-        for n in range(6):
-            for sizes in itertools.product(range(4), repeat=n):
-                want = sum(1 for _ in iter_canonical_assignments(sizes))
-                assert choosability._TypeTable(n).count(0, sizes, want + 1) == want, sizes
-
-    def test_seeded_sizes_to_seven_vertices_and_the_cap(self):
-        # a stream longer than the limit is only compared up to it
-        limit = 20_000
-        rng = random.Random(71)
-        exact = 0
-        for _ in range(60):
-            n = rng.randint(6, 7)
-            sizes = tuple(rng.randint(0, 3) for _ in range(n))
-            want = sum(1 for _ in itertools.islice(iter_canonical_assignments(sizes), limit))
-            if want < limit:
-                table = choosability._TypeTable(n)
-                assert table.count(0, sizes, want + 1) == want, sizes
-                exact += 1
-            # the cap where the count is at least the cap, on a new table
-            # and on one that keeps counts of earlier calls
-            for cap in {1, max(1, want // 3), want}:
-                assert choosability._TypeTable(n).count(0, sizes, cap) == cap, (sizes, cap)
-                if want < limit:
-                    assert table.count(0, sizes, cap) == cap, (sizes, cap)
-        assert 20 <= exact < 60, exact
-
-
 def first_or_error(find, graph, sizes):
     """``find(graph, sizes)``, or the message of the budget error it raises."""
     try:
@@ -188,29 +159,77 @@ def first_or_error(find, graph, sizes):
         return str(exc)
 
 
-def oracle_checks(graph, sizes):
-    """The assignments the oracle stream checks: up to and including its
-    first uncolourable one, or all of them."""
-    checked = 0
-    for lists in iter_canonical_assignments(sizes):
-        checked += 1
-        if l_color(graph, lists) is None:
-            break
-    return checked
+def components(graph):
+    """The connected components of ``graph``, each a graph of its own."""
+    left, parts = set(range(graph.n)), []
+    while left:
+        part, stack = set(), [min(left)]
+        while stack:
+            v = stack.pop()
+            if v not in part:
+                part.add(v)
+                stack.extend(graph.adjacency[v] - part)
+        left -= part
+        index = {v: i for i, v in enumerate(sorted(part))}
+        parts.append(build_graph([(index[u], index[v]) for u, v in graph.edges if u in part], n=len(part)))
+    return parts
+
+
+def assert_consistent(graph, sizes, got, want):
+    """The walk's answer ``got`` against the oracle's ``want``, each an
+    uncolourable assignment, None or a budget message.  Where both answer,
+    the answers are the same.  Where only the walk answers, a witness has
+    the sizes and no colouring (``l_color_brute``), and with lists of 2 the
+    answer is that of Erdős–Rubin–Taylor on every component."""
+    if isinstance(got, str):
+        return
+    if not isinstance(want, str):
+        assert got == want, (graph.edges, sizes)
+        return
+    if got is not None:
+        assert [len(lst) for lst in got] == list(sizes), (graph.edges, sizes)
+        assert l_color_brute(graph, got) is None, (graph.edges, sizes)
+    if set(sizes) == {2}:
+        assert (got is None) == all(ert_two_choosable(part) for part in components(graph)), (graph.edges, sizes)
+
+
+def walk_steps(monkeypatch):
+    """A list that gains, per budget the walk makes, the steps spent on it."""
+    spent = []
+
+    class Recording(WorkBudget):
+        def __init__(self, *args):
+            super().__init__(*args)
+            spent.append(0)
+
+        def spend(self, work):
+            spent[-1] += work
+            super().spend(work)
+
+    monkeypatch.setattr(choosability, "WorkBudget", Recording)
+    return spent
 
 
 class TestFirstUncolourable:
     """The fused walk against the first assignment of the oracle stream
     that the oracle ``l_color`` cannot colour."""
 
-    def assert_agrees(self, graph, sizes):
+    @staticmethod
+    def answers(graph, sizes):
+        # the walk's and the oracle's answers; the walk answers wherever
+        # the oracle does, within its own budget
         got = first_or_error(choosability._first_uncolourable, graph, sizes)
-        assert got == first_or_error(first_uncolourable_loop, graph, sizes), (graph.edges, sizes)
-        return got
+        want = first_or_error(first_uncolourable_loop, graph, sizes)
+        assert not isinstance(got, str) or isinstance(want, str), (graph.edges, sizes)
+        assert_consistent(graph, sizes, got, want)
+        return got, want
+
+    def assert_agrees(self, graph, sizes):
+        return self.answers(graph, sizes)[0]
 
     def test_random_graphs(self, monkeypatch):
         # a smaller budget keeps the oracle to a second or two
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 3_000)
+        monkeypatch.setattr(oracles, "MAX_ORACLE_ASSIGNMENTS", 3_000)
         rng = random.Random(5)
         outcomes = Counter()
         for _ in range(300):
@@ -227,8 +246,9 @@ class TestFirstUncolourable:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_choose_small_graphs(self, k, monkeypatch):
-        # the first 2,000 assignments of each; see test_pinned_witnesses
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 2_000)
+        # the oracle checks the first 2,000 assignments of each; see
+        # test_pinned_witnesses
+        monkeypatch.setattr(oracles, "MAX_ORACLE_ASSIGNMENTS", 2_000)
         for graph in CHOOSE_SMALL.values():
             self.assert_agrees(graph, [k] * graph.n)
 
@@ -251,37 +271,44 @@ class TestFirstUncolourable:
             n = rng.randint(2, 5)
             g = build_graph([e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5], n=n)
             cases.append((g, tuple(rng.randint(1, 3) for _ in range(n))))
-        expected = [(oracle_checks(g, sizes), first_uncolourable_loop(g, sizes)) for g, sizes in cases]
-        for (graph, sizes), (needed, want) in zip(cases, expected):
-            monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", needed)
+        # the steps each walk takes; at that limit it gives the same answer,
+        # and one step less ends it on the budget
+        spent = walk_steps(monkeypatch)
+        expected = [choosability._first_uncolourable(g, sizes) for g, sizes in cases]
+        assert expected == [first_uncolourable_loop(g, sizes) for g, sizes in cases]
+        for (graph, sizes), want, needed in zip(cases, expected, list(spent)):
+            monkeypatch.setattr(choosability, "MAX_WALK_STEPS", needed)
             assert choosability._first_uncolourable(graph, sizes) == want
-            monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", needed - 1)
-            message = f"^exhaustive check needs more than {needed - 1} assignments$"
+            monkeypatch.setattr(choosability, "MAX_WALK_STEPS", needed - 1)
+            message = f"^exhaustive check needs more than {needed - 1} steps$"
             with pytest.raises(SizeLimitExceededError, match=message):
                 choosability._first_uncolourable(graph, sizes)
 
     def test_eight_to_ten_vertices(self, monkeypatch):
-        # answers and budget messages where the random test above stops;
-        # half the graphs keep lists of 2 or 3 on vertices of degree 2 or
-        # more, so that their first assignment is often colourable
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 1_000)
+        # answers where the random test above stops, many of them where the
+        # oracle runs out of its budget; half the graphs keep lists of 2 or
+        # 3 on vertices of degree 2 or more, so that their first assignment
+        # is often colourable
+        monkeypatch.setattr(oracles, "MAX_ORACLE_ASSIGNMENTS", 1_000)
         rng = random.Random(61)
         outcomes = Counter()
         for case in range(40):
             n = rng.randint(8, 10)
             g = build_graph([e for e in itertools.combinations(range(n), 2) if rng.random() < 0.25], n=n)
             low = [1 if case % 2 or g.degree(v) < 2 else 2 for v in range(n)]
-            got = self.assert_agrees(g, tuple(rng.randint(low[v], 3) for v in range(n)))
-            outcomes[type(got)] += 1
-        assert outcomes[tuple] >= 10 and outcomes[str] >= 10, outcomes
+            got, want = self.answers(g, tuple(rng.randint(low[v], 3) for v in range(n)))
+            outcomes[type(got), isinstance(want, str)] += 1
+        assert outcomes[tuple, False] >= 10 and outcomes[type(None), True] >= 10, outcomes
 
     def test_ten_vertices(self, monkeypatch):
-        # the vertex count that DEFAULT_N_LIMIT admits; 1,013 shared types
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 2_000)
+        # the vertex count that DEFAULT_N_LIMIT admits; 1,013 shared types.
+        # The oracle stops after 2,000 assignments; the walk skips the whole
+        # tree of the edgeless graph and of the path at its first test
+        monkeypatch.setattr(oracles, "MAX_ORACLE_ASSIGNMENTS", 2_000)
         late = complete_bipartite(2, 4, offset=4, n=10)
         assert self.assert_agrees(late, [2] * 6 + [1] * 4) == ((0, 1),) * 6 + ((0,),) * 3 + ((1,),)
-        assert self.assert_agrees(build_graph([], n=10), [1] * 10).startswith("exhaustive check")
-        assert self.assert_agrees(build_graph([(i, i + 1) for i in range(9)]), [2] * 10).startswith("exhaustive")
+        assert self.assert_agrees(build_graph([], n=10), [1] * 10) is None
+        assert self.assert_agrees(build_graph([(i, i + 1) for i in range(9)]), [2] * 10) is None
         assert self.assert_agrees(wheel(9).graph, [3] * 10) == ((0, 1, 2),) * 10
 
 
@@ -291,29 +318,33 @@ class TestSkips:
 
     @staticmethod
     def record(monkeypatch):
-        # the work of each spend of the walk's budget, and the number of
-        # subtrees counted in one call
-        spent, skips = [], []
-        real_count = choosability._TypeTable.count
+        # the steps of each walk, and one entry per subtree skipped: per
+        # test with fresh colours that passes
+        skips = []
+        real = choosability._colourer
 
-        class Recording(WorkBudget):
-            def spend(self, work):
-                spent.append(work)
-                super().spend(work)
+        def colourer(*args):
+            test = real(*args)
 
-        def count(table, i, remaining, cap):
-            skips.append(i)
-            return real_count(table, i, remaining, cap)
+            def recording(masks, *fresh):
+                passed = test(masks, *fresh)
+                if fresh and passed:
+                    skips.append(fresh)
+                return passed
 
-        monkeypatch.setattr(choosability, "WorkBudget", Recording)
-        monkeypatch.setattr(choosability._TypeTable, "count", count)
-        return spent, skips
+            return recording
+
+        monkeypatch.setattr(choosability, "_colourer", colourer)
+        return walk_steps(monkeypatch), skips
 
     def test_equals_the_unpruned_walk(self, monkeypatch):
+        # the oracle stops after 3,000 assignments; the walk's limit varies,
+        # and at the full one it answers wherever the oracle does
+        monkeypatch.setattr(oracles, "MAX_ORACLE_ASSIGNMENTS", 3_000)
         spent, skips = self.record(monkeypatch)
         rng = random.Random(73)
         outcomes = Counter()
-        skipped = 0
+        skipped = tested = 0
         for case in range(400):
             n = rng.randint(1, 9)
             p = rng.random()
@@ -321,30 +352,70 @@ class TestSkips:
             # a vertex of degree 2 or more gets at least 2 colours, so that
             # the first assignment often colours
             sizes = tuple(rng.randint(min(2, max(1, g.degree(v))), 3) for v in range(n))
-            monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", (1, 7, 100, 3_000)[case % 4])
+            limit = (1, 7, 100, 100_000)[case % 4]
+            monkeypatch.setattr(choosability, "MAX_WALK_STEPS", limit)
             skips.clear()
             got = first_or_error(choosability._first_uncolourable, g, sizes)
-            assert got == first_or_error(first_uncolourable_unpruned, g, sizes), (g.edges, sizes)
-            skipped += bool(skips)
+            want = first_or_error(first_uncolourable_unpruned, g, sizes)
+            if isinstance(got, str):
+                assert got == f"exhaustive check needs more than {limit} steps", (g.edges, sizes)
+                assert limit < 100_000 or isinstance(want, str), (g.edges, sizes)
+            assert_consistent(g, sizes, got, want)
+            # a subtree was skipped: a test with fresh colours passed, or
+            # the walk answered at the root, whose core peels to nothing
+            tested += bool(skips)
+            skipped += bool(skips) or (spent[-1] == 1 and got is None)
             outcomes[type(got)] += 1
-        assert skipped >= 200, skipped
+        assert skipped >= 200 and tested >= 10, (skipped, tested)
         assert min(outcomes[tuple], outcomes[str], outcomes[type(None)]) >= 50, (skipped, outcomes)
 
     @pytest.mark.parametrize(
-        "graph, sizes, checks",
-        [
-            (CHOOSE_SMALL["K2,4"], [2] * 6, 14_508),
-            (CHOOSE_SMALL["K3,3"], [2] * 6, None),
-            (H.inner, H.residual_sizes, 6_319),
-        ],
+        "graph, sizes",
+        [(CHOOSE_SMALL["K2,4"], [2] * 6), (CHOOSE_SMALL["K3,3"], [2] * 6), (H.inner, H.residual_sizes)],
         ids=["K2,4", "K3,3", "H"],
     )
-    def test_few_nodes_visited(self, graph, sizes, checks, monkeypatch):
-        # every assignment is still spent, most of them in skipped subtrees
+    def test_few_nodes_visited(self, graph, sizes, monkeypatch):
+        # fewer than 200 steps, where the oracle stream checks 14,508
+        # assignments of K2,4 and 6,319 of H: most subtrees are skipped
         spent, skips = self.record(monkeypatch)
         choosability._first_uncolourable(graph, sizes)
-        assert len(spent) - len(skips) < 200, (len(spent), len(skips))
-        assert sum(spent) == (checks or oracle_checks(graph, sizes))
+        assert spent == [spent[0]] and spent[0] < 200 and skips, (spent, len(skips))
+
+
+class TestStepBudget:
+    """What the walk's budget counts, seen from outside the budget."""
+
+    def test_steps_reach_the_limit_and_stop_there(self, monkeypatch):
+        # STEP_BUDGET_EXIT with lists of 5.  Nodes entered and leaf checks
+        # are counted as calls of the walk's ``visit`` and ``leaf``, and
+        # colourer backtracks through the ``spend`` each colourer is given,
+        # each before it is charged: the raise comes on step
+        # MAX_WALK_STEPS + 1, after exactly MAX_WALK_STEPS were charged
+        counts = Counter()
+        real = choosability._colourer
+
+        def colourer(graph, sizes, core, spend):
+            def counted(work):
+                counts["backtrack"] += work
+                spend(work)
+
+            return real(graph, sizes, core, counted)
+
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and code.co_name in ("visit", "leaf") and code.co_filename == choosability.__file__:
+                counts[code.co_name] += 1
+
+        monkeypatch.setattr(choosability, "_colourer", colourer)
+        graph = build_graph(STEP_BUDGET_EXIT)
+        sys.setprofile(profile)
+        try:
+            with pytest.raises(SizeLimitExceededError, match="^exhaustive check needs more than 100000 steps$"):
+                choosability._first_uncolourable(graph, [5] * 10)
+        finally:
+            sys.setprofile(None)
+        assert min(counts["visit"], counts["leaf"], counts["backtrack"]) > 0, counts
+        assert sum(counts.values()) == choosability.MAX_WALK_STEPS + 1, counts
 
 
 class TestKChoosable:
@@ -374,9 +445,10 @@ class TestKChoosable:
         assert verdict.witness.lists == ((0, 1, 2, 3),) * 10
 
     def test_witnesses_are_the_walks_first(self, monkeypatch):
-        # every "no" is the oracle's first uncolourable assignment; half
+        # every "no" is the oracle's first uncolourable assignment where the
+        # oracle finds one in 2,000 checks, and fails l_color_brute; half
         # the graphs are bipartite, asked at k = 2
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 2_000)
+        monkeypatch.setattr(oracles, "MAX_ORACLE_ASSIGNMENTS", 2_000)
         rng = random.Random(67)
         outcomes = Counter()
         for _ in range(300):
@@ -391,18 +463,21 @@ class TestKChoosable:
                 outcomes["over budget"] += 1
                 continue
             if not verdict.choosable:
-                assert verdict.witness.lists == first_uncolourable_loop(g, [k] * n), (g.edges, k)
+                want = first_or_error(first_uncolourable_loop, g, [k] * n)
+                assert_consistent(g, [k] * n, verdict.witness.lists, want)
+            elif k == 2:
+                assert all(ert_two_choosable(part) for part in components(g)), g.edges
             outcomes[verdict.choosable, verdict.method] += 1
         assert outcomes[False, "exhaustive"] >= 20 and outcomes[True, "alon-tarsi"] >= 5, outcomes
         assert outcomes["over budget"] <= 30, outcomes
 
     def test_k24_budget_boundary(self, monkeypatch):
-        # its pinned witness is the 14,508th assignment
+        # its pinned witness, the 14,508th assignment, after 169 steps
         k24 = CHOOSE_SMALL["K2,4"]
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 14_508)
+        monkeypatch.setattr(choosability, "MAX_WALK_STEPS", 169)
         assert is_k_choosable(k24, 2).witness.lists == ((0, 3), (1, 2), (0, 1), (0, 2), (1, 3), (2, 3))
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 14_507)
-        with pytest.raises(SizeLimitExceededError, match="^exhaustive check needs more than 14507 assignments$"):
+        monkeypatch.setattr(choosability, "MAX_WALK_STEPS", 168)
+        with pytest.raises(SizeLimitExceededError, match="^exhaustive check needs more than 168 steps$"):
             is_k_choosable(k24, 2)
 
     def test_exhaustive_agrees_with_auto(self):
@@ -440,19 +515,21 @@ class TestKChoosable:
 
     def test_assignment_budget(self, monkeypatch):
         # K2,3 is 2-choosable, but only the exhaustive loop shows it:
-        # 6 edges need more outdegree than lists of 2 allow
+        # 6 edges need more outdegree than lists of 2 allow; its walk takes
+        # 92 steps
         k23 = build_graph([(a, b) for a in range(2) for b in range(2, 5)])
-        assert is_k_choosable(k23, 2).method == "exhaustive"
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 10)
+        monkeypatch.setattr(choosability, "MAX_WALK_STEPS", 92)
+        assert is_k_choosable(k23, 2) == ChoosabilityVerdict(choosable=True, method="exhaustive")
+        monkeypatch.setattr(choosability, "MAX_WALK_STEPS", 91)
         assert is_k_choosable(C5, 3).method == "degeneracy"
-        with pytest.raises(SizeLimitExceededError):
+        with pytest.raises(SizeLimitExceededError, match="^exhaustive check needs more than 91 steps$"):
             is_k_choosable(k23, 2)
 
     def test_degeneracy(self, monkeypatch):
         # the degeneracy answer comes exactly when the k-core is empty; small
         # budgets cut short the searches that come after it
         nx = pytest.importorskip("networkx")
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 10)
+        monkeypatch.setattr(choosability, "MAX_WALK_STEPS", 10)
         monkeypatch.setattr(alon_tarsi, "MAX_DP_STATES", 100)
         rng = random.Random(19)
         methods = Counter()
@@ -477,13 +554,9 @@ class TestAtlas:
     """Every graph on at most 7 vertices, in the order of networkx's copy of
     the atlas of Read and Wilson, at k = 2, 3 and 4."""
 
-    # (atlas index, k) pairs that exit on the walk's budget (ROADMAP items
-    # 3, 9 and 10).  A change that answers one takes it out of the set.
-    BUDGET_EXITS = {
-        (254, 2), (304, 2), (308, 2), (347, 2), (370, 2), (392, 2), (396, 2), (405, 2), (411, 2),
-        (416, 2), (431, 2), (442, 2), (448, 2), (507, 2), (525, 2), (670, 2),
-        (1171, 3), (1202, 3), (1208, 3), (1210, 3), (1233, 3),
-    }
+    # (atlas index, k) pairs that exit on the walk's budget.  None does:
+    # the largest walk, at (1233, 3), takes 51,472 steps.
+    BUDGET_EXITS = set()
 
     def test_every_graph_to_seven_vertices(self):
         nx = pytest.importorskip("networkx")
@@ -509,8 +582,9 @@ class TestAtlas:
         assert exits == self.BUDGET_EXITS
         assert outcomes == {
             (2, "degeneracy", True): 80, (2, "alon-tarsi", True): 31,
-            (2, "exhaustive", True): 4, (2, "exhaustive", False): 1_122,
-            (3, "degeneracy", True): 659, (3, "alon-tarsi", True): 169, (3, "exhaustive", False): 420,
+            (2, "exhaustive", True): 16, (2, "exhaustive", False): 1_126,
+            (3, "degeneracy", True): 659, (3, "alon-tarsi", True): 169,
+            (3, "exhaustive", True): 5, (3, "exhaustive", False): 420,
             (4, "degeneracy", True): 1_150, (4, "alon-tarsi", True): 37, (4, "exhaustive", False): 66,
         }
 
@@ -554,7 +628,7 @@ class TestExtension:
     def test_rechoice_oracle_agrees_on_random_configs(self, monkeypatch):
         # every nonempty choice set of each configuration; a smaller budget
         # keeps the oracle's (assignment, pick) pairs to a second or two
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 600)
+        monkeypatch.setattr(oracles, "MAX_ORACLE_ASSIGNMENTS", 600)
         rng = random.Random(2)
         agreed = Counter()
         skipped = 0
@@ -577,7 +651,7 @@ class TestExtension:
     def test_sizes_cut_to_degree_plus_one_keep_the_answer(self, monkeypatch):
         # the oracle walks the sizes as given; a smaller budget keeps it to
         # a second or two, and configurations it cannot finish are skipped
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 1_000)
+        monkeypatch.setattr(oracles, "MAX_ORACLE_ASSIGNMENTS", 1_000)
         rng = random.Random(43)
         agreed = Counter()
         for _ in range(300):
@@ -597,7 +671,7 @@ class TestExtension:
     def test_peel_keeps_the_answer(self, monkeypatch):
         # configurations in which some vertex has more colours than
         # neighbours; the oracle walks the whole graph as given
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 1_000)
+        monkeypatch.setattr(oracles, "MAX_ORACLE_ASSIGNMENTS", 1_000)
         rng = random.Random(59)
         agreed = Counter()
         while sum(agreed.values()) < 150:
@@ -616,24 +690,20 @@ class TestExtension:
 
     def test_peel_cascades_along_a_path(self, monkeypatch):
         # each end of a path with 2-lists has one neighbour, so the peel
-        # eats the path from both ends and the walk checks one empty list
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 1)
+        # eats the path from both ends and no walk is needed
+        monkeypatch.setattr(choosability, "MAX_WALK_STEPS", 0)
         path = build_graph([(v, v + 1) for v in range(9)])
         assert check_extension(ReducibleConfig(path, (2,) * 10))
-        # a triangle closed at one end is left to the walk, which finds the
-        # 2-lists it cannot colour from
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 100)
+        # a triangle closed at one end is left, and its first assignment,
+        # 2-lists it cannot colour from, answers before the walk
+        monkeypatch.setattr(choosability, "MAX_WALK_STEPS", 0)
         lollipop = build_graph([(v, v + 1) for v in range(9)] + [(7, 9)])
         assert not check_extension(ReducibleConfig(lollipop, (2,) * 10))
 
-    # Seeded connected graphs whose degree-sized lists still exit on the
-    # walk's budget: Gallai trees, which have no certificate (ROADMAP items
-    # 3, 9 and 10).  A change that answers one takes it out of the set.
-    DEGREE_SIZED_EXITS = {
-        ((0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (3, 5)),
-        ((0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (2, 4), (3, 4), (3, 5), (3, 6)),
-        ((0, 1), (0, 2), (0, 5), (0, 6), (1, 2), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (5, 6)),
-    }
+    # Seeded connected graphs whose degree-sized lists exit on the walk's
+    # budget.  None does: the three Gallai trees that once did answer "no"
+    # (see tests/test_cli.py, TestReduce.GALLAI_TREES).
+    DEGREE_SIZED_EXITS = set()
 
     def test_degree_sizes_follow_the_gallai_tree_rule(self):
         # lists as long as the degrees of a connected graph: colourable from
@@ -681,25 +751,26 @@ class TestExtension:
         }
 
     # The square and H have orientation certificates, so check_extension
-    # answers them before the walk; their walks keep these counts.
+    # answers them before the walk; their walks take these steps.
     def test_assignment_budget(self, monkeypatch):
+        # 39 steps, where the square has 139 assignments
         assert sum(1 for _ in iter_canonical_assignments(SQUARE.residual_sizes)) == 139
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 139)
+        monkeypatch.setattr(choosability, "MAX_WALK_STEPS", 39)
         assert choosability._first_uncolourable(SQUARE.inner, SQUARE.residual_sizes) is None
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 138)
-        with pytest.raises(SizeLimitExceededError):
+        monkeypatch.setattr(choosability, "MAX_WALK_STEPS", 38)
+        with pytest.raises(SizeLimitExceededError, match="^exhaustive check needs more than 38 steps$"):
             choosability._first_uncolourable(SQUARE.inner, SQUARE.residual_sizes)
 
     def test_h_budget_boundary(self, monkeypatch):
-        # one check per assignment: H has 6,319
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 6_319)
+        # 75 steps, where H has 6,319 assignments
+        monkeypatch.setattr(choosability, "MAX_WALK_STEPS", 75)
         assert choosability._first_uncolourable(H.inner, H.residual_sizes) is None
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 6_318)
-        with pytest.raises(SizeLimitExceededError):
+        monkeypatch.setattr(choosability, "MAX_WALK_STEPS", 74)
+        with pytest.raises(SizeLimitExceededError, match="^exhaustive check needs more than 74 steps$"):
             choosability._first_uncolourable(H.inner, H.residual_sizes)
 
     def test_certificates_answer_before_the_walk(self, monkeypatch):
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 0)
+        monkeypatch.setattr(choosability, "MAX_WALK_STEPS", 0)
         assert check_extension(SQUARE) and check_extension(H)
         # K5 minus an edge with lists as long as the degrees is no Gallai tree
         edges = [e for e in itertools.combinations(range(5), 2) if e != (0, 1)]
@@ -708,7 +779,8 @@ class TestExtension:
     def test_search_budget_leaves_the_answer_to_the_walk(self):
         # a K6 on 0, 1, 2, 4, 6 and 7 with the path 6-5-3: its first
         # assignment colours, the certificate search runs out of its budget,
-        # and the walk finds an uncolourable assignment after 98,518 checks
+        # and the walk finds an uncolourable assignment in 326 steps, the
+        # 98,518th assignment
         edges = [
             (0, 1), (0, 2), (0, 4), (0, 6), (0, 7), (1, 2), (1, 4), (1, 6), (1, 7),
             (2, 4), (2, 6), (2, 7), (3, 5), (4, 6), (4, 7), (5, 6), (6, 7),
@@ -720,12 +792,12 @@ class TestExtension:
 
     def test_budget_boundary_without_a_certificate(self, monkeypatch):
         # K2,4 with lists of 2 has 8 edges, more than its 6 vertices' lists
-        # of 2 allow as outdegrees, so the walk decides after 14,508 checks
+        # of 2 allow as outdegrees, so the walk decides, in 169 steps
         k24 = ReducibleConfig(CHOOSE_SMALL["K2,4"], (2,) * 6)
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 14_508)
+        monkeypatch.setattr(choosability, "MAX_WALK_STEPS", 169)
         assert not check_extension(k24)
-        monkeypatch.setattr(choosability, "MAX_ASSIGNMENT_CHECKS", 14_507)
-        with pytest.raises(SizeLimitExceededError, match="^exhaustive check needs more than 14507 assignments$"):
+        monkeypatch.setattr(choosability, "MAX_WALK_STEPS", 168)
+        with pytest.raises(SizeLimitExceededError, match="^exhaustive check needs more than 168 steps$"):
             check_extension(k24)
 
 

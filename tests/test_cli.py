@@ -6,12 +6,13 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from inputs import embedding_to_json, triangulated_grid, trio_embedding, wheel, write_graph6
-from oracles import detect_report_tree, discharge_report_tree, role_in
+from inputs import STEP_BUDGET_EXIT, embedding_to_json, triangulated_grid, trio_embedding, wheel, write_graph6
+from oracles import detect_report_tree, discharge_report_tree, ert_two_choosable, l_color_brute, role_in
 
 import dischargekit
 from dischargekit import choosability, fixtures
@@ -245,6 +246,23 @@ class TestChoosable:
         assert (verdict["choosable"], verdict["method"]) == (False, "exhaustive")
         assert verdict["witness"] == {"lists": [[0, 1, 2, 3]] * 10}
 
+    def test_demo_graphs_at_k_2(self, capsys):
+        # every bundled demo graph is answered; each "no" witness has no
+        # colouring and each answer is that of Erdős–Rubin–Taylor
+        path = Path(dischargekit.__file__).parent / "data" / "demo_graphs.g6"
+        code, out = run(capsys, ["choosable", "--input", str(path), "--k", "2"])
+        assert code == 1
+        verdicts = json.loads(out)["verdicts"]
+        graphs = [parse_graph6(line) for line in path.read_text().split()]
+        assert len(verdicts) == len(graphs) == 50
+        methods = Counter()
+        for graph, verdict in zip(graphs, verdicts):
+            if not verdict["choosable"]:
+                assert l_color_brute(graph, verdict["witness"]["lists"]) is None
+            assert verdict["choosable"] is ert_two_choosable(graph)
+            methods[verdict["method"], verdict["choosable"]] += 1
+        assert methods == {("exhaustive", False): 30, ("degeneracy", True): 15, ("alon-tarsi", True): 5}
+
     def test_limit_n_enforced(self, tmp_path, capsys):
         path = tmp_path / "p11.g6"
         path.write_text(write_graph6(build_graph([(i, i + 1) for i in range(10)])) + "\n")
@@ -437,8 +455,7 @@ class TestReduce:
 
     def test_k5_minus_an_edge_answers(self, tmp_path):
         # lists as long as the degrees: the peel drops nothing, and an
-        # orientation certificate answers where the walk needs more
-        # assignments than its budget
+        # orientation certificate answers before the walk
         edges = [[u, v] for u in range(5) for v in range(u + 1, 5) if (u, v) != (0, 1)]
         start = time.perf_counter()
         proc = reduce_in_child({"edges": edges, "sizes": [3, 3, 4, 4, 4]}, tmp_path, timeout=60)
@@ -446,12 +463,11 @@ class TestReduce:
         assert json.loads(proc.stdout)["checks"][0]["reducible"] is True
         assert time.perf_counter() - start < 5.0
 
-    def test_assignment_budget_exits_2(self, tmp_path):
+    def test_32_edges_with_lists_of_5_answer(self, tmp_path):
         # 32 edges on 10 vertices, drawn from random.Random(1), with lists
         # of 5: the peel drops nothing, no certificate is sought on more
-        # than _AT_MAX_EDGES edges, and the walk needs more assignments than
-        # the budget; in a fresh process, with a timeout that only catches
-        # a hang
+        # than _AT_MAX_EDGES edges, and the walk answers within its steps;
+        # in a fresh process, with a timeout that only catches a hang
         edges = [
             [0, 1], [0, 2], [0, 4], [0, 5], [0, 7], [0, 8], [0, 9], [1, 3], [1, 6], [1, 7], [1, 9],
             [2, 3], [2, 4], [2, 5], [2, 7], [2, 8], [2, 9], [3, 4], [3, 5], [3, 7], [3, 8], [3, 9],
@@ -459,8 +475,36 @@ class TestReduce:
         ]
         assert len(edges) > choosability._AT_MAX_EDGES
         proc = reduce_in_child({"edges": edges, "sizes": [5] * 10}, tmp_path, timeout=60)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert json.loads(proc.stdout)["checks"][0]["reducible"] is True
+
+    def test_step_budget_exits_2(self, tmp_path):
+        # 36 edges on 10 vertices with lists of 5: the walk spends its whole
+        # step budget and stops there, in under a second on a 2-vCPU VM;
+        # the bound below allows for a loaded host
+        start = time.perf_counter()
+        proc = reduce_in_child({"edges": STEP_BUDGET_EXIT, "sizes": [5] * 10}, tmp_path, timeout=60)
         assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr == "error: exhaustive check needs more than 100000 assignments\n"
+        assert proc.stderr == "error: exhaustive check needs more than 100000 steps\n"
+        assert time.perf_counter() - start < 5.0
+
+    # Gallai trees whose degree-sized lists once ran out of the walk's
+    # budget: by the Gallai-tree rule each has an assignment of those sizes
+    # that it cannot colour from, and the walk finds one
+    GALLAI_TREES = [
+        [(0, 1), (0, 2), (0, 3), (0, 5), (1, 2), (1, 3), (1, 5), (2, 3), (2, 4), (2, 5), (3, 5)],
+        [(0, 2), (0, 3), (0, 4), (1, 2), (2, 3), (2, 4), (3, 4), (3, 5), (3, 6)],
+        [(0, 1), (0, 2), (0, 5), (0, 6), (1, 2), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (5, 6)],
+    ]
+
+    @pytest.mark.parametrize("edges", GALLAI_TREES, ids=["6-vertices", "7-vertices-a", "7-vertices-b"])
+    def test_degree_sized_gallai_trees_are_not_reducible(self, edges, monkeypatch, capsys):
+        graph = build_graph(edges)
+        sizes = [graph.degree(v) for v in range(graph.n)]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"edges": edges, "sizes": sizes})))
+        code, out = run(capsys, ["reduce", "--input", "-"])
+        assert code == 1
+        assert json.loads(out)["checks"][0]["reducible"] is False
 
 
 class TestDischarge:
