@@ -19,7 +19,6 @@ from .structures import (
     VertexRole,
     check_conditions,
     classify_role,
-    find_trios,
 )
 from .alon_tarsi import (
     AtCertificate,

@@ -36,7 +36,7 @@ from .core import (
 )
 from .discharging import ChargeLedger, FinalReport, RuleSet, apply_rules, final_report
 from .errors import DischargeKitError, SizeLimitExceededError
-from .structures import StepBudget, check_conditions, classify_role, find_trios
+from .structures import StepBudget, check_conditions, classify_role
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -237,34 +237,31 @@ def _detect_report(results) -> Iterator[str]:
     (``tests/oracles.detect_report_tree``).
 
     ``results`` holds each graph's condition reports, trios and role
-    index.  Each condition, role entry and trio entry is rendered from
-    its template as it is written."""
+    index.  Each witness, role entry and trio entry is rendered as it is
+    written, the last two from their templates."""
     condition, role, trio, graph = _shift(_CONDITION, 4), _shift(_ROLE, 4), _shift(_TRIO, 4), _shift(_GRAPH, 2)
 
     def roles(trios, role_of) -> Iterator[str]:
         # per trio, per triangle, per sorted vertex, repeats included
         for occ in trios:
             for t in occ.triangles:
-                of, ends = role_of[t], sorted(t)
-                triangle = _ints(ends, 5)
-                for s in ends:
+                of, triangle = role_of[t], _ints(t, 5)
+                for s in t:
                     yield role % (of[s].value, triangle, s)
 
     yield '{\n  "command": "detect",\n  "graphs": '
     sep = "[\n    "
     for gi, (conds, trios, role_of) in enumerate(results):
-        conditions = (
-            condition % (c.condition, "true" if c.holds else "false", _items([_ints(w, 6) for w in c.witnesses], 5))
-            for c in conds
-        )
-        head, middle, before_trios, tail = (graph % (_STREAMED, gi, _STREAMED, _STREAMED)).split(_STREAMED)
-        yield sep + head
-        yield from _stream_items(conditions, 3)
-        yield middle
-        yield from _stream_items(roles(trios, role_of), 3)
-        yield before_trios
-        yield from _stream_items((trio % (o.v, o.u, o.v, o.w, o.x, o.y, _ints(sorted(o), 5)) for o in trios), 3)
-        yield tail
+        # the text around each condition's witnesses, the roles and the trios
+        conditions = _items([condition % (c.condition, "true" if c.holds else "false", _STREAMED) for c in conds], 3)
+        texts = (graph % (conditions, gi, _STREAMED, _STREAMED)).split(_STREAMED)
+        lists = [_stream_items((_ints(w, 6) for w in c.witnesses), 5) for c in conds]
+        lists.append(_stream_items(roles(trios, role_of), 3))
+        lists.append(_stream_items((trio % (o.v, o.u, o.v, o.w, o.x, o.y, _ints(sorted(o), 5)) for o in trios), 3))
+        yield sep + texts[0]
+        for chunks, text in zip(lists, texts[1:]):
+            yield from chunks
+            yield text
         sep = ",\n    "
     yield ("[]" if sep[0] == "[" else "\n  ]") + "\n}"
 
@@ -297,9 +294,8 @@ def cmd_detect(args) -> int:
     # every search ends before the first byte, so a failing request writes nothing
     results = []
     for graph in _load_graphs(args):
-        conds = check_conditions(graph, StepBudget(graph))
-        trios = find_trios(graph)
-        results.append((conds, trios, classify_role([(occ, occ.triangles) for occ in trios])))
+        conds, trios = check_conditions(graph, StepBudget(graph))
+        results.append((conds, trios, classify_role((occ, occ.triangles) for occ in trios)))
     _emit(_detect_report(results), args)
     if args.summary:
         for gi, (conds, _, _) in enumerate(results):
@@ -437,13 +433,13 @@ def repro_rows() -> List[dict]:
         rows.append({"check": f"reduce-{name}", "expected": [expected], "got": [got], "ok": got == expected})
 
     trio = fixtures.trio_graph()
-    trios = find_trios(trio)
+    _, trios = check_conditions(trio, StepBudget(trio))
     ok = len(trios) == 1 and trios[0].v == 3
     rows.append({"check": "trio-detection", "expected": [1], "got": [len(trios)], "ok": ok})
 
     demo_ok = True
     for graph in fixtures.demo_graphs():
-        _, _, corollary = check_conditions(graph, StepBudget(graph))
+        (_, _, corollary), _ = check_conditions(graph, StepBudget(graph))
         if not corollary.holds:
             demo_ok = False
             break

@@ -2,14 +2,17 @@
 cycle conditions that gate 4-choosability.
 
 "Adjacent" for two cycles means sharing at least one edge.  Cycles are
-sought in the abstract graph, not only among faces of an embedding.
+sought in the abstract graph, not only among faces of an embedding.  The
+conditions and the trios are triangle facts, so ``check_conditions`` reads
+both off one triangle index: for each edge, the common neighbours of its
+ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
+from itertools import permutations, product
 from typing import Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Sequence, Tuple
 
 from .core import Edge, Face, Graph, PlaneGraph, build_graph, canonical_edge
@@ -45,7 +48,8 @@ def trio_graph() -> Graph:
 
 class TrioOccurrence(NamedTuple):
     """An injective image of the trio pattern in a host graph: the three
-    triangles xuv, xyv and yvw around the centre v."""
+    triangles xuv, xyv and yvw around the centre v.  ``check_conditions``
+    finds them on its triangle index."""
 
     x: int
     y: int
@@ -54,58 +58,28 @@ class TrioOccurrence(NamedTuple):
     w: int
 
     @property
-    def triangles(self) -> Tuple[FrozenSet[int], FrozenSet[int], FrozenSet[int]]:
+    def triangles(self) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
+        """The triangles xuv, xyv and yvw, each as its sorted vertices."""
         x, y, u, v, w = self
-        return frozenset((x, u, v)), frozenset((x, y, v)), frozenset((y, v, w))
-
-
-def find_trios(graph: Graph) -> List[TrioOccurrence]:
-    """All trio occurrences, deduplicated by vertex set plus center.
-
-    Mirror symmetry (x<->y, u<->w) is quotiented out.  A trio centred at v
-    is an edge xy of v's link (the subgraph on its neighbours) with a link
-    neighbour u of x and a link neighbour w of y, all four distinct, so
-    only those tuples are tried.
-    """
-    found: Dict[Tuple[FrozenSet[int], int], TrioOccurrence] = {}
-    adj = graph.adjacency
-    for v in range(graph.n):
-        link = adj[v]
-        if len(link) < 4:
-            continue
-        for x in link:
-            near_x = adj[x] & link
-            for y in near_x:
-                near_y = adj[y] & link
-                for u in near_x:
-                    if u == y:
-                        continue
-                    for w in near_y:
-                        if w == x or w == u:
-                            continue
-                        occ = TrioOccurrence(x, y, u, v, w)
-                        key = (frozenset(occ), v)
-                        if key not in found or occ < found[key]:
-                            found[key] = occ
-    return sorted(found.values())
+        return tuple(sorted((x, u, v))), tuple(sorted((x, y, v))), tuple(sorted((y, v, w)))
 
 
 def facial_trios(
     embedding: PlaneGraph, faces: Sequence[Face]
 ) -> List[Tuple[TrioOccurrence, Tuple[int, int, int]]]:
-    """The trios of ``find_trios`` whose three triangles are 3-faces of the
-    embedding, in the same order, each with the indices of its faces xuv,
-    xyv and yvw in ``faces``.
+    """The trios of ``check_conditions`` (read off its triangle index) whose
+    three triangles are 3-faces of the embedding, in the same order, each
+    with the indices of its faces xuv, xyv and yvw in ``faces``.
 
     A 3-face at a centre v is one sector of v's rotation, between two
     neighbours in a row, so such a trio is a window of three 3-face sectors
     in a row, with neighbours u, x, y, w; each window is read once.
-    ``find_trios`` keeps one trio per (vertex set, centre), the smallest
-    link tuple.  If the window's four neighbours carry a link edge besides
-    the path u-x-y-w (at a degree-4 centre with four triangular sectors,
-    whose windows share one key, and where a separating triangle adds a
-    chord), that may be another ordering of them, kept only if its
-    triangles are 3-faces too.
+    ``check_conditions`` keeps one trio per (vertex set, centre), the
+    smallest link tuple.  If the window's four neighbours carry a link
+    edge besides the path u-x-y-w (at a degree-4 centre with four
+    triangular sectors, whose windows share one key, and where a
+    separating triangle adds a chord), that may be another ordering of
+    them, kept only if its triangles are 3-faces too.
     """
     adj = embedding.graph.adjacency
     # Arriving at q from p, a face walk leaves q towards the successor of
@@ -218,9 +192,11 @@ def _canonical(cycle: Cycle) -> Cycle:
     return c if c[1] < c[-1] else c[:1] + c[:0:-1]
 
 
-def check_conditions(graph: Graph, budget: StepBudget) -> Tuple[ConditionReport, ...]:
-    """Check the three 5-cycle conditions; one report per condition, in
-    ``CONDITIONS`` order, whose witnesses are the violating 5-cycles.
+def check_conditions(graph: Graph, budget: StepBudget) -> Tuple[Tuple[ConditionReport, ...], List[TrioOccurrence]]:
+    """Check the three 5-cycle conditions and find the trios: one report
+    per condition, in ``CONDITIONS`` order, whose witnesses are the
+    violating 5-cycles, and the sorted trios, one per vertex set and centre
+    (the smallest tuple).
 
     Thm1: no 5-cycle has a hub vertex adjacent to all five of its vertices,
     and no 5-cycle shares exactly one edge with a 3-cycle.
@@ -232,13 +208,17 @@ def check_conditions(graph: Graph, budget: StepBudget) -> Tuple[ConditionReport,
     3-cycle (c[0], c[1], h), and a chorded 4-cycle is two triangles on its
     chord.  So the 5-cycles sought are the paths a-p-q-r-b closed by an
     edge ab of a triangle, read off one index: the common neighbours of
-    the ends of each edge, the third vertices of its triangles.
+    the ends of each edge, the third vertices of its triangles.  Each is
+    kept from the first of its triangle edges in walk order.  A trio is a
+    triangle too, with more triangles on two of its edges, so the trios
+    are read off the same index.
 
     Steps of ``budget``: one per edge and one per common neighbour of its
-    ends; the (x, y, u, w) tuples that ``find_trios`` tries, counted from
-    the index before any 5-cycle is sought; one per walk a-p-q that avoids
-    b, from the end of ab with fewer of them, each 2-path among them closed
-    by the common neighbours r of q and b; and one per 5-cycle formed.
+    ends; one per (x, y, u, w) tuple of a trio, counted from the index
+    before any tuple is tried or any 5-cycle sought; one per walk a-p-q
+    that avoids b, from the end of ab with fewer of them, each 2-path among
+    them closed by the common neighbours r of q and b; and one per 5-cycle
+    formed, kept or not.
     """
     adj = graph.adjacency
     spend = budget.spend
@@ -250,12 +230,17 @@ def check_conditions(graph: Graph, budget: StepBudget) -> Tuple[ConditionReport,
     # triangles on vx and w from the other triangles on vy, with w != u; a
     # vertex that could be both is adjacent to all of v, x and y.  Each
     # triangle abc is such a vxy six times: three centres, two orders of
-    # the other two.
+    # the other two.  The triangles with a tuple are kept for the search.
+    trio_triangles = []
     for (a, b), on_ab in common.items():
         for c in on_ab:
             if c > b:
-                ab, ac, bc = len(on_ab) - 1, len(common[a, c]) - 1, len(common[b, c]) - 1
-                spend(2 * (ab * ac + ab * bc + ac * bc) - 6 * len(on_ab & adj[c]))
+                on_ac, on_bc = common[a, c], common[b, c]
+                ab, ac, bc = len(on_ab) - 1, len(on_ac) - 1, len(on_bc) - 1
+                tuples = 2 * (ab * ac + ab * bc + ac * bc) - 6 * len(on_ab & adj[c])
+                if tuples:
+                    spend(tuples)
+                    trio_triangles.append((a, b, c, on_ab, on_ac, on_bc))
     # A 4-cycle a-b-c-d with chord ac is the two triangles abc and acd on
     # ac, and its edges are theirs other than ac.
     chorded_edges = set()
@@ -265,7 +250,10 @@ def check_conditions(graph: Graph, budget: StepBudget) -> Tuple[ConditionReport,
                 chorded_edges.update((canonical_edge(a, w), canonical_edge(b, w)))
     # the walks v-p-q from each vertex v, q = v among them
     walks = [sum(len(adj[p]) for p in adj[v]) for v in range(graph.n)]
-    fives = set()
+    fives = []
+    # the triangle edges walked so far, both ways: a 5-cycle is formed once
+    # from each of its triangle edges and kept from the first
+    walked = set()
     for (a, b), on_ab in common.items():
         if not on_ab:
             continue
@@ -277,6 +265,7 @@ def check_conditions(graph: Graph, budget: StepBudget) -> Tuple[ConditionReport,
         if from_b < from_a:
             a, b = b, a
         spend(min(from_a, from_b))
+        walked.update(((a, b), (b, a)))
         ends, near_b = {a, b}, adj[b]
         for p in adj[a]:
             if p == b:
@@ -285,9 +274,11 @@ def check_conditions(graph: Graph, budget: StepBudget) -> Tuple[ConditionReport,
                 for r in adj[q] & near_b:
                     if r != a and r != p:
                         spend(1)
-                        fives.add(_canonical((a, p, q, r, b)))
+                        if walked.isdisjoint(((a, p), (p, q), (q, r), (r, b))):
+                            fives.append(_canonical((a, p, q, r, b)))
+    fives.sort()
     witnesses: Tuple[List[Cycle], ...] = ([], [], [])
-    for c in sorted(fives):
+    for c in fives:
         ce = [canonical_edge(c[i - 1], c[i]) for i in range(5)]
         # The triangles on the edges of c, once per edge they share with c.
         # One that shares two is c[i - 2], c[i - 1], c[i] on the chord
@@ -305,4 +296,17 @@ def check_conditions(graph: Graph, budget: StepBudget) -> Tuple[ConditionReport,
         for found, bad in zip(witnesses, violated):
             if bad:
                 found.append(c)
-    return tuple(ConditionReport(condition=name, witnesses=tuple(w)) for name, w in zip(CONDITIONS, witnesses))
+    reports = tuple(ConditionReport(condition=name, witnesses=tuple(w)) for name, w in zip(CONDITIONS, witnesses))
+    # The trio tuples counted above, with x < y: the mirror (y, x, w, v, u)
+    # of a tuple is in the same vertex set at the same centre, so a tuple
+    # with x > y is never the smallest.
+    smallest: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+    for a, b, c, on_ab, on_ac, on_bc in trio_triangles:
+        for v, x, y, on_vx, on_vy in ((a, b, c, on_ab, on_ac), (b, a, c, on_ab, on_bc), (c, a, b, on_ac, on_bc)):
+            if len(on_vx) > 1 and len(on_vy) > 1:
+                for u, w in product(on_vx, on_vy):
+                    if u != y and w != x and w != u:
+                        t, key = (x, y, u, v, w), (v, *sorted((x, y, u, w)))
+                        if smallest.setdefault(key, t) > t:
+                            smallest[key] = t
+    return reports, [TrioOccurrence._make(t) for t in sorted(smallest.values())]

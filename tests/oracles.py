@@ -31,7 +31,6 @@ from dischargekit.structures import (
     VertexRole,
     check_conditions,
     classify_role,
-    find_trios,
     trio_graph,
 )
 
@@ -354,17 +353,17 @@ def transfer(ledger: ChargeLedger, rule: str, source, sink, amount: Fraction) ->
 
 
 def facial_trios_filtered(embedding: PlaneGraph, faces: Sequence[Face]):
-    """Oracle for ``facial_trios``: the trios of ``find_trios`` whose three
-    triangles are each the one 3-face on their vertex set, each with the
-    indices of its faces xuv, xyv and yvw."""
+    """Oracle for ``facial_trios``: the trios of ``find_trios_scan`` whose
+    three triangles are each the one 3-face on their vertex set, each with
+    the indices of its faces xuv, xyv and yvw."""
     face_of = {}
     for fi, f in enumerate(faces):
         vs = frozenset(f.boundary)
         if f.degree == 3 and len(vs) == 3:
             face_of[vs] = None if vs in face_of else fi
     found = []
-    for occ in find_trios(embedding.graph):
-        indices = tuple(face_of.get(t) for t in occ.triangles)
+    for occ in find_trios_scan(embedding.graph):
+        indices = tuple(face_of.get(frozenset(t)) for t in occ.triangles)
         if None not in indices:
             found.append((occ, indices))
     return found
@@ -393,7 +392,7 @@ def apply_rules_unindexed(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()):
             if sorted(deg[u] for u in f.boundary) == [4, 4, 4, 5]:
                 return ruleset.hi_4445_face
             return ruleset.hi_four_face
-        vs = frozenset(f.boundary)
+        vs = tuple(sorted(f.boundary))
         containing = [occ for occ in facial if vs in occ.triangles]
         role = classify_role_counting(v, vs, containing) if fi in in_trio else VertexRole.GOOD
         if deg[v] == 4:
@@ -491,12 +490,13 @@ def discharge_report_tree(ledger: ChargeLedger, report: FinalReport, graph: Grap
 def detect_report_tree(graphs: Sequence[Graph]) -> dict:
     """Oracle for the ``detect`` report on these graphs: the tree whose
     ``json.dumps(indent=2, sort_keys=True)`` is the report's text, built
-    as dicts.  Each trio lists the roles on its three triangles, so a
-    triangle in several trios lists its roles once per trio."""
+    as dicts, with the trios of ``find_trios_scan``.  Each trio lists the
+    roles on its three triangles, so a triangle in several trios lists its
+    roles once per trio."""
     reports = []
     for gi, graph in enumerate(graphs):
-        conds = check_conditions(graph, StepBudget(graph))
-        trios = find_trios(graph)
+        conds, _ = check_conditions(graph, StepBudget(graph))
+        trios = find_trios_scan(graph)
         role_of = classify_role([(occ, occ.triangles) for occ in trios])
         roles = [
             {"vertex": s, "triangle": sorted(t), "role": role_of[t][s].value}
@@ -530,24 +530,31 @@ def replay(ledger: ChargeLedger, start: ChargeLedger) -> ChargeLedger:
 
 
 def find_trios_scan(graph: Graph) -> List[TrioOccurrence]:
-    """Oracle for ``find_trios``: every ordered 4-tuple of distinct
-    neighbours of each vertex is tried as (x, y, u, w)."""
+    """Oracle for the trios of ``check_conditions``: every ordered 4-tuple
+    of distinct neighbours of each vertex whose first two are adjacent is
+    tried as (x, y, u, w), and the smallest trio is kept per vertex set
+    and centre."""
     found: Dict[Tuple[FrozenSet[int], int], TrioOccurrence] = {}
     adj = graph.adjacency
     for v in range(graph.n):
-        for x, y, u, w in itertools.permutations(sorted(adj[v]), 4):
-            if y in adj[x] and u in adj[x] and w in adj[y]:
-                occ = TrioOccurrence(x, y, u, v, w)
-                key = (frozenset(occ), v)
-                if key not in found or occ < found[key]:
-                    found[key] = occ
+        nbrs = sorted(adj[v])
+        for x, y in itertools.permutations(nbrs, 2):
+            if y not in adj[x]:
+                continue
+            for u, w in itertools.permutations(nbrs, 2):
+                if len({x, y, u, w}) == 4 and u in adj[x] and w in adj[y]:
+                    occ = TrioOccurrence(x, y, u, v, w)
+                    key = (frozenset(occ), v)
+                    if key not in found or occ < found[key]:
+                        found[key] = occ
     return sorted(found.values())
 
 
 def trio_tuples(graph: Graph) -> int:
-    """The (x, y, u, w) tuples that ``find_trios`` tries, counted without
-    trying them: for each x-y edge of a link, u is one of x's link
-    neighbours other than y, and w one of y's other than x and u."""
+    """The (x, y, u, w) tuples of the trios that ``check_conditions``
+    counts, counted link by link: for each x-y edge of a link, u is one of
+    x's link neighbours other than y, and w one of y's other than x and
+    u."""
     adj = graph.adjacency
     tuples = 0
     for v in range(graph.n):
@@ -679,9 +686,10 @@ def classify_role_counting(s: int, triangle, trios: Sequence[TrioOccurrence]) ->
 
 def role_in(graph: Graph, s: int, triangle) -> VertexRole:
     """Role of ``s`` on ``triangle``, looked up in the role index of all
-    the graph's trios; good where the index has no entry."""
-    index = classify_role([(occ, occ.triangles) for occ in find_trios(graph)])
-    return index.get(frozenset(triangle), {}).get(s, VertexRole.GOOD)
+    the graph's trios, those of ``find_trios_scan``; good where the index
+    has no entry."""
+    index = classify_role([(occ, occ.triangles) for occ in find_trios_scan(graph)])
+    return index.get(tuple(sorted(triangle)), {}).get(s, VertexRole.GOOD)
 
 
 def check_condition_scan(graph: Graph, which: str) -> ConditionReport:

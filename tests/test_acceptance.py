@@ -14,8 +14,8 @@ from dischargekit.alon_tarsi import count_eulerian
 from dischargekit.choosability import check_extension, is_k_choosable
 from dischargekit.core import Orientation, build_graph
 from dischargekit.discharging import RuleSet, apply_rules, initial_charges
-from dischargekit.structures import StepBudget, VertexRole, check_conditions, find_trios
-from oracles import count_eulerian_brute, l_color, l_color_brute, role_in
+from dischargekit.structures import StepBudget, VertexRole, check_conditions
+from oracles import count_eulerian_brute, find_trios_scan, l_color, l_color_brute, role_in
 
 
 def report(name, ok, detail=""):
@@ -146,8 +146,8 @@ def test_oracle_equivalence():
 def test_structure_detection():
     ok = True
     trio = fixtures.trio_graph()
-    occs = find_trios(trio)
-    ok = ok and len(occs) == 1
+    _, occs = check_conditions(trio, StepBudget(trio))
+    ok = ok and len(occs) == 1 and occs == find_trios_scan(trio)
     expected_roles = {
         0: VertexRole.WORSE,
         1: VertexRole.WORSE,
@@ -161,15 +161,15 @@ def test_structure_detection():
 
     rim = [(i, (i + 1) % 5) for i in range(5)]
     wheel = build_graph(rim + [(i, 5) for i in range(5)])
-    thm1, _, _ = check_conditions(wheel, StepBudget(wheel))
+    (thm1, _, _), _ = check_conditions(wheel, StepBudget(wheel))
     ok = ok and not thm1.holds
 
     glued = build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 5)])
-    _, _, corollary = check_conditions(glued, StepBudget(glued))
+    (_, _, corollary), _ = check_conditions(glued, StepBudget(glued))
     ok = ok and not corollary.holds
 
     c5 = build_graph(rim)
-    ok = ok and all(c.holds for c in check_conditions(c5, StepBudget(c5)))
+    ok = ok and all(c.holds for c in check_conditions(c5, StepBudget(c5))[0])
     report("structure-detection", ok)
 
 
@@ -178,7 +178,7 @@ def test_demo_corpus_is_4_choosable():
     ok = len(graphs) == 50
     for g in graphs:
         ok = ok and g.n <= 10
-        _, _, corollary = check_conditions(g, StepBudget(g))
+        (_, _, corollary), _ = check_conditions(g, StepBudget(g))
         ok = ok and corollary.holds
         ok = ok and is_k_choosable(g, 4).choosable
     report("demo-4-choosable", ok, f"{len(graphs)} graphs")

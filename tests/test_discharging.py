@@ -159,7 +159,7 @@ class TestOracleCrossChecks:
     def test_trace_matches_unindexed_rules(self):
         shapes = []
         # the stacked triangulations' links have chords, so some trios of
-        # find_trios are dropped for a smallest link tuple that is not facial
+        # find_trios_scan are dropped for a smallest link tuple that is not facial
         pytest.importorskip("networkx")
         for emb in oracle_embeddings() + stacked_triangulations():
             for ruleset in (RuleSet(), CUSTOM):

@@ -37,7 +37,6 @@ from dischargekit.structures import (
     check_conditions,
     classify_role,
     facial_trios,
-    find_trios,
     trio_graph,
 )
 
@@ -65,6 +64,33 @@ def cycles_oracle(graph, length):
 def random_graph(rng, n, p):
     edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
     return build_graph(edges, n=n)
+
+
+def detected_trios(graph):
+    """The trios that ``check_conditions`` finds on the graph."""
+    return check_conditions(graph, StepBudget(graph))[1]
+
+
+def counting_reads(graph):
+    """The graph with adjacency sets that count the elements read from
+    them and from the sets that their intersections make, and the
+    one-item list that holds the count."""
+    read = [0]
+
+    class Counted(frozenset):
+        def __iter__(self):
+            read[0] += len(self)
+            return super().__iter__()
+
+        def __sub__(self, other):
+            read[0] += len(self)
+            return super().__sub__(other)
+
+        def __and__(self, other):
+            read[0] += min(len(self), len(other))
+            return Counted(super().__and__(other))
+
+    return dataclasses.replace(graph, adjacency=tuple(Counted(a) for a in graph.adjacency)), read
 
 
 class TestEnumerateCycles:
@@ -129,7 +155,8 @@ class TestEnumerateCycles:
             steps = check_conditions_steps(g)
             monkeypatch.setattr(structures, "DETECT_BASE_STEPS", steps)
             budget = StepBudget(g)
-            assert check_conditions(g, budget) == check_conditions_all_cycles(g) and budget.left == 0
+            assert check_conditions(g, budget) == (check_conditions_all_cycles(g), find_trios_scan(g))
+            assert budget.left == 0
             monkeypatch.setattr(structures, "DETECT_BASE_STEPS", steps - 1)
             with pytest.raises(SizeLimitExceededError, match=f"^detect needs more than {steps - 1} search steps$"):
                 check_conditions(g, StepBudget(g))
@@ -143,30 +170,27 @@ class TestEnumerateCycles:
         g = build_graph(list(itertools.combinations(range(16), 2)))
         assert len(g.edges) + 3 * len(enumerate_cycles(g, 3)) + trio_tuples(g) > StepBudget(g).limit
 
+    @pytest.mark.parametrize("n", [16, 30])
+    def test_cliques_stop_before_any_trio_is_tried(self, n):
+        # the trio tuples are charged from the index before any is tried:
+        # the budget ends while the elements read stay within a few per
+        # index entry, fewer than the trio search reads on K16 alone
+        g, read = counting_reads(build_graph(list(itertools.combinations(range(n), 2))))
+        budget = StepBudget(g)
+        with pytest.raises(SizeLimitExceededError, match=f"^detect needs more than {budget.limit} search steps$"):
+            check_conditions(g, budget)
+        entries = len(g.edges) + 3 * len(enumerate_cycles(g, 3))
+        assert read[0] <= 8 * entries
+
 
     @pytest.mark.parametrize("n", [600, 5000])
-    def test_set_work_stays_within_the_budget(self, monkeypatch, n):
+    def test_set_work_stays_within_the_budget(self, n):
         # K2,n plus the hub edge, hubs first: the elements that the search's
-        # set operations and loops read from the adjacency sets stay within
-        # a few per step spent, both when it answers (n = 600) and up to the
-        # budget exit (n = 5000), so the budget bounds the work
-        read = [0]
-
-        class Counted(frozenset):
-            def __iter__(self):
-                read[0] += len(self)
-                return super().__iter__()
-
-            def __sub__(self, other):
-                read[0] += len(self)
-                return super().__sub__(other)
-
-            def __and__(self, other):
-                read[0] += min(len(self), len(other))
-                return super().__and__(other)
-
-        g = build_graph([(0, 1)] + [(h, 2 + i) for h in range(2) for i in range(n)])
-        g = dataclasses.replace(g, adjacency=tuple(Counted(a) for a in g.adjacency))
+        # set operations and loops read from the adjacency sets and the
+        # triangle index stay within a few per step spent, both when it
+        # answers (n = 600) and up to the budget exit (n = 5000), so the
+        # budget bounds the work
+        g, read = counting_reads(build_graph([(0, 1)] + [(h, 2 + i) for h in range(2) for i in range(n)]))
         budget = StepBudget(g)
         try:
             check_conditions(g, budget)
@@ -178,24 +202,20 @@ class TestEnumerateCycles:
 
 class TestTrios:
     def test_trio_graph_single_occurrence(self):
-        occs = find_trios(trio_graph())
+        occs = detected_trios(trio_graph())
         assert len(occs) == 1
         occ = occs[0]
         assert occ == TrioOccurrence(x=0, y=1, u=2, v=3, w=4)
         assert frozenset(occ) == frozenset(range(5))
-        assert set(occ.triangles) == {
-            frozenset({0, 2, 3}),
-            frozenset({0, 1, 3}),
-            frozenset({1, 3, 4}),
-        }
+        assert occ.triangles == ((0, 2, 3), (0, 1, 3), (1, 3, 4))
 
     def test_c5_no_trios(self):
         g = build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        assert find_trios(g) == []
+        assert detected_trios(g) == []
 
     def test_disjoint_union_additivity(self):
         two = TRIO_EDGES + [(a + 5, b + 5) for a, b in TRIO_EDGES]
-        assert len(find_trios(build_graph(two))) == 2
+        assert len(detected_trios(build_graph(two))) == 2
 
     def test_equals_permutation_scan(self):
         graphs = [emb.graph for emb in fixtures.solid_embeddings().values()]
@@ -212,7 +232,7 @@ class TestTrios:
         graphs += [random_graph(rng, rng.randint(5, 11), rng.uniform(0.3, 0.7)) for _ in range(200)]
         found = 0
         for g in graphs:
-            trios = find_trios(g)
+            trios = detected_trios(g)
             scanned = find_trios_scan(g)
             assert trios == scanned
             assert all(type(o) is TrioOccurrence for o in trios + scanned)
@@ -249,7 +269,7 @@ def facial_trio_embeddings():
 class TestFacialTrios:
     def test_matches_find_then_filter(self):
         # the same trios in the same order, with the same face triples, as
-        # the trios of find_trios whose triangles are 3-faces
+        # the trios of check_conditions whose triangles are 3-faces
         pytest.importorskip("networkx")
         found = 0
         for emb in facial_trio_embeddings():
@@ -263,7 +283,7 @@ class TestFacialTrios:
 
     def test_octahedron_keeps_the_smallest_link_tuple(self):
         # Every centre has degree 4 and a 4-cycle as its link, so its four
-        # windows share one (vertex set, centre) key of find_trios, which
+        # windows share one (vertex set, centre) key of check_conditions, which
         # keeps the smallest link tuple of the four neighbours.
         emb = fixtures.load_embedding("octahedron")
         adj = emb.graph.adjacency
@@ -282,7 +302,7 @@ class TestFacialTrios:
         filtered = [occ for occ, _ in facial_trios_filtered(emb, faces)]
         by_face = classify_role(trios)
         for fi, roles in by_face.items():
-            t = frozenset(faces[fi].boundary)
+            t = tuple(sorted(faces[fi].boundary))
             holding = [occ for occ in filtered if t in occ.triangles]
             assert roles == {s: classify_role_counting(s, t, holding) for s in t}
         assert len(by_face) == 7
@@ -313,7 +333,7 @@ class TestRoles:
 
     def test_good_without_trio(self):
         g = build_graph([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])  # K4 minus one edge
-        assert find_trios(g) == []
+        assert detected_trios(g) == []
         for t in enumerate_cycles(g, 3):
             for s in t:
                 assert role_in(g, s, t) is VertexRole.GOOD
@@ -337,13 +357,13 @@ class TestRoles:
         rng = random.Random(42)
         seen = Counter()
         for g in role_graphs():
-            trios = find_trios(g)
+            trios = detected_trios(g)
             subsets = [rng.sample(trios, rng.randint(0, len(trios))) for _ in range(3)]
             for given in [trios] + subsets:
                 index = classify_role([(occ, occ.triangles) for occ in given])
                 assert set(index) == {t for occ in given for t in occ.triangles}
                 for t, roles in index.items():
-                    assert set(roles) == t
+                    assert set(roles) == set(t)
                     holding = [occ for occ in given if t in occ.triangles]
                     for s, role in roles.items():
                         assert role is classify_role_counting(s, t, holding), (g.edges, s, t, holding)
@@ -358,9 +378,9 @@ class TestTrioIndex:
         # trios that a full scan finds on the triangle
         seen = Counter()
         for g in role_graphs():
-            index = classify_role([(occ, occ.triangles) for occ in find_trios(g)])
+            index = classify_role([(occ, occ.triangles) for occ in detected_trios(g)])
             scanned = find_trios_scan(g)
-            for t in map(frozenset, enumerate_cycles(g, 3)):
+            for t in (tuple(sorted(c)) for c in enumerate_cycles(g, 3)):
                 holding = [occ for occ in scanned if t in occ.triangles]
                 for s in t:
                     role = index[t][s] if t in index else VertexRole.GOOD
@@ -372,20 +392,20 @@ class TestTrioIndex:
 class TestConditions:
     def test_c5_all_hold(self):
         g = build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        reports = check_conditions(g, StepBudget(g))
+        reports, _ = check_conditions(g, StepBudget(g))
         assert [r.condition for r in reports] == list(CONDITIONS)
         assert all(r.holds for r in reports)
 
     def test_5wheel_violates_thm1(self):
         rim = [(i, (i + 1) % 5) for i in range(5)]
         g = build_graph(rim + [(i, 5) for i in range(5)])
-        thm1, _, _ = check_conditions(g, StepBudget(g))
+        (thm1, _, _), _ = check_conditions(g, StepBudget(g))
         assert not thm1.holds
         assert (0, 1, 2, 3, 4) in thm1.witnesses
 
     def test_glued_triangle_pentagon(self):
         g = build_graph([(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 5)])
-        thm1, thm2, corollary = check_conditions(g, StepBudget(g))
+        (thm1, thm2, corollary), _ = check_conditions(g, StepBudget(g))
         assert not corollary.holds
         assert not thm1.holds
         assert thm2.holds
@@ -394,7 +414,7 @@ class TestConditions:
         g = build_graph(
             [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5), (1, 5), (2, 6), (3, 6)]
         )
-        _, thm2, _ = check_conditions(g, StepBudget(g))
+        (_, thm2, _), _ = check_conditions(g, StepBudget(g))
         assert not thm2.holds
 
     def test_chorded_4cycle_alone_violates_thm2(self):
@@ -405,7 +425,7 @@ class TestConditions:
         five = enumerate_cycles(g, 5)
         assert five == [(0, 1, 4, 5, 6)]
         assert sum(bool(cycle_edges(five[0]) & cycle_edges(t)) for t in enumerate_cycles(g, 3)) == 1
-        _, thm2, _ = check_conditions(g, StepBudget(g))
+        (_, thm2, _), _ = check_conditions(g, StepBudget(g))
         assert thm2.witnesses == ((0, 1, 4, 5, 6),)
         assert thm2 == check_condition_scan(g, "Thm2")
 
@@ -421,7 +441,7 @@ class TestConditions:
         rng = random.Random(99)
         for _ in range(30):
             g = random_graph(rng, rng.randint(5, 8), 0.35)
-            _, _, corollary = check_conditions(g, StepBudget(g))
+            (_, _, corollary), _ = check_conditions(g, StepBudget(g))
             if corollary.holds:
                 # no 5-cycle shares an edge with any 3-cycle, so in particular
                 # none is adjacent to two of them
@@ -442,7 +462,7 @@ class TestConditions:
         witnesses = Counter()
         others = Counter()
         for g in graphs:
-            reports = check_conditions(g, StepBudget(g))
+            reports, _ = check_conditions(g, StepBudget(g))
             assert reports == tuple(check_condition_scan(g, which) for which in CONDITIONS)
             for report in reports:
                 witnesses[report.condition] += len(report.witnesses)
@@ -463,7 +483,7 @@ class TestConditions:
         graphs += [random_graph(rng, rng.randint(1, 11), rng.uniform(0.1, 0.8)) for _ in range(400)]
         witnesses = Counter()
         for g in graphs:
-            reports = check_conditions(g, StepBudget(g))
+            reports, _ = check_conditions(g, StepBudget(g))
             assert reports == check_conditions_all_cycles(g), g.edges
             witnesses.update(r.condition for r in reports for _ in r.witnesses)
         assert all(witnesses[which] > 1000 for which in CONDITIONS)
@@ -478,9 +498,10 @@ class TestConditions:
         graphs += [triangulated_grid(side, share, seed).graph for side in (4, 6, 8) for share in (0.3, 0.9) for seed in (1, 2)]
         with_trio = 0
         for g in graphs:
-            reports = check_conditions(g, StepBudget(g))
+            reports, trios = check_conditions(g, StepBudget(g))
             assert reports == check_conditions_all_cycles(g), g.edges
-            if find_trios(g):
+            assert trios == find_trios_scan(g), g.edges
+            if trios:
                 with_trio += 1
                 assert not any(r.holds for r in reports), g.edges
         assert with_trio > 400
