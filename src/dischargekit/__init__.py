@@ -38,7 +38,6 @@ from .discharging import (
     TransferRecord,
     apply_rules,
     final_report,
-    initial_charges,
 )
 
 __version__ = "0.1.0"

@@ -30,6 +30,7 @@ from .core import (
     embedding_from_json,
     expect_int_list,
     expect_json,
+    expect_key,
     load_json,
     orientation_from_json,
     parse_graph6,
@@ -185,10 +186,11 @@ def _discharge_report(ledger: ChargeLedger, report: FinalReport, graph: Graph) -
     indent=2, sort_keys=True)`` writes for its tree
     (``tests/oracles.discharge_report_tree``).
 
-    Each transfer is rendered once, from one template; its copies in the
-    detail of the negative elements are that text shifted two levels
-    deeper.  Every number is rendered before this returns, so a number
-    too long to write raises before the first chunk."""
+    Each transfer is rendered once, from one template.  The detail of a
+    negative element lists the texts of the transfers touching it as the
+    trace does, and that list is shifted two levels deeper, in one pass
+    over its text.  Every number is rendered before this returns, so a
+    number too long to write raises before the first chunk."""
     transfer = _shift(_TRANSFER, 3)
     trace = [
         transfer % (r.amount.denominator, r.amount.numerator, r.rule, *r.sink, *r.source)
@@ -220,7 +222,7 @@ def _discharge_report(ledger: ChargeLedger, report: FinalReport, graph: Graph) -
 
     def detail() -> Iterator[str]:
         for ((kind, i), _), indices in zip(report.negatives, report.detail):
-            touching = _items([_shift(trace[j], 2) for j in indices], 4)
+            touching = _shift(_items([trace[j] for j in indices], 2), 2)
             if kind == "v":
                 yield vertex_detail % (i, _ints(sorted(graph.adjacency[i]), 4), touching)
             else:
@@ -363,11 +365,11 @@ def cmd_reduce(args) -> int:
     status = EXIT_OK
     if args.input:
         obj = expect_json(load_json(_read_input(args.input), "configuration"), dict, "configuration")
-        edges = expect_json(obj["edges"], list, "edges")
+        edges = expect_json(expect_key(obj, "edges", "configuration"), list, "edges")
         edges = [expect_int_list(e, f"edges[{i}]", 2) for i, e in enumerate(edges)]
         n = obj.get("n")
         n = None if n is None else expect_json(n, int, "n")
-        sizes = tuple(expect_int_list(obj["sizes"], "sizes"))
+        sizes = tuple(expect_int_list(expect_key(obj, "sizes", "configuration"), "sizes"))
         # bound the vertex count before the graph is built or its colour
         # types are listed
         vertices = max([len(sizes), n or 0] + [max(e) + 1 for e in edges])

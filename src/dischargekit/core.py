@@ -3,7 +3,9 @@
 Vertices are dense integer indices 0..n-1.  Edges are canonical (min, max)
 pairs.  A plane embedding is a rotation system: for each vertex, the cyclic
 order of its neighbors.  Faces are extracted by next-edge traversal with a
-fixed successor convention, so face lists are reproducible.
+fixed successor convention, so face lists are reproducible; the traversal
+records the face of each rotation sector, for the rules that read faces
+around a vertex.
 """
 
 from __future__ import annotations
@@ -102,63 +104,84 @@ class Face:
 
 
 class PlaneGraph:
-    """A graph together with a rotation system (cyclic neighbor orders)."""
+    """A graph together with a rotation system (cyclic neighbor orders).
+
+    The rotation is checked in one pass, which builds for each vertex the
+    position of each neighbour in its rotation; the face traversal walks
+    the same maps.  ``sectors[v][k]`` is the index in ``faces()`` of the
+    face at v between ``rotation[v][k - 1]`` and ``rotation[v][k]``, the
+    face whose walk leaves v towards ``rotation[v][k]``.
+    """
 
     def __init__(self, graph: Graph, rotation: Sequence[Sequence[int]]):
-        if len(rotation) != graph.n:
+        n, adj = graph.n, graph.adjacency
+        if not n:
+            raise InvalidRotationError("embedding has no vertices")
+        if len(rotation) != n:
             raise InvalidRotationError("rotation must list every vertex")
         rot = tuple(tuple(r) for r in rotation)
-        for v in range(graph.n):
-            if set(rot[v]) != set(graph.adjacency[v]) or len(rot[v]) != graph.degree(v):
-                raise InvalidRotationError(
-                    f"rotation at vertex {v} is not a permutation of its neighbors"
-                )
+        position = []
+        for v, r in enumerate(rot):
+            at = {u: i for i, u in enumerate(r)}
+            if len(at) != len(r):
+                raise InvalidRotationError(f"repeated neighbor in rotation at vertex {v}")
+            if at.keys() != adj[v]:
+                raise InvalidRotationError(f"rotation at vertex {v} is not a permutation of its neighbors")
+            # range, loops and symmetry, which only a graph read off the
+            # rotation (embedding_from_json) can fail
+            for u in r:
+                if not 0 <= u < n:
+                    raise DanglingVertexIndexError(f"rotation at vertex {v} names vertex {u}, outside 0..{n - 1}")
+                if u == v:
+                    raise LoopEdgeError(f"loop at vertex {v}")
+                if v not in adj[u]:
+                    raise InvalidRotationError(f"asymmetric adjacency between {min(u, v)} and {max(u, v)}")
+            position.append(at)
         self.graph = graph
         self.rotation = rot
-        self._faces: Tuple[Face, ...] | None = None
-        if graph.is_connected():
-            f = len(self.faces())
-            if graph.n - len(graph.edges) + f != 2:
-                raise InvalidRotationError(
-                    f"embedding is not planar: V-E+F = {graph.n - len(graph.edges) + f}"
-                )
+        self.connected = graph.is_connected()
+        self._faces, self.sectors = self._traverse(position)
+        f = len(self._faces)
+        if self.connected and n - len(graph.edges) + f != 2:
+            raise InvalidRotationError(f"embedding is not planar: V-E+F = {n - len(graph.edges) + f}")
 
-    def faces(self) -> Tuple[Face, ...]:
-        """All faces by next-edge traversal.
+    def _traverse(self, position: List[dict]) -> Tuple[Tuple[Face, ...], List[List[int]]]:
+        """All faces by next-edge traversal, and the face of each sector.
 
         Arriving at v along edge {u, v}, the next edge leaves v toward the
-        successor of u in v's rotation.  Each directed edge-side belongs to
-        exactly one face.
+        successor of u in v's rotation.  Each directed edge-side, and so
+        each sector, belongs to exactly one face.
         """
-        if self._faces is not None:
-            return self._faces
         rot = self.rotation
-        index = [{u: i for i, u in enumerate(r)} for r in rot]
-        seen = set()
+        sectors = [[-1] * len(r) for r in rot]
         faces: List[Face] = []
-        for v in range(self.graph.n):
-            if not rot[v] and self.graph.n == 1:
-                faces.append(Face(boundary=()))
-                continue
-            for u in rot[v]:
-                if (v, u) in seen:
+        if len(rot) == 1 and not rot[0]:
+            faces.append(Face(()))
+        for v, at_v in enumerate(sectors):
+            for k, fi in enumerate(at_v):
+                if fi >= 0:
                     continue
-                walk: List[int] = []
-                cur = (v, u)
-                while cur not in seen:
-                    seen.add(cur)
-                    walk.append(cur[0])
-                    a, b = cur
-                    nxt = rot[b][(index[b][a] + 1) % len(rot[b])]
-                    cur = (b, nxt)
-                faces.append(Face(boundary=tuple(walk)))
-        self._faces = tuple(faces)
+                # sector j at a is the directed edge-side from a to rot[a][j]
+                fi, walk, a, j, at_a = len(faces), [], v, k, at_v
+                while at_a[j] < 0:
+                    at_a[j] = fi
+                    walk.append(a)
+                    b = rot[a][j]
+                    j, at_a = position[b][a] + 1, sectors[b]
+                    if j == len(at_a):
+                        j = 0
+                    a = b
+                faces.append(Face(tuple(walk)))
+        return tuple(faces), sectors
+
+    def faces(self) -> Tuple[Face, ...]:
+        """All faces, in the order of their first directed edge-side."""
         return self._faces
 
 
 def faces_of(embedding: PlaneGraph) -> List[Face]:
     """Faces of a connected plane graph; raises on disconnected input."""
-    if not embedding.graph.is_connected():
+    if not embedding.connected:
         raise DisconnectedEmbeddingError("face traversal requires a connected embedding")
     return list(embedding.faces())
 
@@ -237,6 +260,13 @@ def expect_json(value, kind: type, what: str):
     return value
 
 
+def expect_key(obj: dict, key: str, what: str):
+    """``obj[key]``, else MalformedInputError naming the missing key."""
+    if key not in obj:
+        raise MalformedInputError(f'{what} has no "{key}" key')
+    return obj[key]
+
+
 def expect_int_list(value, what: str, length: int | None = None) -> List[int]:
     """``value`` if it is a list of ints, of ``length`` items when given,
     else MalformedInputError."""
@@ -259,29 +289,20 @@ def load_json(text: str, what: str):
 def embedding_from_json(obj: dict | str) -> PlaneGraph:
     """Load {"n": int, "rotation": [[neighbor, ...] per vertex]}.
 
-    Rejects asymmetric adjacency: u may list v only if v lists u.
+    The graph is read off the rotation as given; ``PlaneGraph`` checks the
+    rotation, and so the graph, in its one pass: u may list v only if v
+    lists u.
     """
     if isinstance(obj, str):
         obj = load_json(obj, "embedding")
     obj = expect_json(obj, dict, "embedding")
-    n = expect_json(obj["n"], int, "n")
-    rotation = expect_json(obj["rotation"], list, "rotation")
+    n = expect_json(expect_key(obj, "n", "embedding"), int, "n")
+    rotation = expect_json(expect_key(obj, "rotation", "embedding"), list, "rotation")
     rotation = [expect_int_list(r, f"rotation[{v}]") for v, r in enumerate(rotation)]
     if len(rotation) != n:
         raise InvalidRotationError("rotation length differs from n")
-    edges = set()
-    for v, nbrs in enumerate(rotation):
-        if len(set(nbrs)) != len(nbrs):
-            raise InvalidRotationError(f"repeated neighbor in rotation at vertex {v}")
-        for u in nbrs:
-            if not 0 <= u < n:
-                raise DanglingVertexIndexError(f"rotation at vertex {v} names vertex {u}, outside 0..{n - 1}")
-            edges.add(canonical_edge(u, v))
-    for u, v in edges:
-        if u not in rotation[v] or v not in rotation[u]:
-            raise InvalidRotationError(f"asymmetric adjacency between {u} and {v}")
-    graph = build_graph(sorted(edges), n=n)
-    return PlaneGraph(graph, rotation)
+    edges = tuple(sorted((v, u) for v, r in enumerate(rotation) for u in r if v < u))
+    return PlaneGraph(Graph(n, edges, tuple(map(frozenset, rotation))), rotation)
 
 
 def orientation_from_json(obj: dict | str) -> Orientation:
@@ -292,8 +313,8 @@ def orientation_from_json(obj: dict | str) -> Orientation:
     if isinstance(obj, str):
         obj = load_json(obj, "orientation")
     obj = expect_json(obj, dict, "orientation")
-    n = expect_json(obj["n"], int, "n")
-    arcs = expect_json(obj["arcs"], list, "arcs")
+    n = expect_json(expect_key(obj, "n", "orientation"), int, "n")
+    arcs = expect_json(expect_key(obj, "arcs", "orientation"), list, "arcs")
     if n > 2 * len(arcs) + 1:
         raise MalformedInputError(f"n = {n} exceeds {2 * len(arcs) + 1}, two vertices per arc plus one")
     arcs = tuple(tuple(expect_int_list(a, f"arcs[{i}]", 2)) for i, a in enumerate(arcs))

@@ -6,11 +6,12 @@ vertices to incident faces according to vertex degree and the role the
 vertex plays on 3-faces; R5 then equalizes the charges of the three
 3-faces of each trio whose triangles are all faces of the embedding.
 Those trios are windows of three 3-face sectors in a row around their
-centre, read off the rotation system, and their roles are indexed by face.
-Every transfer is traced, and totals are conserved with exact equality.
-The rules move charge as integer numerators over one denominator, fixed
-before the first transfer so that every charge and every R5 target is an
-integer; the ledger gets its ``Fraction`` charges once, at the end.
+centre, read off the sector index the embedding built with its faces, and
+their roles are indexed by face.  Every transfer is traced, and totals are
+conserved with exact equality.  The rules keep integer numerators over one
+denominator from the formula charges on, fixed before the first transfer
+so that every charge and every R5 target is an integer; the ledger gets
+its ``Fraction`` charges at the end, one per distinct numerator.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Tuple
 
-from .core import Face, PlaneGraph, expect_json, faces_of
+from .core import Face, PlaneGraph, expect_json, expect_key, faces_of
 from .errors import MalformedInputError
 from .structures import VertexRole, classify_role, facial_trios
 
@@ -30,7 +31,7 @@ Element = Tuple[str, int]  # ("v", index) or ("f", index)
 
 def _frac_from_json(obj, what: str) -> Fraction:
     if isinstance(obj, dict):
-        args = (expect_json(obj["num"], int, f"{what} num"), expect_json(obj["den"], int, f"{what} den"))
+        args = tuple(expect_json(expect_key(obj, key, what), int, f"{what} {key}") for key in ("num", "den"))
     elif type(obj) in (int, str):
         if type(obj) is str and "e" in obj.lower():
             # Fraction would build the power of ten the exponent names
@@ -103,37 +104,25 @@ class RuleSet:
         return replace(base, **kwargs)
 
 
-def initial_charges(embedding: PlaneGraph) -> ChargeLedger:
-    """Formula charges; total is exactly -12 on a connected plane graph.
-    ``faces_of`` rejects a disconnected one."""
-    faces = tuple(faces_of(embedding))
-    return ChargeLedger(
-        vertex_charge={v: Fraction(2 * embedding.graph.degree(v) - 6) for v in range(embedding.graph.n)},
-        face_charge={i: Fraction(f.degree - 6) for i, f in enumerate(faces)},
-        faces=faces,
-    )
-
-
 def apply_rules(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()) -> ChargeLedger:
-    """Run R1-R5 in canonical order and return the traced ledger.
+    """Run R1-R5 in canonical order from the formula charges and return the
+    traced ledger; ``faces_of`` rejects a disconnected embedding.
 
     Roles on 3-faces are classified against the trios whose triangles are
-    all 3-faces, read off the rotation by ``facial_trios``; abstract-only
-    trios never trigger face rules.  The role index is keyed by face index.
+    all 3-faces, read off the embedding's sector index by ``facial_trios``;
+    abstract-only trios never trigger face rules.  The role index is keyed
+    by face index and read once per 3-face.
     """
-    ledger = initial_charges(embedding)
-    graph = embedding.graph
-    faces = ledger.faces
-    deg = graph.degrees()
+    faces = tuple(faces_of(embedding))
+    deg = [len(r) for r in embedding.rotation]
 
     trios = facial_trios(embedding, faces)
     role_of = classify_role(trios)
-    trio_faces = [sorted(indices) for _, indices in trios]
 
     # R5 equalizes each trio's three 3-faces.  Trios sharing a 3-face are
     # merged and the whole group is equalized, which is order independent.
     # The groups depend on the trios alone, so they are found first.
-    parent = {fi: fi for indices in trio_faces for fi in indices}
+    parent = list(range(len(faces)))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -141,61 +130,80 @@ def apply_rules(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()) -> ChargeLe
             a = parent[a]
         return a
 
-    for indices in trio_faces:
-        root = find(indices[0])
-        for fi in indices[1:]:
-            parent[find(fi)] = root
+    for _, indices in trios:
+        first, second, third = sorted(indices)
+        root = find(first)
+        parent[find(second)] = root
+        parent[find(third)] = root
     by_root: Dict[int, List[int]] = {}
-    for fi in parent:
+    for fi in sorted(role_of):
         by_root.setdefault(find(fi), []).append(fi)
-    groups = [sorted(by_root[root]) for root in sorted(by_root)] if ruleset.equalize_trios else []
+    groups = [by_root[root] for root in sorted(by_root)] if ruleset.equalize_trios else []
 
-    # The books hold numerators over ``den``.  Until R5 equalizes a group,
-    # its charges are multiples of every group size, so its sum divides.
+    # The books hold numerators over ``den``, from the formula charges on.
+    # Until R5 equalizes a group, its charges are multiples of every group
+    # size, so its sum divides.
     rates = {name: q for name, q in vars(ruleset).items() if name != "equalize_trios"}
     den = lcm(*(q.denominator for q in rates.values())) * lcm(*map(len, groups))
     pay = {name: (q, q.numerator * (den // q.denominator)) for name, q in rates.items()}
-    vc = {v: int(q) * den for v, q in ledger.vertex_charge.items()}
-    fc = {fi: int(q) * den for fi, q in ledger.face_charge.items()}
+    vc = [(2 * d - 6) * den for d in deg]
+    fc = [(f.degree - 6) * den for f in faces]
+    trace: List[TransferRecord] = []
+    vertex, face = [("v", v) for v in range(len(deg))], [("f", fi) for fi in range(len(faces))]
+    fractions: Dict[int, Fraction] = {}
 
-    def payment(v: int, fi: int) -> Tuple[Fraction, int]:
-        f = faces[fi]
-        if f.degree == 4:
-            if deg[v] == 4:
-                return pay["deg4_four_face"]
-            if sorted(deg[u] for u in f.boundary) == [4, 4, 4, 5]:
-                return pay["hi_4445_face"]
-            return pay["hi_four_face"]
-        roles = role_of.get(fi)
-        role = roles[v] if roles else VertexRole.GOOD
-        if deg[v] == 4:
-            return pay["deg4_worst"] if role is VertexRole.WORST else pay["deg4_plain"]
-        if role in (VertexRole.GOOD, VertexRole.WORST):
-            return pay["hi_good_or_worst"]
-        return pay["hi_bad"] if role is VertexRole.BAD else pay["hi_worse"]
+    def over_den(num: int) -> Fraction:
+        # one Fraction per distinct numerator
+        q = fractions.get(num)
+        if q is None:
+            q = fractions[num] = Fraction(num, den)
+        return q
 
     # R1: every vertex pays into each incident 5-face, once per boundary
     # occurrence.  A zero amount records nothing.
     amount, num = pay["five_face"]
-    for fi, f in enumerate(faces):
-        if f.degree == 5 and num:
-            for v in f.boundary:
-                vc[v] -= num
-                fc[fi] += num
-                ledger.trace.append(TransferRecord("R1", ("v", v), ("f", fi), amount))
+    if num:
+        for fi, f in enumerate(faces):
+            if f.degree == 5:
+                sink = face[fi]
+                for v in f.boundary:
+                    vc[v] -= num
+                    fc[fi] += num
+                    trace.append(TransferRecord("R1", vertex[v], sink, amount))
 
     # R2-R4: vertices of degree 4, 5 and at least 6 pay into each incident
-    # 3-face and 4-face.  A simple graph's 3-face has three distinct vertices.
+    # 3-face and 4-face, by the vertex's degree and its role on a 3-face,
+    # and by whether a 4-face is a (4,4,4,5)-face.  A simple graph's
+    # 3-face has three distinct vertices.
+    good, bad, worst = VertexRole.GOOD, VertexRole.BAD, VertexRole.WORST
     for fi, f in enumerate(faces):
-        if f.degree in (3, 4):
-            for v in f.boundary:
-                if deg[v] >= 4:
-                    amount, num = payment(v, fi)
-                    if num:
-                        vc[v] -= num
-                        fc[fi] += num
-                        rule = "R2" if deg[v] == 4 else "R3" if deg[v] == 5 else "R4"
-                        ledger.trace.append(TransferRecord(rule, ("v", v), ("f", fi), amount))
+        size = f.degree
+        if size == 3:
+            roles = role_of.get(fi)
+        elif size == 4:
+            four = sorted(deg[v] for v in f.boundary)
+            hi_on_4 = pay["hi_4445_face"] if four == [4, 4, 4, 5] else pay["hi_four_face"]
+        else:
+            continue
+        sink = face[fi]
+        for v in f.boundary:
+            d = deg[v]
+            if d < 4:
+                continue
+            if size == 4:
+                amount, num = pay["deg4_four_face"] if d == 4 else hi_on_4
+            else:
+                role = roles[v] if roles else good
+                if d == 4:
+                    amount, num = pay["deg4_worst"] if role is worst else pay["deg4_plain"]
+                elif role is good or role is worst:
+                    amount, num = pay["hi_good_or_worst"]
+                else:
+                    amount, num = pay["hi_bad"] if role is bad else pay["hi_worse"]
+            if num:
+                vc[v] -= num
+                fc[fi] += num
+                trace.append(TransferRecord("R2" if d == 4 else "R3" if d == 5 else "R4", vertex[v], sink, amount))
 
     # R5: in each group, each giver fills the takers in order, starting at
     # the first one still in need.  The surpluses and the needs have the
@@ -209,15 +217,19 @@ def apply_rules(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()) -> ChargeLe
             while gd > 0:
                 ti, need = takers[k]
                 move = min(gd, need)
-                ledger.trace.append(TransferRecord("R5", ("f", gi), ("f", ti), Fraction(move, den)))
+                trace.append(TransferRecord("R5", face[gi], face[ti], over_den(move)))
                 gd -= move
                 takers[k][1] = need - move
                 if move == need:
                     k += 1
-        fc.update(dict.fromkeys(indices, target))
-    ledger.vertex_charge = {v: Fraction(c, den) for v, c in vc.items()}
-    ledger.face_charge = {fi: Fraction(c, den) for fi, c in fc.items()}
-    return ledger
+        for i in indices:
+            fc[i] = target
+    return ChargeLedger(
+        vertex_charge=dict(enumerate(map(over_den, vc))),
+        face_charge=dict(enumerate(map(over_den, fc))),
+        faces=faces,
+        trace=trace,
+    )
 
 
 @dataclass(frozen=True)
@@ -233,17 +245,22 @@ class FinalReport:
 
 def final_report(ledger: ChargeLedger) -> FinalReport:
     """Every vertex/face with negative final charge, with the indices of the
-    rule trace entries touching it."""
-    negatives = [(("v", v), q) for v, q in sorted(ledger.vertex_charge.items()) if q.numerator < 0]
-    negatives += [(("f", fi), q) for fi, q in sorted(ledger.face_charge.items()) if q.numerator < 0]
-    touching: Dict[Element, List[int]] = {el: [] for el, _ in negatives}
-    for i, rec in enumerate(ledger.trace):
-        if rec.source in touching:
-            touching[rec.source].append(i)
-        if rec.sink in touching and rec.sink != rec.source:
-            touching[rec.sink].append(i)
+    rule trace entries touching it, collected in one pass over the trace
+    into a list per negative element of each book (books are keyed 0..n-1)."""
+    books = (("v", ledger.vertex_charge), ("f", ledger.face_charge))
+    negatives = [((kind, i), book[i]) for kind, book in books for i in range(len(book)) if book[i].numerator < 0]
+    touching = {kind: [None] * len(book) for kind, book in books}
+    for (kind, i), _ in negatives:
+        touching[kind][i] = []
+    for j, (_, (skind, si), (tkind, ti), _) in enumerate(ledger.trace):
+        at = touching[skind][si]
+        if at is not None:
+            at.append(j)
+        at = touching[tkind][ti]
+        if at is not None and (ti != si or tkind != skind):
+            at.append(j)
     return FinalReport(
         total=ledger.total(),
         negatives=tuple(negatives),
-        detail=tuple(tuple(touching[el]) for el, _ in negatives),
+        detail=tuple(tuple(touching[kind][i]) for (kind, i), _ in negatives),
     )

@@ -69,7 +69,8 @@ def facial_trios(
 ) -> List[Tuple[TrioOccurrence, Tuple[int, int, int]]]:
     """The trios of ``check_conditions`` (read off its triangle index) whose
     three triangles are 3-faces of the embedding, in the same order, each
-    with the indices of its faces xuv, xyv and yvw in ``faces``.
+    with the indices of its faces xuv, xyv and yvw in ``faces``, the
+    embedding's faces, whose index in each rotation sector it reads.
 
     A 3-face at a centre v is one sector of v's rotation, between two
     neighbours in a row, so such a trio is a window of three 3-face sectors
@@ -82,21 +83,16 @@ def facial_trios(
     them, kept only if its triangles are 3-faces too.
     """
     adj = embedding.graph.adjacency
-    # Arriving at q from p, a face walk leaves q towards the successor of
-    # p in q's rotation.  A 3-face of a connected simple graph other than
-    # a lone triangle is the only face on its triangle.
-    face_after: Dict[Tuple[int, int], int] = {}
-    for fi, f in enumerate(faces):
-        if f.degree == 3:
-            p, q, r = f.boundary
-            face_after[q, p] = face_after[r, q] = face_after[p, r] = fi
+    # a sector whose face has degree 3 is the triangle of v and the
+    # sector's two neighbours
+    triangular = [f.degree == 3 for f in faces]
     found = []
     for v, rot in enumerate(embedding.rotation):
         d = len(rot)
         if d < 4:
             continue
         # sector k lies between rot[k - 1] and rot[k]
-        sector = [face_after.get((v, p)) for p in rot[-1:] + rot[:-1]]
+        sector = [fi if triangular[fi] else None for fi in embedding.sectors[v]]
         for k in range(d):
             keys = (sector[k], sector[(k + 1) % d], sector[(k + 2) % d])
             if None in keys:

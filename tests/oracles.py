@@ -19,9 +19,27 @@ from dischargekit.choosability import (
     Lists,
     ReducibleConfig,
 )
-from dischargekit.core import Edge, Face, Graph, Orientation, PlaneGraph, build_graph, canonical_edge
-from dischargekit.discharging import ChargeLedger, FinalReport, RuleSet, TransferRecord, initial_charges
-from dischargekit.errors import SizeLimitExceededError, WorkBudget
+from dischargekit.core import (
+    Edge,
+    Face,
+    Graph,
+    Orientation,
+    PlaneGraph,
+    build_graph,
+    canonical_edge,
+    expect_int_list,
+    expect_json,
+    faces_of,
+    load_json,
+)
+from dischargekit.discharging import ChargeLedger, FinalReport, RuleSet, TransferRecord
+from dischargekit.errors import (
+    DanglingVertexIndexError,
+    DisconnectedEmbeddingError,
+    InvalidRotationError,
+    SizeLimitExceededError,
+    WorkBudget,
+)
 from dischargekit.fixtures import CONFIG_H, FixedConfig
 from dischargekit.structures import (
     CONDITIONS,
@@ -350,6 +368,18 @@ def transfer(ledger: ChargeLedger, rule: str, source, sink, amount: Fraction) ->
     (ledger.vertex_charge if skind == "v" else ledger.face_charge)[si] -= amount
     (ledger.vertex_charge if tkind == "v" else ledger.face_charge)[ti] += amount
     ledger.trace.append(TransferRecord(rule=rule, source=source, sink=sink, amount=amount))
+
+
+def initial_charges(embedding: PlaneGraph) -> ChargeLedger:
+    """Oracle for the books ``apply_rules`` starts from: the formula charges
+    2d(v)-6 and d(f)-6 as ``Fraction``s, whose total is exactly -12 on a
+    connected plane graph.  ``faces_of`` rejects a disconnected one."""
+    faces = tuple(faces_of(embedding))
+    return ChargeLedger(
+        vertex_charge={v: Fraction(2 * embedding.graph.degree(v) - 6) for v in range(embedding.graph.n)},
+        face_charge={i: Fraction(f.degree - 6) for i, f in enumerate(faces)},
+        faces=faces,
+    )
 
 
 def facial_trios_filtered(embedding: PlaneGraph, faces: Sequence[Face]):
@@ -1033,3 +1063,86 @@ def parse_graph6_bitwalk(text: str) -> Graph:
                 edges.append((i, j))
             k += 1
     return build_graph(edges, n=n)
+
+
+class UnindexedPlaneGraph:
+    """Oracle for ``PlaneGraph``: the rotation is checked against the graph
+    by set comparisons, planarity only on a connected graph, and the face
+    traversal builds its own position index and marks each directed
+    edge-side in a set."""
+
+    def __init__(self, graph: Graph, rotation: Sequence[Sequence[int]]):
+        if len(rotation) != graph.n:
+            raise InvalidRotationError("rotation must list every vertex")
+        rot = tuple(tuple(r) for r in rotation)
+        for v in range(graph.n):
+            if set(rot[v]) != set(graph.adjacency[v]) or len(rot[v]) != graph.degree(v):
+                raise InvalidRotationError(f"rotation at vertex {v} is not a permutation of its neighbors")
+        self.graph = graph
+        self.rotation = rot
+        self._faces: Optional[Tuple[Face, ...]] = None
+        if graph.is_connected():
+            f = len(self.faces())
+            if graph.n - len(graph.edges) + f != 2:
+                raise InvalidRotationError(f"embedding is not planar: V-E+F = {graph.n - len(graph.edges) + f}")
+
+    def faces(self) -> Tuple[Face, ...]:
+        if self._faces is not None:
+            return self._faces
+        rot = self.rotation
+        index = [{u: i for i, u in enumerate(r)} for r in rot]
+        seen = set()
+        faces: List[Face] = []
+        for v in range(self.graph.n):
+            if not rot[v] and self.graph.n == 1:
+                faces.append(Face(boundary=()))
+                continue
+            for u in rot[v]:
+                if (v, u) in seen:
+                    continue
+                walk: List[int] = []
+                cur = (v, u)
+                while cur not in seen:
+                    seen.add(cur)
+                    walk.append(cur[0])
+                    a, b = cur
+                    nxt = rot[b][(index[b][a] + 1) % len(rot[b])]
+                    cur = (b, nxt)
+                faces.append(Face(boundary=tuple(walk)))
+        self._faces = tuple(faces)
+        return self._faces
+
+
+def faces_of_unindexed(embedding: UnindexedPlaneGraph) -> List[Face]:
+    """Oracle for ``faces_of``: connectivity is sought again."""
+    if not embedding.graph.is_connected():
+        raise DisconnectedEmbeddingError("face traversal requires a connected embedding")
+    return list(embedding.faces())
+
+
+def embedding_from_json_unindexed(obj) -> UnindexedPlaneGraph:
+    """Oracle for ``embedding_from_json``: repeats and range are checked
+    vertex by vertex, symmetry by a scan of each rotation, loops by
+    ``build_graph``, and the rotation against that graph by
+    ``UnindexedPlaneGraph``."""
+    if isinstance(obj, str):
+        obj = load_json(obj, "embedding")
+    obj = expect_json(obj, dict, "embedding")
+    n = expect_json(obj["n"], int, "n")
+    rotation = expect_json(obj["rotation"], list, "rotation")
+    rotation = [expect_int_list(r, f"rotation[{v}]") for v, r in enumerate(rotation)]
+    if len(rotation) != n:
+        raise InvalidRotationError("rotation length differs from n")
+    edges = set()
+    for v, nbrs in enumerate(rotation):
+        if len(set(nbrs)) != len(nbrs):
+            raise InvalidRotationError(f"repeated neighbor in rotation at vertex {v}")
+        for u in nbrs:
+            if not 0 <= u < n:
+                raise DanglingVertexIndexError(f"rotation at vertex {v} names vertex {u}, outside 0..{n - 1}")
+            edges.add(canonical_edge(u, v))
+    for u, v in edges:
+        if u not in rotation[v] or v not in rotation[u]:
+            raise InvalidRotationError(f"asymmetric adjacency between {u} and {v}")
+    graph = build_graph(sorted(edges), n=n)
+    return UnindexedPlaneGraph(graph, rotation)

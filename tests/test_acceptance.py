@@ -13,9 +13,9 @@ from dischargekit import fixtures
 from dischargekit.alon_tarsi import count_eulerian
 from dischargekit.choosability import check_extension, is_k_choosable
 from dischargekit.core import Orientation, build_graph
-from dischargekit.discharging import RuleSet, apply_rules, initial_charges
+from dischargekit.discharging import RuleSet, apply_rules
 from dischargekit.structures import StepBudget, VertexRole, check_conditions
-from oracles import count_eulerian_brute, find_trios_scan, l_color, l_color_brute, role_in
+from oracles import count_eulerian_brute, find_trios_scan, initial_charges, l_color, l_color_brute, role_in
 
 
 def report(name, ok, detail=""):

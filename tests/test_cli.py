@@ -52,32 +52,33 @@ def write_embedding(tmp_path, name):
     return str(path)
 
 
-# Runs detect on the embedding file named by its argument, writing the
-# report to the null device, and prints the exit code and the peak resident
-# set of its own process in KiB (``VmHWM``; ``ru_maxrss`` would carry the
-# peak of the process that started it across exec).
+# Runs the command named by its second argument on the embedding file named
+# by its first, writing the report to the null device, and prints the exit
+# code and the peak resident set of its own process in KiB (``VmHWM``;
+# ``ru_maxrss`` would carry the peak of the process that started it across
+# exec).
 RSS_PROBE = """
 import os, sys
 from dischargekit.cli import main
-code = main(["detect", "--format", "embedding-json", "--input", sys.argv[1], "--output", os.devnull])
+code = main([sys.argv[2], "--format", "embedding-json", "--input", sys.argv[1], "--output", os.devnull])
 with open("/proc/self/status") as fh:
     print(code, next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
 """
 
 
-def detect_peak_kib(tmp_path, embedding) -> int:
-    """The peak resident set of ``detect`` on the embedding, in a fresh
+def peak_kib(tmp_path, command, embedding) -> int:
+    """The peak resident set of ``command`` on the embedding, in a fresh
     interpreter, which answers with exit code 1."""
     path = tmp_path / "grid.json"
     path.write_text(json.dumps(embedding_to_json(embedding)))
     env = dict(os.environ, PYTHONPATH=str(Path(dischargekit.__file__).parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-c", RSS_PROBE, str(path)], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", RSS_PROBE, str(path), command], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    code, peak_kib = map(int, proc.stdout.split())
+    code, kib = map(int, proc.stdout.split())
     assert code == 1
-    return peak_kib
+    return kib
 
 
 class TestDetect:
@@ -177,12 +178,12 @@ class TestDetect:
 
     def test_grid_report_streams_in_small_memory(self, tmp_path):
         # a 14.9 MB report on 1,600 vertices
-        assert detect_peak_kib(tmp_path, triangulated_grid(40, 0.9, 1)) < 80 * 1024
+        assert peak_kib(tmp_path, "detect", triangulated_grid(40, 0.9, 1)) < 80 * 1024
 
     def test_large_grid_report_streams_in_small_memory(self, tmp_path):
         # 6,400 vertices, with 31,037 witnesses per condition and 28,793
         # trios
-        assert detect_peak_kib(tmp_path, triangulated_grid(80, 0.9, 1)) < 64 * 1024
+        assert peak_kib(tmp_path, "detect", triangulated_grid(80, 0.9, 1)) < 64 * 1024
 
     def test_k2_300_hubs_last_answers(self, tmp_path, capsys):
         # millions of paths run through the two hubs, but no edge is on a
@@ -563,6 +564,12 @@ class TestDischarge:
         assert proc.returncode == 1, proc.stderr
         assert json.loads(proc.stdout)["ledger"]["total"] == {"num": -12, "den": 1}
 
+    def test_large_grid_report_in_small_memory(self, tmp_path):
+        # 6,400 vertices, 47,366 transfers and 12,475 negative elements; each
+        # transfer's text is kept for the detail, nothing more per transfer:
+        # keeping its seven rendered arguments too costs about 4 MiB more
+        assert peak_kib(tmp_path, "discharge", triangulated_grid(80, 0.9, 1)) < 69 * 1024
+
     @pytest.mark.parametrize("amount", ["1e99999999", "1E-99999999", "2.5e3", "1/1e3"])
     def test_rule_with_exponent_exits_2(self, amount, tmp_path):
         # Fraction would build the power of ten first, which took minutes;
@@ -642,6 +649,29 @@ class TestErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize(
+        "argv, payload, message",
+        [
+            (["discharge", "--input", "-"], '{"n": 2}', 'embedding has no "rotation" key'),
+            (["discharge", "--input", "-"], '{"rotation": [[1], [0]]}', 'embedding has no "n" key'),
+            (["detect", "--format", "embedding-json", "--input", "-"], '{"n": 2}', 'embedding has no "rotation" key'),
+            (["discharge", "--input", "-"], '{"n": 0, "rotation": []}', "embedding has no vertices"),
+            (["alon-tarsi", "--format", "orientation-json", "--input", "-"], '{"arcs": []}', 'orientation has no "n" key'),
+            (["alon-tarsi", "--format", "orientation-json", "--input", "-"], '{"n": 2}', 'orientation has no "arcs" key'),
+            (["reduce", "--input", "-"], '{"sizes": [1]}', 'configuration has no "edges" key'),
+            (["reduce", "--input", "-"], '{"edges": [], "n": 1}', 'configuration has no "sizes" key'),
+            (["discharge", "--input", "CUBE", "--rules", "-"], '{"five_face": {"num": 1}}', 'five_face has no "den" key'),
+            (["discharge", "--input", "CUBE", "--rules", "-"], '{"hi_bad": {"den": 2}}', 'hi_bad has no "num" key'),
+        ],
+    )
+    def test_missing_key_is_named(self, argv, payload, message, tmp_path, monkeypatch, capsys):
+        argv = [write_embedding(tmp_path, "cube") if a == "CUBE" else a for a in argv]
+        monkeypatch.setattr("sys.stdin", io.StringIO(payload))
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
         "argv, payload, n",

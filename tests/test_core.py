@@ -4,8 +4,13 @@ import random
 from collections import Counter
 
 import pytest
-from inputs import embedding_to_json, write_graph6
-from oracles import orientations_with_max_outdegree, parse_graph6_bitwalk
+from inputs import embedding_to_json, triangulated_grid, wheel, write_graph6
+from oracles import (
+    embedding_from_json_unindexed,
+    faces_of_unindexed,
+    orientations_with_max_outdegree,
+    parse_graph6_bitwalk,
+)
 
 from dischargekit import fixtures
 from dischargekit.core import (
@@ -20,6 +25,7 @@ from dischargekit.core import (
 )
 from dischargekit.errors import (
     DanglingVertexIndexError,
+    DischargeKitError,
     DisconnectedEmbeddingError,
     DuplicateEdgeError,
     InvalidRotationError,
@@ -226,3 +232,150 @@ class TestWireFormats:
         o = fixtures.fig_orientations()["g1"]
         back = orientation_from_json(json.dumps(orientation_to_json(o)))
         assert back.arcs == o.arcs
+
+
+def reader_corpus():
+    """The bundled embeddings, wheels and the grids of sides 3-14, as
+    embedding JSON."""
+    embs = [fixtures.load_embedding(name) for name in fixtures.SOLIDS] + fixtures.random_embeddings()
+    embs += [wheel(spokes) for spokes in (3, 4, 7)]
+    embs += [triangulated_grid(side, share, side) for side in range(3, 15) for share in (0.0, 0.5, 0.9)]
+    return [embedding_to_json(emb) for emb in embs]
+
+
+def malformed(obj, fault: str, rng: random.Random) -> dict:
+    """``obj`` with one fault of the kind named: each changes one rotation,
+    or the vertex count, or joins a second copy of the embedding."""
+    n, rotation = obj["n"], [list(r) for r in obj["rotation"]]
+    # a swap at a vertex of degree 3 or more reverses its cyclic order
+    v = rng.choice([u for u in range(n) if len(rotation[u]) >= (3 if fault == "swap" else 1)])
+    r = rotation[v]
+    if fault == "repeat":
+        r.insert(rng.randrange(len(r) + 1), rng.choice(r))
+    elif fault == "range":
+        r.insert(rng.randrange(len(r) + 1), rng.choice((n, n + 5, -1, -n)))
+    elif fault == "loop":
+        r.insert(rng.randrange(len(r) + 1), v)
+    elif fault == "asymmetry-drop":
+        r.remove(rng.choice(r))
+    elif fault == "asymmetry-add":
+        others = [u for u in range(n) if u != v and u not in r]
+        if others:
+            r.insert(rng.randrange(len(r) + 1), rng.choice(others))
+        else:
+            r.remove(rng.choice(r))
+    elif fault == "length":
+        return {"n": n + rng.choice((-1, 1)), "rotation": rotation}
+    elif fault == "swap":
+        i, j = rng.sample(range(len(r)), 2)
+        r[i], r[j] = r[j], r[i]
+    elif fault == "empty":
+        return {"n": 0, "rotation": []}
+    elif fault == "disconnected":
+        rotation += [[u + n for u in r] for r in obj["rotation"]]
+        return {"n": 2 * n, "rotation": rotation}
+    return {"n": n, "rotation": rotation}
+
+
+def outcome(read, faces_of_read, obj):
+    """The class of the error that reading ``obj`` and listing its faces
+    raises, or its faces."""
+    try:
+        return faces_of_read(read(obj))
+    except DischargeKitError as exc:
+        return type(exc)
+
+
+class TestReaderOracle:
+    """The one-pass reader against the one it replaced, which checks by
+    sets and scans and builds its own position index to walk the faces."""
+
+    def test_same_graph_rotation_and_faces(self):
+        for obj in reader_corpus():
+            new, old = embedding_from_json(obj), embedding_from_json_unindexed(obj)
+            assert new.graph == old.graph and new.graph.adjacency == old.graph.adjacency
+            assert new.rotation == old.rotation
+            assert new.faces() == old.faces()
+
+    def test_sector_index(self):
+        # each sector lies on exactly one face: the one whose walk leaves
+        # the vertex towards the neighbour that closes the sector
+        for obj in reader_corpus():
+            emb = embedding_from_json(obj)
+            want = [[None] * len(r) for r in emb.rotation]
+            for fi, f in enumerate(emb.faces()):
+                for i, a in enumerate(f.boundary):
+                    k = emb.rotation[a].index(f.boundary[(i + 1) % f.degree])
+                    assert want[a][k] is None
+                    want[a][k] = fi
+            assert emb.sectors == want
+
+    @pytest.mark.parametrize(
+        "fault",
+        ["repeat", "range", "loop", "asymmetry-drop", "asymmetry-add", "length", "swap", "empty", "disconnected"],
+    )
+    def test_malformed_rotations_raise_the_same_class(self, fault):
+        rng = random.Random(fault)
+        corpus = [obj for obj in reader_corpus() if obj["n"] <= 100 and max(map(len, obj["rotation"])) >= 3]
+        outcomes = Counter()
+        for _ in range(60):
+            obj = malformed(rng.choice(corpus), fault, rng)
+            got = outcome(embedding_from_json, faces_of, obj)
+            assert got == outcome(embedding_from_json_unindexed, faces_of_unindexed, obj), (fault, obj)
+            outcomes[got if isinstance(got, type) else "accepted"] += 1
+        want = {
+            "repeat": InvalidRotationError,
+            "range": DanglingVertexIndexError,
+            "loop": LoopEdgeError,
+            "asymmetry-drop": InvalidRotationError,
+            "asymmetry-add": InvalidRotationError,
+            "length": InvalidRotationError,
+            "empty": InvalidRotationError,
+            "disconnected": DisconnectedEmbeddingError,
+        }.get(fault)
+        if want is not None:
+            assert set(outcomes) == {want}, outcomes
+        else:
+            # most swaps leave the plane
+            assert outcomes[InvalidRotationError] > 0, outcomes
+
+
+class TestPlanarity:
+    """The reader against networkx's planarity test, on seeded random
+    graphs with random rotations, networkx's own embeddings and their
+    mirror images."""
+
+    def test_accepted_rotations_are_planar(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(31)
+        seen = Counter()
+        for _ in range(600):
+            n = rng.randint(1, 9)
+            share = rng.choice((0.2, 0.4, 0.6, 0.9))
+            edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < share]
+            nxg = nx.Graph(edges)
+            nxg.add_nodes_from(range(n))
+            planar, embedding = nx.check_planarity(nxg)
+            connected = nx.is_connected(nxg)
+            rotations = [[rng.sample(sorted(nxg[v]), len(nxg[v])) for v in range(n)]]
+            if planar:
+                cw = [list(embedding.neighbors_cw_order(v)) for v in range(n)]
+                rotations += [cw, [r[::-1] for r in cw]]
+            for i, rotation in enumerate(rotations):
+                try:
+                    emb = embedding_from_json({"n": n, "rotation": rotation})
+                except InvalidRotationError:
+                    # only a connected embedding is checked for planarity
+                    assert connected and i == 0, rotation
+                    seen["rejected"] += 1
+                    continue
+                if not connected:
+                    with pytest.raises(DisconnectedEmbeddingError):
+                        faces_of(emb)
+                    seen["disconnected"] += 1
+                    continue
+                assert planar, rotation
+                v, e, f = n, len(emb.graph.edges), len(faces_of(emb))
+                assert v - e + f == 2
+                seen["plane, random" if i == 0 else "plane, networkx"] += 1
+        assert min(seen.values()) >= 30 and len(seen) == 4, seen

@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 from inputs import stacked_triangulations, triangulated_grid, trio_embedding
-from oracles import apply_rules_unindexed, discharge_report_tree, replay, transfer
+from oracles import apply_rules_unindexed, discharge_report_tree, initial_charges, replay, transfer
 
 from dischargekit import fixtures
 from dischargekit.core import PlaneGraph, build_graph
@@ -14,7 +14,6 @@ from dischargekit.discharging import (
     TransferRecord,
     apply_rules,
     final_report,
-    initial_charges,
 )
 from dischargekit.errors import DisconnectedEmbeddingError
 
