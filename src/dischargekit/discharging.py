@@ -116,7 +116,7 @@ def apply_rules(embedding: PlaneGraph, ruleset: RuleSet = RuleSet()) -> ChargeLe
     faces = tuple(faces_of(embedding))
     deg = [len(r) for r in embedding.rotation]
 
-    trios = facial_trios(embedding, faces)
+    trios = facial_trios(embedding)
     role_of = classify_role(trios)
 
     # R5 equalizes each trio's three 3-faces.  Trios sharing a 3-face are

@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations, product
-from typing import Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, NamedTuple, Tuple
 
-from .core import Edge, Face, Graph, PlaneGraph, build_graph, canonical_edge
+from .core import Edge, Graph, PlaneGraph, build_graph, canonical_edge
 from .errors import WorkBudget
 
 Cycle = Tuple[int, ...]
@@ -64,13 +64,11 @@ class TrioOccurrence(NamedTuple):
         return tuple(sorted((x, u, v))), tuple(sorted((x, y, v))), tuple(sorted((y, v, w)))
 
 
-def facial_trios(
-    embedding: PlaneGraph, faces: Sequence[Face]
-) -> List[Tuple[TrioOccurrence, Tuple[int, int, int]]]:
+def facial_trios(embedding: PlaneGraph) -> List[Tuple[TrioOccurrence, Tuple[int, int, int]]]:
     """The trios of ``check_conditions`` (read off its triangle index) whose
     three triangles are 3-faces of the embedding, in the same order, each
-    with the indices of its faces xuv, xyv and yvw in ``faces``, the
-    embedding's faces, whose index in each rotation sector it reads.
+    with the indices of its faces xuv, xyv and yvw in ``embedding.faces()``,
+    read off the embedding's sector index.
 
     A 3-face at a centre v is one sector of v's rotation, between two
     neighbours in a row, so such a trio is a window of three 3-face sectors
@@ -85,7 +83,7 @@ def facial_trios(
     adj = embedding.graph.adjacency
     # a sector whose face has degree 3 is the triangle of v and the
     # sector's two neighbours
-    triangular = [f.degree == 3 for f in faces]
+    triangular = [f.degree == 3 for f in embedding.faces()]
     found = []
     for v, rot in enumerate(embedding.rotation):
         d = len(rot)

@@ -274,7 +274,7 @@ class TestFacialTrios:
         found = 0
         for emb in facial_trio_embeddings():
             faces = faces_of(emb)
-            trios = facial_trios(emb, faces)
+            trios = facial_trios(emb)
             assert trios == facial_trios_filtered(emb, faces), emb.rotation
             assert all(type(occ) is TrioOccurrence for occ, _ in trios)
             found += len(trios)
@@ -288,7 +288,7 @@ class TestFacialTrios:
         emb = fixtures.load_embedding("octahedron")
         adj = emb.graph.adjacency
         faces = faces_of(emb)
-        trios = facial_trios(emb, faces)
+        trios = facial_trios(emb)
         assert [occ.v for occ, _ in trios] == [2, 3, 1, 4, 0, 5]
         for occ, _ in trios:
             link_tuples = [
