@@ -13,7 +13,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .alon_tarsi import find_certificate, find_list_certificate
+from .alon_tarsi import find_list_certificate
 from .core import Graph, build_graph
 from .errors import SizeLimitExceededError, WorkBudget
 
@@ -25,10 +25,11 @@ DEFAULT_N_LIMIT = 10
 # and colourer backtrack steps.
 MAX_WALK_STEPS = 100_000
 
-# Graphs up to this many edges get an orientation certificate search before
-# the exhaustive one.  This picks a method; it is not a guard: on a denser
-# graph such as K10 at k = 6 the search would spend its whole DP-state
-# budget and fail where the exhaustive check answers "no" at once.
+# A core of at most this many edges, counted on the core that ``_peel``
+# leaves, gets an orientation certificate search before the walk.  The cap
+# picks a method, and so keeps the method labels of the reports; it bounds
+# no work, as the search has a budget of its own, past which the walk
+# decides.
 _AT_MAX_EDGES = 30
 
 
@@ -77,49 +78,80 @@ class ChoosabilityVerdict:
 
 
 def is_k_choosable(graph: Graph, k: int) -> ChoosabilityVerdict:
-    """Decide whether every k-assignment admits a list coloring.
-
-    Degeneracy below k, that is, an empty core once ``_peel`` drops every
-    vertex of degree below k, answers "yes" at once.  Otherwise the first
-    canonical assignment, every list {0, ..., k-1}, is tested on the core:
-    a graph that is not k-colourable fails it, has no certificate, and
-    gets it as the witness.  Then, on graphs of at most ``_AT_MAX_EDGES``
-    edges, an even/odd orientation certificate may answer "yes", and the
-    exhaustive canonical enumeration decides the rest, with a witness
-    assignment on "no".  Inputs beyond ``DEFAULT_N_LIMIT`` vertices are
-    rejected, not approximated.  The certificate search raises
-    ``SizeLimitExceededError`` past ``alon_tarsi.MAX_DP_STATES`` tree nodes
-    and DP states, the enumeration past ``MAX_WALK_STEPS`` steps of its
-    walk (``_first_uncolourable``); the first assignment's test is not
-    charged.
-    """
+    """Decide whether every k-assignment admits a list coloring
+    (``_decide``), with a witness assignment on "no".  Inputs beyond
+    ``DEFAULT_N_LIMIT`` vertices are rejected, not approximated."""
     if k < 1:
         raise ValueError("k must be positive")
     if graph.n > DEFAULT_N_LIMIT:
         raise SizeLimitExceededError(f"n = {graph.n} exceeds guard {DEFAULT_N_LIMIT}")
-    sizes = [k] * graph.n
-    core = _peel(_neighbours(graph), sizes, (1 << graph.n) - 1)
-    if not core:
-        return ChoosabilityVerdict(choosable=True, method="degeneracy")
-    if not _colourer(graph, sizes, core)([(1 << k) - 1] * graph.n):
-        witness = ListAssignment(lists=(tuple(range(k)),) * graph.n)
-        return ChoosabilityVerdict(choosable=False, witness=witness, method="exhaustive")
-    if len(graph.edges) <= _AT_MAX_EDGES and find_certificate(graph, k) is not None:
-        return ChoosabilityVerdict(choosable=True, method="alon-tarsi")
-    witness = _first_uncolourable(graph, sizes)
+    method, witness = _decide(graph, [k] * graph.n)
     if witness is None:
-        return ChoosabilityVerdict(choosable=True, method="exhaustive")
-    return ChoosabilityVerdict(choosable=False, witness=ListAssignment(lists=witness), method="exhaustive")
+        return ChoosabilityVerdict(choosable=True, method=method)
+    return ChoosabilityVerdict(choosable=False, witness=ListAssignment(lists=witness), method=method)
+
+
+def check_extension(config: ReducibleConfig) -> bool:
+    """True iff the inner graph is colorable from every assignment with the
+    configured residual sizes (``_decide``).  A list longer than its
+    vertex's degree is cut to one more: the vertex is peeled either way,
+    and the witness that is thrown away stays small."""
+    inner = config.inner
+    sizes = [min(s, inner.degree(v) + 1) for v, s in enumerate(config.residual_sizes)]
+    return _decide(inner, sizes)[1] is None
+
+
+def _decide(graph: Graph, sizes: Sequence[int]) -> Tuple[str, Optional[Lists]]:
+    """The method that decides whether ``graph`` colours from every
+    assignment of lists with these sizes, and the first uncolourable
+    assignment it finds, or None.
+
+    First ``_peel`` drops every vertex with more colours than neighbours
+    left, until none is: such a vertex can be coloured last, so the answer
+    is that of the core that is left, and an empty core answers
+    "degeneracy".  The core is then tested on the walk's first assignment,
+    each list {0, ..., size - 1}: a core that fails it has no certificate,
+    and those lists, on every vertex, are the witness.  Then, on a core of
+    at most ``_AT_MAX_EDGES`` edges, an orientation certificate for its
+    sizes answers "alon-tarsi".  The exhaustive walk
+    (``_first_uncolourable``) decides the rest, also where the certificate
+    search passes ``alon_tarsi.MAX_DP_STATES`` tree nodes and DP states.
+    It lists colour types over the core only, so its witness gives each
+    peeled vertex colours of its own.  Lists as long as the degrees of a
+    connected graph that is not a Gallai tree always have a certificate
+    (Hladký, Král' and Schauz, 2010).
+
+    Raises ``SizeLimitExceededError`` past ``MAX_WALK_STEPS`` steps of the
+    walk; the first assignment's test is not charged."""
+    nbr = _neighbours(graph)
+    core = _peel(nbr, sizes, (1 << graph.n) - 1)
+    if not core:
+        return "degeneracy", None
+    if not _colourer(nbr, sizes, core, core)([(1 << s) - 1 for s in sizes]):
+        return "exhaustive", tuple(tuple(range(s)) for s in sizes)
+    edges = [(u, v) for u, v in graph.edges if core >> u & core >> v & 1]
+    if len(edges) <= _AT_MAX_EDGES:
+        keep = [v for v in range(graph.n) if core >> v & 1]
+        if len(keep) < graph.n:
+            index = {v: i for i, v in enumerate(keep)}
+            graph = build_graph([(index[u], index[v]) for u, v in edges], n=len(keep))
+        try:
+            if find_list_certificate(graph, [sizes[v] for v in keep]) is not None:
+                return "alon-tarsi", None
+        except SizeLimitExceededError:
+            pass
+    return "exhaustive", _first_uncolourable(nbr, sizes)
 
 
 def _colourer(
-    graph: Graph, sizes: Sequence[int], core: int, spend: Callable[[int], None] = lambda work: None
+    nbr: Sequence[int], sizes: Sequence[int], core: int, part: int, spend: Callable[[int], None] = lambda work: None
 ) -> Callable[..., bool]:
-    """A test of whether the vertices of ``core``, a nonempty bitmask, can
-    be coloured properly from lists given as one colour bitmask per vertex
-    of ``graph``.  They are coloured smallest list first, then highest
-    degree; each takes its lowest colour bit that no earlier neighbour
-    took, and the search backtracks.
+    """A test of whether the vertices of ``part``, a nonempty bitmask within
+    ``core``, can be coloured properly from lists given as one colour
+    bitmask per vertex; ``nbr`` holds each vertex's neighbours as a
+    bitmask.  They are coloured smallest list first, then highest degree
+    within ``core``; each takes its lowest colour bit that no earlier
+    neighbour took, and the search backtracks.
 
     A vertex v may also be left to ``fresh[v]`` fresh colours, which no
     list holds but which other vertices' fresh colours may repeat, so long
@@ -128,14 +160,13 @@ def _colourer(
     dropping.  So a True answer holds for every choice of fresh colours.
     The fresh option is tried after the list colours.  Each backtrack step
     is charged to ``spend``, one unit each."""
-    order = sorted((v for v in range(graph.n) if core >> v & 1), key=lambda v: (sizes[v], -graph.degree(v)))
+    vertices = [v for v in range(len(sizes)) if part >> v & 1]
+    order = sorted(vertices, key=lambda v: (sizes[v], -(nbr[v] & core).bit_count()))
     n = len(order)
-    at = {v: i for i, v in enumerate(order)}
-    earlier = [[at[u] for u in graph.adjacency[v] if at.get(u, n) < i] for i, v in enumerate(order)]
-    nbr = _neighbours(graph)
+    earlier = [[j for j in range(i) if nbr[v] >> order[j] & 1] for i, v in enumerate(order)]
     # above every colour of the lists
     fresh_bit = 1 << sum(sizes)
-    no_fresh = [0] * graph.n
+    no_fresh = [0] * len(sizes)
 
     def colourable(masks: List[int], fresh: Sequence[int] = no_fresh) -> bool:
         taken = [0] * n
@@ -187,18 +218,22 @@ def _peel(nbr: Sequence[int], colours: Sequence[int], alive: int) -> int:
             return alive
 
 
-def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
+def _first_uncolourable(nbr: Sequence[int], sizes: Sequence[int]) -> Optional[Lists]:
     """The first canonical assignment with these sizes that has no proper
-    colouring, or None.  Raises ``SizeLimitExceededError`` when the walk
-    would take its (``MAX_WALK_STEPS`` + 1)-th step.
+    colouring of the graph whose neighbours, as bitmasks, ``nbr`` holds, or
+    None.  Raises ``SizeLimitExceededError`` when the walk would take its
+    (``MAX_WALK_STEPS`` + 1)-th step.
 
     The canonical assignments are the nodes of a tree: a child adds one
     shared colour type, a set of at least two vertices, with a multiplicity,
     to the lists of its parent, types being taken largest first and each at
-    most once along a path.  A node's assignment gives every vertex the rest
-    of its list as private colours, and comes after those of its children.
-    Colours are numbered in order of first use and kept as one bitmask per
-    vertex.
+    most once along a path.  Types are sets of vertices of the core that
+    ``_peel`` leaves of the graph with the full list sizes: any other vertex
+    has more colours than neighbours left in any assignment, so its lists
+    decide nothing, and it keeps private colours only.  A node's assignment
+    gives every vertex the rest of its list as private colours, and comes
+    after those of its children.  Colours are numbered in order of first use
+    and kept as one bitmask per vertex.
 
     A node with a child passes once that child has, so only the leaves
     are coloured.  A vertex with a private colour can take it last, so a
@@ -214,25 +249,23 @@ def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
     which some vertices are left to fresh colours, so long as those peel
     away by their fresh colours: in every assignment below, the others
     keep their colours, and the vertices left take fresh ones in reverse
-    order of their dropping.  It colours only the core that ``_peel``
-    leaves of the graph with the full list sizes: any other vertex has
-    more colours than neighbours left in any assignment.
+    order of their dropping.  It colours only the core.
 
     The walk is charged for the work it does: one step per node entered,
     one per leaf check and one per backtrack step of a colourer, in skip
     tests and leaf checks alike.  A skipped subtree costs only its test.
     """
     n = len(sizes)
+    # the vertices that the types are sets of and that a subtree's test
+    # colours
+    core = _peel(nbr, sizes, (1 << n) - 1)
     # The shared colour types, kept as bitmasks, largest first, then by
     # value: the order in which the walk takes them.  Singleton types would
     # come last, in vertex order, and each could only take all its vertex's
     # remaining colours: those are the private ones.
-    shared = sorted((t for t in range(1, 1 << n) if t & (t - 1)), key=lambda t: (-t.bit_count(), t))
+    shared = sorted((t for t in range(core + 1) if t & (t - 1) and t | core == core), key=lambda t: (-t.bit_count(), t))
     members = [[v for v in range(n) if t >> v & 1] for t in shared]
     spend = WorkBudget(MAX_WALK_STEPS, "exhaustive check", "steps").spend
-    nbr = _neighbours(graph)
-    # the vertices that a subtree's test colours
-    core = _peel(nbr, sizes, (1 << n) - 1)
     masks = [0] * n
     remaining = list(sizes)
     # per mask of full vertices, the indices of the types that avoid them
@@ -247,7 +280,7 @@ def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
         if not part:
             return True
         if part not in colourers:
-            colourers[part] = _colourer(graph, sizes, part, spend)
+            colourers[part] = _colourer(nbr, sizes, core, part, spend)
         return colourers[part](masks, *fresh)
 
     # A node with no child is checked where it is met; ``base`` is the next
@@ -307,36 +340,3 @@ def _first_uncolourable(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
     if found is None:
         return None
     return tuple(tuple(c for c in range(m.bit_length()) if m >> c & 1) for m in found)
-
-
-def check_extension(config: ReducibleConfig) -> bool:
-    """True iff the inner graph is colorable from every assignment with the
-    configured residual sizes.  Raises ``SizeLimitExceededError`` past
-    ``MAX_WALK_STEPS`` steps of the walk (``_first_uncolourable``).
-
-    First ``_peel`` drops every vertex with more colours than neighbours
-    left, which keeps the answer.  What is left is tested on the walk's
-    first assignment, each list {0, ..., size - 1}: if it fails, it is the
-    walk's answer, and no certificate exists.  Then, on a graph of at most
-    ``_AT_MAX_EDGES`` edges, an orientation certificate for the sizes left
-    answers True.  The walk decides the rest, also where the certificate
-    search runs out of its budget; only the walk is charged steps.  Lists as long as the degrees of a
-    connected graph that is not a Gallai tree always have a certificate
-    (Hladký, Král' and Schauz, 2010)."""
-    inner, sizes = config.inner, config.residual_sizes
-    left = _peel(_neighbours(inner), sizes, (1 << inner.n) - 1)
-    if not left:
-        return True
-    keep = [v for v in range(inner.n) if left >> v & 1]
-    index = {v: i for i, v in enumerate(keep)}
-    rest = build_graph([(index[u], index[v]) for u, v in inner.edges if u in index and v in index], n=len(keep))
-    kept = [sizes[v] for v in keep]
-    if not _colourer(rest, kept, (1 << rest.n) - 1)([(1 << s) - 1 for s in kept]):
-        return False
-    if len(rest.edges) <= _AT_MAX_EDGES:
-        try:
-            if find_list_certificate(rest, kept) is not None:
-                return True
-        except SizeLimitExceededError:
-            pass
-    return _first_uncolourable(rest, kept) is None

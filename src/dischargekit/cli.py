@@ -514,7 +514,7 @@ def main(argv=None) -> int:
         parser.error("unrecognized arguments: --k (not read with --format orientation-json)")
     try:
         return COMMANDS[args.command](args)
-    except (DischargeKitError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (DischargeKitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -283,10 +283,13 @@ def l_color(graph: Graph, lists: Sequence[Sequence[int]]) -> Optional[List[int]]
     return None
 
 
-def iter_canonical_assignments(sizes: Sequence[int]) -> Iterator[Lists]:
+def iter_canonical_assignments(sizes: Sequence[int], over: Optional[int] = None) -> Iterator[Lists]:
     """Canonical list assignments with the given sizes, one per intersection
     pattern (orbit under color permutation), in the order in which
-    ``choosability._first_uncolourable`` checks them.
+    ``choosability._first_uncolourable`` checks them.  Shared colours go to
+    the vertices of ``over``, a bitmask, every vertex by default; the
+    others get private colours only (the walk takes ``over`` to be the
+    core that ``choosability._peel`` leaves).
 
     Color types are visited largest-subset-first, so the first assignment
     yielded is the maximally shared one (all lists identical where sizes
@@ -295,10 +298,11 @@ def iter_canonical_assignments(sizes: Sequence[int]) -> Iterator[Lists]:
     order.
     """
     n = len(sizes)
+    over = (1 << n) - 1 if over is None else over
     # Singleton types would come last, in vertex order, and each could only
     # take all its vertex's remaining colours; so they are not enumerated,
     # and what the shared types leave becomes private colours at the end.
-    shared = sorted((t for t in range(1, 1 << n) if t & (t - 1)), key=lambda t: (-bin(t).count("1"), t))
+    shared = sorted((t for t in range(1, 1 << n) if t & (t - 1) and not t & ~over), key=lambda t: (-bin(t).count("1"), t))
     members = [[v for v in range(n) if t >> v & 1] for t in shared]
     all_full = (1 << n) - 1
     lists: List[List[int]] = [[] for _ in range(n)]
@@ -888,12 +892,13 @@ def _count_check(checked: int) -> int:
     return checked + 1
 
 
-def first_uncolourable_loop(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
+def first_uncolourable_loop(graph: Graph, sizes: Sequence[int], over: Optional[int] = None) -> Optional[Lists]:
     """Oracle for ``choosability._first_uncolourable``: the first
-    assignment of ``iter_canonical_assignments`` that ``l_color`` cannot
-    colour, or None.  Raises ``SizeLimitExceededError`` when the
+    assignment of ``iter_canonical_assignments`` (with shared colours on
+    the vertices of ``over``) that ``l_color`` cannot colour, or None.
+    Raises ``SizeLimitExceededError`` when the
     (``MAX_ORACLE_ASSIGNMENTS`` + 1)-th assignment would be checked."""
-    for checked, lists in enumerate(iter_canonical_assignments(sizes)):
+    for checked, lists in enumerate(iter_canonical_assignments(sizes, over)):
         if checked >= MAX_ORACLE_ASSIGNMENTS:
             raise SizeLimitExceededError(f"exhaustive check needs more than {MAX_ORACLE_ASSIGNMENTS} assignments")
         if l_color(graph, lists) is None:
@@ -901,11 +906,12 @@ def first_uncolourable_loop(graph: Graph, sizes: Sequence[int]) -> Optional[List
     return None
 
 
-def first_uncolourable_unpruned(graph: Graph, sizes: Sequence[int]) -> Optional[Lists]:
+def first_uncolourable_unpruned(graph: Graph, sizes: Sequence[int], over: Optional[int] = None) -> Optional[Lists]:
     """Oracle for ``choosability._first_uncolourable``: the same walk over
     the canonical colour-type tree, but entering every node, so every leaf
     is coloured, and charged one check per assignment against
-    ``MAX_ORACLE_ASSIGNMENTS``.
+    ``MAX_ORACLE_ASSIGNMENTS``.  Its types are the shared ones of
+    ``iter_canonical_assignments(sizes, over)``.
 
     A node with a child passes once that child has, so only the leaves
     are coloured.  A vertex with a private colour can take it last, so a
@@ -915,9 +921,10 @@ def first_uncolourable_unpruned(graph: Graph, sizes: Sequence[int]) -> Optional[
     once per set of full vertices.
     """
     n = len(sizes)
+    over = (1 << n) - 1 if over is None else over
     # Singleton types would come last, in vertex order, and each could only
     # take all its vertex's remaining colours: those are the private ones.
-    shared = sorted((t for t in range(1, 1 << n) if t & (t - 1)), key=lambda t: (-bin(t).count("1"), t))
+    shared = sorted((t for t in range(1, 1 << n) if t & (t - 1) and not t & ~over), key=lambda t: (-bin(t).count("1"), t))
     members = [[v for v in range(n) if t >> v & 1] for t in shared]
     spend = WorkBudget(MAX_ORACLE_ASSIGNMENTS, "exhaustive check", "assignments").spend
     nbr = choosability._neighbours(graph)
@@ -929,7 +936,7 @@ def first_uncolourable_unpruned(graph: Graph, sizes: Sequence[int]) -> Optional[
     def node(full: int) -> tuple:
         if full not in known:
             core = choosability._peel(nbr, sizes, full)
-            colourer = choosability._colourer(graph, sizes, core) if core else None
+            colourer = choosability._colourer(nbr, sizes, core, core) if core else None
             known[full] = [j for j, t in enumerate(shared) if not t & full], colourer
         return known[full]
 
@@ -982,6 +989,59 @@ def first_uncolourable_unpruned(graph: Graph, sizes: Sequence[int]) -> Optional[
     if found is None:
         return None
     return tuple(tuple(c for c in range(m.bit_length()) if m >> c & 1) for m in found)
+
+
+def is_k_choosable_reference(graph: Graph, k: int) -> ChoosabilityVerdict:
+    """The former ``is_k_choosable``, kept as the reference of
+    ``choosability._decide``: the same peel and first-assignment test, then
+    the certificate search on the whole graph, whose budget ends the
+    decision, and the walk on the whole graph.  On a graph that is its own
+    k-core, or has an empty one, the package gives the same verdict,
+    method, witness and steps.  The walk is the package's, which lists
+    colour types over every vertex of such a graph, as the former walk
+    did; on any other graph it lists them over the core only."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    if graph.n > choosability.DEFAULT_N_LIMIT:
+        raise SizeLimitExceededError(f"n = {graph.n} exceeds guard {choosability.DEFAULT_N_LIMIT}")
+    sizes = [k] * graph.n
+    nbr = choosability._neighbours(graph)
+    if not choosability._peel(nbr, sizes, (1 << graph.n) - 1):
+        return ChoosabilityVerdict(choosable=True, method="degeneracy")
+    if l_color(graph, [tuple(range(k))] * graph.n) is None:
+        witness = ListAssignment(lists=(tuple(range(k)),) * graph.n)
+        return ChoosabilityVerdict(choosable=False, witness=witness, method="exhaustive")
+    if len(graph.edges) <= choosability._AT_MAX_EDGES and alon_tarsi.find_certificate(graph, k) is not None:
+        return ChoosabilityVerdict(choosable=True, method="alon-tarsi")
+    witness = choosability._first_uncolourable(nbr, sizes)
+    if witness is None:
+        return ChoosabilityVerdict(choosable=True, method="exhaustive")
+    return ChoosabilityVerdict(choosable=False, witness=ListAssignment(lists=witness), method="exhaustive")
+
+
+def check_extension_reference(config: ReducibleConfig) -> bool:
+    """The former ``check_extension``, kept as the reference of
+    ``choosability._decide``: it peels, then runs the first-assignment
+    test, the certificate search and the walk on a relabelled copy of the
+    core that is left.  The package answers the same and takes the same
+    steps in its walk."""
+    inner, sizes = config.inner, config.residual_sizes
+    left = choosability._peel(choosability._neighbours(inner), sizes, (1 << inner.n) - 1)
+    if not left:
+        return True
+    keep = [v for v in range(inner.n) if left >> v & 1]
+    index = {v: i for i, v in enumerate(keep)}
+    rest = build_graph([(index[u], index[v]) for u, v in inner.edges if u in index and v in index], n=len(keep))
+    kept = [sizes[v] for v in keep]
+    if l_color(rest, [tuple(range(s)) for s in kept]) is None:
+        return False
+    if len(rest.edges) <= choosability._AT_MAX_EDGES:
+        try:
+            if alon_tarsi.find_list_certificate(rest, kept) is not None:
+                return True
+        except SizeLimitExceededError:
+            pass
+    return choosability._first_uncolourable(choosability._neighbours(rest), kept) is None
 
 
 def check_extension_with_rechoice(config: ReducibleConfig, choice_set: Sequence[int]) -> bool:

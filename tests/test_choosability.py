@@ -19,12 +19,14 @@ from dischargekit.choosability import (
 from dischargekit.core import build_graph, parse_graph6
 from dischargekit.errors import SizeLimitExceededError, WorkBudget
 from oracles import (
+    check_extension_reference,
     check_extension_with_rechoice,
     ert_two_choosable,
     first_uncolourable_loop,
     first_uncolourable_unpruned,
     is_gallai_tree,
     is_k_choosable_raw,
+    is_k_choosable_reference,
     iter_canonical_assignments,
     iter_canonical_assignments_all_types,
     l_color,
@@ -151,6 +153,37 @@ class TestCanonicalAssignments:
         assert second == ((0,),) * 9 + ((1,),)
 
 
+def walk(graph, sizes):
+    """The package's walk, ``choosability._first_uncolourable``, on the
+    neighbour index of ``graph``."""
+    return choosability._first_uncolourable(choosability._neighbours(graph), sizes)
+
+
+def core_of(graph, sizes):
+    """The core, a bitmask, that ``choosability._peel`` leaves of ``graph``
+    with these list sizes: the vertices the walk lists colour types over."""
+    return choosability._peel(choosability._neighbours(graph), sizes, (1 << graph.n) - 1)
+
+
+def loop_over_core(graph, sizes):
+    """``first_uncolourable_loop`` with shared colours on the core only."""
+    return first_uncolourable_loop(graph, sizes, core_of(graph, sizes))
+
+
+def unpruned_over_core(graph, sizes):
+    """``first_uncolourable_unpruned`` with shared colours on the core only."""
+    return first_uncolourable_unpruned(graph, sizes, core_of(graph, sizes))
+
+
+def assert_same_answer(graph, sizes, got, every):
+    """The walk's answer ``got`` against ``every``, that of an oracle with
+    shared colours on every vertex, each an assignment, None or a budget
+    message: peeling keeps the answer, so where both answer, both are None
+    or neither is."""
+    if not isinstance(got, str) and not isinstance(every, str):
+        assert (got is None) == (every is None), (graph.edges, sizes)
+
+
 def first_or_error(find, graph, sizes):
     """``find(graph, sizes)``, or the message of the budget error it raises."""
     try:
@@ -212,17 +245,24 @@ def walk_steps(monkeypatch):
 
 class TestFirstUncolourable:
     """The fused walk against the first assignment of the oracle stream
-    that the oracle ``l_color`` cannot colour."""
+    that the oracle ``l_color`` cannot colour.  The witness is that of the
+    stream with shared colours on the core only; the answer is also that of
+    the stream with shared colours on every vertex."""
 
     @staticmethod
     def answers(graph, sizes):
-        # the walk's and the oracle's answers; the walk answers wherever
-        # the oracle does, within its own budget
-        got = first_or_error(choosability._first_uncolourable, graph, sizes)
-        want = first_or_error(first_uncolourable_loop, graph, sizes)
+        # the walk's answer, the core oracle's and that of the oracle over
+        # every vertex; the walk answers wherever the core oracle does,
+        # within its own budget
+        got = first_or_error(walk, graph, sizes)
+        want = first_or_error(loop_over_core, graph, sizes)
         assert not isinstance(got, str) or isinstance(want, str), (graph.edges, sizes)
         assert_consistent(graph, sizes, got, want)
-        return got, want
+        every = want
+        if core_of(graph, sizes) != (1 << graph.n) - 1:
+            every = first_or_error(first_uncolourable_loop, graph, sizes)
+            assert_same_answer(graph, sizes, got, every)
+        return got, every
 
     def assert_agrees(self, graph, sizes):
         return self.answers(graph, sizes)[0]
@@ -274,21 +314,22 @@ class TestFirstUncolourable:
         # the steps each walk takes; at that limit it gives the same answer,
         # and one step less ends it on the budget
         spent = walk_steps(monkeypatch)
-        expected = [choosability._first_uncolourable(g, sizes) for g, sizes in cases]
-        assert expected == [first_uncolourable_loop(g, sizes) for g, sizes in cases]
+        expected = [walk(g, sizes) for g, sizes in cases]
+        assert expected == [loop_over_core(g, sizes) for g, sizes in cases]
+        assert [w is None for w in expected] == [first_uncolourable_loop(g, sizes) is None for g, sizes in cases]
         for (graph, sizes), want, needed in zip(cases, expected, list(spent)):
             monkeypatch.setattr(choosability, "MAX_WALK_STEPS", needed)
-            assert choosability._first_uncolourable(graph, sizes) == want
+            assert walk(graph, sizes) == want
             monkeypatch.setattr(choosability, "MAX_WALK_STEPS", needed - 1)
             message = f"^exhaustive check needs more than {needed - 1} steps$"
             with pytest.raises(SizeLimitExceededError, match=message):
-                choosability._first_uncolourable(graph, sizes)
+                walk(graph, sizes)
 
     def test_eight_to_ten_vertices(self, monkeypatch):
         # answers where the random test above stops, many of them where the
-        # oracle runs out of its budget; half the graphs keep lists of 2 or
-        # 3 on vertices of degree 2 or more, so that their first assignment
-        # is often colourable
+        # oracle over every vertex runs out of its budget; half the graphs
+        # keep lists of 2 or 3 on vertices of degree 2 or more, so that
+        # their first assignment is often colourable
         monkeypatch.setattr(oracles, "MAX_ORACLE_ASSIGNMENTS", 1_000)
         rng = random.Random(61)
         outcomes = Counter()
@@ -296,17 +337,21 @@ class TestFirstUncolourable:
             n = rng.randint(8, 10)
             g = build_graph([e for e in itertools.combinations(range(n), 2) if rng.random() < 0.25], n=n)
             low = [1 if case % 2 or g.degree(v) < 2 else 2 for v in range(n)]
-            got, want = self.answers(g, tuple(rng.randint(low[v], 3) for v in range(n)))
-            outcomes[type(got), isinstance(want, str)] += 1
+            got, every = self.answers(g, tuple(rng.randint(low[v], 3) for v in range(n)))
+            outcomes[type(got), isinstance(every, str)] += 1
         assert outcomes[tuple, False] >= 10 and outcomes[type(None), True] >= 10, outcomes
 
     def test_ten_vertices(self, monkeypatch):
-        # the vertex count that DEFAULT_N_LIMIT admits; 1,013 shared types.
-        # The oracle stops after 2,000 assignments; the walk skips the whole
-        # tree of the edgeless graph and of the path at its first test
+        # the vertex count that DEFAULT_N_LIMIT admits; 1,013 shared types
+        # on W9. The oracle stops after 2,000 assignments; the walk skips the
+        # whole tree of the path at its first test, and the edgeless graph
+        # peels to nothing.  The late K2,4's isolated vertices 0-3 peel
+        # away: types are listed over its 6 vertices, and the isolated ones
+        # keep private colours
         monkeypatch.setattr(oracles, "MAX_ORACLE_ASSIGNMENTS", 2_000)
         late = complete_bipartite(2, 4, offset=4, n=10)
-        assert self.assert_agrees(late, [2] * 6 + [1] * 4) == ((0, 1),) * 6 + ((0,),) * 3 + ((1,),)
+        witness = ((2, 3), (4, 5), (6, 7), (8, 9)) + ((0, 1),) * 2 + ((0,),) * 3 + ((1,),)
+        assert self.assert_agrees(late, [2] * 6 + [1] * 4) == witness
         assert self.assert_agrees(build_graph([], n=10), [1] * 10) is None
         assert self.assert_agrees(build_graph([(i, i + 1) for i in range(9)]), [2] * 10) is None
         assert self.assert_agrees(wheel(9).graph, [3] * 10) == ((0, 1, 2),) * 10
@@ -355,16 +400,18 @@ class TestSkips:
             limit = (1, 7, 100, 100_000)[case % 4]
             monkeypatch.setattr(choosability, "MAX_WALK_STEPS", limit)
             skips.clear()
-            got = first_or_error(choosability._first_uncolourable, g, sizes)
-            want = first_or_error(first_uncolourable_unpruned, g, sizes)
+            got = first_or_error(walk, g, sizes)
+            want = first_or_error(unpruned_over_core, g, sizes)
             if isinstance(got, str):
                 assert got == f"exhaustive check needs more than {limit} steps", (g.edges, sizes)
                 assert limit < 100_000 or isinstance(want, str), (g.edges, sizes)
             assert_consistent(g, sizes, got, want)
+            assert_same_answer(g, sizes, got, first_or_error(first_uncolourable_unpruned, g, sizes))
             # a subtree was skipped: a test with fresh colours passed, or
-            # the walk answered at the root, whose core peels to nothing
+            # the core peels to nothing: no type is listed, and the root is
+            # the walk's only node
             tested += bool(skips)
-            skipped += bool(skips) or (spent[-1] == 1 and got is None)
+            skipped += bool(skips) or not core_of(g, sizes)
             outcomes[type(got)] += 1
         assert skipped >= 200 and tested >= 10, (skipped, tested)
         assert min(outcomes[tuple], outcomes[str], outcomes[type(None)]) >= 50, (skipped, outcomes)
@@ -378,7 +425,7 @@ class TestSkips:
         # fewer than 200 steps, where the oracle stream checks 14,508
         # assignments of K2,4 and 6,319 of H: most subtrees are skipped
         spent, skips = self.record(monkeypatch)
-        choosability._first_uncolourable(graph, sizes)
+        walk(graph, sizes)
         assert spent == [spent[0]] and spent[0] < 200 and skips, (spent, len(skips))
 
 
@@ -394,12 +441,12 @@ class TestStepBudget:
         counts = Counter()
         real = choosability._colourer
 
-        def colourer(graph, sizes, core, spend):
+        def colourer(nbr, sizes, core, part, spend):
             def counted(work):
                 counts["backtrack"] += work
                 spend(work)
 
-            return real(graph, sizes, core, counted)
+            return real(nbr, sizes, core, part, counted)
 
         def profile(frame, event, arg):
             code = frame.f_code
@@ -411,7 +458,7 @@ class TestStepBudget:
         sys.setprofile(profile)
         try:
             with pytest.raises(SizeLimitExceededError, match="^exhaustive check needs more than 100000 steps$"):
-                choosability._first_uncolourable(graph, [5] * 10)
+                walk(graph, [5] * 10)
         finally:
             sys.setprofile(None)
         assert min(counts["visit"], counts["leaf"], counts["backtrack"]) > 0, counts
@@ -433,10 +480,10 @@ class TestKChoosable:
     def test_uncolourable_graph_is_answered_before_the_certificate_search(self, monkeypatch):
         # two disjoint K5s at k = 4: the certificate search would pass its
         # budget, but the first assignment, every list {0, 1, 2, 3}, fails
-        def no_search(graph, k):
+        def no_search(graph, sizes):
             raise AssertionError("certificate search reached")
 
-        monkeypatch.setattr(choosability, "find_certificate", no_search)
+        monkeypatch.setattr(choosability, "find_list_certificate", no_search)
         two_k5 = parse_graph6("I~{?GKF@w")
         k5 = list(itertools.combinations(range(5), 2))
         assert two_k5 == build_graph(k5 + [(u + 5, v + 5) for u, v in k5])
@@ -587,6 +634,126 @@ class TestAtlas:
             (3, "exhaustive", True): 5, (3, "exhaustive", False): 420,
             (4, "degeneracy", True): 1_150, (4, "alon-tarsi", True): 37, (4, "exhaustive", False): 66,
         }
+
+
+class TestDecide:
+    """``choosability._decide``, the one decision behind ``is_k_choosable``
+    and ``check_extension``, against the two pipelines it replaced, kept as
+    ``oracles.is_k_choosable_reference`` and
+    ``oracles.check_extension_reference``."""
+
+    @staticmethod
+    def outcome(decide, *args):
+        try:
+            return decide(*args)
+        except SizeLimitExceededError as exc:
+            return str(exc)
+
+    def pairs(self, monkeypatch, new, old, args):
+        # per case, the new and the reference outcome, each with the steps
+        # of its walk
+        spent = walk_steps(monkeypatch)
+        for case in args:
+            spent.clear()
+            got = self.outcome(new, *case), list(spent)
+            spent.clear()
+            yield case, got, (self.outcome(old, *case), list(spent))
+
+    def test_atlas_keeps_the_reference(self, monkeypatch):
+        # every (graph, k) pair keeps the verdict, method, witness and walk
+        # steps: the graphs that are their own k-core or have an empty one
+        # by the rule, and the others because the certificate search finds
+        # a certificate on the core exactly where it finds one on the graph
+        nx = pytest.importorskip("networkx")
+        cases = []
+        for atlas_graph in nx.graph_atlas_g():
+            n = atlas_graph.number_of_nodes()
+            g = build_graph(sorted(tuple(sorted(e)) for e in atlas_graph.edges), n=n)
+            cases += [(g, k) for k in (2, 3, 4)]
+        kinds = Counter()
+        for (g, k), got, want in self.pairs(monkeypatch, is_k_choosable, is_k_choosable_reference, cases):
+            assert got == want, (g.edges, k)
+            core = core_of(g, [k] * g.n)
+            kinds["empty" if not core else "all" if core == (1 << g.n) - 1 else got[0].method] += 1
+        assert kinds == {"empty": 1_889, "all": 794, "exhaustive": 907, "alon-tarsi": 169}, kinds
+
+    def test_seeded_graphs_keep_the_reference(self, monkeypatch):
+        # 8 to 10 vertices at k = 2, 3 and 4; where the reference's
+        # certificate search ends on its budget, the walk answers
+        rng = random.Random(83)
+        cases = []
+        for _ in range(150):
+            n = rng.randint(8, 10)
+            g = build_graph([e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3], n=n)
+            cases.append((g, rng.randint(2, 4)))
+        kinds = Counter()
+        for (g, k), got, want in self.pairs(monkeypatch, is_k_choosable, is_k_choosable_reference, cases):
+            core = core_of(g, [k] * g.n)
+            if core in (0, (1 << g.n) - 1):
+                assert got == want, (g.edges, k)
+            elif not isinstance(got[0], str) and not isinstance(want[0], str):
+                assert got[0].choosable == want[0].choosable, (g.edges, k)
+            kinds[core in (0, (1 << g.n) - 1), got == want] += 1
+        assert kinds[True, True] >= 50 and kinds[False, True] >= 20, kinds
+
+    def test_extension_takes_the_reference_steps(self, monkeypatch):
+        # seeded configurations, with the certificate search on and then
+        # off, so that more reach the walk: the same answer, and the same
+        # steps as the reference's walk on its relabelled copy of the core
+        rng = random.Random(89)
+        cases = []
+        for _ in range(400):
+            n = rng.randint(3, 9)
+            g = build_graph([e for e in itertools.combinations(range(n), 2) if rng.random() < rng.random()], n=n)
+            cases.append((ReducibleConfig(g, tuple(rng.randint(1, g.degree(v) + 1) for v in range(n))),))
+        walked = Counter()
+        for at_max_edges in (choosability._AT_MAX_EDGES, -1):
+            monkeypatch.setattr(choosability, "_AT_MAX_EDGES", at_max_edges)
+            for (cfg,), got, want in self.pairs(monkeypatch, check_extension, check_extension_reference, cases):
+                assert got == want, (cfg.inner.edges, cfg.residual_sizes)
+                core = core_of(cfg.inner, cfg.residual_sizes)
+                # walks on a core that some vertex peeled away from
+                walked[at_max_edges] += bool(got[1]) and 0 < core < (1 << cfg.inner.n) - 1
+        assert walked == {30: 35, -1: 39}, walked
+
+    # K2,3 and K2,4 with pendant vertices on one hub, which peel away
+    PENDANT_K23 = "I]qCCA?_?"
+    PENDANT_K24 = "I]rCCA?_?"
+
+    def test_pendant_graphs(self, monkeypatch):
+        # the walk lists types over the K2,3 or K2,4 alone and takes its
+        # steps; the pendant vertices of the "no" get colours of their own
+        k23, k24 = parse_graph6(self.PENDANT_K23), parse_graph6(self.PENDANT_K24)
+        assert k23 == build_graph(list(complete_bipartite(2, 3).edges) + [(0, v) for v in range(5, 10)])
+        assert k24 == build_graph(list(complete_bipartite(2, 4).edges) + [(0, v) for v in range(6, 10)])
+        spent = walk_steps(monkeypatch)
+        assert is_k_choosable(k23, 2) == ChoosabilityVerdict(choosable=True, method="exhaustive")
+        witness = ((0, 3), (1, 2), (0, 1), (0, 2), (1, 3), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11))
+        assert is_k_choosable(k24, 2) == ChoosabilityVerdict(False, ListAssignment(witness), "exhaustive")
+        assert spent == [92, 169]
+        assert check_extension(ReducibleConfig(k24, (2,) * 10)) is False
+        for graph, steps in ((k23, 92), (k24, 169)):
+            monkeypatch.setattr(choosability, "MAX_WALK_STEPS", steps - 1)
+            with pytest.raises(SizeLimitExceededError, match=f"^exhaustive check needs more than {steps - 1} steps$"):
+                is_k_choosable(graph, 2)
+
+    def test_search_budget_leaves_the_answer_to_the_walk(self, monkeypatch):
+        # with the certificate search cut to 10 tree nodes and DP states,
+        # the reference ends on the search's budget wherever a certificate
+        # answered; the walk answers the same instead
+        answers = {(name, k): is_k_choosable(g, k) for name, g in CHOOSE_SMALL.items() for k in (2, 3)}
+        monkeypatch.setattr(alon_tarsi, "MAX_DP_STATES", 10)
+        walked = []
+        for (name, k), verdict in answers.items():
+            got = is_k_choosable(CHOOSE_SMALL[name], k)
+            if verdict.method == "alon-tarsi":
+                with pytest.raises(SizeLimitExceededError, match="^certificate search needs more than 10 "):
+                    is_k_choosable_reference(CHOOSE_SMALL[name], k)
+                assert got == ChoosabilityVerdict(choosable=True, method="exhaustive"), (name, k)
+                walked.append((name, k))
+            else:
+                assert got == verdict, (name, k)
+        assert walked == [("C6", 2), ("K3,3", 3), ("W4", 3), ("W6", 3), ("W8", 3)]
 
 
 class TestExtension:
@@ -756,18 +923,18 @@ class TestExtension:
         # 39 steps, where the square has 139 assignments
         assert sum(1 for _ in iter_canonical_assignments(SQUARE.residual_sizes)) == 139
         monkeypatch.setattr(choosability, "MAX_WALK_STEPS", 39)
-        assert choosability._first_uncolourable(SQUARE.inner, SQUARE.residual_sizes) is None
+        assert walk(SQUARE.inner, SQUARE.residual_sizes) is None
         monkeypatch.setattr(choosability, "MAX_WALK_STEPS", 38)
         with pytest.raises(SizeLimitExceededError, match="^exhaustive check needs more than 38 steps$"):
-            choosability._first_uncolourable(SQUARE.inner, SQUARE.residual_sizes)
+            walk(SQUARE.inner, SQUARE.residual_sizes)
 
     def test_h_budget_boundary(self, monkeypatch):
         # 75 steps, where H has 6,319 assignments
         monkeypatch.setattr(choosability, "MAX_WALK_STEPS", 75)
-        assert choosability._first_uncolourable(H.inner, H.residual_sizes) is None
+        assert walk(H.inner, H.residual_sizes) is None
         monkeypatch.setattr(choosability, "MAX_WALK_STEPS", 74)
         with pytest.raises(SizeLimitExceededError, match="^exhaustive check needs more than 74 steps$"):
-            choosability._first_uncolourable(H.inner, H.residual_sizes)
+            walk(H.inner, H.residual_sizes)
 
     def test_certificates_answer_before_the_walk(self, monkeypatch):
         monkeypatch.setattr(choosability, "MAX_WALK_STEPS", 0)

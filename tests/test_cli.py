@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from inputs import STEP_BUDGET_EXIT, embedding_to_json, triangulated_grid, trio_
 from oracles import detect_report_tree, discharge_report_tree, ert_two_choosable, l_color_brute, role_in
 
 import dischargekit
-from dischargekit import choosability, fixtures
+from dischargekit import alon_tarsi, choosability, fixtures
 from dischargekit.cli import build_parser, main
 from dischargekit.core import build_graph, embedding_from_json, orientation_to_json, parse_graph6
 from dischargekit.discharging import RuleSet, apply_rules, final_report
@@ -260,6 +261,30 @@ class TestChoosable:
         assert (verdict["choosable"], verdict["method"]) == (False, "exhaustive")
         assert verdict["witness"] == {"lists": [[0, 1, 2, 3]] * 10}
 
+    def test_pendant_k23_within_100_steps(self, tmp_path, monkeypatch, capsys):
+        # K2,3 plus five pendant vertices on one hub: the pendants peel
+        # away, and the walk lists colour types over the K2,3 alone
+        monkeypatch.setattr(choosability, "MAX_WALK_STEPS", 100)
+        path = tmp_path / "k23-pendants.g6"
+        path.write_text("I]qCCA?_?\n")
+        code, out = run(capsys, ["choosable", "--input", str(path), "--k", "2"])
+        assert code == 0
+        verdict = json.loads(out)["verdicts"][0]
+        assert (verdict["choosable"], verdict["method"], verdict["witness"]) == (True, "exhaustive", None)
+
+    def test_search_budget_leaves_the_answer_to_the_walk(self, tmp_path, monkeypatch, capsys):
+        # C6 at k = 2 has a certificate; with the search cut to 10 tree
+        # nodes and DP states it runs out, and the walk answers instead
+        path = tmp_path / "c6.g6"
+        path.write_text(write_graph6(build_graph([(i, (i + 1) % 6) for i in range(6)])) + "\n")
+        argv = ["choosable", "--input", str(path), "--k", "2"]
+        assert json.loads(run(capsys, argv)[1])["verdicts"][0]["method"] == "alon-tarsi"
+        monkeypatch.setattr(alon_tarsi, "MAX_DP_STATES", 10)
+        code, out = run(capsys, argv)
+        assert code == 0
+        verdict = json.loads(out)["verdicts"][0]
+        assert (verdict["choosable"], verdict["method"]) == (True, "exhaustive")
+
     def test_demo_graphs_at_k_2(self, capsys):
         # every bundled demo graph is answered; each "no" witness has no
         # colouring and each answer is that of Erdős–Rubin–Taylor
@@ -457,6 +482,22 @@ class TestReduce:
         proc = reduce_in_child({"edges": [[0, 1]], "sizes": [1_000_000, 1_000_000]}, tmp_path, timeout=60)
         assert proc.returncode == 0 and proc.stderr == ""
         assert json.loads(proc.stdout)["checks"][0]["reducible"] is True
+
+    @pytest.mark.parametrize(
+        "edges, sizes",
+        [
+            ([[0, 1], [1, 2], [0, 2], [2, 3]], [2, 2, 2, 1_000_000]),
+            ([[a, b] for a in range(2) for b in range(2, 6)] + [[0, 6]], [2] * 6 + [1_000_000]),
+        ],
+        ids=["triangle", "k24"],
+    )
+    def test_million_colour_pendant_answers(self, edges, sizes, tmp_path):
+        # a pendant vertex with a million colours on a triangle, which fails
+        # its first assignment, and on K2,4, which the walk answers: its
+        # list is cut to 2, so no witness a million colours long is built
+        proc = reduce_in_child({"edges": edges, "sizes": sizes}, tmp_path, timeout=60)
+        assert proc.returncode == 1 and proc.stderr == ""
+        assert json.loads(proc.stdout)["checks"][0]["reducible"] is False
 
 
     def test_ten_vertices_with_long_lists_peel_to_nothing(self, monkeypatch, capsys):
@@ -819,6 +860,70 @@ class TestErrors:
         check()
         # some inputs get past the readers
         assert codes == {0, 1, 2}
+
+    def test_malformed_objects_exit_2(self, tmp_path, capsys):
+        """Seeded malformed objects of each kind a command reads: a required
+        key dropped or an unknown one added, a value or one item of a list
+        given another type, a vertex or a size out of range, or the whole
+        object of another type.  Each exits 2 with one line on stderr: no
+        reader lets a KeyError or a TypeError escape."""
+        cube = write_embedding(tmp_path, "cube")
+        kinds = [
+            # the command, a valid object and its required keys
+            (["discharge", "--input"], {"n": 4, "rotation": [[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]]}, ["n", "rotation"]),
+            (["alon-tarsi", "--format", "orientation-json", "--input"], {"n": 3, "arcs": [[0, 1], [1, 2], [2, 0]]}, ["n", "arcs"]),
+            (["reduce", "--input"], {"edges": [[0, 1], [1, 2], [2, 3]], "sizes": [2, 2, 2, 2]}, ["edges", "sizes"]),
+            (["discharge", "--input", cube, "--rules"], {"five_face": "1/3", "deg4_plain": {"num": 1, "den": 7}}, []),
+        ]
+        others = ["x", None, 1.5, True, 7, [], [[0]], {}, {"n": 1}]
+        path = tmp_path / "input.json"
+        rng = random.Random(29)
+        for argv, valid, required in kinds:
+            path.write_text(json.dumps(valid))
+            assert main(argv + [str(path)]) in (0, 1)
+            capsys.readouterr()
+            for _ in range(100):
+                obj = json.loads(json.dumps(valid))
+                key = rng.choice(sorted(obj))
+                change = rng.choice(["drop", "type", "item", "range", "whole"])
+                if change == "drop":
+                    if required:
+                        del obj[rng.choice(required)]
+                    else:
+                        obj["no_such_rule"] = 1
+                elif change == "type":
+                    # a rule amount may be an integer, a string or an object
+                    accepted = (type(obj[key]),) if required else (int, str, dict)
+                    obj[key] = rng.choice([v for v in others if type(v) not in accepted])
+                elif change == "whole":
+                    obj = rng.choice([[], 5, "x", None, [obj]])
+                elif isinstance(obj[key], dict):
+                    # a rule amount: a part of another type, a zero
+                    # denominator or a part missing
+                    if change == "item":
+                        obj[key][rng.choice(["num", "den"])] = rng.choice(["1", None, 1.5, [1]])
+                    elif rng.random() < 0.5:
+                        obj[key]["den"] = 0
+                    else:
+                        del obj[key][rng.choice(["num", "den"])]
+                elif isinstance(obj[key], str):
+                    obj[key] = rng.choice(["1/", "one", "1e9", "[1]"] if change == "item" else ["-1/3", "1/0"])
+                elif isinstance(obj[key], int):
+                    obj[key] = rng.choice(["3", None, 1.5, True] if change == "item" else [-1, 99])
+                else:
+                    items = obj[key]
+                    i = rng.randrange(len(items))
+                    if isinstance(items[i], list):
+                        items, i = items[i], rng.randrange(len(items[i]))
+                    if change == "item":
+                        items[i] = rng.choice([v for v in others if type(v) is not int])
+                    else:
+                        items[i] = rng.choice([0, -1] if key == "sizes" else [-1, 99])
+                path.write_text(json.dumps(obj))
+                code = main(argv + [str(path)])
+                out, err = capsys.readouterr()
+                assert code == 2, (argv, obj, code)
+                assert err.startswith("error: ") and err.count("\n") == 1, (argv, obj, err)
 
     def test_bad_rules_json(self, tmp_path, capsys):
         emb_path = write_embedding(tmp_path, "cube")
