@@ -343,11 +343,10 @@ class TestFirstUncolourable:
 
     def test_ten_vertices(self, monkeypatch):
         # the vertex count that DEFAULT_N_LIMIT admits; 1,013 shared types
-        # on W9. The oracle stops after 2,000 assignments; the walk skips the
-        # whole tree of the path at its first test, and the edgeless graph
-        # peels to nothing.  The late K2,4's isolated vertices 0-3 peel
-        # away: types are listed over its 6 vertices, and the isolated ones
-        # keep private colours
+        # on W9.  The oracle stops after 2,000 assignments; the edgeless
+        # graph and the path peel to nothing, so the walk lists no type.
+        # The late K2,4's isolated vertices 0-3 peel away: types are listed
+        # over its 6 vertices, and the isolated ones keep private colours
         monkeypatch.setattr(oracles, "MAX_ORACLE_ASSIGNMENTS", 2_000)
         late = complete_bipartite(2, 4, offset=4, n=10)
         witness = ((2, 3), (4, 5), (6, 7), (8, 9)) + ((0, 1),) * 2 + ((0,),) * 3 + ((1,),)
@@ -662,8 +661,9 @@ class TestDecide:
     def test_atlas_keeps_the_reference(self, monkeypatch):
         # every (graph, k) pair keeps the verdict, method, witness and walk
         # steps: the graphs that are their own k-core or have an empty one
-        # by the rule, and the others because the certificate search finds
-        # a certificate on the core exactly where it finds one on the graph
+        # by the rule, and on the others the certificate search finds a
+        # certificate on the core exactly where it finds one on the whole
+        # graph, and the walk is the same
         nx = pytest.importorskip("networkx")
         cases = []
         for atlas_graph in nx.graph_atlas_g():
@@ -678,8 +678,7 @@ class TestDecide:
         assert kinds == {"empty": 1_889, "all": 794, "exhaustive": 907, "alon-tarsi": 169}, kinds
 
     def test_seeded_graphs_keep_the_reference(self, monkeypatch):
-        # 8 to 10 vertices at k = 2, 3 and 4; where the reference's
-        # certificate search ends on its budget, the walk answers
+        # 8 to 10 vertices at k = 2, 3 and 4, beyond the atlas
         rng = random.Random(83)
         cases = []
         for _ in range(150):
