@@ -210,10 +210,13 @@ def _peel(nbr: Sequence[int], colours: Sequence[int], alive: int) -> int:
     dropped vertex can be coloured last whatever its neighbours took;
     ``nbr`` holds each vertex's neighbours as a bitmask."""
     while True:
-        left = alive
-        for v in range(len(colours)):
-            if alive >> v & 1 and colours[v] > (nbr[v] & alive).bit_count():
-                alive ^= 1 << v
+        left = rest = alive
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            if colours[v] > (nbr[v] & alive).bit_count():
+                alive ^= bit
         if alive == left:
             return alive
 

@@ -141,9 +141,40 @@ class PlaneGraph:
         self.rotation = rot
         self.connected = graph.is_connected()
         self._faces, self.sectors = self._traverse(position)
-        f = len(self._faces)
-        if self.connected and n - len(graph.edges) + f != 2:
-            raise InvalidRotationError(f"embedding is not planar: V-E+F = {n - len(graph.edges) + f}")
+        if self.connected:
+            f = len(self._faces)
+            if n - len(graph.edges) + f != 2:
+                raise InvalidRotationError(f"embedding is not planar: V-E+F = {n - len(graph.edges) + f}")
+        else:
+            for v, chi in self._component_euler():
+                if chi != 2:
+                    raise InvalidRotationError(f"embedding is not planar: V-E+F = {chi} on the component of vertex {v}")
+
+    def _component_euler(self) -> List[Tuple[int, int]]:
+        """V - E + F of each component with an edge, with its least vertex.
+
+        Each face walk stays in one component, so each component traces
+        faces of its own; an isolated vertex traces none and is plane.
+        """
+        adj = self.graph.adjacency
+        root = [-1] * len(adj)
+        counts = {}
+        for s, nbrs in enumerate(adj):
+            if root[s] >= 0 or not nbrs:
+                continue
+            root[s], stack, vertices, degrees = s, [s], 0, 0
+            while stack:
+                v = stack.pop()
+                vertices += 1
+                degrees += len(adj[v])
+                for w in adj[v]:
+                    if root[w] < 0:
+                        root[w] = s
+                        stack.append(w)
+            counts[s] = vertices - degrees // 2
+        for face in self._faces:
+            counts[root[face.boundary[0]]] += 1
+        return list(counts.items())
 
     def _traverse(self, position: List[dict]) -> Tuple[Tuple[Face, ...], List[List[int]]]:
         """All faces by next-edge traversal, and the face of each sector.

@@ -1127,9 +1127,10 @@ def parse_graph6_bitwalk(text: str) -> Graph:
 
 class UnindexedPlaneGraph:
     """Oracle for ``PlaneGraph``: the rotation is checked against the graph
-    by set comparisons, planarity only on a connected graph, and the face
-    traversal builds its own position index and marks each directed
-    edge-side in a set."""
+    by set comparisons, planarity by Euler's formula on a connected graph
+    and on each component with an edge of a disconnected one, relabelled as
+    an embedding of its own, and the face traversal builds its own
+    position index and marks each directed edge-side in a set."""
 
     def __init__(self, graph: Graph, rotation: Sequence[Sequence[int]]):
         if len(rotation) != graph.n:
@@ -1145,6 +1146,19 @@ class UnindexedPlaneGraph:
             f = len(self.faces())
             if graph.n - len(graph.edges) + f != 2:
                 raise InvalidRotationError(f"embedding is not planar: V-E+F = {graph.n - len(graph.edges) + f}")
+            return
+        left = {v for v in range(graph.n) if rot[v]}
+        while left:
+            part, stack = set(), [min(left)]
+            while stack:
+                v = stack.pop()
+                if v not in part:
+                    part.add(v)
+                    stack.extend(rot[v])
+            left -= part
+            index = {v: i for i, v in enumerate(sorted(part))}
+            sub = build_graph([(index[u], index[v]) for u, v in graph.edges if u in part], n=len(part))
+            UnindexedPlaneGraph(sub, [[index[u] for u in rot[v]] for v in sorted(part)])
 
     def faces(self) -> Tuple[Face, ...]:
         if self._faces is not None:

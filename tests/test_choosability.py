@@ -354,6 +354,9 @@ class TestFirstUncolourable:
         assert self.assert_agrees(build_graph([], n=10), [1] * 10) is None
         assert self.assert_agrees(build_graph([(i, i + 1) for i in range(9)]), [2] * 10) is None
         assert self.assert_agrees(wheel(9).graph, [3] * 10) == ((0, 1, 2),) * 10
+        # the uniform lists answer W9 at k = 3 before any certificate search
+        uniform = ListAssignment(((0, 1, 2),) * 10)
+        assert is_k_choosable(wheel(9).graph, 3) == ChoosabilityVerdict(False, uniform, "exhaustive")
 
 
 class TestSkips:
@@ -521,7 +524,8 @@ class TestKChoosable:
         # its pinned witness, the 14,508th assignment, after 169 steps
         k24 = CHOOSE_SMALL["K2,4"]
         monkeypatch.setattr(choosability, "MAX_WALK_STEPS", 169)
-        assert is_k_choosable(k24, 2).witness.lists == ((0, 3), (1, 2), (0, 1), (0, 2), (1, 3), (2, 3))
+        witness = ListAssignment(((0, 3), (1, 2), (0, 1), (0, 2), (1, 3), (2, 3)))
+        assert is_k_choosable(k24, 2) == ChoosabilityVerdict(False, witness, "exhaustive")
         monkeypatch.setattr(choosability, "MAX_WALK_STEPS", 168)
         with pytest.raises(SizeLimitExceededError, match="^exhaustive check needs more than 168 steps$"):
             is_k_choosable(k24, 2)

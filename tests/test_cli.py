@@ -122,6 +122,16 @@ class TestDetect:
         assert len(entry["trios"]) == 1
         assert entry["trios"][0]["center"] == 3
         assert {r["role"] for r in entry["roles"]} == {"worst", "worse", "bad"}
+        # the octahedron's 5-cycles share edges with its triangles; its
+        # first trio's centre is worst on the trio's three triangles, the
+        # first nine roles
+        path = write_embedding(tmp_path, "octahedron")
+        code, out = run(capsys, ["detect", "--format", "embedding-json", "--input", path])
+        assert code == 1
+        entry = json.loads(out)["graphs"][0]
+        first = {"center": 2, "map": {"u": 4, "v": 2, "w": 5, "x": 0, "y": 1}, "vertices": [0, 1, 2, 4, 5]}
+        assert (len(entry["trios"]), entry["trios"][0], len(entry["roles"])) == (6, first, 54)
+        assert [r["role"] for r in entry["roles"][:9] if r["vertex"] == first["center"]] == ["worst"] * 3
 
     def test_roles_match_full_scan(self, tmp_path, capsys):
         graph = triangulated_grid(6, 0.9, 1).graph
@@ -661,13 +671,33 @@ class TestErrors:
             assert code == 2, line
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
-    def test_rotation_outside_vertex_range(self, tmp_path, capsys):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"n": 2, "rotation": [[1, 5], [0]]}))
-        code = main(["discharge", "--input", str(path)])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+    @pytest.mark.parametrize(
+        "embedding, message",
+        [
+            ({"n": 3, "rotation": [[1, 1, 2], [0, 2], [0, 1]]}, "repeated neighbor in rotation at vertex 0"),
+            ({"n": 2, "rotation": [[1, 5], [0]]}, "rotation at vertex 0 names vertex 5, outside 0..1"),
+            ({"n": 3, "rotation": [[1, 2], [0, 2], [1]]}, "asymmetric adjacency between 0 and 2"),
+            ({"n": 4, "rotation": [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]}, "embedding is not planar: V-E+F = 0"),
+            ({"n": 2}, 'embedding has no "rotation" key'),
+            # Euler's formula holds on each component or the embedding is
+            # not plane: an isolated vertex does not hide K5
+            (
+                {"n": 6, "rotation": [[1, 2, 3, 4], [0, 2, 3, 4], [0, 1, 3, 4], [0, 1, 2, 4], [0, 1, 2, 3], []]},
+                "embedding is not planar: V-E+F = -2 on the component of vertex 0",
+            ),
+        ],
+        ids=["repeat", "range", "asymmetry", "K4-not-plane", "no-rotation", "K5-and-a-vertex"],
+    )
+    def test_malformed_embedding_writes_no_report(self, embedding, message, tmp_path, capsys):
+        path = tmp_path / "emb.json"
+        path.write_text(json.dumps(embedding))
+        out = tmp_path / "out.json"
+        for command in (["discharge"], ["detect", "--format", "embedding-json"]):
+            code = main(command + ["--input", str(path), "--output", str(out)])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err == f"error: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv, payload",

@@ -341,15 +341,16 @@ class TestReaderOracle:
 
 
 class TestPlanarity:
-    """The reader against networkx's planarity test, on seeded random
-    graphs with random rotations, networkx's own embeddings and their
-    mirror images."""
+    """The reader against networkx's planarity test and its check of an
+    embedding, which applies Euler's formula to each component, on seeded
+    random graphs, connected or not, with random rotations, networkx's own
+    embeddings and their mirror images."""
 
     def test_accepted_rotations_are_planar(self):
         nx = pytest.importorskip("networkx")
         rng = random.Random(31)
         seen = Counter()
-        for _ in range(600):
+        for _ in range(1500):
             n = rng.randint(1, 9)
             share = rng.choice((0.2, 0.4, 0.6, 0.9))
             edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < share]
@@ -362,20 +363,27 @@ class TestPlanarity:
                 cw = [list(embedding.neighbors_cw_order(v)) for v in range(n)]
                 rotations += [cw, [r[::-1] for r in cw]]
             for i, rotation in enumerate(rotations):
+                reference = nx.PlanarEmbedding()
+                reference.set_data(dict(enumerate(rotation)))
+                try:
+                    reference.check_structure()
+                    plane = True
+                except nx.NetworkXException:
+                    plane = False
                 try:
                     emb = embedding_from_json({"n": n, "rotation": rotation})
                 except InvalidRotationError:
-                    # only a connected embedding is checked for planarity
-                    assert connected and i == 0, rotation
-                    seen["rejected"] += 1
+                    # networkx's own embeddings are plane
+                    assert not plane and i == 0, rotation
+                    seen["rejected" if connected else "rejected, disconnected"] += 1
                     continue
+                assert plane and planar, rotation
                 if not connected:
                     with pytest.raises(DisconnectedEmbeddingError):
                         faces_of(emb)
                     seen["disconnected"] += 1
                     continue
-                assert planar, rotation
                 v, e, f = n, len(emb.graph.edges), len(faces_of(emb))
                 assert v - e + f == 2
                 seen["plane, random" if i == 0 else "plane, networkx"] += 1
-        assert min(seen.values()) >= 30 and len(seen) == 4, seen
+        assert min(seen.values()) >= 30 and len(seen) == 5, seen

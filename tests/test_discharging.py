@@ -85,8 +85,13 @@ class TestApplyRules:
             assert apply_rules(emb).total() == -12
 
     def test_conservation_custom_rules(self):
+        # rule amounts over coprime denominators share one denominator in
+        # the books, also where R5 equalizes the octahedron's group of 7
+        # faces
+        coprime = RuleSet.from_json({"five_face": "1/7", "deg4_plain": "1/11", "hi_bad": "13/9"})
         for emb in fixtures.solid_embeddings().values():
-            assert apply_rules(emb, CUSTOM).total() == -12
+            for ruleset in (CUSTOM, coprime):
+                assert apply_rules(emb, ruleset).total() == -12
 
     def test_trio_three_faces_settle_equal(self):
         ledger = apply_rules(trio_embedding())
@@ -146,6 +151,11 @@ class TestTrioEqualization:
             Fraction(-6, 7): 7,
             Fraction(0): 1,
         }
+        # each degree-4 centre keeps one trio of its four windows: 30
+        # transfers, 6 of them R5 moves within the one group of 7 faces
+        r5 = [r for r in ledger.trace if r.rule == "R5"]
+        faces = {end[1] for r in r5 for end in (r.source, r.sink)}
+        assert (len(ledger.trace), len(r5), len(faces)) == (30, 6, 7)
 
 
 def oracle_embeddings():
