@@ -53,107 +53,55 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
-# Templates of the discharge report's fixed shapes, each written as at the
-# outer level; ``_shift`` moves one to the depth where it appears.  Rule
-# names and element kinds are plain words with nothing to escape.
-_FRACTION = """{
-  "den": %d,
-  "num": %d
-}"""
-_TRANSFER = """{
-  "amount": {
-    "den": %d,
-    "num": %d
-  },
-  "rule": "%s",
-  "sink": [
-    "%s",
-    %d
-  ],
-  "source": [
-    "%s",
-    %d
-  ]
-}"""
-_NEGATIVE = """{
-  "charge": {
-    "den": %d,
-    "num": %d
-  },
-  "element": [
-    "%s",
-    %d
-  ]
-}"""
-_VERTEX_DETAIL = """{
-  "element": [
-    "v",
-    %d
-  ],
-  "neighbors": %s,
-  "trace": %s
-}"""
-_FACE_DETAIL = """{
-  "boundary": %s,
-  "element": [
-    "f",
-    %d
-  ],
-  "trace": %s
-}"""
-_DISCHARGE = """{
-  "command": "discharge",
-  "ledger": {
-    "face_charge": %s,
-    "faces": %s,
-    "total": %s,
-    "trace": %s,
-    "vertex_charge": %s
-  },
-  "report": {
-    "detail": %s,
-    "negatives": %s,
-    "total": %s
-  }
-}"""
-# Templates of the detect report's fixed shapes, written the same way;
-# condition names and role values are plain words too.
-_CONDITION = """{
-  "condition": "%s",
-  "holds": %s,
-  "witnesses": %s
-}"""
-_ROLE = """{
-  "role": "%s",
-  "triangle": %s,
-  "vertex": %d
-}"""
-_TRIO = """{
-  "center": %d,
-  "map": {
-    "u": %d,
-    "v": %d,
-    "w": %d,
-    "x": %d,
-    "y": %d
-  },
-  "vertices": %s
-}"""
-_GRAPH = """{
-  "conditions": %s,
-  "graph": %d,
-  "roles": %s,
-  "trios": %s
-}"""
+def _shift(text: str, depth: int) -> str:
+    """The text of a value as written ``depth`` levels deeper: a JSON
+    string holds no raw newline, so each newline starts an indent."""
+    return text.replace("\n", "\n" + "  " * depth)
+
+
+# Slot markers of the report shapes: ``_template`` writes an integer's slot
+# as %d, a JSON text's as %s and a streamed list's as ``_STREAMED``.  Rule
+# names, element kinds, condition names and role values are plain words
+# with nothing to escape, so a shape writes them as a quoted "%s".
+_INT, _TEXT, _LIST = "<int>", "<text>", "<list>"
 # Stands in a report for the lists that are streamed; the report is
 # numbers, fixed words and JSON punctuation, so it never holds this.
 _STREAMED = "\0"
 
 
-def _shift(text: str, depth: int) -> str:
-    """The text of a value as written ``depth`` levels deeper: a JSON
-    string holds no raw newline, so each newline starts an indent."""
-    return text.replace("\n", "\n" + "  " * depth)
+def _template(shape, depth: int) -> str:
+    """The %-template of a report shape ``depth`` levels deep: the text the
+    standard writer gives the shape, with each slot marker replaced."""
+    text = json.dumps(shape, indent=2, sort_keys=True)
+    for marker, slot in ((_INT, "%d"), (_TEXT, "%s"), (_LIST, _STREAMED)):
+        text = text.replace(f'"{marker}"', slot)
+    return _shift(text, depth)
+
+
+_FRACTION = {"den": _INT, "num": _INT}
+_ELEMENT = ["%s", _INT]
+# The discharge report's frame, split around the trace and the detail, and
+# its records at the depth where they appear.
+_DISCHARGE = _template(
+    {
+        "command": "discharge",
+        "ledger": {"face_charge": _TEXT, "faces": _TEXT, "total": _FRACTION, "trace": _LIST, "vertex_charge": _TEXT},
+        "report": {"detail": _LIST, "negatives": _TEXT, "total": _FRACTION},
+    },
+    0,
+).split(_STREAMED)
+_BOOK_ENTRY = '"%s": ' + _template(_FRACTION, 3)
+_TRANSFER = _template({"amount": _FRACTION, "rule": "%s", "sink": _ELEMENT, "source": _ELEMENT}, 3)
+_NEGATIVE = _template({"charge": _FRACTION, "element": _ELEMENT}, 3)
+_VERTEX_DETAIL = _template({"element": ["v", _INT], "neighbors": _TEXT, "trace": _TEXT}, 3)
+_FACE_DETAIL = _template({"boundary": _TEXT, "element": ["f", _INT], "trace": _TEXT}, 3)
+# The detect report's frame, split around the graph list, and the records
+# of a graph; a graph's text is split around its streamed lists.
+_DETECT = _template({"command": "detect", "graphs": _LIST}, 0).split(_STREAMED)
+_GRAPH = _template({"conditions": _TEXT, "graph": _INT, "roles": _LIST, "trios": _LIST}, 2)
+_CONDITION = _template({"condition": "%s", "holds": _TEXT, "witnesses": _LIST}, 4)
+_ROLE = _template({"role": "%s", "triangle": _TEXT, "vertex": _INT}, 4)
+_TRIO = _template({"center": _INT, "map": dict.fromkeys("uvwxy", _INT), "vertices": _TEXT}, 4)
 
 
 def _items(items: List[str], depth: int, brackets: str = "[]") -> str:
@@ -163,11 +111,6 @@ def _items(items: List[str], depth: int, brackets: str = "[]") -> str:
         return brackets
     inner = "\n" + "  " * (depth + 1)
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
-
-
-def _ints(values, depth: int) -> str:
-    """A list of integers ``depth`` levels deep."""
-    return _items(list(map(str, values)), depth)
 
 
 def _stream_items(items: Iterable[str], depth: int) -> Iterator[str]:
@@ -181,6 +124,11 @@ def _stream_items(items: Iterable[str], depth: int) -> Iterator[str]:
     yield "[]" if sep[0] == "[" else "\n" + "  " * depth + "]"
 
 
+def _ints(values, depth: int) -> str:
+    """A list of integers ``depth`` levels deep."""
+    return _items(list(map(str, values)), depth)
+
+
 def _discharge_report(ledger: ChargeLedger, report: FinalReport, graph: Graph) -> Iterator[str]:
     """The text of the discharge report, in chunks: what ``json.dumps(tree,
     indent=2, sort_keys=True)`` writes for its tree
@@ -191,42 +139,29 @@ def _discharge_report(ledger: ChargeLedger, report: FinalReport, graph: Graph) -
     trace does, and that list is shifted two levels deeper, in one pass
     over its text.  Every number is rendered before this returns, so a
     number too long to write raises before the first chunk."""
-    transfer = _shift(_TRANSFER, 3)
     trace = [
-        transfer % (r.amount.denominator, r.amount.numerator, r.rule, *r.sink, *r.source)
+        _TRANSFER % (r.amount.denominator, r.amount.numerator, r.rule, *r.sink, *r.source)
         for r in ledger.trace
     ]
-    entry = '"%s": ' + _shift(_FRACTION, 3)
 
     def book(charges) -> str:
         # the keys are written as strings, so they sort as strings
         entries = sorted((str(k), q) for k, q in charges.items())
-        return _items([entry % (k, q.denominator, q.numerator) for k, q in entries], 2, "{}")
+        return _items([_BOOK_ENTRY % (k, q.denominator, q.numerator) for k, q in entries], 2, "{}")
 
-    total = _shift(_FRACTION, 2) % (report.total.denominator, report.total.numerator)
-    negative = _shift(_NEGATIVE, 3)
-    head, middle, tail = (
-        _DISCHARGE
-        % (
-            book(ledger.face_charge),
-            _items([_ints(f.boundary, 3) for f in ledger.faces], 2),
-            total,
-            _STREAMED,
-            book(ledger.vertex_charge),
-            _STREAMED,
-            _items([negative % (q.denominator, q.numerator, *el) for el, q in report.negatives], 2),
-            total,
-        )
-    ).split(_STREAMED)
-    vertex_detail, face_detail = _shift(_VERTEX_DETAIL, 3), _shift(_FACE_DETAIL, 3)
+    total = report.total.denominator, report.total.numerator
+    head, middle, tail = _DISCHARGE
+    head %= (book(ledger.face_charge), _items([_ints(f.boundary, 3) for f in ledger.faces], 2), *total)
+    middle %= book(ledger.vertex_charge)
+    tail %= (_items([_NEGATIVE % (q.denominator, q.numerator, *el) for el, q in report.negatives], 2), *total)
 
     def detail() -> Iterator[str]:
         for ((kind, i), _), indices in zip(report.negatives, report.detail):
             touching = _shift(_items([trace[j] for j in indices], 2), 2)
             if kind == "v":
-                yield vertex_detail % (i, _ints(sorted(graph.adjacency[i]), 4), touching)
+                yield _VERTEX_DETAIL % (i, _ints(sorted(graph.adjacency[i]), 4), touching)
             else:
-                yield face_detail % (_ints(ledger.faces[i].boundary, 4), i, touching)
+                yield _FACE_DETAIL % (_ints(ledger.faces[i].boundary, 4), i, touching)
 
     return itertools.chain(
         (head,), _stream_items(trace, 2), (middle,), _stream_items(detail(), 2), (tail,)
@@ -241,7 +176,6 @@ def _detect_report(results) -> Iterator[str]:
     ``results`` holds each graph's condition reports, trios and role
     index.  Each witness, role entry and trio entry is rendered as it is
     written, the last two from their templates."""
-    condition, role, trio, graph = _shift(_CONDITION, 4), _shift(_ROLE, 4), _shift(_TRIO, 4), _shift(_GRAPH, 2)
 
     def roles(trios, role_of) -> Iterator[str]:
         # per trio, per triangle, per sorted vertex, repeats included
@@ -249,23 +183,25 @@ def _detect_report(results) -> Iterator[str]:
             for t in occ.triangles:
                 of, triangle = role_of[t], _ints(t, 5)
                 for s in t:
-                    yield role % (of[s].value, triangle, s)
+                    yield _ROLE % (of[s].value, triangle, s)
 
-    yield '{\n  "command": "detect",\n  "graphs": '
-    sep = "[\n    "
-    for gi, (conds, trios, role_of) in enumerate(results):
+    head, tail = _DETECT
+    yield head
+    # the graph list's punctuation, one mark before each graph's chunks;
+    # ``results`` leads the zip, so the closing mark is left for the end
+    marks = _stream_items(itertools.repeat("", len(results)), 1)
+    for gi, ((conds, trios, role_of), mark) in enumerate(zip(results, marks)):
         # the text around each condition's witnesses, the roles and the trios
-        conditions = _items([condition % (c.condition, "true" if c.holds else "false", _STREAMED) for c in conds], 3)
-        texts = (graph % (conditions, gi, _STREAMED, _STREAMED)).split(_STREAMED)
+        conditions = _items([_CONDITION % (c.condition, "true" if c.holds else "false") for c in conds], 3)
+        texts = (_GRAPH % (conditions, gi)).split(_STREAMED)
         lists = [_stream_items((_ints(w, 6) for w in c.witnesses), 5) for c in conds]
         lists.append(_stream_items(roles(trios, role_of), 3))
-        lists.append(_stream_items((trio % (o.v, o.u, o.v, o.w, o.x, o.y, _ints(sorted(o), 5)) for o in trios), 3))
-        yield sep + texts[0]
+        lists.append(_stream_items((_TRIO % (o.v, o.u, o.v, o.w, o.x, o.y, _ints(sorted(o), 5)) for o in trios), 3))
+        yield mark + texts[0]
         for chunks, text in zip(lists, texts[1:]):
             yield from chunks
             yield text
-        sep = ",\n    "
-    yield ("[]" if sep[0] == "[" else "\n  ]") + "\n}"
+    yield next(marks) + tail
 
 
 def _emit(chunks: Iterable[str], args) -> None:
@@ -513,6 +449,9 @@ def main(argv=None) -> int:
         # The Eulerian counts of a given orientation do not depend on a list size.
         parser.error("unrecognized arguments: --k (not read with --format orientation-json)")
     try:
+        if getattr(args, "k", None) is not None and args.k < 1:
+            # before the input is read, so that a request with no graphs is refused too
+            raise ValueError("k must be positive")
         return COMMANDS[args.command](args)
     except (DischargeKitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -45,18 +45,6 @@ class Graph:
     def degrees(self) -> List[int]:
         return [len(a) for a in self.adjacency]
 
-    def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in self.adjacency[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
-
 
 def build_graph(edge_list: Iterable[Sequence[int]], n: int | None = None) -> Graph:
     """Validate an edge list and return a Graph.
@@ -139,22 +127,21 @@ class PlaneGraph:
             position.append(at)
         self.graph = graph
         self.rotation = rot
-        self.connected = graph.is_connected()
         self._faces, self.sectors = self._traverse(position)
-        if self.connected:
-            f = len(self._faces)
-            if n - len(graph.edges) + f != 2:
-                raise InvalidRotationError(f"embedding is not planar: V-E+F = {n - len(graph.edges) + f}")
-        else:
-            for v, chi in self._component_euler():
-                if chi != 2:
-                    raise InvalidRotationError(f"embedding is not planar: V-E+F = {chi} on the component of vertex {v}")
+        components = self._component_euler()
+        # one vertex, or one component with an edge and no isolated vertex
+        self.connected = n == 1 or (len(components) == 1 and all(adj))
+        for v, chi in components:
+            if chi != 2:
+                where = "" if self.connected else f" on the component of vertex {v}"
+                raise InvalidRotationError(f"embedding is not planar: V-E+F = {chi}{where}")
 
     def _component_euler(self) -> List[Tuple[int, int]]:
         """V - E + F of each component with an edge, with its least vertex.
 
         Each face walk stays in one component, so each component traces
-        faces of its own; an isolated vertex traces none and is plane.
+        faces of its own; an isolated vertex traces none, or the empty face
+        when it is the only vertex, and is plane.
         """
         adj = self.graph.adjacency
         root = [-1] * len(adj)
@@ -173,7 +160,8 @@ class PlaneGraph:
                         stack.append(w)
             counts[s] = vertices - degrees // 2
         for face in self._faces:
-            counts[root[face.boundary[0]]] += 1
+            if face.boundary:
+                counts[root[face.boundary[0]]] += 1
         return list(counts.items())
 
     def _traverse(self, position: List[dict]) -> Tuple[Tuple[Face, ...], List[List[int]]]:

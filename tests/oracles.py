@@ -1125,6 +1125,21 @@ def parse_graph6_bitwalk(text: str) -> Graph:
     return build_graph(edges, n=n)
 
 
+def is_connected(graph: Graph) -> bool:
+    """Reference for ``PlaneGraph.connected``: a search from vertex 0
+    reaches every vertex."""
+    if graph.n <= 1:
+        return True
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in graph.adjacency[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == graph.n
+
+
 class UnindexedPlaneGraph:
     """Oracle for ``PlaneGraph``: the rotation is checked against the graph
     by set comparisons, planarity by Euler's formula on a connected graph
@@ -1142,7 +1157,7 @@ class UnindexedPlaneGraph:
         self.graph = graph
         self.rotation = rot
         self._faces: Optional[Tuple[Face, ...]] = None
-        if graph.is_connected():
+        if is_connected(graph):
             f = len(self.faces())
             if graph.n - len(graph.edges) + f != 2:
                 raise InvalidRotationError(f"embedding is not planar: V-E+F = {graph.n - len(graph.edges) + f}")
@@ -1189,7 +1204,7 @@ class UnindexedPlaneGraph:
 
 def faces_of_unindexed(embedding: UnindexedPlaneGraph) -> List[Face]:
     """Oracle for ``faces_of``: connectivity is sought again."""
-    if not embedding.graph.is_connected():
+    if not is_connected(embedding.graph):
         raise DisconnectedEmbeddingError("face traversal requires a connected embedding")
     return list(embedding.faces())
 

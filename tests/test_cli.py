@@ -734,6 +734,10 @@ class TestErrors:
             (["reduce", "--input", "-"], '{"edges": [], "n": 1}', 'configuration has no "sizes" key'),
             (["discharge", "--input", "CUBE", "--rules", "-"], '{"five_face": {"num": 1}}', 'five_face has no "den" key'),
             (["discharge", "--input", "CUBE", "--rules", "-"], '{"hi_bad": {"den": 2}}', 'hi_bad has no "num" key'),
+            # a bad list size is refused before the input is read, even an empty one
+            (["choosable", "--input", "-", "--k", "0"], "", "k must be positive"),
+            (["alon-tarsi", "--input", "-", "--k", "0"], "", "k must be positive"),
+            (["alon-tarsi", "--format", "embedding-json", "--input", "-", "--k", "-1"], "", "k must be positive"),
         ],
     )
     def test_missing_key_is_named(self, argv, payload, message, tmp_path, monkeypatch, capsys):

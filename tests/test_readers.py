@@ -10,8 +10,12 @@ a loaded ``name`` or ``obj.name`` anywhere in a reader counts.
 import ast
 from pathlib import Path
 
+import dischargekit
+
+# the modules of the package that is imported, installed or not; the
+# benchmark is read from the checkout
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = sorted(p for p in (ROOT / "src" / "dischargekit").glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p for p in Path(dischargekit.__file__).parent.glob("*.py") if p.name != "__init__.py")
 READERS = MODULES + sorted((ROOT / "bench").glob("*.py"))
 
 
