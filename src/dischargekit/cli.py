@@ -8,13 +8,12 @@ violations or witnesses, 2 input or limit error.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import itertools
-import json
 import sys
 from fractions import Fraction
-from typing import Iterable, Iterator, List
+from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
+from typing import Iterable, Iterator, List, NamedTuple, NoReturn
 
 from . import fixtures
 from .alon_tarsi import count_eulerian, find_certificate
@@ -59,6 +58,34 @@ def _shift(text: str, depth: int) -> str:
     return text.replace("\n", "\n" + "  " * depth)
 
 
+def _items(items: List[str], depth: int, brackets: str = "[]") -> str:
+    """A list (or, with ``brackets="{}"``, an object) ``depth`` levels deep
+    from the text of its items."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _dump(value, depth: int) -> str:
+    """The text ``json.dumps(value, indent=2, sort_keys=True)`` gives a tree
+    of dicts with str keys, lists, tuples, str, int, bool and None, written
+    ``depth`` levels deep."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        return _items(
+            [f"{encode_basestring_ascii(k)}: {_dump(v, depth + 1)}" for k, v in sorted(value.items())], depth, "{}"
+        )
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(f"{type(value).__name__} is not written in a report")
+    return _items([_dump(v, depth + 1) for v in value], depth)
+
+
 # Slot markers of the report shapes: ``_template`` writes an integer's slot
 # as %d, a JSON text's as %s and a streamed list's as ``_STREAMED``.  Rule
 # names, element kinds, condition names and role values are plain words
@@ -70,12 +97,12 @@ _STREAMED = "\0"
 
 
 def _template(shape, depth: int) -> str:
-    """The %-template of a report shape ``depth`` levels deep: the text the
-    standard writer gives the shape, with each slot marker replaced."""
-    text = json.dumps(shape, indent=2, sort_keys=True)
+    """The %-template of a report shape ``depth`` levels deep: the text
+    ``_dump`` gives the shape, with each slot marker replaced."""
+    text = _dump(shape, depth)
     for marker, slot in ((_INT, "%d"), (_TEXT, "%s"), (_LIST, _STREAMED)):
         text = text.replace(f'"{marker}"', slot)
-    return _shift(text, depth)
+    return text
 
 
 _FRACTION = {"den": _INT, "num": _INT}
@@ -102,15 +129,6 @@ _GRAPH = _template({"conditions": _TEXT, "graph": _INT, "roles": _LIST, "trios":
 _CONDITION = _template({"condition": "%s", "holds": _TEXT, "witnesses": _LIST}, 4)
 _ROLE = _template({"role": "%s", "triangle": _TEXT, "vertex": _INT}, 4)
 _TRIO = _template({"center": _INT, "map": dict.fromkeys("uvwxy", _INT), "vertices": _TEXT}, 4)
-
-
-def _items(items: List[str], depth: int, brackets: str = "[]") -> str:
-    """A list (or, with ``brackets="{}"``, an object) ``depth`` levels deep
-    from the text of its items."""
-    if not items:
-        return brackets
-    inner = "\n" + "  " * (depth + 1)
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
 
 
 def _stream_items(items: Iterable[str], depth: int) -> Iterator[str]:
@@ -217,8 +235,8 @@ def _emit(chunks: Iterable[str], args) -> None:
 
 
 def _emit_tree(report, args) -> None:
-    """Write a report built as a tree, with the standard library's writer."""
-    _emit([json.dumps(report, indent=2, sort_keys=True)], args)
+    """Write a report built as a tree."""
+    _emit([_dump(report, 0)], args)
 
 
 def _load_graphs(args) -> List[Graph]:
@@ -398,61 +416,159 @@ def cmd_repro_paper(args) -> int:
     return status
 
 
-@functools.lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; each ``parse_args``
-    call returns a fresh namespace, so no flag carries over."""
-    parser = argparse.ArgumentParser(prog="dischargekit")
-    sub = parser.add_subparsers(dest="command", required=True)
+class Flag(NamedTuple):
+    """A flag of a command.  ``kind`` is what its value is: ``str`` for a
+    path, ``int``, or a tuple of choices whose first is the default;
+    ``bool`` marks a switch, which takes no value.  ``default`` is the
+    value of a path, int or switch that is not given, or ``_REQUIRED``."""
 
-    def command(name, formats=()):
-        """A subcommand with --output and --summary, plus a required --input
-        and its --format when ``formats`` is given (the first is the default)."""
-        p = sub.add_parser(name)
-        if formats:
-            p.add_argument("--input", required=True, help="input file, or - for stdin")
-            p.add_argument("--format", choices=formats, default=formats[0])
-        p.add_argument("--output", help="write the JSON report here instead of stdout")
-        p.add_argument("--summary", action="store_true", help="print a human-readable table")
-        return p
-
-    graph_formats = ("graph6", "embedding-json")
-    command("detect", graph_formats)
-    p = command("choosable", graph_formats)
-    p.add_argument("--k", type=int, default=DEFAULT_K, help="list size")
-    p = command("alon-tarsi", graph_formats + ("orientation-json",))
-    p.add_argument(
-        "--k", type=int, help=f"list size for the certificate search (default {DEFAULT_K}); graph formats only"
-    )
-    p = command("reduce")
-    p.add_argument("--input", help="configuration JSON file, or - for stdin; default: the built-in checks")
-    p = command("discharge", ("embedding-json",))
-    p.add_argument("--rules", help="RuleSet override JSON file")
-    command("repro-paper")
-    return parser
+    kind: object
+    help: str
+    default: object = None
 
 
-COMMANDS = {
-    "detect": cmd_detect,
-    "choosable": cmd_choosable,
-    "alon-tarsi": cmd_alon_tarsi,
-    "reduce": cmd_reduce,
-    "discharge": cmd_discharge,
-    "repro-paper": cmd_repro_paper,
+# The default of a flag that must be given.
+_REQUIRED = object()
+_GRAPH_FORMATS = ("graph6", "embedding-json")
+_OUTPUT_FLAGS = {
+    "--output": Flag(str, "write the JSON report here instead of stdout"),
+    "--summary": Flag(bool, "print a human-readable table", False),
 }
 
 
+def _reading(formats) -> dict:
+    """A required --input and its --format."""
+    return {
+        "--input": Flag(str, "input file, or - for stdin", _REQUIRED),
+        "--format": Flag(formats, "input format (default: the first choice)"),
+    }
+
+
+# Each command's handler and the flags it reads, in usage order.
+COMMANDS = {
+    "detect": (cmd_detect, {**_reading(_GRAPH_FORMATS), **_OUTPUT_FLAGS}),
+    "choosable": (
+        cmd_choosable,
+        {**_reading(_GRAPH_FORMATS), "--k": Flag(int, "list size", DEFAULT_K), **_OUTPUT_FLAGS},
+    ),
+    "alon-tarsi": (
+        cmd_alon_tarsi,
+        {
+            **_reading(_GRAPH_FORMATS + ("orientation-json",)),
+            "--k": Flag(int, f"list size for the certificate search (default {DEFAULT_K}); graph formats only"),
+            **_OUTPUT_FLAGS,
+        },
+    ),
+    "reduce": (
+        cmd_reduce,
+        {
+            "--input": Flag(str, "configuration JSON file, or - for stdin; default: the built-in checks"),
+            **_OUTPUT_FLAGS,
+        },
+    ),
+    "discharge": (
+        cmd_discharge,
+        {**_reading(("embedding-json",)), "--rules": Flag(str, "RuleSet override JSON file"), **_OUTPUT_FLAGS},
+    ),
+    "repro-paper": (cmd_repro_paper, _OUTPUT_FLAGS),
+}
+# Each command's flag values before its command line is read.
+_DEFAULTS = {
+    name: {flag[2:]: spec.kind[0] if isinstance(spec.kind, tuple) else spec.default for flag, spec in flags.items()}
+    for name, (_, flags) in COMMANDS.items()
+}
+
+
+def _usage(name: str) -> str:
+    """A command's usage line: its required flags bare, the rest in brackets."""
+    words = [f"usage: dischargekit {name}"]
+    for flag, spec in COMMANDS[name][1].items():
+        if isinstance(spec.kind, tuple):
+            flag += " {" + ",".join(spec.kind) + "}"
+        elif spec.kind is not bool:
+            flag += " " + flag[2:].upper()
+        words.append(flag if spec.default is _REQUIRED else f"[{flag}]")
+    return " ".join(words)
+
+
+def _help(name: str | None) -> str:
+    """The text of -h: a command's usage and one line per flag, or, with no
+    command, every command's usage."""
+    if name is None:
+        return "\n".join(map(_usage, COMMANDS)) + "\n\nwith a command, -h lists its flags"
+    flags = COMMANDS[name][1]
+    return _usage(name) + "\n\n" + "\n".join(f"  {flag:<10} {spec.help}" for flag, spec in flags.items())
+
+
+def _refuse(message: str) -> NoReturn:
+    """End a command line that misuses the flags: one line, exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_INPUT)
+
+
+def _parse(argv: List[str]):
+    """The handler and the flag values (a namespace) of a command line, read
+    against ``COMMANDS``: ``--flag value`` or ``--flag=value``, the last
+    repeat winning.  -h prints the usage and exits 0."""
+    name = argv[0] if argv else None
+    if name not in COMMANDS:
+        if name in ("-h", "--help"):
+            print(_help(None))
+            raise SystemExit(EXIT_OK)
+        if name is None:
+            _refuse("the following arguments are required: command")
+        _refuse(f"invalid choice: {name!r} (choose from {', '.join(COMMANDS)})")
+    handler, flags = COMMANDS[name]
+    values = _DEFAULTS[name].copy()
+    i, end = 1, len(argv)
+    while i < end:
+        flag = argv[i]
+        i += 1
+        spec = flags.get(flag)
+        if spec is None:
+            flag, eq, value = flag.partition("=")
+            spec = flags.get(flag) if eq else None
+            if spec is None:
+                if flag in ("-h", "--help"):
+                    print(_help(name))
+                    raise SystemExit(EXIT_OK)
+                _refuse(f"unrecognized arguments: {argv[i - 1]}")
+            if spec.kind is bool:
+                _refuse(f"argument {flag}: ignored explicit argument {value!r}")
+        elif spec.kind is bool:
+            values[flag[2:]] = True
+            continue
+        else:
+            # a word that starts with "--" is a flag, not a value; "-" (stdin)
+            # and a negative number are values
+            if i == end or argv[i][:2] == "--" or argv[i] == "-h":
+                _refuse(f"argument {flag}: expected one argument")
+            value = argv[i]
+            i += 1
+        if spec.kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _refuse(f"argument {flag}: invalid int value: {value!r}")
+        elif spec.kind is not str and value not in spec.kind:
+            _refuse(f"argument {flag}: invalid choice: {value!r} (choose from {', '.join(spec.kind)})")
+        values[flag[2:]] = value
+    if _REQUIRED in values.values():
+        missing = [f"--{key}" for key, value in values.items() if value is _REQUIRED]
+        _refuse(f"the following arguments are required: {', '.join(missing)}")
+    return handler, SimpleNamespace(**values)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "alon-tarsi" and args.format == "orientation-json" and args.k is not None:
+    handler, args = _parse(sys.argv[1:] if argv is None else argv)
+    if handler is cmd_alon_tarsi and args.format == "orientation-json" and args.k is not None:
         # The Eulerian counts of a given orientation do not depend on a list size.
-        parser.error("unrecognized arguments: --k (not read with --format orientation-json)")
+        _refuse("unrecognized arguments: --k (not read with --format orientation-json)")
     try:
         if getattr(args, "k", None) is not None and args.k < 1:
             # before the input is read, so that a request with no graphs is refused too
             raise ValueError("k must be positive")
-        return COMMANDS[args.command](args)
+        return handler(args)
     except (DischargeKitError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -11,6 +11,7 @@ around a vertex.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from math import isqrt
 from typing import Iterable, List, Sequence, Tuple
@@ -228,43 +229,57 @@ class Orientation:
 # graph6
 # ---------------------------------------------------------------------------
 
+# A graph6 line after its header: every character is one of the 64 from
+# "?" (63) to "~" (126).  "?" is a byte with no bit set.
+_GRAPH6_LINE = re.compile("[?-~]*")
+_EDGE_BYTE = re.compile("[^?]")
+# The positions, high bit first, of the set bits of each byte value.
+_SET_BITS = [tuple(p for p in range(6) if b & (32 >> p)) for b in range(64)]
+
+
 def parse_graph6(text: str) -> Graph:
     """Decode a graph6 line (optional '>>graph6<<' header tolerated).
 
     The line must hold exactly as many data bytes as its vertex count needs,
-    and the bits that pad the last byte to six must be zero.
+    and the bits that pad the last byte to six must be zero.  Only the bytes
+    that hold an edge are visited.
     """
     s = text.strip()
     if s.startswith(">>graph6<<"):
         s = s[len(">>graph6<<"):]
-    data = [ord(c) - 63 for c in s]
-    if any(b < 0 or b > 63 for b in data):
+    if not _GRAPH6_LINE.fullmatch(s):
         raise ValueError("invalid graph6 character")
     # n is one byte, or '~' and three bytes, or '~~' and six bytes.
-    skip, width = (2, 6) if data[:2] == [63, 63] else (1, 3) if data[:1] == [63] else (0, 1)
-    head, data = data[skip:skip + width], data[skip + width:]
+    skip, width = (2, 6) if s[:2] == "~~" else (1, 3) if s[:1] == "~" else (0, 1)
+    head, data = s[skip:skip + width], s[skip + width:]
     if len(head) < width:
         raise ValueError("graph6 line ends inside its vertex count")
     n = 0
-    for b in head:
-        n = (n << 6) | b
+    for c in head:
+        n = (n << 6) | (ord(c) - 63)
     need = (n * (n - 1) // 2 + 5) // 6
     if len(data) != need:
         raise ValueError(f"graph6 line has {len(data)} data bytes, {need} expected for n = {n}")
     padding = 6 * need - n * (n - 1) // 2
-    if data and data[-1] & ((1 << padding) - 1):
+    if data and (ord(data[-1]) - 63) & ((1 << padding) - 1):
         raise ValueError("graph6 line sets padding bits after its last edge bit")
     # Bit k, high bit first, stands for the k-th pair i < j in the order
     # (0,1), (0,2), (1,2), (0,3), ...: j is the largest with j(j-1)/2 <= k.
+    # Each pair comes once, with i < j < n, so no edge needs the checks of
+    # ``build_graph``.
     edges = []
-    for at, b in enumerate(data):
-        if b:
-            for p in range(6):
-                if b & (32 >> p):
-                    k = 6 * at + p
-                    j = (1 + isqrt(1 + 8 * k)) // 2
-                    edges.append((k - j * (j - 1) // 2, j))
-    return build_graph(edges, n=n)
+    adj = [set() for _ in range(n)]
+    for m in _EDGE_BYTE.finditer(data):
+        base = 6 * m.start()
+        for p in _SET_BITS[ord(m.group()) - 63]:
+            k = base + p
+            j = (1 + isqrt(1 + 8 * k)) // 2
+            i = k - j * (j - 1) // 2
+            edges.append((i, j))
+            adj[i].add(j)
+            adj[j].add(i)
+    edges.sort()
+    return Graph(n=n, edges=tuple(edges), adjacency=tuple(map(frozenset, adj)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from dischargekit import alon_tarsi, choosability
@@ -1088,6 +1089,40 @@ def reducible_with_rechoice(config: ReducibleConfig, choice_set: Sequence[int] =
     if choice_set:
         return check_extension_with_rechoice(config, choice_set)
     return first_uncolourable_loop(config.inner, config.residual_sizes) is None
+
+
+def parse_graph6_bytewalk(text: str) -> Graph:
+    """Oracle for ``parse_graph6``: the same checks on a list of every
+    byte's value, then a walk over every data byte, each set bit mapped to
+    its pair, and the edges checked again by ``build_graph``."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+    data = [ord(c) - 63 for c in s]
+    if any(b < 0 or b > 63 for b in data):
+        raise ValueError("invalid graph6 character")
+    skip, width = (2, 6) if data[:2] == [63, 63] else (1, 3) if data[:1] == [63] else (0, 1)
+    head, data = data[skip:skip + width], data[skip + width:]
+    if len(head) < width:
+        raise ValueError("graph6 line ends inside its vertex count")
+    n = 0
+    for b in head:
+        n = (n << 6) | b
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(data) != need:
+        raise ValueError(f"graph6 line has {len(data)} data bytes, {need} expected for n = {n}")
+    padding = 6 * need - n * (n - 1) // 2
+    if data and data[-1] & ((1 << padding) - 1):
+        raise ValueError("graph6 line sets padding bits after its last edge bit")
+    edges = []
+    for at, b in enumerate(data):
+        if b:
+            for p in range(6):
+                if b & (32 >> p):
+                    k = 6 * at + p
+                    j = (1 + isqrt(1 + 8 * k)) // 2
+                    edges.append((k - j * (j - 1) // 2, j))
+    return build_graph(edges, n=n)
 
 
 def parse_graph6_bitwalk(text: str) -> Graph:

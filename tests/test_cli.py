@@ -16,8 +16,8 @@ from inputs import STEP_BUDGET_EXIT, embedding_to_json, triangulated_grid, trio_
 from oracles import detect_report_tree, discharge_report_tree, ert_two_choosable, l_color_brute, role_in
 
 import dischargekit
-from dischargekit import alon_tarsi, choosability, fixtures
-from dischargekit.cli import build_parser, main
+from dischargekit import alon_tarsi, choosability, cli, fixtures
+from dischargekit.cli import COMMANDS, main
 from dischargekit.core import build_graph, embedding_from_json, orientation_to_json, parse_graph6
 from dischargekit.discharging import RuleSet, apply_rules, final_report
 from dischargekit.structures import DETECT_BASE_STEPS, StepBudget, check_conditions
@@ -966,28 +966,34 @@ class TestErrors:
         code, _ = run(capsys, ["discharge", "--input", emb_path, "--rules", str(rules)])
         assert code == 2
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["discharge", "--input", "x.json", "--k", "5"],
-            ["detect", "--input", "x.g6", "--rules", "r.json"],
-            ["choosable", "--input", "x.g6", "--limit-arcs", "1"],
-            ["choosable", "--input", "x.g6", "--limit-n", "3"],
-            ["alon-tarsi", "--input", "x.g6", "--limit-arcs", "30"],
-            ["repro-paper", "--input", "x"],
-            ["reduce", "--format", "graph6"],
-            ["alon-tarsi", "--input", "x.json", "--format", "orientation-json", "--k", "2"],
-        ],
-        ids=[
-            "discharge", "detect", "choosable", "choosable-limit-n", "alon-tarsi-limit-arcs", "repro-paper",
-            "reduce", "alon-tarsi",
-        ],
-    )
-    def test_flag_the_command_does_not_read(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+    @pytest.mark.parametrize("name", [*COMMANDS, "choosable-limit-n", "alon-tarsi-limit-arcs"])
+    def test_flag_the_command_does_not_read(self, name, capsys):
+        for argv in unread_flag_argvs()[name]:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.count("\n") == 1, argv
+            assert captured.err.startswith("error: unrecognized arguments: "), (argv, captured.err)
+
+
+def unread_flag_argvs() -> dict:
+    """Per command, one command line for each flag of ``COMMANDS`` that the
+    command does not read, and the orientation's --k; besides, the two
+    guard flags that ``choosable`` and ``alon-tarsi`` once read."""
+    every = {flag: spec for _, flags in COMMANDS.values() for flag, spec in flags.items()}
+    cases = {}
+    for name, (_, flags) in COMMANDS.items():
+        given = [name, "--input", "x"] if "--input" in flags else [name]
+        cases[name] = [
+            given + [flag, spec.kind[0] if isinstance(spec.kind, tuple) else "2"]
+            for flag, spec in every.items()
+            if flag not in flags
+        ]
+    cases["alon-tarsi"].append(["alon-tarsi", "--input", "x.json", "--format", "orientation-json", "--k", "2"])
+    cases["choosable-limit-n"] = [["choosable", "--input", "x.g6", "--limit-n", "3"]]
+    cases["alon-tarsi-limit-arcs"] = [["alon-tarsi", "--input", "x.g6", "--limit-arcs", "30"]]
+    return cases
 
 
 def stdlib_text(value) -> str:
@@ -1053,8 +1059,8 @@ def report_commands(tmp_path):
 class TestReportText:
     """Every report is the text of ``json.dumps(report, indent=2,
     sort_keys=True)``: the discharge and detect reports' trees are the
-    oracles', and the other commands write theirs with the standard
-    library, so each is its own canonical form."""
+    oracles', and the other commands write a tree with ``cli._dump``, whose
+    text must be its own canonical form."""
 
     def test_fixture_reports(self, tmp_path, capsys):
         argvs = report_commands(tmp_path)
@@ -1192,9 +1198,154 @@ class TestDischargeText:
         assert not out.exists()
 
 
+COMMAND_NAMES = "detect, choosable, alon-tarsi, reduce, discharge, repro-paper"
+
+
+class TestFlags:
+    """The command line is read against ``COMMANDS``: a flag takes its value
+    as the next word or after "=", the last repeat wins, -h prints the
+    usage and exits 0, and any misuse exits 2 with one ``error:`` line."""
+
+    def test_value_forms_and_repeats(self, tmp_path, capsys):
+        c5 = write_inputs(tmp_path)["c5.g6"]
+        want = run(capsys, ["choosable", "--input", c5, "--k", "2"])
+        assert want[0] == 1
+        assert run(capsys, ["choosable", f"--input={c5}", "--k=2"]) == want
+        assert run(capsys, ["choosable", "--input", c5, "--k", "4", "--k=2"]) == want
+        assert run(capsys, ["choosable", "--input", "missing.g6", "--k=3", "--input", c5, "--k", "2"]) == want
+        argv = ["choosable", "--input", c5, "--format", "embedding-json", "--format=graph6", "--k", "2"]
+        assert run(capsys, argv) == want
+        # a negative number is a value, not a flag
+        assert main(["choosable", "--input", c5, "--k", "-1"]) == 2
+        assert capsys.readouterr().err == "error: k must be positive\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["choosable", "--input"], "argument --input: expected one argument"),
+            (["choosable", "--input", "--summary"], "argument --input: expected one argument"),
+            (["choosable", "--input", "x.g6", "--k"], "argument --k: expected one argument"),
+            (["choosable", "--input", "x.g6", "--k", "two"], "argument --k: invalid int value: 'two'"),
+            (["choosable", "--input", "x.g6", "--k=2.0"], "argument --k: invalid int value: '2.0'"),
+            (
+                ["detect", "--input", "x.g6", "--format", "dot"],
+                "argument --format: invalid choice: 'dot' (choose from graph6, embedding-json)",
+            ),
+            (["detect", "--format", "graph6"], "the following arguments are required: --input"),
+            (["discharge"], "the following arguments are required: --input"),
+            (["colour", "--input", "x.g6"], f"invalid choice: 'colour' (choose from {COMMAND_NAMES})"),
+            ([], "the following arguments are required: command"),
+            (["--input", "x.g6"], f"invalid choice: '--input' (choose from {COMMAND_NAMES})"),
+            # no flag is read from its abbreviation
+            (["choosable", "--in", "x.g6"], "unrecognized arguments: --in"),
+            (["choosable", "--input", "x.g6", "stray"], "unrecognized arguments: stray"),
+            (["repro-paper", "--summary=yes"], "argument --summary: ignored explicit argument 'yes'"),
+        ],
+        ids=[
+            "missing-value", "flag-for-value", "missing-k", "non-integer-k", "fraction-k", "bad-format",
+            "missing-input", "missing-input-discharge", "unknown-command", "missing-command", "flag-for-command",
+            "abbreviation", "stray-word", "switch-with-value",
+        ],
+    )
+    def test_misuse_exits_2_with_one_line(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    def test_help_lists_the_flags_of_the_command(self, name, capsys):
+        flags = COMMANDS[name][1]
+        # after other flags, -h still prints the usage and reads nothing
+        given = ["--input", "missing.g6"] if "--input" in flags else ["--summary"]
+        for argv in ([name, "-h"], [name, "--help"], [name, *given, "-h"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0, argv
+            out, err = capsys.readouterr()
+            assert err == "" and out.startswith(f"usage: dischargekit {name}")
+            assert re.findall(r"^  (--[a-z]+) ", out, re.M) == list(flags)
+            assert set(re.findall(r"--[a-z]+", out)) == set(flags)
+            for spec in flags.values():
+                assert spec.help in out
+
+    def test_help_lists_every_command(self, capsys):
+        for argv in (["-h"], ["--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            out, err = capsys.readouterr()
+            assert err == "" and re.findall(r"^usage: dischargekit (\S+)", out, re.M) == list(COMMANDS)
+
+
+class TestTreeWriter:
+    """``cli._dump`` writes the tree reports; ``json.dumps(tree, indent=2,
+    sort_keys=True)`` is its oracle."""
+
+    def test_matches_the_standard_writer(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        texts = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80é€\U0001f600a') | st.characters(), max_size=8)
+        scalars = (
+            st.none()
+            | st.booleans()
+            | st.integers()
+            | st.sampled_from([0, -1, 2**64, 2**64 + 1, -(2**64) - 1, 10**40])
+            | texts
+            | st.sampled_from([[], (), {}])
+        )
+        trees = st.recursive(
+            scalars,
+            lambda kids: st.lists(kids, max_size=4)
+            | st.lists(kids, max_size=4).map(tuple)
+            | st.dictionaries(texts, kids, max_size=4),
+            max_leaves=30,
+        )
+
+        @hypothesis.settings(max_examples=400, deadline=None, database=None)
+        @hypothesis.seed(33)
+        @hypothesis.given(trees)
+        def check(tree):
+            want = json.dumps(tree, indent=2, sort_keys=True)
+            assert cli._dump(tree, 0) == want
+            # a deeper tree is the same text with each line shifted
+            assert cli._dump(tree, 2) == want.replace("\n", "\n    ")
+
+        check()
+
+    def test_every_tree_report(self, tmp_path, monkeypatch, capsys):
+        inputs = write_inputs(tmp_path)
+        (tmp_path / "c3.g6").write_text("Bw\n")
+        config = {"edges": [[0, 1], [1, 2], [2, 3], [3, 0]], "sizes": [2] * 4}
+        (tmp_path / "c4-config.json").write_text(json.dumps(config))
+        argvs = [
+            ["choosable", "--input", inputs["c5.g6"], "--k", "2"],
+            ["choosable", "--input", inputs["c5.g6"]],
+            ["alon-tarsi", "--input", inputs["c4.g6"], "--k", "2"],
+            ["alon-tarsi", "--input", str(tmp_path / "c3.g6"), "--k", "2"],
+            ["alon-tarsi", "--input", inputs["g1.json"], "--format", "orientation-json"],
+            ["reduce"],
+            ["reduce", "--input", str(tmp_path / "c4-config.json")],
+            ["repro-paper"],
+        ]
+        trees = []
+        emit_tree = cli._emit_tree
+        monkeypatch.setattr(cli, "_emit_tree", lambda report, args: (trees.append(report), emit_tree(report, args)))
+        for argv in argvs:
+            main(argv)
+            out = capsys.readouterr().out
+            assert out == cli._dump(trees[-1], 0) + "\n" == stdlib_text(trees[-1]) + "\n", argv
+        assert [tree["command"] for tree in trees] == [argv[0] for argv in argvs]
+        (witness,), (no_witness,) = trees[0]["verdicts"], trees[1]["verdicts"]
+        assert witness["witness"] is not None and no_witness["witness"] is None
+        assert trees[2]["results"][0]["certificate"] is not None and trees[3]["results"][0]["certificate"] is None
+        assert trees[4]["applicable"] is True and trees[6]["checks"][0]["name"] == "user-config"
+
+
 def test_one_parser_serves_every_call(tmp_path, capsys):
-    """A sequence of commands through the cached parser gives the exit
-    codes and output of a parser built afresh for each call."""
+    """A sequence of commands read against the one flag table gives the
+    exit codes and output of the same calls in the reverse order: no flag
+    value carries over from one call to the next."""
     emb, inputs = write_embedding(tmp_path, "cube"), write_inputs(tmp_path)
     argvs = [
         ["discharge", "--input", emb],
@@ -1213,20 +1364,13 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
         captured = capsys.readouterr()
         return code, captured.out, captured.err
 
-    build_parser.cache_clear()
-    reused = [outcome(argv) for argv in argvs]
-    assert build_parser.cache_info().misses == 1
-    fresh = []
-    for argv in argvs:
-        build_parser.cache_clear()
-        fresh.append(outcome(argv))
-    assert reused == fresh
-    assert [code for code, _, _ in reused] == [1, 0, 1, 0, 2, 1]
-    assert reused[0] == reused[-1]
-    assert "holds" in reused[1][1] and "holds" not in reused[2][1]
-    parser = build_parser()
-    assert parser.parse_args(["detect", "--input", "-", "--summary"]).summary is True
-    assert parser.parse_args(["detect", "--input", "-"]).summary is False
+    forward = [outcome(argv) for argv in argvs]
+    assert forward == [outcome(argv) for argv in reversed(argvs)][::-1]
+    assert [code for code, _, _ in forward] == [1, 0, 1, 0, 2, 1]
+    assert forward[0] == forward[-1]
+    assert "holds" in forward[1][1] and "holds" not in forward[2][1]
+    assert cli._parse(["detect", "--input", "-", "--summary"])[1].summary is True
+    assert cli._parse(["detect", "--input", "-"])[1].summary is False
 
 
 # Runs the commands given as a JSON list of argument lists and prints their

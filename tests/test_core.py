@@ -10,6 +10,7 @@ from oracles import (
     faces_of_unindexed,
     orientations_with_max_outdegree,
     parse_graph6_bitwalk,
+    parse_graph6_bytewalk,
 )
 
 from dischargekit import fixtures
@@ -193,14 +194,23 @@ class TestGraph6:
             for share in (0.0, 0.05, 0.5, 1.0):
                 g = build_graph([e for e in pairs if rng.random() < share], n=n)
                 line = write_graph6(g)
-                assert parse_graph6(line) == parse_graph6_bitwalk(line) == g, (n, share)
+                got = parse_graph6(line)
+                assert got == parse_graph6_bitwalk(line) == parse_graph6_bytewalk(line) == g, (n, share)
+                assert got.adjacency == g.adjacency
+
+    @pytest.mark.parametrize("line", ["D c", "Dh\x7f", "D>c", "Dhé", ">>graph6<<Dh\x00"])
+    def test_bad_character(self, line):
+        for parse in (parse_graph6, parse_graph6_bitwalk, parse_graph6_bytewalk):
+            with pytest.raises(ValueError, match="^invalid graph6 character$"):
+                parse(line)
 
     def test_random_lines_match_the_bit_walk(self):
         # random data bytes, often of the wrong length or with padding bits
-        # set: both decoders give the same graph or the same error
+        # set: the three decoders give the same graph or the same error
         def outcome(parse, line):
             try:
-                return parse(line)
+                graph = parse(line)
+                return graph, graph.adjacency
             except ValueError as exc:
                 return str(exc)
 
@@ -211,7 +221,8 @@ class TestGraph6:
             count = write_graph6(build_graph([], n=n))[: -need or None]
             size = max(need + rng.choice((-1, 0, 0, 0, 1)), 0)
             line = count + "".join(chr(63 + rng.choice((0, 0, 0, rng.randrange(64)))) for _ in range(size))
-            assert outcome(parse_graph6, line) == outcome(parse_graph6_bitwalk, line), line
+            got = outcome(parse_graph6, line)
+            assert got == outcome(parse_graph6_bitwalk, line) == outcome(parse_graph6_bytewalk, line), line
 
 
 class TestWireFormats:
